@@ -17,18 +17,18 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
+from dataclasses import dataclass, field
 
-from .arith import prime_set
-from .catalog import facts, parse_group
+from .arith import prime_divisors, prime_set
+from .catalog import parse_group
 from .composition import SplitHypothesis, decide_dpi_composite, parse_factors, wielandt_split
 from .criterion import Verdict, decide_dpi_simple
 from .permbrute import (
+    DEFAULT_LATTICE_BOUND,
     BruteForceBoundError,
     HallReport,
     check_final_corollary,
-    is_dpi_brute,
     maximal_pi_subgroups,
     realize,
 )
@@ -130,6 +130,7 @@ def _hall_report_dict(r: HallReport) -> dict:
 def _cmd_brute(args) -> int:
     pi = _parse_pi(args.pi)
     g = realize(args.group)
+    g.require_table(bound=args.max_order or DEFAULT_LATTICE_BOUND)
     r = maximal_pi_subgroups(g, pi)
     report = {"command": "brute", "group": args.group, **_hall_report_dict(r)}
     lines = [f"{g.name}: pi = {sorted(pi)}, hall_order = {r.hall_order}",
@@ -142,26 +143,59 @@ def _cmd_brute(args) -> int:
     return EXIT_TRUE if r.dpi else EXIT_FALSE
 
 
-def _crosscheck_group(spec: str) -> tuple[int, list[dict]]:
-    gid = parse_group(spec)
-    g = realize(gid)
-    spectrum = sorted(facts(gid).spectrum)
-    rows = []
-    disagreements = 0
+@dataclass
+class SweepResult:
+    """One row per pi; one violation tuple (spec, pi, lemma, ...) per failed
+    structural lemma; hit counts of the cases where the lemmas applied."""
+    rows: list[dict] = field(default_factory=list)
+    disagreements: int = 0
+    violations: list[tuple] = field(default_factory=list)
+    hypothesis_hits: int = 0
+    corollary_hits: int = 0
+
+
+def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
+    """Criterion vs brute force on every pi within pi(G), plus the
+    structural lemmas wherever a pi-Hall subgroup exists and |pi| >= 2.
+
+    `spec` is a simple group or a direct product such as "Alt:5,Cyclic:7";
+    the criterion side decides it from its composition factors.  The final
+    corollary is symmetric in sigma and tau, so each unordered two-part
+    partition is checked once.
+    """
+    factors = parse_factors(spec)
+    g = realize(spec)
+    g.require_table(bound=bound)
+    spectrum = prime_divisors(g.order)
+    out = SweepResult()
     for k in range(len(spectrum) + 1):
-        for combo in itertools.combinations(spectrum, k):
+        for combo in itertools.combinations(sorted(spectrum), k):
             pi = frozenset(combo)
-            brute = is_dpi_brute(g, pi)
-            crit = decide_dpi_simple(gid, pi).dpi
-            agree = brute == crit
-            disagreements += 0 if agree else 1
-            rows.append({"pi": sorted(pi), "brute": brute, "criterion": crit,
-                         "agree": agree})
-    return disagreements, rows
+            r = maximal_pi_subgroups(g, pi, with_structure=k >= 2)
+            crit = decide_dpi_composite(factors, pi).dpi
+            out.rows.append({"pi": sorted(pi), "brute": r.dpi, "criterion": crit,
+                             "agree": r.dpi == crit})
+            out.disagreements += r.dpi != crit
+            if r.structural is None:
+                continue
+            partitions = r.structural["nilpotent_factor_per_partition"]
+            if not spectrum <= pi and (2 not in pi or 3 not in pi):
+                out.hypothesis_hits += 1
+                if not r.structural["hall_solvable"]:
+                    out.violations.append((spec, sorted(pi), "Hall subgroup not solvable"))
+                if not all(partitions.values()):
+                    out.violations.append((spec, sorted(pi), "no nilpotent factor", partitions))
+            for sigma, tau in partitions:
+                verdict = check_final_corollary(g, pi, sigma, tau)
+                out.corollary_hits += verdict is True
+                if verdict is False:
+                    out.violations.append((spec, sorted(pi), "final corollary", sigma, tau))
+    return out
 
 
 def _cmd_crosscheck(args) -> int:
-    disagreements, rows = _crosscheck_group(args.group)
+    result = sweep(args.group, args.max_order or DEFAULT_LATTICE_BOUND)
+    rows, disagreements = result.rows, result.disagreements
     report = {"command": "crosscheck", "group": args.group,
               "subsets_checked": len(rows), "disagreements": disagreements,
               "rows": rows}
@@ -212,35 +246,13 @@ def _cmd_tables(args) -> int:
 
 def _cmd_corpus(args) -> int:
     """Criterion-vs-brute sweep plus the structural lemma sweep."""
-    total_rows = 0
-    total_disagreements = 0
-    per_group = []
-    structural_violations = 0
-    for spec in CORPUS_SIMPLE:
-        disagreements, rows = _crosscheck_group(spec)
-        total_rows += len(rows)
-        total_disagreements += disagreements
-        per_group.append({"group": spec, "subsets": len(rows),
-                          "disagreements": disagreements})
-        gid = parse_group(spec)
-        g = realize(gid)
-        spectrum = sorted(facts(gid).spectrum)
-        for k in range(2, len(spectrum) + 1):
-            for combo in itertools.combinations(spectrum, k):
-                pi = frozenset(combo)
-                r = maximal_pi_subgroups(g, pi)
-                if not (r.epi and r.structural is not None):
-                    continue
-                hypo = (not facts(gid).spectrum <= pi) and (2 not in pi or 3 not in pi)
-                if hypo:
-                    if not r.structural["hall_solvable"]:
-                        structural_violations += 1
-                    if not all(r.structural["nilpotent_factor_per_partition"].values()):
-                        structural_violations += 1
-                for (s, t), _ in r.structural["nilpotent_factor_per_partition"].items():
-                    verdict = check_final_corollary(g, pi, frozenset(s), frozenset(t))
-                    if verdict is False:
-                        structural_violations += 1
+    bound = args.max_order or DEFAULT_LATTICE_BOUND
+    results = [sweep(spec, bound) for spec in CORPUS_SIMPLE]
+    per_group = [{"group": spec, "subsets": len(r.rows), "disagreements": r.disagreements}
+                 for spec, r in zip(CORPUS_SIMPLE, results)]
+    total_rows = sum(len(r.rows) for r in results)
+    total_disagreements = sum(r.disagreements for r in results)
+    structural_violations = sum(len(r.violations) for r in results)
     report = {
         "command": "corpus",
         "groups": per_group,
@@ -264,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide and verify the Sylow pi-theorem (D_pi) for finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, group=False, factors=False, pi=False, sigma_tau=False):
+    def add_common(p, group=False, factors=False, pi=False, sigma_tau=False,
+                   max_order=False):
         if group:
             p.add_argument("--group", help="group spec, e.g. Alt:5, Spor:M11, Lie:A:2:7")
         if factors:
@@ -275,19 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sigma", required=True, help="comma-separated primes")
             p.add_argument("--tau", required=True, help="comma-separated primes")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--max-order", type=int, default=None,
-                       help="override the order-1000 lattice bound")
+        if max_order:
+            p.add_argument("--max-order", type=int, default=None,
+                           help=f"override the order-{DEFAULT_LATTICE_BOUND} lattice bound")
 
     add_common(sub.add_parser("check", help="arithmetic D_pi verdict"),
                group=True, factors=True, pi=True)
     add_common(sub.add_parser("brute", help="brute-force D_pi / E_pi"),
-               group=True, pi=True)
+               group=True, pi=True, max_order=True)
     add_common(sub.add_parser("crosscheck", help="criterion vs brute sweep"),
-               group=True)
+               group=True, max_order=True)
     add_common(sub.add_parser("split", help="sigma/tau split verdict"),
                group=True, factors=True, sigma_tau=True)
     add_common(sub.add_parser("tables", help="dump embedded tables"))
-    add_common(sub.add_parser("corpus", help="full cross-validation sweep"))
+    add_common(sub.add_parser("corpus", help="full cross-validation sweep"),
+               max_order=True)
     return parser
 
 
@@ -304,8 +319,6 @@ _HANDLERS = {
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_order", None):
-        os.environ["DPI_CORPUS_BOUND"] = str(args.max_order)
     if args.command in ("check", "split") and not (getattr(args, "group", None)
                                                    or getattr(args, "factors", None)):
         print("error: one of --group / --factors is required", file=sys.stderr)

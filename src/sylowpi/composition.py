@@ -2,11 +2,11 @@
 
 D_pi passes through normal subgroups and quotients, so for a group given
 by its composition-factor multiset the verdict is the conjunction over the
-factors (cyclic factors pass trivially).  The sigma/tau split equivalence
-additionally needs the split-Hall hypothesis H = H_sigma x H_tau, which is
-not decidable from a factor multiset: it is carried as an explicit flag
-and the verdict stays labeled conditional unless the flag was verified on
-a concrete realization.
+factors (cyclic factors pass trivially).  The partition corollary, and
+the sigma/tau split as its two-part case, additionally need the split-Hall
+hypothesis H = H_1 x ... x H_n, which is not decidable from a factor
+multiset: it is asserted, never verified here, so those verdicts are always
+labeled conditional.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class SplitHypothesis:
     sigma: frozenset[int]
     tau: frozenset[int]
     hall_split_assumed: bool
-    verified: bool = False
 
     def __post_init__(self):
         if self.sigma & self.tau:
@@ -99,23 +98,15 @@ def decide_dpi_composite(spec: CompositionSpec, pi: frozenset[int]) -> Composite
 def wielandt_split(spec: CompositionSpec, sigma: frozenset[int],
                    tau: frozenset[int], hyp: SplitHypothesis) -> CompositeVerdict:
     """D_(sigma u tau) as the conjunction of D_sigma and D_tau, valid under
-    the split-Hall hypothesis H = H_sigma x H_tau."""
-    if sigma & tau:
-        raise ValueError(f"sigma and tau overlap: {sorted(sigma & tau)}")
+    the split-Hall hypothesis H = H_sigma x H_tau: the two-part case of
+    corollary_partition."""
     if hyp.sigma != sigma or hyp.tau != tau:
         raise ValueError("hypothesis does not match the requested split")
-    left = decide_dpi_composite(spec, sigma)
-    right = decide_dpi_composite(spec, tau)
-    out = CompositeVerdict(left.dpi and right.dpi, sigma | tau, left.trace + right.trace)
-    if not (hyp.hall_split_assumed and hyp.verified):
-        out.conditional = True
-        out.condition_note = ("conditional on hypothesis (1): "
-                              "H = H_sigma x H_tau (asserted, not verified)")
-    return out
+    return corollary_partition(spec, [sigma, tau])
 
 
-def corollary_partition(spec: CompositionSpec, parts: list[frozenset[int]],
-                        hyp: SplitHypothesis | None = None) -> CompositeVerdict:
+def corollary_partition(spec: CompositionSpec,
+                        parts: list[frozenset[int]]) -> CompositeVerdict:
     """D_pi as the conjunction of D_(pi_i) over a pairwise disjoint
     partition, under the hypothesis H = H_1 x ... x H_n."""
     for i, a in enumerate(parts):
@@ -129,9 +120,6 @@ def corollary_partition(spec: CompositionSpec, parts: list[frozenset[int]],
         sub = decide_dpi_composite(spec, part)
         trace.extend(sub.trace)
         dpi = dpi and sub.dpi
-    out = CompositeVerdict(dpi, pi, trace)
-    if hyp is None or not (hyp.hall_split_assumed and hyp.verified):
-        out.conditional = True
-        out.condition_note = ("conditional on hypothesis (1): "
-                              "H = H_1 x ... x H_n (asserted, not verified)")
-    return out
+    return CompositeVerdict(dpi, pi, trace, conditional=True,
+                            condition_note=("conditional on hypothesis (1): "
+                                            "H = H_1 x ... x H_n (asserted, not verified)"))

@@ -75,10 +75,6 @@ CONDITION_II_ITEMS: tuple[tuple[str, tuple[frozenset[int], ...]], ...] = (
 )
 
 
-def _effective(gid: SimpleGroupId, pi: frozenset[int]) -> frozenset[int]:
-    return pi_effective(gid, pi)
-
-
 def condition_I(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     ensure_valid(gid)
     eff = pi_effective(gid, pi)
@@ -90,7 +86,7 @@ def condition_II(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     ensure_valid(gid)
     if gid.family != "Spor":
         return ConditionReport("II", False)
-    eff = _effective(gid, pi)
+    eff = pi_effective(gid, pi)
     for idx, (name, sets) in enumerate(CONDITION_II_ITEMS, start=1):
         if gid.name == name and eff in sets:
             return ConditionReport("II", True, subcase=idx,
@@ -292,7 +288,7 @@ def condition_VI(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     ensure_valid(gid)
     if gid.family != "Lie" or gid.lie_type not in SUZUKI_REE:
         return ConditionReport("VI", False)
-    eff = _effective(gid, pi)
+    eff = pi_effective(gid, pi)
     subcase = {"2B2": 1, "2G2": 2, "2F4": 3}[gid.lie_type]
     for target in _suzuki_ree_sets(gid.lie_type, gid.q):
         if eff <= target:
@@ -367,7 +363,7 @@ def decide_dpi_simple(gid: SimpleGroupId, pi: frozenset[int]) -> Verdict:
     order is a presentation choice only.
     """
     ensure_valid(gid)
-    eff = _effective(gid, pi)
+    eff = pi_effective(gid, pi)
     for cond in _CONDITIONS:
         report = cond(gid, pi)
         if report.holds:

@@ -9,14 +9,14 @@ conjugacy class.
 Everything interesting happens on element indices against a cached
 multiplication table (numpy), so degrees stay tiny and orders stay below
 explicit bounds: ORDER_BOUND for materializing a group at all, and a
-lattice bound (default 1000, override via DPI_CORPUS_BOUND) for
-whole-lattice operations.
+lattice bound for whole-lattice operations.  The lattice bound is checked
+when the multiplication table is first built: DEFAULT_LATTICE_BOUND unless
+the caller builds it first with `require_table(bound=...)`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +31,6 @@ DEFAULT_LATTICE_BOUND = 1000
 
 class BruteForceBoundError(ValueError):
     """A requested computation exceeds the configured size bounds."""
-
-
-def lattice_bound() -> int:
-    return int(os.environ.get("DPI_CORPUS_BOUND", DEFAULT_LATTICE_BOUND))
 
 
 def pi_part(m: int, pi) -> int:
@@ -170,11 +166,11 @@ class PermGroup:
 
     def require_table(self, bound: int | None = None) -> np.ndarray:
         if self._table is None:
-            bound = lattice_bound() if bound is None else bound
+            bound = DEFAULT_LATTICE_BOUND if bound is None else bound
             if self.order > bound:
                 raise BruteForceBoundError(
                     f"order {self.order} exceeds the lattice bound {bound} "
-                    "(set DPI_CORPUS_BOUND to raise it)")
+                    "(pass --max-order to raise it)")
             n, d = self.order, self.degree
             arr = np.array(self.elements, dtype=np.int32)
             enc = {e.tobytes(): i for i, e in enumerate(arr)}
@@ -526,10 +522,8 @@ def _psl2(q: int) -> PermGroup:
     if len(perms) != expected:
         raise RuntimeError(f"PSL(2,{q}) realization has order {len(perms)}, "
                            f"expected {expected}")
-    g = PermGroup.__new__(PermGroup)
-    PermGroup.__init__(g, q + 1, _greedy_gens(perms, q + 1), elements=perms,
-                       name=f"PSL(2,{q})")
-    return g
+    return PermGroup(q + 1, _greedy_gens(perms, q + 1), elements=perms,
+                     name=f"PSL(2,{q})")
 
 
 def _greedy_gens(elements, degree: int) -> list[tuple[int, ...]]:
@@ -579,7 +573,7 @@ def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
 
 
 def realize(spec) -> PermGroup:
-    """Realize a built-in group: Alt/Sym(5..8), PSL(2,q) for small q,
+    """Realize a built-in group: Alt/Sym(5..7), PSL(2,q) for small q,
     Cyclic(p) for p <= 31, and direct products of those (lists/tuples)."""
     key = _spec_key(spec)
     if key in _REALIZE_CACHE:
@@ -616,13 +610,13 @@ def _realize_uncached(spec) -> PermGroup:
             return _cyclic_checked(int(s.split(":", 1)[1]))
         if s.startswith("Sym:"):
             n = int(s.split(":", 1)[1])
-            if not 5 <= n <= 8:
+            if not 5 <= n <= 7:
                 raise BruteForceBoundError(f"Sym({n}) is not a built-in realization")
             return _sym(n)
         return _realize_uncached(parse_group(s))
     gid: SimpleGroupId = spec
     if gid.family == "Alt":
-        if not 5 <= gid.n <= 8:
+        if not 5 <= gid.n <= 7:
             raise BruteForceBoundError(f"Alt({gid.n}) is not a built-in realization")
         g = _alt(gid.n)
     elif gid.family == "Lie" and gid.lie_type == "A" and gid.n == 2 and gid.q in PSL2_FIELDS:
@@ -644,10 +638,6 @@ def _cyclic_checked(p: int) -> PermGroup:
 
 # ---------------------------------------------------------------------------
 # pi-subgroup analysis
-
-def all_subgroups_up_to_conjugacy(g: PermGroup) -> list[SubgroupClass]:
-    return g.subgroup_classes()
-
 
 def _contained_up_to_conjugacy(a: SubgroupClass, b: SubgroupClass) -> bool:
     if b.order % a.order != 0:
@@ -725,10 +715,6 @@ def _structural_flags(g: PermGroup, report: HallReport, pi_classes) -> dict:
 
 def is_dpi_brute(g: PermGroup, pi) -> bool:
     return maximal_pi_subgroups(g, pi, with_structure=False).dpi
-
-
-def is_epi_brute(g: PermGroup, pi) -> bool:
-    return maximal_pi_subgroups(g, pi, with_structure=False).epi
 
 
 def verify_hall_inheritance(g: PermGroup, normal_subset, pi) -> bool:

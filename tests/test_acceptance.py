@@ -8,11 +8,11 @@ import itertools
 
 from sylowpi.arith import prime_divisors
 from sylowpi.catalog import facts, parse_group
+from sylowpi.cli import CORPUS_SIMPLE, sweep
 from sylowpi.criterion import decide_dpi_simple
 from sylowpi.permbrute import (
     BruteForceBoundError,
     _sym,
-    check_final_corollary,
     is_dpi_brute,
     maximal_pi_subgroups,
     realize,
@@ -21,9 +21,6 @@ from sylowpi.permbrute import (
 )
 from sylowpi.tables import SPORADIC_EVEN_ROWS, SPORADIC_ODD_ROWS
 from sylowpi.criterion import CONDITION_II_ITEMS
-
-CORPUS = ("Alt:5", "Alt:6", "Lie:A:2:4", "Lie:A:2:5", "Lie:A:2:7",
-          "Lie:A:2:8", "Lie:A:2:9", "Lie:A:2:11")
 
 
 def _report(number: int, title: str) -> None:
@@ -40,14 +37,10 @@ def test_criterion_1_oracle_agreement():
     """Criterion-oracle agreement on every realized simple group and every
     pi within its prime spectrum."""
     disagreements = []
-    for spec in CORPUS:
-        gid = parse_group(spec)
-        g = realize(gid)
-        for pi in _subsets(facts(gid).spectrum):
-            brute = is_dpi_brute(g, pi)
-            crit = decide_dpi_simple(gid, pi).dpi
-            if brute != crit:
-                disagreements.append((spec, sorted(pi), brute, crit))
+    for spec in CORPUS_SIMPLE:
+        result = sweep(spec)
+        assert len(result.rows) == 2 ** len(facts(parse_group(spec)).spectrum), spec
+        disagreements += [(spec, row) for row in result.rows if not row["agree"]]
     assert disagreements == [], disagreements
     _report(1, "criterion-oracle agreement on the full corpus (0 disagreements)")
 
@@ -76,7 +69,7 @@ def test_criterion_3_table1_reproduction():
 def test_criterion_4_split_merge_on_products():
     """On every realized product K x L (order <= 1000) and every pi with a
     verified split Hall subgroup: D_pi = D_sigma and D_tau."""
-    parts = list(CORPUS) + [f"Cyclic:{p}" for p in (2, 3, 5, 7, 11)]
+    parts = list(CORPUS_SIMPLE) + [f"Cyclic:{p}" for p in (2, 3, 5, 7, 11)]
     violations = []
     products = 0
     instances = 0
@@ -143,27 +136,13 @@ def test_criterion_6_structural_lemma_sweep():
     corollary_hits = 0
     # simple corpus groups have no split Hall subgroups, so the corollary is
     # vacuous there; products make it bite
-    for spec in CORPUS + ("Alt:5,Cyclic:7", "Lie:A:2:7,Cyclic:5",
-                          "Cyclic:3,Cyclic:5"):
-        g = realize(spec)
-        spectrum = prime_divisors(g.order)
-        for pi in _subsets(spectrum):
-            if len(pi) < 2:
-                continue
-            r = maximal_pi_subgroups(g, pi)
-            if not r.epi:
-                continue
-            if not spectrum <= pi and (2 not in pi or 3 not in pi):
-                hypothesis_hits += 1
-                assert r.structural["hall_solvable"], (spec, sorted(pi))
-                flags = r.structural["nilpotent_factor_per_partition"]
-                assert all(flags.values()), (spec, sorted(pi), flags)
-            for k in range(1, len(pi)):
-                for sigma in map(frozenset, itertools.combinations(sorted(pi), k)):
-                    verdict = check_final_corollary(g, pi, sigma, pi - sigma)
-                    assert verdict is not False, (spec, sorted(pi), sorted(sigma))
-                    if verdict is True:
-                        corollary_hits += 1
+    for spec in CORPUS_SIMPLE + ("Alt:5,Cyclic:7", "Lie:A:2:7,Cyclic:5",
+                                 "Cyclic:3,Cyclic:5"):
+        result = sweep(spec)
+        assert result.violations == [], result.violations
+        assert result.disagreements == 0, (spec, result.rows)
+        hypothesis_hits += result.hypothesis_hits
+        corollary_hits += result.corollary_hits
     assert hypothesis_hits > 0 and corollary_hits > 0
     _report(6, f"structural lemmas hold on {hypothesis_hits} hypothesis cases, "
                f"{corollary_hits} applicable corollary cases (0 violations)")

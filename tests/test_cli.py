@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, and JSON report round-trips."""
 
 import json
+import os
 
 import pytest
 
@@ -84,10 +85,30 @@ def test_brute_bound_error(capsys):
     assert code == EXIT_ERROR
 
 
+def test_max_order_does_not_outlive_its_invocation(capsys):
+    argv = ["brute", "--group", "Cyclic:7,Cyclic:13", "--pi", "7,13"]  # order 91
+    code, _, err = run_cli(capsys, *argv, "--max-order", "50")
+    assert code == EXIT_ERROR and "lattice bound 50" in err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_TRUE and "dpi = True" in out
+    assert "DPI_CORPUS_BOUND" not in os.environ
+
+
+def test_max_order_only_on_lattice_commands(capsys):
+    for argv in (["check", "--group", "Alt:5", "--pi", "2"],
+                 ["split", "--factors", "Alt:5", "--sigma", "2", "--tau", "5"],
+                 ["tables"]):
+        with pytest.raises(SystemExit):
+            run(argv + ["--max-order", "50"])
+
+
 def test_crosscheck(capsys):
     code, out, _ = run_cli(capsys, "crosscheck", "--group", "Lie:A:2:7")
     assert code == EXIT_TRUE
     assert "8 subsets checked, 0 disagreements" in out
+    code, out, _ = run_cli(capsys, "crosscheck", "--group", "Cyclic:3,Cyclic:5")
+    assert code == EXIT_TRUE
+    assert "4 subsets checked, 0 disagreements" in out
 
 
 def test_crosscheck_json(capsys):

@@ -58,11 +58,6 @@ def test_wielandt_split_conditional_label():
     hyp = SplitHypothesis(sigma=sigma, tau=tau, hall_split_assumed=True)
     v = wielandt_split(spec, sigma, tau, hyp)
     assert v.conditional and "hypothesis (1)" in v.condition_note
-    hyp_verified = SplitHypothesis(sigma=sigma, tau=tau,
-                                   hall_split_assumed=True, verified=True)
-    v2 = wielandt_split(spec, sigma, tau, hyp_verified)
-    assert not v2.conditional
-    assert v2.dpi == v.dpi
 
 
 def test_wielandt_split_is_conjunction():
@@ -92,7 +87,7 @@ def test_corollary_partition_matches_split():
     sigma, tau = frozenset({2, 3}), frozenset({5})
     hyp = SplitHypothesis(sigma=sigma, tau=tau, hall_split_assumed=True)
     split = wielandt_split(spec, sigma, tau, hyp)
-    part = corollary_partition(spec, [sigma, tau], hyp)
+    part = corollary_partition(spec, [sigma, tau])
     assert part.dpi == split.dpi
     assert part.pi == split.pi
     assert part.trace == split.trace

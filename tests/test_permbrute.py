@@ -1,6 +1,7 @@
 """Brute-force oracle: realizations, subgroup lattice, Hall reports,
 structure tests, quotients and the constructive table rows."""
 
+import itertools
 import math
 
 import pytest
@@ -11,7 +12,6 @@ from sylowpi.permbrute import (
     BruteForceBoundError,
     PermGroup,
     _sym,
-    all_subgroups_up_to_conjugacy,
     check_final_corollary,
     direct_product,
     identity_perm,
@@ -63,8 +63,10 @@ def test_realize_products_and_cyclic():
         realize("Cyclic:33")
     with pytest.raises(BruteForceBoundError):
         realize("Alt:9")
-    with pytest.raises(BruteForceBoundError):
-        realize("Sym:8")  # order 40320 exceeds the hard bound
+    # Alt(8) and Sym(8) exceed ORDER_BOUND, so they are outside the range
+    for spec in ("Alt:8", "Sym:8"):
+        with pytest.raises(BruteForceBoundError, match="not a built-in realization"):
+            realize(spec)
     with pytest.raises(BruteForceBoundError):
         realize("Spor:M11")
 
@@ -74,14 +76,14 @@ def test_realize_is_cached():
 
 
 def test_subgroup_class_counts():
-    assert len(all_subgroups_up_to_conjugacy(realize("Cyclic:7"))) == 2
-    assert len(all_subgroups_up_to_conjugacy(realize("Alt:5"))) == 9
-    assert len(all_subgroups_up_to_conjugacy(_sym(5))) == 19
-    assert len(all_subgroups_up_to_conjugacy(realize("Lie:A:2:7"))) == 15
+    assert len(realize("Cyclic:7").subgroup_classes()) == 2
+    assert len(realize("Alt:5").subgroup_classes()) == 9
+    assert len(_sym(5).subgroup_classes()) == 19
+    assert len(realize("Lie:A:2:7").subgroup_classes()) == 15
 
 
 def test_alt5_class_orders():
-    orders = sorted(c.order for c in all_subgroups_up_to_conjugacy(realize("Alt:5")))
+    orders = sorted(c.order for c in realize("Alt:5").subgroup_classes())
     assert orders == [1, 2, 3, 4, 5, 6, 10, 12, 60]
 
 
@@ -206,6 +208,19 @@ def test_check_final_corollary():
         check_final_corollary(g, {3, 5}, {3, 5}, {5})
 
 
+def test_check_final_corollary_is_symmetric():
+    for spec in ("Alt:5,Cyclic:7", "Lie:A:2:7,Cyclic:5", "Cyclic:3,Cyclic:5"):
+        g = realize(spec)
+        spectrum = sorted(prime_divisors(g.order))
+        for k in range(2, len(spectrum) + 1):
+            for pi in map(frozenset, itertools.combinations(spectrum, k)):
+                for j in range(1, k):
+                    for sigma in map(frozenset, itertools.combinations(sorted(pi), j)):
+                        tau = pi - sigma
+                        assert (check_final_corollary(g, pi, sigma, tau)
+                                == check_final_corollary(g, pi, tau, sigma)), (spec, pi, sigma)
+
+
 def test_reproduce_table1():
     assert reproduce_table1(7)
     assert reproduce_table1(8)
@@ -235,9 +250,8 @@ def test_order_bound_enforced():
         PermGroup(11, [tuple(range(1, 11)) + (0,), (1, 0) + tuple(range(2, 11))])
 
 
-def test_lattice_bound_env_override(monkeypatch):
+def test_lattice_bound_explicit():
     g = realize("Lie:A:2:9")  # order 360, fine at the default bound
-    monkeypatch.setenv("DPI_CORPUS_BOUND", "100")
     fresh = PermGroup(g.degree, g.generators, elements=set(g.elements))
     with pytest.raises(BruteForceBoundError):
-        fresh.subgroup_classes()
+        fresh.require_table(bound=100)
