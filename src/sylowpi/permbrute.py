@@ -11,7 +11,8 @@ multiplication table (numpy), so degrees stay tiny and orders stay below
 explicit bounds: ORDER_BOUND for materializing a group at all, and a
 lattice bound for whole-lattice operations.  The lattice bound is checked
 when the multiplication table is first built: DEFAULT_LATTICE_BOUND unless
-the caller builds it first with `require_table(bound=...)`.
+the caller builds it first with `require_table(bound=...)`.  The table
+holds int16 indices, so one at ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.
 """
 
 from __future__ import annotations
@@ -27,10 +28,16 @@ from .composition import CyclicFactor
 
 ORDER_BOUND = 10080
 DEFAULT_LATTICE_BOUND = 1000
+# multiplication tables and inverses hold element indices as int16
+assert ORDER_BOUND <= np.iinfo(np.int16).max + 1
 
 
 class BruteForceBoundError(ValueError):
     """A requested computation exceeds the configured size bounds."""
+
+
+class ElementListError(ValueError):
+    """An explicit element list is not the group its generators generate."""
 
 
 def pi_part(m: int, pi) -> int:
@@ -171,19 +178,40 @@ class PermGroup:
                 raise BruteForceBoundError(
                     f"order {self.order} exceeds the lattice bound {bound} "
                     "(pass --max-order to raise it)")
-            n, d = self.order, self.degree
-            arr = np.array(self.elements, dtype=np.int32)
-            enc = {e.tobytes(): i for i, e in enumerate(arr)}
-            table = np.empty((n, n), dtype=np.int32)
-            for i in range(n):
-                prods = arr[:, arr[i]]  # row j = element i followed by element j
-                table[i] = [enc[p.tobytes()] for p in prods]
-            self._table = table
-            inv = np.empty(n, dtype=np.int32)
-            for i in range(n):
-                inv[i] = self.index[pinv(self.elements[i])]
-            self._inv = inv
+            self._table = self._cayley_table()
+            self._inv = _table_inverses(self._table, self.identity)
         return self._table
+
+    def _cayley_table(self) -> np.ndarray:
+        """table[i, j] = index of (element i followed by element j), built
+        row by row along the left Cayley graph: row s*i is left_s[row i],
+        because (s*i)*x = s*(i*x).  The lookups prove the element list closed
+        under left multiplication by the generators and the search proves
+        every element a word in them, so the list is exactly <generators>."""
+        n = self.order
+        try:
+            lefts = [np.array([self.index[pmul(s, e)] for e in self.elements], dtype=np.int16)
+                     for s in self.generators]
+        except KeyError:
+            raise ElementListError(f"{self.name}: the element list is not closed "
+                                   "under its generators") from None
+        table = np.empty((n, n), dtype=np.int16)
+        table[self.identity] = np.arange(n)
+        reached = np.zeros(n, dtype=bool)
+        reached[self.identity] = True
+        rows = [self.identity]
+        for i in rows:  # breadth-first; rows grows while it is walked
+            for left in lefts:
+                j = int(left[i])
+                if not reached[j]:
+                    reached[j] = True
+                    table[j] = left[table[i]]
+                    rows.append(j)
+        if len(rows) != n:
+            raise ElementListError(
+                f"{self.name}: the generators reach only {len(rows)} "
+                f"of the {n} listed elements")
+        return table
 
     @property
     def inv(self) -> np.ndarray:
@@ -414,6 +442,16 @@ class PermGroup:
         return q, coset_of
 
 
+def _table_inverses(table: np.ndarray, identity: int) -> np.ndarray:
+    """inv[i] = the column holding the identity in row i, found 256 rows at
+    a time so that no n^2 temporary is made."""
+    inv = np.empty(len(table), dtype=np.int16)
+    for lo in range(0, len(table), 256):
+        rows, cols = np.nonzero(table[lo:lo + 256] == identity)
+        inv[lo + rows] = cols
+    return inv
+
+
 def _power(table: np.ndarray, x: int, k: int) -> int:
     """x^k by repeated table multiplication (k small)."""
     acc = None
@@ -566,10 +604,10 @@ def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
     if g1.order * g2.order > ORDER_BOUND:
         raise BruteForceBoundError(
             f"product order {g1.order * g2.order} exceeds the bound {ORDER_BOUND}")
-    g = PermGroup(d1 + d2, gens, name=f"{g1.name} x {g2.name}")
-    if g.order != g1.order * g2.order:
-        raise RuntimeError("direct product closure has unexpected order")
-    return g
+    # already sorted; the table's reach check proves it is <gens>
+    shifted = [tuple(x + d1 for x in b) for b in g2.elements]
+    elements = [a + b for a in g1.elements for b in shifted]
+    return PermGroup(d1 + d2, gens, elements=elements, name=f"{g1.name} x {g2.name}")
 
 
 def realize(spec) -> PermGroup:

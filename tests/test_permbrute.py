@@ -4,12 +4,16 @@ structure tests, quotients and the constructive table rows."""
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from sylowpi.arith import prime_divisors
 from sylowpi.catalog import facts, parse_group
+from sylowpi.cli import CORPUS_SIMPLE
 from sylowpi.permbrute import (
+    ORDER_BOUND,
     BruteForceBoundError,
+    ElementListError,
     PermGroup,
     _sym,
     check_final_corollary,
@@ -237,6 +241,52 @@ def test_direct_product_structure():
     g = direct_product(realize("Cyclic:2"), realize("Cyclic:3"))
     assert g.order == 6 and g.degree == 5
     assert g.is_nilpotent_set(frozenset(range(6)))
+
+
+@pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Alt:5,Cyclic:7",))
+def test_table_matches_definition(spec):
+    g = realize(spec)
+    t = g.require_table()
+    e = g.elements
+    assert t.dtype == np.int16 and g.inv.dtype == np.int16
+    for i in range(g.order):
+        assert t[i].tolist() == [g.index[pmul(e[i], e[j])] for j in range(g.order)]
+        assert t[i, g.inv[i]] == g.identity
+
+
+def test_table_reaches_sym7():
+    g = realize("Sym:7")
+    t = g.require_table(bound=ORDER_BOUND)
+    ident = np.arange(g.order)
+    assert g.order == 5040
+    for i in range(0, g.order, 256):  # chunked: no second n^2 array
+        assert (np.sort(t[i:i + 256], axis=1) == ident).all()
+
+
+def test_element_list_errors():
+    ident, s, u = (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)
+    # s * u = (1, 0, 3, 2) is missing
+    g = PermGroup(4, [s], elements={ident, s, u})
+    with pytest.raises(ElementListError, match="not closed under"):
+        g.require_table()
+    # the Klein four-group is closed, but (0 1) alone reaches only half of it
+    g = PermGroup(4, [s], elements={ident, s, u, pmul(s, u)})
+    with pytest.raises(ElementListError, match="reach only 2 of the 4"):
+        g.require_table()
+    # a generator outside the list
+    g = PermGroup(4, [s, u], elements={ident, s})
+    with pytest.raises(ElementListError, match="not closed under"):
+        g.require_table()
+
+
+@pytest.mark.parametrize("k, l", [("Alt:5", "Cyclic:7"), ("Cyclic:3", "Cyclic:5"),
+                                  ("Lie:A:2:4", "Cyclic:2")])
+def test_product_element_lists(k, l):
+    gk, gl = realize(k), realize(l)
+    d1, d2 = gk.degree, gl.degree
+    gens = [a + tuple(range(d1, d1 + d2)) for a in gk.generators]
+    gens += [tuple(range(d1)) + tuple(x + d1 for x in b) for b in gl.generators]
+    assert realize(f"{k},{l}").elements == sorted(tuple_closure(gens, d1 + d2))
 
 
 def test_pi_part():
