@@ -1,10 +1,10 @@
 """Brute-force ground truth for D_pi on small groups.
 
 Small groups are realized as permutation groups, the full subgroup lattice
-is enumerated up to conjugacy (cyclic seeds, then joins of class
-representatives with single elements), and E_pi / D_pi are decided by
-definition: D_pi holds exactly when all maximal pi-subgroups form a single
-conjugacy class.
+is enumerated up to conjugacy (cyclic seeds, then joins <H, x> of each class
+representative H with one element x per double coset HxH, each grown from H
+by whole cosets), and E_pi / D_pi are decided by definition: D_pi holds
+exactly when all maximal pi-subgroups form a single conjugacy class.
 
 Everything interesting happens on element indices against a cached
 multiplication table (numpy), so degrees stay tiny and orders stay below
@@ -227,37 +227,50 @@ class PermGroup:
 
     def closure_indices(self, gen_idx) -> frozenset[int]:
         """Subgroup generated by element indices."""
-        t = self.require_table()
-        gens = sorted({g for g in gen_idx if g != self.identity})
-        members = {self.identity}
-        if not gens:
-            return frozenset(members)
-        garr = np.array(gens, dtype=np.int32)
-        frontier = np.array([self.identity], dtype=np.int32)
-        mask = np.zeros(self.order, dtype=bool)
-        mask[self.identity] = True
-        while frontier.size:
-            prods = t[np.ix_(frontier, garr)].ravel()
-            new = np.unique(prods)
-            new = new[~mask[new]]
-            mask[new] = True
-            members.update(new.tolist())
-            frontier = new
-        return frozenset(members)
+        return frozenset(self._generate(gen_idx)[0].tolist())
 
     def gens_of(self, subset) -> tuple[int, ...]:
         """Small generating set for a subgroup given as an element-index set."""
-        current: frozenset[int] = frozenset({self.identity})
-        gens: list[int] = []
         # larger element orders first keeps the generating set short
         orders = self.element_orders()
-        for x in sorted(subset, key=lambda i: -int(orders[i])):
-            if x not in current:
+        return tuple(self._generate(sorted(subset, key=lambda i: -int(orders[i])))[1])
+
+    def _generate(self, candidates) -> tuple[np.ndarray, list[int]]:
+        """Dimino's algorithm: the elements of the subgroup generated by
+        `candidates`, and the candidates that enlarged it, in order.  Each
+        candidate outside the subgroup so far is joined to it."""
+        self.require_table()
+        harr = np.array([self.identity])
+        member = np.zeros(self.order, dtype=bool)
+        member[self.identity] = True
+        gens: list[int] = []
+        for x in candidates:
+            if not member[x]:
+                harr = self._join(harr, gens, x)
                 gens.append(x)
-                current = self.closure_indices(tuple(gens))
-                if len(current) == len(subset):
-                    break
-        return tuple(gens)
+                member[harr] = True
+        return harr, gens
+
+    def _join(self, harr: np.ndarray, hgens, x: int) -> np.ndarray:
+        """Sorted elements of <H, x>, where H has elements `harr` and is
+        generated by `hgens`.  <H, x> is grown as a union of right cosets H*r,
+        breadth-first over the representatives r with one gather per layer of
+        new cosets; the cosets are closed under right multiplication by hgens
+        and x, which makes the union a group."""
+        t = self._table
+        member = np.zeros(self.order, dtype=bool)
+        member[harr] = True
+        garr = np.array(list(hgens) + [x])
+        reps = np.array([self.identity])
+        while reps.size:
+            prods = t[reps[:, None], garr].ravel()
+            prods = prods[~member[prods]]
+            cosets = t[harr[:, None], prods]  # column j is the coset H*prods[j]
+            member[cosets] = True
+            named = np.zeros(self.order, dtype=bool)
+            named[cosets.min(axis=0)] = True  # a coset is named by its least element
+            reps = np.flatnonzero(named)
+        return np.flatnonzero(member)
 
     def _commutator(self, a: int, b: int) -> int:
         t = self.require_table()
@@ -267,7 +280,9 @@ class PermGroup:
     # -- subgroup lattice ---------------------------------------------------
 
     def subgroup_classes(self) -> list[SubgroupClass]:
-        """All subgroups up to conjugacy (cyclic-seed join closure)."""
+        """All subgroups up to conjugacy: the cyclic subgroups, then, for each
+        new class representative H, the joins <H, x>, one per double coset
+        HxH outside H, until no join gives a new class."""
         if self._classes is not None:
             return self._classes
         t = self.require_table()
@@ -296,32 +311,38 @@ class PermGroup:
 
         register(frozenset({self.identity}), ())
         for x in range(n):
-            if x == self.identity:
-                continue
             cyc = set()
             y = x
-            while y not in cyc:
+            while y not in cyc:  # x, x^2, ..., x^|x| = identity
                 cyc.add(y)
                 y = int(t[y, x])
-            cyc.add(self.identity)
             fs = frozenset(cyc)
             if fs not in seen:
                 register(fs, (x,))
 
+        # <H, x> = <H, h x h'> = <H, x^k> for h, h' in H and k prime to |x|,
+        # so one join per double coset H x H covers the double cosets of
+        # every generator of <x>
+        orders = self.element_orders()
         worklist = list(range(1, len(classes)))
         while worklist:
             i = worklist.pop()
             cls = classes[i]
             if cls.order == n:
                 continue
-            hcps = [self.conj_perm(g) for g in cls.gens]
-            for x in _orbit_reps(hcps, n):
-                if x in cls.rep:
-                    continue
-                ext = self.closure_indices(cls.gens + (x,))
-                if ext in seen:
-                    continue
-                worklist.append(register(ext, cls.gens + (x,)))
+            harr = np.fromiter(cls.rep, dtype=np.int32, count=cls.order)
+            done = np.zeros(n, dtype=bool)
+            done[harr] = True
+            while not done.all():
+                x = int(done.argmin())  # the first element not yet covered
+                o, y = int(orders[x]), x
+                for k in range(1, o):
+                    if not done[y] and math.gcd(k, o) == 1:
+                        done[t[t[harr, y][:, None], harr]] = True
+                    y = int(t[y, x])
+                ext = frozenset(self._join(harr, cls.gens, x).tolist())
+                if ext not in seen:
+                    worklist.append(register(ext, cls.gens + (x,)))
 
         classes.sort(key=lambda c: (c.order, sorted(c.rep)))
         self._classes = classes
@@ -372,10 +393,9 @@ class PermGroup:
             if o % p == 0:
                 seed = _power(t, x, o // r_part(o, p))
                 break
-        P = self.closure_indices((seed,))
-        pgens = [seed]
-        while len(P) < target:
-            parr = np.fromiter(P, dtype=np.int32, count=len(P))
+        parr, pgens = self._generate((seed,))
+        while len(parr) < target:
+            P = frozenset(parr.tolist())
             # normalizer of P inside the subgroup
             norm = [k for k in karr.tolist()
                     if frozenset(self.conj_perm(k)[parr].tolist()) == P]
@@ -390,13 +410,13 @@ class PermGroup:
                     steps += 1
                 if steps % p == 0:
                     y2 = _power(t, y, steps // p)
+                    parr = self._join(parr, pgens, y2)
                     pgens.append(y2)
-                    P = self.closure_indices(tuple(pgens))
                     found = True
                     break
             if not found:  # cannot happen for a genuine subgroup
                 raise RuntimeError("Sylow ascent stalled; input was not a subgroup")
-        return P
+        return frozenset(parr.tolist())
 
     def is_nilpotent_set(self, subset) -> bool:
         """Nilpotent iff every Sylow subgroup is normal."""
@@ -460,28 +480,6 @@ def _power(table: np.ndarray, x: int, k: int) -> int:
     if acc is None:
         raise ValueError("k must be >= 1")
     return acc
-
-
-def _orbit_reps(perms: list[np.ndarray], n: int) -> list[int]:
-    """Orbit representatives of the group generated by index permutations."""
-    if not perms:
-        return list(range(n))
-    visited = np.zeros(n, dtype=bool)
-    reps = []
-    for i in range(n):
-        if visited[i]:
-            continue
-        reps.append(i)
-        stack = [i]
-        visited[i] = True
-        while stack:
-            x = stack.pop()
-            for cp in perms:
-                y = int(cp[x])
-                if not visited[y]:
-                    visited[y] = True
-                    stack.append(y)
-    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -801,10 +799,13 @@ def split_hall(g: PermGroup, hall_subset, sigma, tau) -> tuple[frozenset[int], f
     t_part = frozenset(x for x in h if prime_divisors(int(orders[x])) <= tau)
     if len(s_part) != pi_part(len(h), sigma) or len(t_part) != pi_part(len(h), tau):
         return None
-    if g.closure_indices(tuple(s_part)) != s_part:
-        return None
-    if g.closure_indices(tuple(t_part)) != t_part:
-        return None
+    t = g.require_table()
+    for part in (s_part, t_part):  # a finite set closed under products is a subgroup
+        arr = np.fromiter(part, dtype=np.int32, count=len(part))
+        member = np.zeros(g.order, dtype=bool)
+        member[arr] = True
+        if not member[t[np.ix_(arr, arr)]].all():
+            return None
     return s_part, t_part
 
 

@@ -3,6 +3,7 @@ structure tests, quotients and the constructive table rows."""
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -84,6 +85,38 @@ def test_subgroup_class_counts():
     assert len(realize("Alt:5").subgroup_classes()) == 9
     assert len(_sym(5).subgroup_classes()) == 19
     assert len(realize("Lie:A:2:7").subgroup_classes()) == 15
+
+
+@pytest.mark.parametrize("spec, classes, subgroups", [
+    ("Alt:5", 9, 59), ("Sym:5", 19, 156), ("Lie:A:2:7", 15, 179), ("Alt:6", 22, 501),
+    ("Lie:A:2:8", 12, 386), ("Lie:A:2:11", 16, 620), ("Sym:6", 56, 1455)])
+def test_subgroup_totals(spec, classes, subgroups):
+    lattice = realize(spec).subgroup_classes()
+    assert len(lattice) == classes
+    assert sum(c.class_size for c in lattice) == subgroups
+
+
+@pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Alt:5,Cyclic:7",))
+def test_closure_matches_tuple_closure(spec):
+    g = realize(spec)
+    rng = random.Random(spec)
+    assert g.closure_indices(()) == g.closure_indices((g.identity,)) == {g.identity}
+    for trial in range(12):
+        gens = [rng.randrange(g.order) for _ in range(rng.randint(1, 3))]
+        if trial % 3 == 1:
+            gens.append(gens[0])
+        elif trial % 3 == 2:
+            gens.insert(0, g.identity)
+        expected = {g.index[e] for e in tuple_closure([g.elements[i] for i in gens], g.degree)}
+        assert g.closure_indices(gens) == expected, (spec, gens)
+
+
+def test_gens_of_generates_each_class():
+    g = realize("Lie:A:2:7")
+    for c in g.subgroup_classes():
+        gens = g.gens_of(c.rep)
+        assert g.closure_indices(gens) == c.rep
+        assert len(set(gens)) == len(gens) and g.identity not in gens
 
 
 def test_alt5_class_orders():
@@ -198,6 +231,17 @@ def test_split_hall():
     r = maximal_pi_subgroups(h, {3, 7}, with_structure=False)
     hall = next(c.rep for c in r.maximal_classes if c.order == 21)
     assert split_hall(h, hall, {3}, {7}) is None
+
+
+def test_split_hall_refuses_unclosed_parts():
+    g = realize("Alt:5")
+    klein = next(c.rep for c in g.subgroup_classes() if c.order == 4)
+    assert split_hall(g, klein, {2}, {3}) == (klein, frozenset({g.identity}))
+    # each involution lies in one Klein four-group, so {1, a, b, c} is not
+    # closed although its 2-part and 3-part have the right sizes
+    a = next(x for x in klein if x != g.identity)
+    b, c = [i for i in range(g.order) if perm_order(g.elements[i]) == 2 and i not in klein][:2]
+    assert split_hall(g, {g.identity, a, b, c}, {2}, {3}) is None
 
 
 def test_check_final_corollary():
