@@ -130,7 +130,7 @@ def _hall_report_dict(r: HallReport) -> dict:
 def _cmd_brute(args) -> int:
     pi = _parse_pi(args.pi)
     g = realize(args.group)
-    g.require_table(bound=args.max_order or DEFAULT_LATTICE_BOUND)
+    g.require_table(bound=args.max_order)
     r = maximal_pi_subgroups(g, pi)
     report = {"command": "brute", "group": args.group, **_hall_report_dict(r)}
     lines = [f"{g.name}: pi = {sorted(pi)}, hall_order = {r.hall_order}",
@@ -194,7 +194,7 @@ def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
 
 
 def _cmd_crosscheck(args) -> int:
-    result = sweep(args.group, args.max_order or DEFAULT_LATTICE_BOUND)
+    result = sweep(args.group, args.max_order)
     rows, disagreements = result.rows, result.disagreements
     report = {"command": "crosscheck", "group": args.group,
               "subsets_checked": len(rows), "disagreements": disagreements,
@@ -246,8 +246,7 @@ def _cmd_tables(args) -> int:
 
 def _cmd_corpus(args) -> int:
     """Criterion-vs-brute sweep plus the structural lemma sweep."""
-    bound = args.max_order or DEFAULT_LATTICE_BOUND
-    results = [sweep(spec, bound) for spec in CORPUS_SIMPLE]
+    results = [sweep(spec, args.max_order) for spec in CORPUS_SIMPLE]
     per_group = [{"group": spec, "subsets": len(r.rows), "disagreements": r.disagreements}
                  for spec, r in zip(CORPUS_SIMPLE, results)]
     total_rows = sum(len(r.rows) for r in results)
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tau", required=True, help="comma-separated primes")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if max_order:
-            p.add_argument("--max-order", type=int, default=None,
+            p.add_argument("--max-order", type=int, default=DEFAULT_LATTICE_BOUND,
                            help=f"override the order-{DEFAULT_LATTICE_BOUND} lattice bound")
 
     add_common(sub.add_parser("check", help="arithmetic D_pi verdict"),

@@ -13,6 +13,9 @@ lattice bound for whole-lattice operations.  The lattice bound is checked
 when the multiplication table is first built: DEFAULT_LATTICE_BOUND unless
 the caller builds it first with `require_table(bound=...)`.  The table
 holds int16 indices, so one at ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.
+The structure tests (normality, normal closure, Sylow subgroups, nilpotency)
+gather conjugates from the table when they need them and keep no
+per-element arrays beyond it.
 """
 
 from __future__ import annotations
@@ -150,7 +153,6 @@ class PermGroup:
         self._table: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
-        self._conj_perms: dict[int, np.ndarray] = {}
         self._gen_idx: tuple[int, ...] | None = None
         self._classes: list[SubgroupClass] | None = None
 
@@ -218,12 +220,11 @@ class PermGroup:
         self.require_table()
         return self._inv
 
-    def conj_perm(self, g: int) -> np.ndarray:
-        """Array cp with cp[h] = index of g^-1 h g."""
-        if g not in self._conj_perms:
-            t = self.require_table()
-            self._conj_perms[g] = t[t[self.inv[g], :], g]
-        return self._conj_perms[g]
+    def _conjugates(self, arr, gs) -> np.ndarray:
+        """Index matrix c with c[i, j] = index of gs[i]^-1 arr[j] gs[i]."""
+        t = self.require_table()
+        gs = np.asarray(gs, dtype=np.intp)[:, None]
+        return t[t[self._inv[gs], arr], gs]
 
     def closure_indices(self, gen_idx) -> frozenset[int]:
         """Subgroup generated by element indices."""
@@ -287,7 +288,7 @@ class PermGroup:
             return self._classes
         t = self.require_table()
         n = self.order
-        gcps = [self.conj_perm(g) for g in self.gen_indices()]
+        ggens = self.gen_indices()
 
         seen: dict[frozenset[int], int] = {}
         classes: list[SubgroupClass] = []
@@ -298,8 +299,8 @@ class PermGroup:
             while queue:
                 s = queue.pop()
                 arr = np.fromiter(s, dtype=np.int32, count=len(s))
-                for cp in gcps:
-                    s2 = frozenset(cp[arr].tolist())
+                for row in self._conjugates(arr, ggens).tolist():
+                    s2 = frozenset(row)
                     if s2 not in orbit:
                         orbit.add(s2)
                         queue.append(s2)
@@ -355,14 +356,10 @@ class PermGroup:
         while True:
             cur = self.closure_indices(tuple(gens))
             arr = np.fromiter(cur, dtype=np.int32, count=len(cur))
-            grown = False
-            for g in ambient_gens:
-                extra = set(self.conj_perm(g)[arr].tolist()) - cur
-                if extra:
-                    gens |= extra
-                    grown = True
-            if not grown:
+            extra = set(self._conjugates(arr, ambient_gens).ravel().tolist()) - cur
+            if not extra:
                 return cur
+            gens |= extra
 
     def derived_subgroup(self, subset) -> frozenset[int]:
         kgens = self.gens_of(subset)
@@ -395,45 +392,43 @@ class PermGroup:
                 break
         parr, pgens = self._generate((seed,))
         while len(parr) < target:
-            P = frozenset(parr.tolist())
-            # normalizer of P inside the subgroup
-            norm = [k for k in karr.tolist()
-                    if frozenset(self.conj_perm(k)[parr].tolist()) == P]
-            found = False
-            for y in norm:
-                if y in P:
+            member = np.zeros(self.order, dtype=bool)
+            member[parr] = True
+            # normalizer of P inside the subgroup: conjugation is injective,
+            # so k normalizes P when it maps every element of P into P
+            norm = karr[member[self._conjugates(parr, karr)].all(axis=1)]
+            for y in norm.tolist():
+                if member[y]:
                     continue
                 # order of y modulo P
                 z, steps = y, 1
-                while z not in P:
+                while not member[z]:
                     z = int(t[z, y])
                     steps += 1
                 if steps % p == 0:
                     y2 = _power(t, y, steps // p)
                     parr = self._join(parr, pgens, y2)
                     pgens.append(y2)
-                    found = True
                     break
-            if not found:  # cannot happen for a genuine subgroup
+            else:  # cannot happen for a genuine subgroup
                 raise RuntimeError("Sylow ascent stalled; input was not a subgroup")
         return frozenset(parr.tolist())
 
     def is_nilpotent_set(self, subset) -> bool:
-        """Nilpotent iff every Sylow subgroup is normal."""
-        kgens = self.gens_of(subset)
-        for p in prime_divisors(len(subset)):
-            P = self.sylow_in(subset, p)
-            parr = np.fromiter(P, dtype=np.int32, count=len(P))
-            for g in kgens:
-                if frozenset(self.conj_perm(g)[parr].tolist()) != P:
-                    return False
-        return True
+        """Nilpotent iff every Sylow subgroup is normal, that is, iff for
+        every prime p the subgroup has exactly |K|_p p-elements: they are
+        then the only Sylow p-subgroup."""
+        arr = np.fromiter(subset, dtype=np.int32, count=len(subset))
+        orders, counts = np.unique(self.element_orders()[arr], return_counts=True)
+        return all(sum(c for o, c in zip(orders.tolist(), counts.tolist())
+                       if r_part(o, p) == o) == r_part(len(arr), p)
+                   for p in prime_divisors(len(arr)))
 
     def is_normal_set(self, subset) -> bool:
         arr = np.fromiter(subset, dtype=np.int32, count=len(subset))
-        fs = frozenset(subset)
-        return all(frozenset(self.conj_perm(g)[arr].tolist()) == fs
-                   for g in self.gen_indices())
+        member = np.zeros(self.order, dtype=bool)
+        member[arr] = True
+        return bool(member[self._conjugates(arr, self.gen_indices())].all())
 
     def quotient(self, normal_subset) -> tuple["PermGroup", np.ndarray]:
         """Coset action on the right cosets of a normal subgroup.
@@ -453,9 +448,8 @@ class PermGroup:
             coset_of[t[aarr, x]] = len(reps)
             reps.append(x)
         k = len(reps)
-        gen_perms = []
-        for s in self.gen_indices():
-            gen_perms.append(tuple(int(coset_of[t[rep, s]]) for rep in reps))
+        reps = np.array(reps)
+        gen_perms = [tuple(coset_of[t[reps, s]].tolist()) for s in self.gen_indices()]
         if not gen_perms:
             gen_perms = [identity_perm(k)]
         q = PermGroup(k, gen_perms, name=f"{self.name} / N (order {len(normal_subset)})")
@@ -496,7 +490,7 @@ class _GF:
 
     def __init__(self, q: int):
         p, f = prime_power(q)
-        self.q, self.p = q, p
+        self.q, self.p, self.f = q, p, f
         if f == 1:
             self.add = [[(a + b) % p for b in range(q)] for a in range(q)]
             self.mul = [[(a * b) % p for b in range(q)] for a in range(q)]
@@ -536,43 +530,31 @@ class _GF:
 
 
 def _psl2(q: int) -> PermGroup:
-    """PSL(2, q) acting on the projective line (q + 1 points, infinity last)."""
+    """PSL(2, q) acting on the projective line (q + 1 points, infinity last),
+    generated by the translations x -> x + p^i (an F_p-basis of F_q) and
+    x -> -1/x: they give the upper and lower unitriangular matrices, which
+    generate SL(2, q)."""
     F = _GF(q)
     inf = q
-    perms = set()
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    det = F.add[F.mul[a][d]][F.neg[F.mul[b][c]]]
-                    if det != 1:
-                        continue
-                    img = []
-                    for x in range(q):
-                        num = F.add[F.mul[a][x]][b]
-                        den = F.add[F.mul[c][x]][d]
-                        img.append(F.mul[num][F.inv[den]] if den else inf)
-                    img.append(F.mul[a][F.inv[c]] if c else inf)
-                    perms.add(tuple(img))
+
+    def mobius(a, b, c, d):  # x -> (a x + b) / (c x + d)
+        img = []
+        for x in range(q):
+            num = F.add[F.mul[a][x]][b]
+            den = F.add[F.mul[c][x]][d]
+            img.append(F.mul[num][F.inv[den]] if den else inf)
+        img.append(F.mul[a][F.inv[c]] if c else inf)
+        return tuple(img)
+
+    perms = {mobius(a, b, c, d)
+             for a in range(q) for b in range(q) for c in range(q) for d in range(q)
+             if F.add[F.mul[a][d]][F.neg[F.mul[b][c]]] == 1}
     expected = q * (q * q - 1) // math.gcd(2, q - 1)
     if len(perms) != expected:
         raise RuntimeError(f"PSL(2,{q}) realization has order {len(perms)}, "
                            f"expected {expected}")
-    return PermGroup(q + 1, _greedy_gens(perms, q + 1), elements=perms,
-                     name=f"PSL(2,{q})")
-
-
-def _greedy_gens(elements, degree: int) -> list[tuple[int, ...]]:
-    ident = identity_perm(degree)
-    gens: list[tuple[int, ...]] = []
-    current = {ident}
-    for e in sorted(elements, key=lambda t: (-perm_order(t), t)):
-        if e not in current:
-            gens.append(e)
-            current = tuple_closure(gens, degree)
-            if len(current) == len(elements):
-                break
-    return gens
+    gens = [mobius(1, F.p ** i, 0, 1) for i in range(F.f)] + [mobius(0, F.neg[1], 1, 0)]
+    return PermGroup(q + 1, gens, elements=perms, name=f"PSL(2,{q})")
 
 
 def _alt(n: int) -> PermGroup:
@@ -685,7 +667,7 @@ def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallR
     """Conjugacy classes of maximal pi-subgroups and the E_pi/D_pi verdict."""
     pi = frozenset(pi)
     classes = g.subgroup_classes()
-    pi_classes = [c for c in classes if prime_divisors(c.order) <= pi]
+    pi_classes = [c for c in classes if pi_part(c.order, pi) == c.order]
     maximal = []
     for c in pi_classes:
         if not any(d is not c and d.order > c.order and _contained_up_to_conjugacy(c, d)
@@ -712,7 +694,7 @@ def _find_hall_inside(g: PermGroup, pi_classes, host: frozenset[int],
     """A sub_pi-Hall subgroup of the subgroup `host`, if one exists."""
     want = pi_part(len(host), sub_pi)
     for c in pi_classes:
-        if c.order != want or not prime_divisors(c.order) <= sub_pi:
+        if c.order != want:
             continue
         for s in c.all_sets:
             if s <= host:
@@ -795,8 +777,8 @@ def split_hall(g: PermGroup, hall_subset, sigma, tau) -> tuple[frozenset[int], f
     sigma, tau = frozenset(sigma), frozenset(tau)
     orders = g.element_orders()
     h = frozenset(hall_subset)
-    s_part = frozenset(x for x in h if prime_divisors(int(orders[x])) <= sigma)
-    t_part = frozenset(x for x in h if prime_divisors(int(orders[x])) <= tau)
+    s_part = frozenset(x for x in h if pi_part(int(orders[x]), sigma) == orders[x])
+    t_part = frozenset(x for x in h if pi_part(int(orders[x]), tau) == orders[x])
     if len(s_part) != pi_part(len(h), sigma) or len(t_part) != pi_part(len(h), tau):
         return None
     t = g.require_table()

@@ -94,6 +94,13 @@ def test_max_order_does_not_outlive_its_invocation(capsys):
     assert "DPI_CORPUS_BOUND" not in os.environ
 
 
+def test_max_order_zero_is_a_bound(capsys):
+    argv = ["brute", "--group", "Cyclic:11,Cyclic:13", "--pi", "11,13"]  # order 143
+    for bound in ("0", "-3"):
+        code, _, err = run_cli(capsys, *argv, "--max-order", bound)
+        assert code == EXIT_ERROR and f"lattice bound {bound}" in err
+
+
 def test_max_order_only_on_lattice_commands(capsys):
     for argv in (["check", "--group", "Alt:5", "--pi", "2"],
                  ["split", "--factors", "Alt:5", "--sigma", "2", "--tau", "5"],

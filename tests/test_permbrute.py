@@ -4,6 +4,7 @@ structure tests, quotients and the constructive table rows."""
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,48 @@ def test_structure_tests():
     assert len(syl2) == 4
     syl2_in_a4 = g.sylow_in(a4, 2)
     assert len(syl2_in_a4) == 4 and syl2_in_a4 <= a4
+
+
+def test_sylow_in_keeps_no_per_element_arrays():
+    a7 = realize("Alt:7")
+    g = PermGroup(a7.degree, a7.generators, elements=a7.elements)
+    table = g.require_table(bound=ORDER_BOUND)
+    g.element_orders()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        syl2 = g.sylow_in(range(g.order), 2)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(syl2) == 8
+    assert retained < table.nbytes / 10
+
+
+STRUCTURE_GROUPS = CORPUS_SIMPLE + ("Sym:5", "Alt:5,Cyclic:7")
+
+
+@pytest.mark.parametrize("spec", STRUCTURE_GROUPS)
+def test_is_normal_set_matches_class_size(spec):
+    g = realize(spec)
+    for c in g.subgroup_classes():
+        assert g.is_normal_set(c.rep) == (c.class_size == 1), (spec, c.order)
+
+
+@pytest.mark.parametrize("spec", STRUCTURE_GROUPS)
+def test_is_nilpotent_set_matches_definition(spec):
+    # nilpotent iff every Sylow subgroup is normal, with conjugation
+    # computed on the permutations themselves
+    g = realize(spec)
+    for c in g.subgroup_classes():
+        kgens = [g.elements[k] for k in g.gens_of(c.rep)]
+        normal_sylows = True
+        for p in prime_divisors(c.order):
+            P = g.sylow_in(c.rep, p)
+            conjugates = {frozenset(g.index[pmul(pmul(pinv(k), g.elements[x]), k)] for x in P)
+                          for k in kgens}
+            normal_sylows = normal_sylows and conjugates <= {P}
+        assert g.is_nilpotent_set(c.rep) == normal_sylows, (spec, c.order)
 
 
 def test_derived_series_of_s4_inside_s5():
