@@ -3,16 +3,20 @@ prime spectra and Weyl-group orders.
 
 A group is named by a `SimpleGroupId`: an alternating degree, a sporadic
 Atlas name (the Tits group counts as sporadic here), or a Lie family with
-rank/field parameters.  Order formulas are the standard product formulas
-for the simple quotients (the center order is divided out per family).
+rank/field parameters.  An id is validated once, when it is built: one
+naming no simple group raises ValueError with the violated constraint, so
+code taking an id may assume it is valid.  Order formulas are the standard
+product formulas for the simple quotients (the center order is divided out
+per family).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .arith import prime_divisors
+from .arith import is_prime, prime_divisors
 
 LIE_TYPES = (
     "A", "2A", "B", "C", "D", "2D",
@@ -90,6 +94,9 @@ class SimpleGroupId:
     lie_type: str | None = None
     name: str | None = None
 
+    def __post_init__(self):
+        ensure_valid(self)
+
     def __str__(self) -> str:
         if self.family == "Alt":
             return f"Alt({self.n})"
@@ -130,21 +137,26 @@ def lie(lie_type: str, q: int, n: int | None = None) -> SimpleGroupId:
     return SimpleGroupId(family="Lie", lie_type=lie_type, q=q, n=n)
 
 
+def _iroot(q: int, k: int) -> int:
+    """Largest x with x**k <= q, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // k)  # 2^ceil(bits/k) exceeds the root
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q) -> tuple[int, int] | None:
-    """Return (p, f) with q = p^f, or None if q is not a prime power."""
+    """Return (p, f) with q = p^f, or None if q is not a prime power.  Takes
+    an integer f-th root for each f, largest first: polynomial in log q."""
     if not isinstance(q, int) or q < 2:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            break
-        if q % p == 0:
-            f = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                f += 1
-            return (p, f) if m == 1 else None
-    return (q, 1)  # q itself prime
+    for f in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, f)
+        if p**f == q and is_prime(p):
+            return p, f
+    return None
 
 
 def validate(gid: SimpleGroupId) -> str | None:
@@ -296,7 +308,6 @@ def facts(gid: SimpleGroupId) -> GroupFacts:
     Factors the order, so this can fail for huge Lie parameters; callers
     that only need divisibility should use pi_effective / spectrum_within.
     """
-    ensure_valid(gid)
     order = order_of(gid)
     if gid.family in ("Alt", "Spor"):
         return GroupFacts(order, prime_divisors(order), None, None)
@@ -307,7 +318,6 @@ def facts(gid: SimpleGroupId) -> GroupFacts:
 
 def order_of(gid: SimpleGroupId) -> int:
     """Group order without factoring it (cheap even for huge groups)."""
-    ensure_valid(gid)
     if gid.family == "Alt":
         return math.factorial(gid.n) // 2
     if gid.family == "Spor":
@@ -334,17 +344,18 @@ def parse_group(spec: str) -> SimpleGroupId:
     """Parse the group-spec grammar: Alt:n | Spor:Name | Lie:type[:n]:q."""
     parts = spec.strip().split(":")
     kind = parts[0]
+    build = None
     try:
         if kind == "Alt" and len(parts) == 2:
-            return alt(int(parts[1]))
-        if kind == "Spor" and len(parts) >= 2:
-            return sporadic(":".join(parts[1:]))
-        if kind == "Lie":
-            t = parts[1]
-            if t in RANKED_TYPES and len(parts) == 4:
-                return lie(t, int(parts[3]), n=int(parts[2]))
-            if t not in RANKED_TYPES and len(parts) == 3:
-                return lie(t, int(parts[2]))
+            build = partial(alt, int(parts[1]))
+        elif kind == "Spor" and len(parts) >= 2:
+            build = partial(sporadic, ":".join(parts[1:]))
+        elif kind == "Lie" and parts[1] in RANKED_TYPES and len(parts) == 4:
+            build = partial(lie, parts[1], int(parts[3]), n=int(parts[2]))
+        elif kind == "Lie" and parts[1] not in RANKED_TYPES and len(parts) == 3:
+            build = partial(lie, parts[1], int(parts[2]))
     except (ValueError, IndexError) as exc:
         raise ValueError(f"cannot parse group spec {spec!r}: {exc}") from None
-    raise ValueError(f"cannot parse group spec {spec!r}")
+    if build is None:
+        raise ValueError(f"cannot parse group spec {spec!r}")
+    return build()  # outside the try: a validation error reaches the caller as is

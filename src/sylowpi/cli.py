@@ -168,10 +168,11 @@ def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
     g.require_table(bound=bound)
     spectrum = prime_divisors(g.order)
     out = SweepResult()
+    reports = {}  # every subset of pi comes before pi
     for k in range(len(spectrum) + 1):
         for combo in itertools.combinations(sorted(spectrum), k):
             pi = frozenset(combo)
-            r = maximal_pi_subgroups(g, pi, with_structure=k >= 2)
+            r = reports[pi] = maximal_pi_subgroups(g, pi, with_structure=k >= 2)
             crit = decide_dpi_composite(factors, pi).dpi
             out.rows.append({"pi": sorted(pi), "brute": r.dpi, "criterion": crit,
                              "agree": r.dpi == crit})
@@ -186,7 +187,7 @@ def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
                 if not all(partitions.values()):
                     out.violations.append((spec, sorted(pi), "no nilpotent factor", partitions))
             for sigma, tau in partitions:
-                verdict = check_final_corollary(g, pi, sigma, tau)
+                verdict = check_final_corollary(g, reports, sigma, tau)
                 out.corollary_hits += verdict is True
                 if verdict is False:
                     out.violations.append((spec, sorted(pi), "final corollary", sigma, tau))

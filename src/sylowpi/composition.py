@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .catalog import SimpleGroupId, ensure_valid, parse_group
+from .catalog import SimpleGroupId, parse_group
 from .criterion import Verdict, decide_dpi_simple
 
 
@@ -40,11 +40,8 @@ class CompositionSpec:
         if not self.factors:
             raise ValueError("composition spec needs at least one factor")
         for f in self.factors:
-            if isinstance(f, CyclicFactor):
-                if not is_prime(f.p):
-                    raise ValueError(f"cyclic factor order {f.p} is not prime")
-            else:
-                ensure_valid(f)
+            if isinstance(f, CyclicFactor) and not is_prime(f.p):
+                raise ValueError(f"cyclic factor order {f.p} is not prime")
 
 
 @dataclass

@@ -16,7 +16,6 @@ from .arith import eps_mod4, is_fermat_prime, mult_order, prime_divisors, r_part
 from .catalog import (
     SUZUKI_REE,
     SimpleGroupId,
-    ensure_valid,
     pi_effective,
     prime_power,
     spectrum_within,
@@ -76,14 +75,12 @@ CONDITION_II_ITEMS: tuple[tuple[str, tuple[frozenset[int], ...]], ...] = (
 
 
 def condition_I(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
-    ensure_valid(gid)
     eff = pi_effective(gid, pi)
     holds = spectrum_within(gid, pi) or len(eff) <= 1
     return ConditionReport("I", holds, bindings={"pi_effective": sorted(eff)})
 
 
 def condition_II(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
-    ensure_valid(gid)
     if gid.family != "Spor":
         return ConditionReport("II", False)
     eff = pi_effective(gid, pi)
@@ -105,7 +102,6 @@ def _lie_parameters(gid: SimpleGroupId):
 def condition_III(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     """Defining characteristic case: p in pi, the rest of pi inside
     pi(q - 1), and no prime of pi dividing the Weyl group order."""
-    ensure_valid(gid)
     params = _lie_parameters(gid)
     if params is None:
         return ConditionReport("III", False)
@@ -148,7 +144,6 @@ def _odd_gate(gid: SimpleGroupId, pi: frozenset[int]):
 def condition_IV(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     """Cross-characteristic case with two distinct multiplicative orders
     a = e(q, r) and b = e(q, t) among the primes of pi."""
-    ensure_valid(gid)
     gate = _odd_gate(gid, pi)
     if gate is None:
         return ConditionReport("IV", False)
@@ -194,7 +189,6 @@ def condition_IV(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
 def condition_V(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     """Cross-characteristic case with a single multiplicative order
     c = e(q, t) shared by every prime t of pi."""
-    ensure_valid(gid)
     gate = _odd_gate(gid, pi)
     if gate is None:
         return ConditionReport("V", False)
@@ -285,7 +279,6 @@ def _suzuki_ree_sets(t_lie: str, q: int) -> list[frozenset[int]]:
 
 def condition_VI(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     """Suzuki and Ree groups: pi ^ pi(G) inside a single torus prime set."""
-    ensure_valid(gid)
     if gid.family != "Lie" or gid.lie_type not in SUZUKI_REE:
         return ConditionReport("VI", False)
     eff = pi_effective(gid, pi)
@@ -302,7 +295,6 @@ def condition_VII(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     """Even case: 2 in pi, 3 and p outside pi, the odd part of pi inside
     pi(q - eps), plus per-family thresholds (Fermat primes are held to the
     stricter bound)."""
-    ensure_valid(gid)
     params = _lie_parameters(gid)
     if params is None:
         return ConditionReport("VII", False)
@@ -362,7 +354,6 @@ def decide_dpi_simple(gid: SimpleGroupId, pi: frozenset[int]) -> Verdict:
     The witness is the first holding condition in the order I..VII; the
     order is a presentation choice only.
     """
-    ensure_valid(gid)
     eff = pi_effective(gid, pi)
     for cond in _CONDITIONS:
         report = cond(gid, pi)
@@ -374,7 +365,6 @@ def decide_dpi_simple(gid: SimpleGroupId, pi: frozenset[int]) -> Verdict:
 def dpi23_shortcut(gid: SimpleGroupId, pi: frozenset[int]) -> bool | None:
     """When 2 and 3 both lie in pi ^ pi(G), D_pi reduces to the containment
     pi(G) within pi.  Returns None when the shortcut does not apply."""
-    ensure_valid(gid)
     if not {2, 3} <= pi_effective(gid, pi):
         return None
     return spectrum_within(gid, pi)

@@ -482,40 +482,39 @@ def _power(table: np.ndarray, x: int, k: int) -> int:
 _REALIZE_CACHE: dict = {}
 
 PSL2_FIELDS = (4, 5, 7, 8, 9, 11)
-_IRREDUCIBLE = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1)}  # low degree first
 
 
 class _GF:
-    """Tiny finite field with dense add/mul tables."""
+    """Tiny finite field with dense add/mul tables: polynomials over F_p
+    numbered by their base-p digits, low degree first, modulo the first
+    monic x^f + low(x) in that numbering whose table has no zero divisors."""
 
     def __init__(self, q: int):
         p, f = prime_power(q)
         self.q, self.p, self.f = q, p, f
-        if f == 1:
-            self.add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self.mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            irr = _IRREDUCIBLE[q]
-            digits = [self._digits(a, p, f) for a in range(q)]
+        digits = [self._digits(a, p, f) for a in range(q)]
+        enc = {tuple(d): a for a, d in enumerate(digits)}
+        self.add = [[enc[tuple((x + y) % p for x, y in zip(digits[a], digits[b]))]
+                     for b in range(q)] for a in range(q)]
 
-            def poly_mul(u, v):
-                out = [0] * (2 * f - 1)
-                for i, ui in enumerate(u):
-                    for j, vj in enumerate(v):
-                        out[i + j] = (out[i + j] + ui * vj) % p
-                for k in range(len(out) - 1, f - 1, -1):
-                    c = out[k]
-                    if c:
-                        out[k] = 0
-                        for i in range(f):
-                            out[k - f + i] = (out[k - f + i] - c * irr[i]) % p
-                return tuple(out[:f])
+        def poly_mul(u, v, low):  # u * v mod x^f + low(x)
+            out = [0] * (2 * f - 1)
+            for i, ui in enumerate(u):
+                for j, vj in enumerate(v):
+                    out[i + j] = (out[i + j] + ui * vj) % p
+            for k in range(len(out) - 1, f - 1, -1):
+                c = out[k]
+                if c:
+                    out[k] = 0
+                    for i in range(f):
+                        out[k - f + i] = (out[k - f + i] - c * low[i]) % p
+            return tuple(out[:f])
 
-            enc = {tuple(d): a for a, d in enumerate(digits)}
-            self.add = [[enc[tuple((x + y) % p for x, y in zip(digits[a], digits[b]))]
-                         for b in range(q)] for a in range(q)]
-            self.mul = [[enc[poly_mul(digits[a], digits[b])] for b in range(q)]
+        for low in digits:
+            self.mul = [[enc[poly_mul(digits[a], digits[b], low)] for b in range(q)]
                         for a in range(q)]
+            if all(all(row[1:]) for row in self.mul[1:]):
+                break
         self.neg = [next(b for b in range(q) if self.add[a][b] == 0) for a in range(q)]
         self.inv = [0] + [next(b for b in range(1, q) if self.mul[a][b] == 1)
                           for a in range(1, q)]
@@ -775,11 +774,14 @@ def verify_hall_inheritance(g: PermGroup, normal_subset, pi) -> bool:
 def split_hall(g: PermGroup, hall_subset, sigma, tau) -> tuple[frozenset[int], frozenset[int]] | None:
     """Decompose a Hall subgroup as (sigma-part) x (tau-part), if it does."""
     sigma, tau = frozenset(sigma), frozenset(tau)
-    orders = g.element_orders()
     h = frozenset(hall_subset)
+    s_order, t_order = pi_part(len(h), sigma), pi_part(len(h), tau)
+    if s_order * t_order != len(h):
+        return None  # sigma u tau does not cover pi(H)
+    orders = g.element_orders()
     s_part = frozenset(x for x in h if pi_part(int(orders[x]), sigma) == orders[x])
     t_part = frozenset(x for x in h if pi_part(int(orders[x]), tau) == orders[x])
-    if len(s_part) != pi_part(len(h), sigma) or len(t_part) != pi_part(len(h), tau):
+    if len(s_part) != s_order or len(t_part) != t_order:
         return None
     t = g.require_table()
     for part in (s_part, t_part):  # a finite set closed under products is a subgroup
@@ -791,17 +793,16 @@ def split_hall(g: PermGroup, hall_subset, sigma, tau) -> tuple[frozenset[int], f
     return s_part, t_part
 
 
-def check_final_corollary(g: PermGroup, pi, sigma, tau) -> bool | None:
-    """If some pi-Hall subgroup splits as sigma-part x tau-part and both
-    D_sigma and D_tau hold, at least one factor must be nilpotent.
-    Returns None when the hypotheses do not apply."""
+def check_final_corollary(g: PermGroup, reports, sigma, tau) -> bool | None:
+    """If some pi-Hall subgroup, pi = sigma u tau, splits as sigma-part x
+    tau-part and both D_sigma and D_tau hold, at least one factor must be
+    nilpotent.  `reports` maps sigma, tau and pi to their HallReports from
+    maximal_pi_subgroups.  Returns None when the hypotheses do not apply."""
     sigma, tau = frozenset(sigma), frozenset(tau)
     if sigma & tau:
         raise ValueError("sigma and tau overlap")
-    report = maximal_pi_subgroups(g, frozenset(pi), with_structure=False)
-    if not report.epi:
-        return None
-    if not (is_dpi_brute(g, sigma) and is_dpi_brute(g, tau)):
+    report = reports[sigma | tau]
+    if not (report.epi and reports[sigma].dpi and reports[tau].dpi):
         return None
     applicable = False
     ok = True

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .catalog import SPORADIC_ORDERS, sporadic, facts
+from .catalog import sporadic, facts
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,6 @@ def alt_epi(n: int, pi: frozenset[int]) -> bool:
 def sporadic_epi(name: str, pi: frozenset[int]) -> tuple[bool, list[TableRow]]:
     """Does the sporadic (or Tits) group have a pi-Hall subgroup?"""
     gid = sporadic(name)
-    if gid.name not in SPORADIC_ORDERS:
-        raise ValueError(f"unknown sporadic group name {name!r}")
     spectrum = facts(gid).spectrum
     eff = pi & spectrum
     if spectrum <= pi:

@@ -1,6 +1,8 @@
 """Group identification, validation, order formulas and Weyl orders."""
 
 import math
+import random
+import re
 
 import pytest
 
@@ -25,29 +27,77 @@ def test_prime_power():
     assert prime_power(1) is None
 
 
+def trial_division_prime_power(q: int):
+    """Reference: (p, f) from the smallest prime factor p of q."""
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    if p * p > q:
+        return q, 1
+    f = 0
+    while q % p == 0:
+        q //= p
+        f += 1
+    return (p, f) if q == 1 else None
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(2, 100_000):
+        assert prime_power(q) == trial_division_prime_power(q), q
+
+
+def test_prime_power_matches_sympy_on_large_prime_powers():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(6)
+    for _ in range(300):
+        p = sympy.nextprime(rng.randrange(2, 10 ** rng.randrange(2, 13)))
+        f = rng.randrange(1, 9)
+        # is_prime, which decides whether q itself is prime, refuses
+        # q >= 3.3e24, so the non-prime-powers stay below 10^24
+        others = [m for m in (p**f + 1, p**f * 2, p**f * sympy.nextprime(p)) if m < 10**24]
+        for q in [p**f] + others:
+            pp = sympy.perfect_power(q)
+            if pp and sympy.isprime(pp[0]):
+                want = (int(pp[0]), int(pp[1]))
+            else:
+                want = (q, 1) if sympy.isprime(q) else None
+            assert prime_power(q) == want, q
+    assert prime_power(10_000_000_000_000_061) == (10_000_000_000_000_061, 1)
+
+
+def test_prime_power_refuses_a_prime_above_the_primality_bound():
+    with pytest.raises(ValueError, match="only deterministic below"):
+        prime_power(2**89 - 1)
+
+
 def test_validate_alternating():
     assert validate(alt(5)) is None
-    assert validate(alt(4)) is not None
+    with pytest.raises(ValueError, match=r"^Alt\(4\): alternating groups are simple only for n >= 5$"):
+        alt(4)
 
 
 def test_validate_lie_exclusions():
+    def rejected(reason, build):
+        with pytest.raises(ValueError, match="^" + re.escape(reason) + "$"):
+            build()
+
     # non-simple small parameter pairs are rejected
-    assert validate(lie("A", 2, n=2)) is not None   # PSL(2,2)
-    assert validate(lie("A", 3, n=2)) is not None   # PSL(2,3)
-    assert validate(lie("2A", 2, n=3)) is not None  # PSU(3,2)
-    assert validate(lie("B", 2, n=2)) is not None
-    assert validate(lie("C", 2, n=2)) is not None
-    assert validate(lie("G2", 2)) is not None
+    rejected("A(1,2) is not simple", lambda: lie("A", 2, n=2))       # PSL(2,2)
+    rejected("A(1,3) is not simple", lambda: lie("A", 3, n=2))       # PSL(2,3)
+    rejected("2A(2,2) is not simple", lambda: lie("2A", 2, n=3))     # PSU(3,2)
+    rejected("B2(2) is not simple", lambda: lie("B", 2, n=2))
+    rejected("C2(2) is not simple", lambda: lie("C", 2, n=2))
+    rejected("G2(2) is not simple", lambda: lie("G2", 2))
     assert validate(lie("A", 4, n=2)) is None
     assert validate(lie("G2", 3)) is None
     # Suzuki/Ree need an odd power of the right characteristic
     assert validate(lie("2B2", 8)) is None
-    assert validate(lie("2B2", 2)) is not None
-    assert validate(lie("2B2", 4)) is not None
+    rejected("2B2 requires q = 2^(2m+1) with m >= 1", lambda: lie("2B2", 2))
+    rejected("2B2 requires q = 2^(2m+1) with m >= 1", lambda: lie("2B2", 4))
     assert validate(lie("2G2", 27)) is None
-    assert validate(lie("2G2", 3)) is not None
+    rejected("2G2 requires q = 3^(2m+1) with m >= 1", lambda: lie("2G2", 3))
     assert validate(lie("2F4", 8)) is None
-    assert validate(lie("D", 7, n=3)) is not None   # rank too small
+    rejected("D(n,q) requires n >= 4", lambda: lie("D", 7, n=3))     # rank too small
 
 
 def test_orders_classical():

@@ -2,15 +2,18 @@
 
 import json
 import os
+import sys
 
 import pytest
 
+from sylowpi import permbrute
 from sylowpi.cli import (
     EXIT_DISAGREE,
     EXIT_ERROR,
     EXIT_FALSE,
     EXIT_TRUE,
     run,
+    sweep,
 )
 
 
@@ -151,3 +154,20 @@ def test_tables(capsys):
 def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit):
         run(["frobnicate"])
+
+
+def test_sweep_builds_one_hall_report_per_pi(monkeypatch):
+    orig = permbrute.maximal_pi_subgroups
+    calls = []
+
+    def counting(g, pi, *args, **kwargs):
+        calls.append(frozenset(pi))
+        return orig(g, pi, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sylowpi"):
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, counting)
+    result = sweep("Alt:5")
+    assert len(calls) == len(set(calls)) == len(result.rows) == 8

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from sylowpi.catalog import alt, facts, lie, sporadic
+from sylowpi import catalog
+from sylowpi.catalog import alt, facts, lie, sporadic, validate
 from sylowpi.criterion import (
     CONDITION_II_ITEMS,
     condition_I,
@@ -195,6 +196,20 @@ def test_gate_disjointness_with_2_and_3():
                 for cond in (condition_II, condition_III, condition_IV,
                              condition_V, condition_VI, condition_VII):
                     assert not cond(gid, pi).holds, (gid, pi, cond.__name__)
+
+
+def test_decide_on_a_built_id_validates_nothing(monkeypatch):
+    gid = lie("A", 7, n=3)
+    calls = []
+
+    def counting_validate(g):
+        calls.append(g)
+        return validate(g)
+
+    monkeypatch.setattr(catalog, "validate", counting_validate)
+    for pi in ({2}, {2, 3}, {3, 19}, {2, 19}, {7, 19}):
+        decide_dpi_simple(gid, frozenset(pi))
+    assert calls == []
 
 
 def test_invalid_group_rejected():

@@ -17,6 +17,7 @@ from sylowpi.permbrute import (
     BruteForceBoundError,
     ElementListError,
     PermGroup,
+    _GF,
     _sym,
     check_final_corollary,
     direct_product,
@@ -95,6 +96,24 @@ def test_subgroup_totals(spec, classes, subgroups):
     lattice = realize(spec).subgroup_classes()
     assert len(lattice) == classes
     assert sum(c.class_size for c in lattice) == subgroups
+
+
+@pytest.mark.parametrize("q", (4, 5, 8, 9, 11, 16, 25, 27))
+def test_gf_is_a_field(q):
+    F = _GF(q)
+    nonzero = range(1, q)
+    assert all(F.mul[a][b] for a in nonzero for b in nonzero)
+    assert all(F.mul[a][F.add[b][c]] == F.add[F.mul[a][b]][F.mul[a][c]]
+               for a in range(q) for b in range(q) for c in range(q))
+    assert all(F.mul[a][F.inv[a]] == 1 and F.add[a][F.neg[a]] == 0 for a in nonzero)
+
+
+def test_gf_takes_the_first_irreducible_polynomial():
+    # x is element p; x^2 + x + 1, x^3 + x + 1 and x^2 + 1 are the first
+    # irreducible moduli for q = 4, 8, 9 in the digit order
+    assert _GF(4).mul[2][2] == 3   # x^2 = x + 1
+    assert _GF(8).mul[2][4] == 3   # x^3 = x + 1
+    assert _GF(9).mul[3][3] == 2   # x^2 = -1
 
 
 @pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Alt:5,Cyclic:7",))
@@ -287,29 +306,48 @@ def test_split_hall_refuses_unclosed_parts():
     assert split_hall(g, {g.identity, a, b, c}, {2}, {3}) is None
 
 
+def _hall_reports(g):
+    """HallReport of every pi within pi(G), as cli.sweep keeps them."""
+    spectrum = sorted(prime_divisors(g.order))
+    return {frozenset(c): maximal_pi_subgroups(g, c, with_structure=False)
+            for k in range(len(spectrum) + 1) for c in itertools.combinations(spectrum, k)}
+
+
 def test_check_final_corollary():
     # no pi-Hall subgroup at all -> not applicable
-    assert check_final_corollary(realize("Alt:5"), {2, 5}, {2}, {5}) is None
+    g = realize("Alt:5")
+    assert check_final_corollary(g, _hall_reports(g), {2}, {5}) is None
     # Frobenius Hall subgroup does not split -> not applicable
-    assert check_final_corollary(realize("Lie:A:2:7"), {3, 7}, {3}, {7}) is None
+    g = realize("Lie:A:2:7")
+    assert check_final_corollary(g, _hall_reports(g), {3}, {7}) is None
     # abelian direct product: applicable and true
     g = realize("Cyclic:3,Cyclic:5")
-    assert check_final_corollary(g, {3, 5}, {3}, {5}) is True
+    reports = _hall_reports(g)
+    assert check_final_corollary(g, reports, {3}, {5}) is True
     with pytest.raises(ValueError):
-        check_final_corollary(g, {3, 5}, {3, 5}, {5})
+        check_final_corollary(g, reports, {3, 5}, {5})
 
 
 def test_check_final_corollary_is_symmetric():
     for spec in ("Alt:5,Cyclic:7", "Lie:A:2:7,Cyclic:5", "Cyclic:3,Cyclic:5"):
         g = realize(spec)
+        reports = _hall_reports(g)
         spectrum = sorted(prime_divisors(g.order))
         for k in range(2, len(spectrum) + 1):
             for pi in map(frozenset, itertools.combinations(spectrum, k)):
                 for j in range(1, k):
                     for sigma in map(frozenset, itertools.combinations(sorted(pi), j)):
                         tau = pi - sigma
-                        assert (check_final_corollary(g, pi, sigma, tau)
-                                == check_final_corollary(g, pi, tau, sigma)), (spec, pi, sigma)
+                        assert (check_final_corollary(g, reports, sigma, tau)
+                                == check_final_corollary(g, reports, tau, sigma)), (spec, pi, sigma)
+
+
+def test_split_hall_needs_sigma_and_tau_to_cover_the_hall_order():
+    # {2} u {3} misses the prime 5 of |H| = 30: the parts of orders 2 and 3
+    # do not decompose H
+    g = realize("Cyclic:2,Cyclic:3,Cyclic:5")
+    assert split_hall(g, range(30), {2}, {3}) is None
+    assert split_hall(g, range(30), {2}, {3, 5}) is not None
 
 
 def test_reproduce_table1():
