@@ -70,17 +70,18 @@ def test_prime_power_refuses_a_prime_above_the_primality_bound():
         prime_power(2**89 - 1)
 
 
+def rejected(reason, build):
+    """Building the id raises ValueError with exactly this reason."""
+    with pytest.raises(ValueError, match="^" + re.escape(reason) + "$"):
+        build()
+
+
 def test_validate_alternating():
     assert validate(alt(5)) is None
-    with pytest.raises(ValueError, match=r"^Alt\(4\): alternating groups are simple only for n >= 5$"):
-        alt(4)
+    rejected("Alt(4): alternating groups are simple only for n >= 5", lambda: alt(4))
 
 
 def test_validate_lie_exclusions():
-    def rejected(reason, build):
-        with pytest.raises(ValueError, match="^" + re.escape(reason) + "$"):
-            build()
-
     # non-simple small parameter pairs are rejected
     rejected("A(1,2) is not simple", lambda: lie("A", 2, n=2))       # PSL(2,2)
     rejected("A(1,3) is not simple", lambda: lie("A", 3, n=2))       # PSL(2,3)
