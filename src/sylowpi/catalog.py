@@ -13,7 +13,7 @@ per family).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .arith import is_prime, prime_divisors
@@ -85,7 +85,9 @@ class SimpleGroupId:
 
     family is "Alt", "Spor" or "Lie".  Alt carries n; Spor carries name;
     Lie carries lie_type, q, and (for classical types) the linear rank n,
-    so lie("A", q, n=2) is A_1(q) = PSL(2, q).
+    so lie("A", q, n=2) is A_1(q) = PSL(2, q).  A Lie id also carries p,
+    the characteristic (q = p^f), which validation finds; it is None for
+    the other families.
     """
 
     family: str
@@ -93,9 +95,10 @@ class SimpleGroupId:
     q: int | None = None
     lie_type: str | None = None
     name: str | None = None
+    p: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ensure_valid(self)
+        object.__setattr__(self, "p", ensure_valid(self))
 
     def __str__(self) -> str:
         if self.family == "Alt":
@@ -161,24 +164,40 @@ def prime_power(q) -> tuple[int, int] | None:
 
 def validate(gid: SimpleGroupId) -> str | None:
     """Return None if gid names a simple group, else the violated constraint."""
+    return _check(gid)[0]
+
+
+def ensure_valid(gid: SimpleGroupId) -> int | None:
+    """Raise ValueError with the violated constraint unless gid names a
+    simple group; return the characteristic of a Lie id, else None."""
+    reason, p = _check(gid)
+    if reason is not None:
+        raise ValueError(reason)
+    return p
+
+
+def _check(gid: SimpleGroupId) -> tuple[str | None, int | None]:
+    """(the violated constraint or None, the characteristic of a Lie id)."""
     if gid.family == "Alt":
         if gid.n is None or gid.n < 5:
-            return f"Alt({gid.n}): alternating groups are simple only for n >= 5"
-        return None
+            return f"Alt({gid.n}): alternating groups are simple only for n >= 5", None
+        return None, None
     if gid.family == "Spor":
         if gid.name not in SPORADIC_ORDERS:
-            return f"unknown sporadic group name {gid.name!r}"
-        return None
+            return f"unknown sporadic group name {gid.name!r}", None
+        return None, None
     if gid.family != "Lie":
-        return f"unknown family {gid.family!r}"
-
-    t, n, q = gid.lie_type, gid.n, gid.q
-    if t not in LIE_TYPES:
-        return f"unknown Lie type {t!r}"
-    pf = prime_power(q)
+        return f"unknown family {gid.family!r}", None
+    if gid.lie_type not in LIE_TYPES:
+        return f"unknown Lie type {gid.lie_type!r}", None
+    pf = prime_power(gid.q)
     if pf is None:
-        return f"q = {q} is not a prime power"
-    p, f = pf
+        return f"q = {gid.q} is not a prime power", None
+    return _lie_constraint(gid.lie_type, gid.n, gid.q, *pf), pf[0]
+
+
+def _lie_constraint(t: str, n: int | None, q: int, p: int, f: int) -> str | None:
+    """The constraint that type t with rank n over GF(q), q = p^f, violates."""
     if t in RANKED_TYPES:
         if n is None:
             return f"type {t} needs a rank parameter"
@@ -215,12 +234,6 @@ def validate(gid: SimpleGroupId) -> str | None:
     if t == "G2" and q < 3:
         return "G2(2) is not simple"
     return None
-
-
-def ensure_valid(gid: SimpleGroupId) -> None:
-    reason = validate(gid)
-    if reason is not None:
-        raise ValueError(reason)
 
 
 def weyl_order(lie_type: str, n: int | None = None) -> int:
@@ -311,9 +324,8 @@ def facts(gid: SimpleGroupId) -> GroupFacts:
     order = order_of(gid)
     if gid.family in ("Alt", "Spor"):
         return GroupFacts(order, prime_divisors(order), None, None)
-    p, _ = prime_power(gid.q)
     w = None if gid.lie_type in SUZUKI_REE else weyl_order(gid.lie_type, gid.n)
-    return GroupFacts(order, prime_divisors(order), p, w)
+    return GroupFacts(order, prime_divisors(order), gid.p, w)
 
 
 def order_of(gid: SimpleGroupId) -> int:

@@ -17,7 +17,6 @@ from .catalog import (
     SUZUKI_REE,
     SimpleGroupId,
     pi_effective,
-    prime_power,
     spectrum_within,
     weyl_order,
 )
@@ -95,8 +94,7 @@ def _lie_parameters(gid: SimpleGroupId):
     """(q, p, n) for a Lie id, or None otherwise."""
     if gid.family != "Lie":
         return None
-    p, _ = prime_power(gid.q)
-    return gid.q, p, gid.n
+    return gid.q, gid.p, gid.n
 
 
 def condition_III(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:

@@ -1,10 +1,17 @@
 """Brute-force ground truth for D_pi on small groups.
 
 Small groups are realized as permutation groups, the full subgroup lattice
-is enumerated up to conjugacy (cyclic seeds, then joins <H, x> of each class
-representative H with one element x per double coset HxH, each grown from H
-by whole cosets), and E_pi / D_pi are decided by definition: D_pi holds
-exactly when all maximal pi-subgroups form a single conjugacy class.
+is enumerated up to conjugacy, and E_pi / D_pi are decided by definition:
+D_pi holds exactly when all maximal pi-subgroups form a single conjugacy
+class.
+
+The lattice starts from the cyclic subgroups.  For each class
+representative H it takes the joins <H, x>, one x per double coset HxH, and
+grows all of them in one breadth-first search: every element is labelled by
+the least element of its right coset Hg and of its double coset HgH, and a
+join is the union of the double cosets that H reaches by right
+multiplication with x, one product per right coset (coset methods as in
+Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 
 Everything interesting happens on element indices against a cached
 multiplication table (numpy), so degrees stay tiny and orders stay below
@@ -31,6 +38,8 @@ from .composition import CyclicFactor
 
 ORDER_BOUND = 10080
 DEFAULT_LATTICE_BOUND = 1000
+_CHUNK = 256          # table rows per gather, so that no n^2 temporary is made
+_FRONTIER = 1 << 16   # (candidate, right coset) pairs per block of joins
 # multiplication tables and inverses hold element indices as int16
 assert ORDER_BOUND <= np.iinfo(np.int16).max + 1
 
@@ -257,7 +266,10 @@ class PermGroup:
         generated by `hgens`.  <H, x> is grown as a union of right cosets H*r,
         breadth-first over the representatives r with one gather per layer of
         new cosets; the cosets are closed under right multiplication by hgens
-        and x, which makes the union a group."""
+        and x, which makes the union a group.  The lattice grows its joins
+        with _joins instead; _generate keeps this one, because it joins one
+        candidate at a time and _joins would first label every double coset
+        of H, two gathers over |H| x |G| table entries, for that one join."""
         t = self._table
         member = np.zeros(self.order, dtype=bool)
         member[harr] = True
@@ -283,7 +295,8 @@ class PermGroup:
     def subgroup_classes(self) -> list[SubgroupClass]:
         """All subgroups up to conjugacy: the cyclic subgroups, then, for each
         new class representative H, the joins <H, x>, one per double coset
-        HxH outside H, until no join gives a new class."""
+        HxH outside H, until no join gives a new class.  The joins of one H
+        are grown together by _joins."""
         if self._classes is not None:
             return self._classes
         t = self.require_table()
@@ -311,43 +324,109 @@ class PermGroup:
             return idx
 
         register(frozenset({self.identity}), ())
+        # cyclic_gens[cyc_of[x]] holds the generators of <x>: the powers x^k
+        # with k prime to |x|
+        cyc_of = np.full(n, -1, dtype=np.intp)
+        cyclic_gens: list[np.ndarray] = []
         for x in range(n):
-            cyc = set()
-            y = x
-            while y not in cyc:  # x, x^2, ..., x^|x| = identity
-                cyc.add(y)
+            if cyc_of[x] >= 0:
+                continue
+            powers = [x]
+            y = int(t[x, x])
+            while y != x:  # x, x^2, ..., x^|x| = identity
+                powers.append(y)
                 y = int(t[y, x])
-            fs = frozenset(cyc)
+            o = len(powers)
+            gens = np.array([z for k, z in enumerate(powers, 1) if math.gcd(k, o) == 1])
+            cyc_of[gens] = len(cyclic_gens)
+            cyclic_gens.append(gens)
+            fs = frozenset(powers)
             if fs not in seen:
                 register(fs, (x,))
 
-        # <H, x> = <H, h x h'> = <H, x^k> for h, h' in H and k prime to |x|,
-        # so one join per double coset H x H covers the double cosets of
-        # every generator of <x>
-        orders = self.element_orders()
         worklist = list(range(1, len(classes)))
         while worklist:
-            i = worklist.pop()
-            cls = classes[i]
+            cls = classes[worklist.pop()]
             if cls.order == n:
                 continue
-            harr = np.fromiter(cls.rep, dtype=np.int32, count=cls.order)
-            done = np.zeros(n, dtype=bool)
-            done[harr] = True
-            while not done.all():
-                x = int(done.argmin())  # the first element not yet covered
-                o, y = int(orders[x]), x
-                for k in range(1, o):
-                    if not done[y] and math.gcd(k, o) == 1:
-                        done[t[t[harr, y][:, None], harr]] = True
-                    y = int(t[y, x])
-                ext = frozenset(self._join(harr, cls.gens, x).tolist())
+            for ext, x in self._joins(cls.rep, cyclic_gens, cyc_of):
                 if ext not in seen:
                     worklist.append(register(ext, cls.gens + (x,)))
 
         classes.sort(key=lambda c: (c.order, sorted(c.rep)))
         self._classes = classes
         return classes
+
+    def _joins(self, rep: frozenset[int], cyclic_gens, cyc_of):
+        """The distinct joins <H, x> of H = rep with one x per double coset
+        HxH outside H, as (elements, x) in increasing x.  <H, x> = <H, h x h'>
+        = <H, x^k> for h, h' in H and k prime to |x|, so x is the least
+        element of its double coset and the double cosets of every generator
+        of <x> need no join of their own.
+
+        All joins are grown together, breadth-first over (candidate, double
+        coset) pairs.  <H, x> is a union of double cosets; a double coset D
+        in it reaches the double coset of g x for one g per right coset Hg
+        inside D, and the union of what is reached from H contains H and is
+        closed under right multiplication by H and by x, so it is a group.
+        Candidates go in blocks of at most _FRONTIER (candidate, right coset)
+        pairs, a bound on everything one block's search holds."""
+        t = self._table
+        n = self.order
+        harr = np.fromiter(rep, dtype=np.intp, count=len(rep))
+        # rc[g] = least element of the right coset Hg, _CHUNK rows of H at a time
+        rc = t[harr[:_CHUNK]].min(axis=0)
+        for lo in range(_CHUNK, len(harr), _CHUNK):
+            np.minimum(rc, t[harr[lo:lo + _CHUNK]].min(axis=0), out=rc)
+        reps = np.flatnonzero(rc == np.arange(n))  # one element per right coset
+        # HgH is the union of the right cosets Hgh, so its least element is the
+        # least of theirs; dc[g] numbers HgH in the order of least elements
+        least, rep_dc = np.unique(rc[t[reps[:, None], harr]].min(axis=1), return_inverse=True)
+        pos = np.empty(n, dtype=np.intp)
+        pos[reps] = np.arange(len(reps))
+        dc = rep_dc[pos[rc]]
+        m = len(least)
+
+        covered = np.zeros(m, dtype=bool)
+        home = dc[self.identity]
+        covered[home] = True
+        cands = []
+        for d, x in enumerate(least.tolist()):
+            if not covered[d]:
+                cands.append(x)
+                covered[dc[cyclic_gens[cyc_of[x]]]] = True
+
+        # the right coset representatives of double coset d are
+        # coset_reps[start[d]:start[d] + count[d]]
+        coset_reps = reps[np.argsort(rep_dc, kind="stable")]
+        count = np.bincount(rep_dc, minlength=m)
+        start = np.cumsum(count) - count
+        block = max(1, _FRONTIER // len(reps))
+        distinct = set()
+        for lo in range(0, len(cands), block):
+            xs = np.array(cands[lo:lo + block])
+            reached = np.zeros((len(xs), m), dtype=bool)
+            reached[:, home] = True
+            flat = reached.ravel()  # pair (c, d) is flat[c * m + d]
+            slot = np.empty(flat.size, dtype=np.intp)
+            fc, fd = np.arange(len(xs)), np.full(len(xs), home)
+            while fc.size:
+                cnt = count[fd]
+                c = np.repeat(fc, cnt)
+                idx = np.arange(len(c)) + np.repeat(start[fd] - (np.cumsum(cnt) - cnt), cnt)
+                pairs = c * m + dc[t[coset_reps[idx], xs[c]]]
+                pairs = pairs[~flat[pairs]]
+                # keep one copy of each new pair: the one whose index lands last
+                at = np.arange(len(pairs))
+                slot[pairs] = at
+                pairs = pairs[slot[pairs] == at]
+                flat[pairs] = True
+                fc, fd = np.divmod(pairs, m)
+            for i, x in enumerate(xs.tolist()):
+                key = reached[i].tobytes()
+                if key not in distinct:
+                    distinct.add(key)
+                    yield frozenset(np.flatnonzero(reached[i][dc]).tolist()), x
 
     # -- structure tests on element-index sets ------------------------------
 
@@ -457,11 +536,11 @@ class PermGroup:
 
 
 def _table_inverses(table: np.ndarray, identity: int) -> np.ndarray:
-    """inv[i] = the column holding the identity in row i, found 256 rows at
-    a time so that no n^2 temporary is made."""
+    """inv[i] = the column holding the identity in row i, found _CHUNK rows
+    at a time so that no n^2 temporary is made."""
     inv = np.empty(len(table), dtype=np.int16)
-    for lo in range(0, len(table), 256):
-        rows, cols = np.nonzero(table[lo:lo + 256] == identity)
+    for lo in range(0, len(table), _CHUNK):
+        rows, cols = np.nonzero(table[lo:lo + _CHUNK] == identity)
         inv[lo + rows] = cols
     return inv
 
@@ -778,19 +857,21 @@ def split_hall(g: PermGroup, hall_subset, sigma, tau) -> tuple[frozenset[int], f
     s_order, t_order = pi_part(len(h), sigma), pi_part(len(h), tau)
     if s_order * t_order != len(h):
         return None  # sigma u tau does not cover pi(H)
-    orders = g.element_orders()
-    s_part = frozenset(x for x in h if pi_part(int(orders[x]), sigma) == orders[x])
-    t_part = frozenset(x for x in h if pi_part(int(orders[x]), tau) == orders[x])
-    if len(s_part) != s_order or len(t_part) != t_order:
+    harr = np.fromiter(h, dtype=np.intp, count=len(h))
+    orders = g.element_orders()[harr]
+    kinds = np.unique(orders).tolist()
+    # the sigma-elements and the tau-elements of H, one pi_part per element order
+    parts = [harr[np.isin(orders, [o for o in kinds if pi_part(o, primes) == o])]
+             for primes in (sigma, tau)]
+    if [len(arr) for arr in parts] != [s_order, t_order]:
         return None
     t = g.require_table()
-    for part in (s_part, t_part):  # a finite set closed under products is a subgroup
-        arr = np.fromiter(part, dtype=np.int32, count=len(part))
+    for arr in parts:  # a finite set closed under products is a subgroup
         member = np.zeros(g.order, dtype=bool)
         member[arr] = True
         if not member[t[np.ix_(arr, arr)]].all():
             return None
-    return s_part, t_part
+    return frozenset(parts[0].tolist()), frozenset(parts[1].tolist())
 
 
 def check_final_corollary(g: PermGroup, reports, sigma, tau) -> bool | None:

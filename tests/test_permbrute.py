@@ -91,9 +91,12 @@ def test_subgroup_class_counts():
 
 @pytest.mark.parametrize("spec, classes, subgroups", [
     ("Alt:5", 9, 59), ("Sym:5", 19, 156), ("Lie:A:2:7", 15, 179), ("Alt:6", 22, 501),
-    ("Lie:A:2:8", 12, 386), ("Lie:A:2:11", 16, 620), ("Sym:6", 56, 1455)])
+    ("Lie:A:2:8", 12, 386), ("Lie:A:2:11", 16, 620), ("Sym:6", 56, 1455),
+    ("Alt:7", 40, 3786), ("Lie:A:2:9,Cyclic:5", 46, 1146)])
 def test_subgroup_totals(spec, classes, subgroups):
-    lattice = realize(spec).subgroup_classes()
+    g = realize(spec)
+    g.require_table(bound=ORDER_BOUND)
+    lattice = g.subgroup_classes()
     assert len(lattice) == classes
     assert sum(c.class_size for c in lattice) == subgroups
 
@@ -129,6 +132,28 @@ def test_closure_matches_tuple_closure(spec):
             gens.insert(0, g.identity)
         expected = {g.index[e] for e in tuple_closure([g.elements[i] for i in gens], g.degree)}
         assert g.closure_indices(gens) == expected, (spec, gens)
+
+
+@pytest.mark.parametrize("spec", ("Alt:5", "Sym:5", "Lie:A:2:7", "Alt:5,Cyclic:2"))
+def test_lattice_is_closed_under_joins(spec):
+    g = realize(spec)
+    lattice = g.subgroup_classes()
+    owners: dict[frozenset, list[int]] = {}
+    for i, c in enumerate(lattice):
+        for s in c.all_sets:
+            owners.setdefault(s, []).append(i)
+    for c in lattice:
+        rep = tuple(sorted(c.rep))
+        for x in range(g.order):
+            join = g.closure_indices(rep + (x,))
+            assert len(owners.get(join, ())) == 1, (spec, c.order, x)
+
+
+@pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Sym:5", "Alt:5,Cyclic:7"))
+def test_class_gens_generate_rep(spec):
+    g = realize(spec)
+    for c in g.subgroup_classes():
+        assert g.closure_indices(c.gens) == c.rep, (spec, c.order)
 
 
 def test_gens_of_generates_each_class():
@@ -293,6 +318,36 @@ def test_split_hall():
     r = maximal_pi_subgroups(h, {3, 7}, with_structure=False)
     hall = next(c.rep for c in r.maximal_classes if c.order == 21)
     assert split_hall(h, hall, {3}, {7}) is None
+
+
+# Alt(5) x C7 has split Hall subgroups (Alt(5) x C7 itself); no Hall
+# subgroup of PSL(2,7) x C3 splits
+@pytest.mark.parametrize("spec, some_split", [("Alt:5,Cyclic:7", True),
+                                              ("Lie:A:2:7,Cyclic:3", False)])
+def test_split_hall_parts_are_the_sigma_and_tau_elements(spec, some_split):
+    g = realize(spec)
+    spectrum = sorted(prime_divisors(g.order))
+    splits = []
+    for k in range(2, len(spectrum) + 1):
+        for pi in map(frozenset, itertools.combinations(spectrum, k)):
+            report = maximal_pi_subgroups(g, pi, with_structure=False)
+            for c in report.maximal_classes:
+                if c.order != report.hall_order:
+                    continue
+                for j in range(1, k):
+                    for sigma in map(frozenset, itertools.combinations(sorted(pi), j)):
+                        tau = pi - sigma
+                        # the sigma- and tau-elements of H, from the permutations
+                        s, t = ({x for x in c.rep
+                                 if prime_divisors(perm_order(g.elements[x])) <= primes}
+                                for primes in (sigma, tau))
+                        subgroups = all(g.index[pmul(g.elements[a], g.elements[b])] in part
+                                        for part in (s, t) for a in part for b in part)
+                        sizes = len(s) == pi_part(c.order, sigma) and len(t) == pi_part(c.order, tau)
+                        expected = (s, t) if subgroups and sizes else None
+                        assert split_hall(g, c.rep, sigma, tau) == expected, (spec, sigma, tau)
+                        splits.append(expected is not None)
+    assert splits and any(splits) == some_split
 
 
 def test_split_hall_refuses_unclosed_parts():
