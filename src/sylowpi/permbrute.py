@@ -13,6 +13,14 @@ join is the union of the double cosets that H reaches by right
 multiplication with x, one product per right coset (coset methods as in
 Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 
+A group keeps its elements as one array, `perms`: its permutations as
+rows in lexicographic order (uint8, uint16 above degree 256), element i
+being row i.  `lookup` maps rows back to indices by binary search over the
+rows' bytes.  Realization closes the generators breadth-first with one
+gather per layer, the multiplication table is filled layer by layer along
+the Cayley graph with one gather per generator, and element orders are the
+lcms of cycle lengths, so none of them runs Python per element.
+
 Everything interesting happens on element indices against a cached
 multiplication table (numpy), so degrees stay tiny and orders stay below
 explicit bounds: ORDER_BOUND for materializing a group at all, and a
@@ -116,6 +124,45 @@ def tuple_closure(gens, degree: int, bound: int = ORDER_BOUND) -> set[tuple[int,
 
 
 # ---------------------------------------------------------------------------
+# permutations as sorted array rows
+
+def _row_dtype(degree: int) -> np.dtype:
+    return np.dtype(np.uint8 if degree <= 256 else np.uint16)
+
+
+def _row_keys(rows, degree: int) -> np.ndarray:
+    """One bytes key per row of `rows`, shape (k, degree).  The entries are
+    stored big-endian, so that bytewise key order is lexicographic row order."""
+    rows = np.ascontiguousarray(rows, dtype=_row_dtype(degree).newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.itemsize * degree))).reshape(-1)
+
+
+def _rows_of(keys: np.ndarray, degree: int) -> np.ndarray:
+    """The rows behind `keys`, in native byte order."""
+    dtype = _row_dtype(degree)
+    return keys.view(dtype.newbyteorder(">")).reshape(-1, degree).astype(dtype, copy=False)
+
+
+def _closure(gens: np.ndarray, degree: int, bound: int) -> np.ndarray:
+    """Sorted row keys of the group generated by the rows `gens`: a
+    breadth-first search of the right Cayley graph, one gather for all
+    generators per layer (x followed by g is the row g[x])."""
+    keys = _row_keys(np.arange(degree)[None], degree)
+    frontier = _rows_of(keys, degree)
+    while len(frontier):
+        cand = gens[:, frontier].reshape(-1, degree)
+        ckeys, first = np.unique(_row_keys(cand, degree), return_index=True)
+        at = np.searchsorted(keys, ckeys)
+        new = keys[np.minimum(at, len(keys) - 1)] != ckeys
+        keys = np.insert(keys, at[new], ckeys[new])
+        if len(keys) > bound:
+            raise BruteForceBoundError(
+                f"group order exceeds the bound {bound}; refusing to materialize")
+        frontier = cand[first[new]]
+    return keys
+
+
+# ---------------------------------------------------------------------------
 # groups
 
 @dataclass
@@ -141,7 +188,8 @@ class HallReport:
 
 
 class PermGroup:
-    """Immutable permutation group with materialized element list."""
+    """Immutable permutation group.  Element i is row i of `perms`, the
+    group's permutations in lexicographic order."""
 
     def __init__(self, degree: int, generators, elements=None, name: str = ""):
         self.degree = degree
@@ -150,15 +198,21 @@ class PermGroup:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of degree {degree}: {g}")
         if elements is None:
-            elements = tuple_closure(self.generators, degree)
-        if len(elements) > ORDER_BOUND:
-            raise BruteForceBoundError(
-                f"order {len(elements)} exceeds the hard bound {ORDER_BOUND}")
-        self.elements: list[tuple[int, ...]] = sorted(elements)
-        self.order = len(self.elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.identity = self.index[identity_perm(degree)]
+            keys = _closure(np.array(self.generators, dtype=np.intp).reshape(-1, degree),
+                            degree, ORDER_BOUND)
+        else:
+            rows = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements))
+            if len(rows) > ORDER_BOUND:
+                raise BruteForceBoundError(
+                    f"order {len(rows)} exceeds the hard bound {ORDER_BOUND}")
+            # repeated rows stay: the table's reach check refuses them
+            keys = np.sort(_row_keys(rows.reshape(-1, degree), degree))
+        self._keys = keys
+        self.perms = _rows_of(keys, degree)
+        self.perms.flags.writeable = False
+        self.order = len(keys)
         self.name = name or f"group of order {self.order} on {degree} points"
+        self.identity = int(self.lookup(np.arange(degree)[None])[0])
         self._table: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
@@ -167,16 +221,36 @@ class PermGroup:
 
     # -- basic machinery ----------------------------------------------------
 
+    def lookup(self, rows) -> np.ndarray:
+        """Element indices of the permutations `rows`, shape (k, degree)."""
+        keys = _row_keys(rows, self.degree)
+        idx = np.searchsorted(self._keys, keys)
+        found = self._keys[np.minimum(idx, self.order - 1)] == keys
+        if not found.all():
+            raise ElementListError(f"{self.name}: {np.count_nonzero(~found)} of "
+                                   f"{len(keys)} permutations are not elements")
+        return idx
+
     def element_orders(self) -> np.ndarray:
+        """Order of each element: the lcm of its cycle lengths, found by
+        following every point until it returns, one gather per step."""
         if self._orders is None:
-            self._orders = np.array([perm_order(e) for e in self.elements])
+            p = self.perms.astype(np.intp)
+            points = np.arange(self.degree)
+            cycle = np.zeros(p.shape, dtype=np.intp)  # 0 until the point returns
+            y = p
+            for k in range(1, self.degree + 1):
+                cycle[(y == points) & (cycle == 0)] = k
+                if cycle.all():
+                    break
+                y = np.take_along_axis(p, y, axis=1)
+            self._orders = np.lcm.reduce(cycle, axis=1)
         return self._orders
 
     def gen_indices(self) -> tuple[int, ...]:
         if self._gen_idx is None:
             idx = []
-            for g in self.generators:
-                i = self.index[g]
+            for i in self.lookup(np.array(self.generators).reshape(-1, self.degree)).tolist():
                 if i != self.identity and i not in idx:
                     idx.append(i)
             self._gen_idx = tuple(idx)
@@ -190,37 +264,44 @@ class PermGroup:
                     f"order {self.order} exceeds the lattice bound {bound} "
                     "(pass --max-order to raise it)")
             self._table = self._cayley_table()
-            self._inv = _table_inverses(self._table, self.identity)
+            # the inverse of a permutation p is argsort(p)
+            self._inv = self.lookup(np.argsort(self.perms, axis=1)).astype(np.int16)
         return self._table
 
     def _cayley_table(self) -> np.ndarray:
         """table[i, j] = index of (element i followed by element j), built
-        row by row along the left Cayley graph: row s*i is left_s[row i],
+        layer by layer along the left Cayley graph: row s*i is left_s[row i],
         because (s*i)*x = s*(i*x).  The lookups prove the element list closed
         under left multiplication by the generators and the search proves
         every element a word in them, so the list is exactly <generators>."""
         n = self.order
         try:
-            lefts = [np.array([self.index[pmul(s, e)] for e in self.elements], dtype=np.int16)
-                     for s in self.generators]
-        except KeyError:
+            # s followed by element e is the row e[s]
+            lefts = [self.lookup(self.perms[:, s]).astype(np.int16) for s in self.generators]
+        except ElementListError:
             raise ElementListError(f"{self.name}: the element list is not closed "
                                    "under its generators") from None
         table = np.empty((n, n), dtype=np.int16)
         table[self.identity] = np.arange(n)
         reached = np.zeros(n, dtype=bool)
         reached[self.identity] = True
-        rows = [self.identity]
-        for i in rows:  # breadth-first; rows grows while it is walked
+        layer = np.array([self.identity])
+        while layer.size:  # breadth-first
+            nxt = []
             for left in lefts:
-                j = int(left[i])
-                if not reached[j]:
-                    reached[j] = True
-                    table[j] = left[table[i]]
-                    rows.append(j)
-        if len(rows) != n:
+                rows = left[layer]
+                fresh = ~reached[rows]
+                new, first = np.unique(rows[fresh], return_index=True)
+                src = layer[fresh][first]
+                reached[new] = True
+                for lo in range(0, len(new), _CHUNK):
+                    table[new[lo:lo + _CHUNK]] = left[table[src[lo:lo + _CHUNK]]]
+                nxt.append(new)
+            layer = np.concatenate(nxt)
+        count = np.count_nonzero(reached)
+        if count != n:
             raise ElementListError(
-                f"{self.name}: the generators reach only {len(rows)} "
+                f"{self.name}: the generators reach only {count} "
                 f"of the {n} listed elements")
         return table
 
@@ -284,6 +365,15 @@ class PermGroup:
             named[cosets.min(axis=0)] = True  # a coset is named by its least element
             reps = np.flatnonzero(named)
         return np.flatnonzero(member)
+
+    def _coset_least(self, harr: np.ndarray) -> np.ndarray:
+        """least[g] = least element of the right coset Hg, where H has
+        elements `harr`, taken _CHUNK rows of H at a time."""
+        t = self._table
+        least = t[harr[:_CHUNK]].min(axis=0)
+        for lo in range(_CHUNK, len(harr), _CHUNK):
+            np.minimum(least, t[harr[lo:lo + _CHUNK]].min(axis=0), out=least)
+        return least
 
     def _commutator(self, a: int, b: int) -> int:
         t = self.require_table()
@@ -374,10 +464,7 @@ class PermGroup:
         t = self._table
         n = self.order
         harr = np.fromiter(rep, dtype=np.intp, count=len(rep))
-        # rc[g] = least element of the right coset Hg, _CHUNK rows of H at a time
-        rc = t[harr[:_CHUNK]].min(axis=0)
-        for lo in range(_CHUNK, len(harr), _CHUNK):
-            np.minimum(rc, t[harr[lo:lo + _CHUNK]].min(axis=0), out=rc)
+        rc = self._coset_least(harr)
         reps = np.flatnonzero(rc == np.arange(n))  # one element per right coset
         # HgH is the union of the right cosets Hgh, so its least element is the
         # least of theirs; dc[g] numbers HgH in the order of least elements
@@ -517,32 +604,16 @@ class PermGroup:
         if not self.is_normal_set(normal_subset):
             raise ValueError("subgroup is not normal")
         t = self.require_table()
-        n = self.order
-        aarr = np.fromiter(normal_subset, dtype=np.int32, count=len(normal_subset))
-        coset_of = np.full(n, -1, dtype=np.int32)
-        reps = []
-        for x in range(n):
-            if coset_of[x] >= 0:
-                continue
-            coset_of[t[aarr, x]] = len(reps)
-            reps.append(x)
+        aarr = np.fromiter(normal_subset, dtype=np.intp, count=len(normal_subset))
+        # cosets are numbered in the order of their least elements
+        reps, coset_of = np.unique(self._coset_least(aarr), return_inverse=True)
+        coset_of = coset_of.astype(np.int32)
         k = len(reps)
-        reps = np.array(reps)
         gen_perms = [tuple(coset_of[t[reps, s]].tolist()) for s in self.gen_indices()]
         if not gen_perms:
             gen_perms = [identity_perm(k)]
         q = PermGroup(k, gen_perms, name=f"{self.name} / N (order {len(normal_subset)})")
         return q, coset_of
-
-
-def _table_inverses(table: np.ndarray, identity: int) -> np.ndarray:
-    """inv[i] = the column holding the identity in row i, found _CHUNK rows
-    at a time so that no n^2 temporary is made."""
-    inv = np.empty(len(table), dtype=np.int16)
-    for lo in range(0, len(table), _CHUNK):
-        rows, cols = np.nonzero(table[lo:lo + _CHUNK] == identity)
-        inv[lo + rows] = cols
-    return inv
 
 
 def _power(table: np.ndarray, x: int, k: int) -> int:
@@ -624,15 +695,13 @@ def _psl2(q: int) -> PermGroup:
         img.append(F.mul[a][F.inv[c]] if c else inf)
         return tuple(img)
 
-    perms = {mobius(a, b, c, d)
-             for a in range(q) for b in range(q) for c in range(q) for d in range(q)
-             if F.add[F.mul[a][d]][F.neg[F.mul[b][c]]] == 1}
-    expected = q * (q * q - 1) // math.gcd(2, q - 1)
-    if len(perms) != expected:
-        raise RuntimeError(f"PSL(2,{q}) realization has order {len(perms)}, "
-                           f"expected {expected}")
     gens = [mobius(1, F.p ** i, 0, 1) for i in range(F.f)] + [mobius(0, F.neg[1], 1, 0)]
-    return PermGroup(q + 1, gens, elements=perms, name=f"PSL(2,{q})")
+    g = PermGroup(q + 1, gens, name=f"PSL(2,{q})")
+    expected = q * (q * q - 1) // math.gcd(2, q - 1)
+    if g.order != expected:
+        raise RuntimeError(f"PSL(2,{q}) realization has order {g.order}, "
+                           f"expected {expected}")
+    return g
 
 
 def _alt(n: int) -> PermGroup:
@@ -662,10 +731,12 @@ def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
     if g1.order * g2.order > ORDER_BOUND:
         raise BruteForceBoundError(
             f"product order {g1.order * g2.order} exceeds the bound {ORDER_BOUND}")
-    # already sorted; the table's reach check proves it is <gens>
-    shifted = [tuple(x + d1 for x in b) for b in g2.elements]
-    elements = [a + b for a in g1.elements for b in shifted]
-    return PermGroup(d1 + d2, gens, elements=elements, name=f"{g1.name} x {g2.name}")
+    # the rows a + b in the order of (a, b); the table's reach check proves
+    # them <gens>
+    dtype = _row_dtype(d1 + d2)
+    rows = np.concatenate([np.repeat(g1.perms.astype(dtype), g2.order, axis=0),
+                           np.tile(g2.perms.astype(dtype) + dtype.type(d1), (g1.order, 1))], axis=1)
+    return PermGroup(d1 + d2, gens, elements=rows, name=f"{g1.name} x {g2.name}")
 
 
 def realize(spec) -> PermGroup:

@@ -14,10 +14,12 @@ from sylowpi.catalog import facts, parse_group
 from sylowpi.cli import CORPUS_SIMPLE
 from sylowpi.permbrute import (
     ORDER_BOUND,
+    PSL2_FIELDS,
     BruteForceBoundError,
     ElementListError,
     PermGroup,
     _GF,
+    _psl2,
     _sym,
     check_final_corollary,
     direct_product,
@@ -34,6 +36,13 @@ from sylowpi.permbrute import (
     tuple_closure,
     verify_hall_inheritance,
 )
+
+
+def _tuples(g):
+    """The elements of g as permutation tuples in index order, and the index
+    of each tuple: the reference view of g.perms."""
+    elements = [tuple(row) for row in g.perms.tolist()]
+    return elements, {e: i for i, e in enumerate(elements)}
 
 
 def test_permutation_primitives():
@@ -57,7 +66,7 @@ def test_realize_psl27_degree_and_transitivity():
     g = realize("Lie:A:2:7")
     assert g.degree == 8 and g.order == 168
     # 2-transitivity of PSL(2,7) on the projective line: orbit of 0 is all
-    points = {e[0] for e in g.elements}
+    points = {e[0] for e in _tuples(g)[0]}
     assert points == set(range(8))
 
 
@@ -111,6 +120,26 @@ def test_gf_is_a_field(q):
     assert all(F.mul[a][F.inv[a]] == 1 and F.add[a][F.neg[a]] == 0 for a in nonzero)
 
 
+@pytest.mark.parametrize("q", PSL2_FIELDS)
+def test_psl2_is_every_determinant_one_mobius_map(q):
+    F = _GF(q)
+    inf = q
+
+    def mobius(a, b, c, d):  # x -> (a x + b) / (c x + d), infinity last
+        img = []
+        for x in range(q):
+            num = F.add[F.mul[a][x]][b]
+            den = F.add[F.mul[c][x]][d]
+            img.append(F.mul[num][F.inv[den]] if den else inf)
+        img.append(F.mul[a][F.inv[c]] if c else inf)
+        return tuple(img)
+
+    maps = {mobius(a, b, c, d)
+            for a in range(q) for b in range(q) for c in range(q) for d in range(q)
+            if F.add[F.mul[a][d]][F.neg[F.mul[b][c]]] == 1}
+    assert _tuples(_psl2(q))[0] == sorted(maps)
+
+
 def test_gf_takes_the_first_irreducible_polynomial():
     # x is element p; x^2 + x + 1, x^3 + x + 1 and x^2 + 1 are the first
     # irreducible moduli for q = 4, 8, 9 in the digit order
@@ -130,7 +159,8 @@ def test_closure_matches_tuple_closure(spec):
             gens.append(gens[0])
         elif trial % 3 == 2:
             gens.insert(0, g.identity)
-        expected = {g.index[e] for e in tuple_closure([g.elements[i] for i in gens], g.degree)}
+        elements, index = _tuples(g)
+        expected = {index[e] for e in tuple_closure([elements[i] for i in gens], g.degree)}
         assert g.closure_indices(gens) == expected, (spec, gens)
 
 
@@ -231,7 +261,7 @@ def test_structure_tests():
 
 def test_sylow_in_keeps_no_per_element_arrays():
     a7 = realize("Alt:7")
-    g = PermGroup(a7.degree, a7.generators, elements=a7.elements)
+    g = PermGroup(a7.degree, a7.generators, elements=_tuples(a7)[0])
     table = g.require_table(bound=ORDER_BOUND)
     g.element_orders()
     tracemalloc.start()
@@ -260,12 +290,13 @@ def test_is_nilpotent_set_matches_definition(spec):
     # nilpotent iff every Sylow subgroup is normal, with conjugation
     # computed on the permutations themselves
     g = realize(spec)
+    elements, index = _tuples(g)
     for c in g.subgroup_classes():
-        kgens = [g.elements[k] for k in g.gens_of(c.rep)]
+        kgens = [elements[k] for k in g.gens_of(c.rep)]
         normal_sylows = True
         for p in prime_divisors(c.order):
             P = g.sylow_in(c.rep, p)
-            conjugates = {frozenset(g.index[pmul(pmul(pinv(k), g.elements[x]), k)] for x in P)
+            conjugates = {frozenset(index[pmul(pmul(pinv(k), elements[x]), k)] for x in P)
                           for k in kgens}
             normal_sylows = normal_sylows and conjugates <= {P}
         assert g.is_nilpotent_set(c.rep) == normal_sylows, (spec, c.order)
@@ -282,7 +313,7 @@ def test_derived_series_of_s4_inside_s5():
 
 def test_quotient_by_normal_subgroup():
     g = realize("Alt:5,Cyclic:7")
-    a = frozenset(i for i, e in enumerate(g.elements) if e[:5] == (0, 1, 2, 3, 4))
+    a = frozenset(i for i, e in enumerate(_tuples(g)[0]) if e[:5] == (0, 1, 2, 3, 4))
     q, coset_of = g.quotient(a)
     assert q.order == 60
     assert len(set(coset_of.tolist())) == 60
@@ -294,7 +325,7 @@ def test_quotient_by_normal_subgroup():
 
 def test_verify_hall_inheritance():
     g = realize("Alt:5,Cyclic:7")
-    a = frozenset(i for i, e in enumerate(g.elements) if e[:5] == (0, 1, 2, 3, 4))
+    a = frozenset(i for i, e in enumerate(_tuples(g)[0]) if e[:5] == (0, 1, 2, 3, 4))
     assert verify_hall_inheritance(g, a, {2, 3, 7})
     assert verify_hall_inheritance(g, a, {5, 7})
     # degenerate cases: A = G and A = 1
@@ -326,6 +357,7 @@ def test_split_hall():
                                               ("Lie:A:2:7,Cyclic:3", False)])
 def test_split_hall_parts_are_the_sigma_and_tau_elements(spec, some_split):
     g = realize(spec)
+    elements, index = _tuples(g)
     spectrum = sorted(prime_divisors(g.order))
     splits = []
     for k in range(2, len(spectrum) + 1):
@@ -339,9 +371,9 @@ def test_split_hall_parts_are_the_sigma_and_tau_elements(spec, some_split):
                         tau = pi - sigma
                         # the sigma- and tau-elements of H, from the permutations
                         s, t = ({x for x in c.rep
-                                 if prime_divisors(perm_order(g.elements[x])) <= primes}
+                                 if prime_divisors(perm_order(elements[x])) <= primes}
                                 for primes in (sigma, tau))
-                        subgroups = all(g.index[pmul(g.elements[a], g.elements[b])] in part
+                        subgroups = all(index[pmul(elements[a], elements[b])] in part
                                         for part in (s, t) for a in part for b in part)
                         sizes = len(s) == pi_part(c.order, sigma) and len(t) == pi_part(c.order, tau)
                         expected = (s, t) if subgroups and sizes else None
@@ -357,7 +389,8 @@ def test_split_hall_refuses_unclosed_parts():
     # each involution lies in one Klein four-group, so {1, a, b, c} is not
     # closed although its 2-part and 3-part have the right sizes
     a = next(x for x in klein if x != g.identity)
-    b, c = [i for i in range(g.order) if perm_order(g.elements[i]) == 2 and i not in klein][:2]
+    elements = _tuples(g)[0]
+    b, c = [i for i in range(g.order) if perm_order(elements[i]) == 2 and i not in klein][:2]
     assert split_hall(g, {g.identity, a, b, c}, {2}, {3}) is None
 
 
@@ -427,10 +460,10 @@ def test_direct_product_structure():
 def test_table_matches_definition(spec):
     g = realize(spec)
     t = g.require_table()
-    e = g.elements
+    e, index = _tuples(g)
     assert t.dtype == np.int16 and g.inv.dtype == np.int16
     for i in range(g.order):
-        assert t[i].tolist() == [g.index[pmul(e[i], e[j])] for j in range(g.order)]
+        assert t[i].tolist() == [index[pmul(e[i], e[j])] for j in range(g.order)]
         assert t[i, g.inv[i]] == g.identity
 
 
@@ -441,6 +474,32 @@ def test_table_reaches_sym7():
     assert g.order == 5040
     for i in range(0, g.order, 256):  # chunked: no second n^2 array
         assert (np.sort(t[i:i + 256], axis=1) == ident).all()
+
+
+def _regular_quotient():
+    """Alt(5) x C7 acting on the cosets of its trivial subgroup: degree 420."""
+    g = realize("Alt:5,Cyclic:7")
+    return g.quotient(frozenset({g.identity}))[0]
+
+
+def test_wide_rows():
+    # rows wider than uint8 must be keyed in a byte order that sorts as the
+    # rows do, or no lookup finds its row
+    c300 = PermGroup(300, [tuple(range(1, 300)) + (0,)])
+    for h, order in ((c300, 300), (_regular_quotient(), 420)):
+        elements, index = _tuples(h)
+        assert h.order == order and elements == sorted(elements)
+        assert elements[h.identity] == identity_perm(h.degree)
+        assert h.lookup(np.array(h.generators)).tolist() == [index[s] for s in h.generators]
+        assert h.element_orders().tolist() == [perm_order(e) for e in elements]
+    with pytest.raises(ElementListError):
+        c300.lookup(np.array([(1, 0) + tuple(range(2, 300))]))
+
+
+@pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Sym:5", "Alt:5,Cyclic:7", "quotient"))
+def test_element_orders_match_perm_order(spec):
+    g = _regular_quotient() if spec == "quotient" else realize(spec)
+    assert g.element_orders().tolist() == [perm_order(e) for e in _tuples(g)[0]]
 
 
 def test_element_list_errors():
@@ -457,6 +516,10 @@ def test_element_list_errors():
     g = PermGroup(4, [s, u], elements={ident, s})
     with pytest.raises(ElementListError, match="not closed under"):
         g.require_table()
+    # a repeated permutation is counted, and the generators miss the copy
+    g = PermGroup(4, [s], elements=[ident, s, s])
+    with pytest.raises(ElementListError, match="reach only 2 of the 3"):
+        g.require_table()
 
 
 @pytest.mark.parametrize("k, l", [("Alt:5", "Cyclic:7"), ("Cyclic:3", "Cyclic:5"),
@@ -466,7 +529,7 @@ def test_product_element_lists(k, l):
     d1, d2 = gk.degree, gl.degree
     gens = [a + tuple(range(d1, d1 + d2)) for a in gk.generators]
     gens += [tuple(range(d1)) + tuple(x + d1 for x in b) for b in gl.generators]
-    assert realize(f"{k},{l}").elements == sorted(tuple_closure(gens, d1 + d2))
+    assert _tuples(realize(f"{k},{l}"))[0] == sorted(tuple_closure(gens, d1 + d2))
 
 
 def test_pi_part():
@@ -482,6 +545,6 @@ def test_order_bound_enforced():
 
 def test_lattice_bound_explicit():
     g = realize("Lie:A:2:9")  # order 360, fine at the default bound
-    fresh = PermGroup(g.degree, g.generators, elements=set(g.elements))
+    fresh = PermGroup(g.degree, g.generators, elements=set(_tuples(g)[0]))
     with pytest.raises(BruteForceBoundError):
         fresh.require_table(bound=100)
