@@ -297,7 +297,7 @@ class PermGroup:
                 for lo in range(0, len(new), _CHUNK):
                     table[new[lo:lo + _CHUNK]] = left[table[src[lo:lo + _CHUNK]]]
                 nxt.append(new)
-            layer = np.concatenate(nxt)
+            layer = np.concatenate(nxt) if lefts else layer[:0]
         count = np.count_nonzero(reached)
         if count != n:
             raise ElementListError(

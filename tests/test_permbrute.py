@@ -502,6 +502,13 @@ def test_element_orders_match_perm_order(spec):
     assert g.element_orders().tolist() == [perm_order(e) for e in _tuples(g)[0]]
 
 
+def test_group_without_generators():
+    g = PermGroup(3, [])
+    assert g.order == 1 and g.gen_indices() == ()
+    assert g.require_table().tolist() == [[0]] and g.inv.tolist() == [0]
+    assert [c.rep for c in g.subgroup_classes()] == [frozenset({0})]
+
+
 def test_element_list_errors():
     ident, s, u = (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)
     # s * u = (1, 0, 3, 2) is missing
