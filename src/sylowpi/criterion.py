@@ -90,20 +90,12 @@ def condition_II(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     return ConditionReport("II", False)
 
 
-def _lie_parameters(gid: SimpleGroupId):
-    """(q, p, n) for a Lie id, or None otherwise."""
-    if gid.family != "Lie":
-        return None
-    return gid.q, gid.p, gid.n
-
-
 def condition_III(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     """Defining characteristic case: p in pi, the rest of pi inside
     pi(q - 1), and no prime of pi dividing the Weyl group order."""
-    params = _lie_parameters(gid)
-    if params is None:
+    if gid.family != "Lie":
         return ConditionReport("III", False)
-    q, p, n = params
+    q, p, n = gid.q, gid.p, gid.n
     if p not in pi:
         return ConditionReport("III", False)
     # For the Suzuki/Ree families the Weyl group of the ambient root system
@@ -126,10 +118,9 @@ def _odd_gate(gid: SimpleGroupId, pi: frozenset[int]):
     """Shared gate of Conditions IV and V: Lie type other than the
     Suzuki/Ree families, 2 and p outside pi, pi ^ pi(G) nonempty.
     Returns (q, r, tau) or None."""
-    params = _lie_parameters(gid)
-    if params is None or gid.lie_type in SUZUKI_REE:
+    if gid.family != "Lie" or gid.lie_type in SUZUKI_REE:
         return None
-    q, p, _ = params
+    q, p = gid.q, gid.p
     if 2 in pi or p in pi:
         return None
     eff = pi_effective(gid, pi)
@@ -293,10 +284,9 @@ def condition_VII(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     """Even case: 2 in pi, 3 and p outside pi, the odd part of pi inside
     pi(q - eps), plus per-family thresholds (Fermat primes are held to the
     stricter bound)."""
-    params = _lie_parameters(gid)
-    if params is None:
+    if gid.family != "Lie":
         return ConditionReport("VII", False)
-    q, p, n = params
+    q, p, n = gid.q, gid.p, gid.n
     if 2 not in pi or 3 in pi or p in pi:
         return ConditionReport("VII", False)
     tau = pi_effective(gid, pi) - {2}

@@ -1,9 +1,11 @@
 """Brute-force ground truth for D_pi on small groups.
 
-Small groups are realized as permutation groups, the full subgroup lattice
-is enumerated up to conjugacy, and E_pi / D_pi are decided by definition:
-D_pi holds exactly when all maximal pi-subgroups form a single conjugacy
-class.
+Small groups are realized as permutation groups from their spec strings
+(`realize`): Alt(n), Sym(n) and PSL(2, q) exactly when their order is at
+most ORDER_BOUND, cyclic groups of prime order p <= 31, and direct
+products of those.  The full subgroup lattice is enumerated up to
+conjugacy, and E_pi / D_pi are decided by definition: D_pi holds exactly
+when all maximal pi-subgroups form a single conjugacy class.
 
 The lattice starts from the cyclic subgroups.  For each class
 representative H it takes the joins <H, x>, one x per double coset HxH, and
@@ -35,14 +37,14 @@ per-element arrays beyond it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import is_prime, prime_divisors, r_part
-from .catalog import SimpleGroupId, facts, parse_group, prime_power
-from .composition import CyclicFactor
+from .catalog import order_of, parse_group, prime_power
 
 ORDER_BOUND = 10080
 DEFAULT_LATTICE_BOUND = 1000
@@ -65,62 +67,6 @@ def pi_part(m: int, pi) -> int:
     for p in pi:
         out *= r_part(m, p)
     return out
-
-
-# ---------------------------------------------------------------------------
-# permutations as tuples
-
-def identity_perm(degree: int) -> tuple[int, ...]:
-    return tuple(range(degree))
-
-
-def pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """a followed by b."""
-    return tuple(b[x] for x in a)
-
-
-def pinv(a: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
-def perm_order(a: tuple[int, ...]) -> int:
-    seen = [False] * len(a)
-    out = 1
-    for i in range(len(a)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            length += 1
-        out = math.lcm(out, length)
-    return out
-
-
-def tuple_closure(gens, degree: int, bound: int = ORDER_BOUND) -> set[tuple[int, ...]]:
-    """Subgroup generated by gens, as a set of permutation tuples."""
-    ident = identity_perm(degree)
-    gens = [tuple(g) for g in gens if tuple(g) != ident]
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                z = pmul(x, g)
-                if z not in elems:
-                    elems.add(z)
-                    nxt.append(z)
-        if len(elems) > bound:
-            raise BruteForceBoundError(
-                f"group order exceeds the bound {bound}; refusing to materialize")
-        frontier = nxt
-    return elems
 
 
 # ---------------------------------------------------------------------------
@@ -542,43 +488,35 @@ class PermGroup:
         return True
 
     def sylow_in(self, subset, p: int) -> frozenset[int]:
-        """A Sylow p-subgroup of the subgroup given by `subset`."""
-        t = self.require_table()
+        """A Sylow p-subgroup of the subgroup K given by `subset`, grown from
+        the trivial P by joining a p-element of K outside P that normalizes
+        P: P<y> is then a larger p-group, and one exists while |P| < |K|_p,
+        because P lies in a Sylow S > P and N_S(P) > P."""
+        self.require_table()
         target = r_part(len(subset), p)
-        if target == 1:
-            return frozenset({self.identity})
-        orders = self.element_orders()
-        karr = np.fromiter(subset, dtype=np.int32, count=len(subset))
-        # seed with a p-element
-        seed = None
-        for x in karr.tolist():
-            o = int(orders[x])
-            if o % p == 0:
-                seed = _power(t, x, o // r_part(o, p))
-                break
-        parr, pgens = self._generate((seed,))
+        karr = np.fromiter(subset, dtype=np.intp, count=len(subset))
+        pelems = self._pi_elements(karr, (p,))
+        parr, pgens = np.array([self.identity]), []
         while len(parr) < target:
             member = np.zeros(self.order, dtype=bool)
             member[parr] = True
-            # normalizer of P inside the subgroup: conjugation is injective,
-            # so k normalizes P when it maps every element of P into P
-            norm = karr[member[self._conjugates(parr, karr)].all(axis=1)]
-            for y in norm.tolist():
-                if member[y]:
-                    continue
-                # order of y modulo P
-                z, steps = y, 1
-                while not member[z]:
-                    z = int(t[z, y])
-                    steps += 1
-                if steps % p == 0:
-                    y2 = _power(t, y, steps // p)
-                    parr = self._join(parr, pgens, y2)
-                    pgens.append(y2)
-                    break
-            else:  # cannot happen for a genuine subgroup
+            outside = pelems[~member[pelems]]
+            # conjugation is injective, so y normalizes P when it maps every
+            # element of P into P
+            norm = outside[member[self._conjugates(parr, outside)].all(axis=1)]
+            if not norm.size:  # cannot happen for a genuine subgroup
                 raise RuntimeError("Sylow ascent stalled; input was not a subgroup")
+            y = int(norm[0])
+            parr = self._join(parr, pgens, y)
+            pgens.append(y)
         return frozenset(parr.tolist())
+
+    def _pi_elements(self, arr: np.ndarray, primes) -> np.ndarray:
+        """The elements of `arr` whose orders are products of primes in
+        `primes`, decided once per distinct order.  (Plain np.unique would
+        import numpy.ma on its first call; the return_inverse form does not.)"""
+        kinds, kind = np.unique(self.element_orders()[arr], return_inverse=True)
+        return arr[np.array([pi_part(o, primes) == o for o in kinds.tolist()], dtype=bool)[kind]]
 
     def is_nilpotent_set(self, subset) -> bool:
         """Nilpotent iff every Sylow subgroup is normal, that is, iff for
@@ -611,27 +549,15 @@ class PermGroup:
         k = len(reps)
         gen_perms = [tuple(coset_of[t[reps, s]].tolist()) for s in self.gen_indices()]
         if not gen_perms:
-            gen_perms = [identity_perm(k)]
+            gen_perms = [tuple(range(k))]
         q = PermGroup(k, gen_perms, name=f"{self.name} / N (order {len(normal_subset)})")
         return q, coset_of
-
-
-def _power(table: np.ndarray, x: int, k: int) -> int:
-    """x^k by repeated table multiplication (k small)."""
-    acc = None
-    for _ in range(k):
-        acc = x if acc is None else int(table[acc, x])
-    if acc is None:
-        raise ValueError("k must be >= 1")
-    return acc
 
 
 # ---------------------------------------------------------------------------
 # realizations
 
-_REALIZE_CACHE: dict = {}
-
-PSL2_FIELDS = (4, 5, 7, 8, 9, 11)
+_REALIZE_CACHE: dict[str, PermGroup] = {}
 
 
 class _GF:
@@ -696,12 +622,7 @@ def _psl2(q: int) -> PermGroup:
         return tuple(img)
 
     gens = [mobius(1, F.p ** i, 0, 1) for i in range(F.f)] + [mobius(0, F.neg[1], 1, 0)]
-    g = PermGroup(q + 1, gens, name=f"PSL(2,{q})")
-    expected = q * (q * q - 1) // math.gcd(2, q - 1)
-    if g.order != expected:
-        raise RuntimeError(f"PSL(2,{q}) realization has order {g.order}, "
-                           f"expected {expected}")
-    return g
+    return PermGroup(q + 1, gens, name=f"PSL(2,{q})")
 
 
 def _alt(n: int) -> PermGroup:
@@ -739,77 +660,67 @@ def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
     return PermGroup(d1 + d2, gens, elements=rows, name=f"{g1.name} x {g2.name}")
 
 
-def realize(spec) -> PermGroup:
-    """Realize a built-in group: Alt/Sym(5..7), PSL(2,q) for small q,
-    Cyclic(p) for p <= 31, and direct products of those (lists/tuples)."""
-    key = _spec_key(spec)
-    if key in _REALIZE_CACHE:
-        return _REALIZE_CACHE[key]
-    g = _realize_uncached(spec)
-    _REALIZE_CACHE[key] = g
+def realize(spec: str) -> PermGroup:
+    """Realize a built-in group from its spec string: a direct product of
+    comma-separated factors ("Alt:5,Cyclic:7"), each one of Alt:n, Sym:n
+    (n >= 5), PSL(2, q) as Lie:A:2:q, and Cyclic:p for a prime p <= 31.  An
+    Alt, Sym or PSL factor is realized exactly when its order is at most
+    ORDER_BOUND, which is checked before any element is built.  Groups are
+    cached by spec."""
+    g = _REALIZE_CACHE.get(spec)
+    if g is None:
+        parts = [s.strip() for s in spec.split(",") if s.strip()] or [spec]
+        if len(parts) == 1:
+            g = _realize_factor(parts[0])
+        else:
+            g = functools.reduce(direct_product, [realize(s) for s in parts])
+        _REALIZE_CACHE[spec] = g
     return g
 
 
-def _spec_key(spec):
-    if isinstance(spec, (list, tuple)):
-        return ("product",) + tuple(_spec_key(s) for s in spec)
-    if isinstance(spec, SimpleGroupId):
-        return spec.spec()
-    if isinstance(spec, CyclicFactor):
-        return spec.spec()
-    return str(spec)
-
-
-def _realize_uncached(spec) -> PermGroup:
-    if isinstance(spec, (list, tuple)):
-        groups = [realize(s) for s in spec]
-        out = groups[0]
-        for h in groups[1:]:
-            out = direct_product(out, h)
-        return out
-    if isinstance(spec, CyclicFactor):
-        return _cyclic_checked(spec.p)
-    if isinstance(spec, str):
-        s = spec.strip()
-        if "," in s:
-            return _realize_uncached([part for part in s.split(",") if part.strip()])
-        if s.startswith("Cyclic:"):
-            return _cyclic_checked(int(s.split(":", 1)[1]))
-        if s.startswith("Sym:"):
-            n = int(s.split(":", 1)[1])
-            if not 5 <= n <= 7:
-                raise BruteForceBoundError(f"Sym({n}) is not a built-in realization")
-            return _sym(n)
-        return _realize_uncached(parse_group(s))
-    gid: SimpleGroupId = spec
-    if gid.family == "Alt":
-        if not 5 <= gid.n <= 7:
-            raise BruteForceBoundError(f"Alt({gid.n}) is not a built-in realization")
-        g = _alt(gid.n)
-    elif gid.family == "Lie" and gid.lie_type == "A" and gid.n == 2 and gid.q in PSL2_FIELDS:
-        g = _psl2(gid.q)
+def _realize_factor(spec: str) -> PermGroup:
+    if spec.startswith("Cyclic:"):
+        p = int(spec.split(":", 1)[1])
+        if not (2 <= p <= 31 and is_prime(p)):  # the degree is p
+            raise BruteForceBoundError(f"Cyclic({p}) needs a prime p <= 31")
+        return _cyclic(p)
+    if spec.startswith("Sym:"):
+        n = int(spec.split(":", 1)[1])
+        if n < 5:
+            raise BruteForceBoundError(f"Sym({n}) is not a built-in realization")
+        name, degree = f"Sym({n})", n
+        order, build = lambda: math.factorial(n), lambda: _sym(n)
     else:
-        raise BruteForceBoundError(f"no built-in realization for {gid}")
-    expected = facts(gid).order
+        gid = parse_group(spec)
+        if gid.family == "Alt":
+            degree, build = gid.n, lambda: _alt(gid.n)
+        elif gid.family == "Lie" and gid.lie_type == "A" and gid.n == 2:
+            degree, build = gid.q + 1, lambda: _psl2(gid.q)
+        else:
+            raise BruteForceBoundError(f"{gid} is not a built-in realization")
+        name, order = str(gid), lambda: order_of(gid)
+    # each of these groups is 2-transitive on its degree points, so it has at
+    # least degree * (degree - 1) elements: a larger degree is refused without
+    # computing an order such as (10^6)!, which takes seconds
+    least = degree * (degree - 1)
+    expected = order() if least <= ORDER_BOUND else None
+    if expected is None or expected > ORDER_BOUND:
+        raise BruteForceBoundError(
+            f"{name} is not a built-in realization: order "
+            f"{expected or f'at least {least}'} exceeds the bound {ORDER_BOUND}")
+    g = build()
     if g.order != expected:
-        raise RuntimeError(f"realization of {gid} has order {g.order}, "
+        raise RuntimeError(f"realization of {name} has order {g.order}, "
                            f"expected {expected}")
     return g
-
-
-def _cyclic_checked(p: int) -> PermGroup:
-    if not (2 <= p <= 31 and is_prime(p)):
-        raise BruteForceBoundError(f"Cyclic({p}) needs a prime p <= 31")
-    return _cyclic(p)
 
 
 # ---------------------------------------------------------------------------
 # pi-subgroup analysis
 
-def _contained_up_to_conjugacy(a: SubgroupClass, b: SubgroupClass) -> bool:
-    if b.order % a.order != 0:
-        return False
-    return any(s <= b.rep for s in a.all_sets)
+def _conjugate_inside(c: SubgroupClass, host: frozenset[int]) -> frozenset[int] | None:
+    """A subgroup of the class c inside the subgroup `host`, if one is."""
+    return next((s for s in c.all_sets if s <= host), None)
 
 
 def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallReport:
@@ -819,8 +730,8 @@ def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallR
     pi_classes = [c for c in classes if pi_part(c.order, pi) == c.order]
     maximal = []
     for c in pi_classes:
-        if not any(d is not c and d.order > c.order and _contained_up_to_conjugacy(c, d)
-                   for d in pi_classes):
+        if not any(d.order > c.order and d.order % c.order == 0
+                   and _conjugate_inside(c, d.rep) is not None for d in pi_classes):
             maximal.append(c)
     hall_order = pi_part(g.order, pi)
     epi = any(c.order == hall_order for c in maximal)
@@ -838,18 +749,14 @@ def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallR
     return report
 
 
-def _find_hall_inside(g: PermGroup, pi_classes, host: frozenset[int],
+def _find_hall_inside(pi_classes, host: frozenset[int],
                       sub_pi: frozenset[int]) -> frozenset[int] | None:
     """A sub_pi-Hall subgroup of the subgroup `host`, if one exists."""
     want = pi_part(len(host), sub_pi)
     for c in pi_classes:
-        if c.order != want:
-            continue
-        for s in c.all_sets:
-            if s <= host:
-                return s
-    # the trivial subgroup always works when the target order is 1
-    return frozenset({g.identity}) if want == 1 else None
+        if c.order == want and (s := _conjugate_inside(c, host)) is not None:
+            return s
+    return None
 
 
 def _two_part_partitions(primes: frozenset[int]):
@@ -870,8 +777,8 @@ def _structural_flags(g: PermGroup, report: HallReport, pi_classes) -> dict:
     for sigma, tau in _two_part_partitions(report.pi_effective):
         ok = True
         for c in hall_classes:
-            s_hall = _find_hall_inside(g, pi_classes, c.rep, sigma)
-            t_hall = _find_hall_inside(g, pi_classes, c.rep, tau)
+            s_hall = _find_hall_inside(pi_classes, c.rep, sigma)
+            t_hall = _find_hall_inside(pi_classes, c.rep, tau)
             has_nilpotent = ((s_hall is not None and g.is_nilpotent_set(s_hall))
                              or (t_hall is not None and g.is_nilpotent_set(t_hall)))
             ok = ok and has_nilpotent
@@ -898,6 +805,8 @@ def verify_hall_inheritance(g: PermGroup, normal_subset, pi) -> bool:
     q, coset_of = g.quotient(normal_subset)
     a_hall = pi_part(len(normal_subset), pi)
     q_hall = pi_part(q.order, pi)
+    t = g.require_table()
+    coset_rep = np.unique(coset_of, return_index=True)[1]  # least element of each coset
     for c in hall_classes:
         h = c.rep
         if len(h & normal_subset) != a_hall:
@@ -905,18 +814,10 @@ def verify_hall_inheritance(g: PermGroup, normal_subset, pi) -> bool:
         image_points = {int(coset_of[x]) for x in h}
         if len(image_points) != q_hall:
             return False
-        # realize the image inside the coset-action group and re-check there
-        t = g.require_table()
-        coset_rep = [0] * q.order
-        for x in range(g.order - 1, -1, -1):
-            coset_rep[int(coset_of[x])] = x
-        image_gens = []
-        for hg in g.gens_of(h):
-            # permutation induced on all cosets by right multiplication
-            image_gens.append(tuple(int(coset_of[t[coset_rep[cid], hg]])
-                                    for cid in range(q.order)))
-        image_order = len(tuple_closure(image_gens, q.order))
-        if image_order != q_hall:
+        # realize the image inside the coset-action group and re-check there:
+        # each generator of H permutes the cosets by right multiplication
+        image_gens = [coset_of[t[coset_rep, hg]].tolist() for hg in g.gens_of(h)]
+        if PermGroup(q.order, image_gens).order != q_hall:
             return False
     return True
 
@@ -929,11 +830,8 @@ def split_hall(g: PermGroup, hall_subset, sigma, tau) -> tuple[frozenset[int], f
     if s_order * t_order != len(h):
         return None  # sigma u tau does not cover pi(H)
     harr = np.fromiter(h, dtype=np.intp, count=len(h))
-    orders = g.element_orders()[harr]
-    kinds = np.unique(orders).tolist()
-    # the sigma-elements and the tau-elements of H, one pi_part per element order
-    parts = [harr[np.isin(orders, [o for o in kinds if pi_part(o, primes) == o])]
-             for primes in (sigma, tau)]
+    # the sigma-elements and the tau-elements of H
+    parts = [g._pi_elements(harr, primes) for primes in (sigma, tau)]
     if [len(arr) for arr in parts] != [s_order, t_order]:
         return None
     t = g.require_table()
@@ -995,8 +893,7 @@ def reproduce_table1(n: int) -> bool:
         expected = 1152
     else:
         raise ValueError("only degrees 7 and 8 have special table rows")
-    h = tuple_closure(gens, n)
-    order = len(h)
+    order = PermGroup(n, gens).order
     if order != expected or order != pi_part(math.factorial(n), {2, 3}):
         return False
     if not prime_divisors(order) <= {2, 3}:

@@ -11,6 +11,7 @@ from sylowpi.catalog import facts, parse_group
 from sylowpi.cli import CORPUS_SIMPLE, sweep
 from sylowpi.criterion import decide_dpi_simple
 from sylowpi.permbrute import (
+    DEFAULT_LATTICE_BOUND,
     BruteForceBoundError,
     _sym,
     is_dpi_brute,
@@ -35,14 +36,26 @@ def _subsets(primes):
 
 def test_criterion_1_oracle_agreement():
     """Criterion-oracle agreement on every realized simple group and every
-    pi within its prime spectrum."""
+    pi within its prime spectrum.  PSL(2,16) and PSL(2,19), swept with their
+    orders as the lattice bound, are where brute force checks Conditions V
+    and VII."""
+    bounds = {spec: DEFAULT_LATTICE_BOUND for spec in CORPUS_SIMPLE}
+    bounds.update({"Lie:A:2:16": 4080, "Lie:A:2:19": 3420})
     disagreements = []
-    for spec in CORPUS_SIMPLE:
-        result = sweep(spec)
-        assert len(result.rows) == 2 ** len(facts(parse_group(spec)).spectrum), spec
+    witnesses = {}
+    for spec, bound in bounds.items():
+        gid = parse_group(spec)
+        result = sweep(spec, bound)
+        assert len(result.rows) == 2 ** len(facts(gid).spectrum), spec
         disagreements += [(spec, row) for row in result.rows if not row["agree"]]
+        verdicts = (decide_dpi_simple(gid, frozenset(row["pi"])) for row in result.rows)
+        witnesses[spec] = {(v.witness.condition, v.witness.subcase)
+                           for v in verdicts if v.witness is not None}
     assert disagreements == [], disagreements
-    _report(1, "criterion-oracle agreement on the full corpus (0 disagreements)")
+    assert ("V", 1) in witnesses["Lie:A:2:16"], witnesses["Lie:A:2:16"]
+    assert ("VII", 1) in witnesses["Lie:A:2:19"], witnesses["Lie:A:2:19"]
+    _report(1, "criterion-oracle agreement on the full corpus, PSL(2,16) and "
+               "PSL(2,19) (0 disagreements; V(1) and VII(1) checked)")
 
 
 def test_criterion_2_epi_without_dpi_witness():

@@ -86,6 +86,9 @@ def test_brute_json(capsys):
 def test_brute_bound_error(capsys):
     code, _, err = run_cli(capsys, "brute", "--group", "Spor:M11", "--pi", "2,3")
     assert code == EXIT_ERROR
+    code, _, err = run_cli(capsys, "brute", "--group", "Lie:A:2:29", "--pi", "2")
+    assert code == EXIT_ERROR
+    assert "order 12180 exceeds the bound 10080" in err
 
 
 def test_max_order_does_not_outlive_its_invocation(capsys):
@@ -127,6 +130,15 @@ def test_crosscheck_json(capsys):
     assert report["subsets_checked"] == 8
     assert report["disagreements"] == 0
     assert all(row["agree"] for row in report["rows"])
+
+
+def test_crosscheck_beyond_the_corpus(capsys):
+    # PSL(2,19), order 3420, is realized from its order alone
+    code, out, _ = run_cli(capsys, "crosscheck", "--group", "Lie:A:2:19",
+                           "--max-order", "3420", "--json")
+    assert code == EXIT_TRUE
+    report = json.loads(out)
+    assert report["subsets_checked"] == 16 and report["disagreements"] == 0
 
 
 def test_split(capsys):

@@ -9,12 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sylowpi import permbrute
 from sylowpi.arith import prime_divisors
 from sylowpi.catalog import facts, parse_group
 from sylowpi.cli import CORPUS_SIMPLE
 from sylowpi.permbrute import (
     ORDER_BOUND,
-    PSL2_FIELDS,
     BruteForceBoundError,
     ElementListError,
     PermGroup,
@@ -23,19 +23,70 @@ from sylowpi.permbrute import (
     _sym,
     check_final_corollary,
     direct_product,
-    identity_perm,
     is_dpi_brute,
     maximal_pi_subgroups,
-    perm_order,
     pi_part,
-    pinv,
-    pmul,
     realize,
     reproduce_table1,
     split_hall,
-    tuple_closure,
     verify_hall_inheritance,
 )
+
+
+# ---------------------------------------------------------------------------
+# permutations as tuples: the reference the array engine is checked against
+
+def identity_perm(degree: int) -> tuple[int, ...]:
+    return tuple(range(degree))
+
+
+def pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a followed by b."""
+    return tuple(b[x] for x in a)
+
+
+def pinv(a: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return tuple(out)
+
+
+def perm_order(a: tuple[int, ...]) -> int:
+    seen = [False] * len(a)
+    out = 1
+    for i in range(len(a)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = a[j]
+            length += 1
+        out = math.lcm(out, length)
+    return out
+
+
+def tuple_closure(gens, degree: int, bound: int = ORDER_BOUND) -> set[tuple[int, ...]]:
+    """Subgroup generated by gens, as a set of permutation tuples."""
+    ident = identity_perm(degree)
+    gens = [tuple(g) for g in gens if tuple(g) != ident]
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                z = pmul(x, g)
+                if z not in elems:
+                    elems.add(z)
+                    nxt.append(z)
+        if len(elems) > bound:
+            raise BruteForceBoundError(
+                f"group order exceeds the bound {bound}; refusing to materialize")
+        frontier = nxt
+    return elems
 
 
 def _tuples(g):
@@ -56,10 +107,29 @@ def test_permutation_primitives():
 
 
 def test_realize_orders_match_catalog():
-    for spec in ("Alt:5", "Alt:6", "Alt:7", "Lie:A:2:4", "Lie:A:2:5",
-                 "Lie:A:2:7", "Lie:A:2:8", "Lie:A:2:9", "Lie:A:2:11"):
+    # PSL(2, q) for every q whose order is at most ORDER_BOUND
+    psl2 = tuple(f"Lie:A:2:{q}" for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27))
+    for spec in ("Alt:5", "Alt:6", "Alt:7") + psl2:
         g = realize(spec)
         assert g.order == facts(parse_group(spec)).order, spec
+
+
+@pytest.mark.parametrize("spec, order", [("Alt:8", 20160), ("Sym:8", 40320),
+                                         ("Lie:A:2:29", 12180)])
+def test_realize_refuses_by_order_before_building(spec, order, monkeypatch):
+    def no_elements(*args, **kwargs):
+        raise AssertionError(f"{spec}: elements built before the order check")
+
+    monkeypatch.setattr(permbrute, "PermGroup", no_elements)
+    with pytest.raises(BruteForceBoundError, match="not a built-in realization") as err:
+        realize(spec)
+    assert f"order {order} exceeds the bound {ORDER_BOUND}" in str(err.value)
+
+
+def test_realize_refuses_a_huge_degree_without_its_order():
+    # (10^6)! takes seconds; the degree alone refuses it
+    with pytest.raises(BruteForceBoundError, match="order at least 999999000000"):
+        realize("Alt:1000000")
 
 
 def test_realize_psl27_degree_and_transitivity():
@@ -79,11 +149,7 @@ def test_realize_products_and_cyclic():
         realize("Cyclic:33")
     with pytest.raises(BruteForceBoundError):
         realize("Alt:9")
-    # Alt(8) and Sym(8) exceed ORDER_BOUND, so they are outside the range
-    for spec in ("Alt:8", "Sym:8"):
-        with pytest.raises(BruteForceBoundError, match="not a built-in realization"):
-            realize(spec)
-    with pytest.raises(BruteForceBoundError):
+    with pytest.raises(BruteForceBoundError, match="not a built-in realization"):
         realize("Spor:M11")
 
 
@@ -120,7 +186,7 @@ def test_gf_is_a_field(q):
     assert all(F.mul[a][F.inv[a]] == 1 and F.add[a][F.neg[a]] == 0 for a in nonzero)
 
 
-@pytest.mark.parametrize("q", PSL2_FIELDS)
+@pytest.mark.parametrize("q", (4, 5, 7, 8, 9, 11))  # the q^4 reference is too slow above
 def test_psl2_is_every_determinant_one_mobius_map(q):
     F = _GF(q)
     inf = q
