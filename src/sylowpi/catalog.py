@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 from .arith import is_prime, prime_divisors
 
@@ -99,6 +99,16 @@ class SimpleGroupId:
 
     def __post_init__(self):
         object.__setattr__(self, "p", ensure_valid(self))
+
+    @cached_property
+    def order(self) -> int:
+        """Group order, computed on first use and then kept with the id
+        (not at construction: most ids never need it)."""
+        if self.family == "Alt":
+            return math.factorial(self.n) // 2
+        if self.family == "Spor":
+            return SPORADIC_ORDERS[self.name]
+        return _lie_order(self.lie_type, self.n, self.q)
 
     def __str__(self) -> str:
         if self.family == "Alt":
@@ -329,22 +339,29 @@ def facts(gid: SimpleGroupId) -> GroupFacts:
 
 
 def order_of(gid: SimpleGroupId) -> int:
-    """Group order without factoring it (cheap even for huge groups)."""
-    if gid.family == "Alt":
-        return math.factorial(gid.n) // 2
-    if gid.family == "Spor":
-        return SPORADIC_ORDERS[gid.name]
-    return _lie_order(gid.lie_type, gid.n, gid.q)
+    """Group order without factoring it, computed once per id."""
+    return gid.order
 
 
 def pi_effective(gid: SimpleGroupId, pi) -> frozenset[int]:
-    """pi ^ pi(G) by direct divisibility (avoids factoring the order)."""
+    """pi ^ pi(G) by direct divisibility (avoids factoring the order).
+    For Alt(n), n >= 5, a prime divides n!/2 iff it is at most n, so n! is
+    never computed."""
+    if gid.family == "Alt":
+        return frozenset(s for s in pi if s <= gid.n)
     order = order_of(gid)
     return frozenset(s for s in pi if order % s == 0)
 
 
 def spectrum_within(gid: SimpleGroupId, pi) -> bool:
-    """Whether pi(G) is contained in pi, again without factoring."""
+    """Whether pi(G) is contained in pi, again without factoring.  pi(Alt(n))
+    is the primes up to n: within pi iff n is below the least prime outside
+    pi."""
+    if gid.family == "Alt":
+        s = 2
+        while s in pi or not is_prime(s):
+            s += 1
+        return gid.n < s
     m = order_of(gid)
     for s in pi:
         while m % s == 0:

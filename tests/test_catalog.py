@@ -11,8 +11,11 @@ from sylowpi.catalog import (
     alt,
     facts,
     lie,
+    order_of,
     parse_group,
+    pi_effective,
     prime_power,
+    spectrum_within,
     sporadic,
     validate,
     weyl_order,
@@ -132,6 +135,26 @@ def test_alternating_and_sporadic_facts():
     assert facts(sporadic("Tits")).order == SPORADIC_ORDERS["2F4(2)'"]
     assert facts(sporadic("O'N")).order == SPORADIC_ORDERS["ON"]
     assert facts(sporadic("M(23)")).order == SPORADIC_ORDERS["Fi23"]
+
+
+def test_alternating_spectrum_without_the_order():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+    @hyp.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @hyp.given(st.integers(5, 45), st.frozensets(st.sampled_from(primes)))
+    def check(n, pi):
+        gid, order = alt(n), math.factorial(n) // 2
+        assert order_of(gid) == order
+        assert pi_effective(gid, pi) == {p for p in pi if order % p == 0}
+        m = order
+        for p in pi:
+            while m % p == 0:
+                m //= p
+        assert spectrum_within(gid, pi) == (m == 1)
+
+    check()
 
 
 def test_sporadic_spectra_spot_checks():

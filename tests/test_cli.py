@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, and JSON report round-trips."""
 
 import json
+import math
 import os
 import sys
 
@@ -63,6 +64,28 @@ def test_parse_errors_exit_2(capsys):
     assert code == EXIT_ERROR  # duplicates rejected
     code, _, err = run_cli(capsys, "check", "--pi", "2")
     assert code == EXIT_ERROR  # neither --group nor --factors
+
+
+def test_check_alternating_without_its_order(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorial({n}) computed")
+
+    monkeypatch.setattr(math, "factorial", refuse)
+    code, out, _ = run_cli(capsys, "check", "--group", "Alt:1000000", "--pi", "2")
+    assert code == EXIT_TRUE
+    assert "Condition I" in out
+
+
+@pytest.mark.parametrize("group, pi", [
+    # 3^71 - 1 = 2 * P with P a 34-digit prime: the Condition III path
+    (f"Lie:A:2:{3 ** 71}", "2,3"),
+    # the torus orders of 2F4(2^81) reach 10^48: the Condition VI path
+    (f"Lie:2F4:{2 ** 81}", "3,5"),
+])
+def test_check_huge_q_factors_nothing(capsys, group, pi):
+    code, out, err = run_cli(capsys, "check", "--group", group, "--pi", pi)
+    assert code == EXIT_FALSE, err
+    assert "no condition holds" in out
 
 
 def test_brute_exit_codes(capsys):

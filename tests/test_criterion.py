@@ -1,13 +1,27 @@
 """Conditions I-VII and the top-level simple-group D_pi decision."""
 
 import itertools
+import random
 
 import pytest
 
 from sylowpi import catalog
-from sylowpi.catalog import alt, facts, lie, sporadic, validate
+from sylowpi.arith import eps_mod4, is_fermat_prime, is_prime, prime_divisors
+from sylowpi.catalog import (
+    LIE_TYPES,
+    RANKED_TYPES,
+    SUZUKI_REE,
+    alt,
+    facts,
+    lie,
+    pi_effective,
+    sporadic,
+    validate,
+    weyl_order,
+)
 from sylowpi.criterion import (
     CONDITION_II_ITEMS,
+    ConditionReport,
     condition_I,
     condition_II,
     condition_III,
@@ -217,3 +231,199 @@ def test_invalid_group_rejected():
         decide_dpi_simple(alt(4), frozenset({2}))
     with pytest.raises(ValueError):
         decide_dpi_simple(lie("A", 3, n=2), frozenset({2}))
+
+
+@pytest.mark.parametrize("lie_type, q, n, pi", [
+    ("A", 7, 3, {2, 3}),
+    ("2F4", 8, None, {3, 5}),
+    ("2G2", 27, None, {2, 13}),
+    ("E8", 4, None, {7, 11}),
+])
+def test_group_order_is_computed_once_per_id(monkeypatch, lie_type, q, n, pi):
+    calls = []
+    orig = catalog._lie_order
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(catalog, "_lie_order", counting)
+    gid = lie(lie_type, q, n=n)
+    assert calls == []
+    decide_dpi_simple(gid, frozenset(pi))
+    assert len(calls) == 1
+
+
+# Reference definitions of Conditions III, VI and VII, which decide prime-set
+# membership by factoring q - 1, q - eps and every torus order.  The
+# criterion answers the same questions by divisibility and must agree on
+# holds, subcase and bindings.
+
+def reference_condition_III(gid, pi):
+    if gid.family != "Lie":
+        return ConditionReport("III", False)
+    q, p, n = gid.q, gid.p, gid.n
+    if p not in pi:
+        return ConditionReport("III", False)
+    if gid.lie_type in SUZUKI_REE:
+        return ConditionReport("III", False, bindings={"p": p})
+    eff = pi_effective(gid, pi)
+    tau = eff - {p}
+    bindings = {"p": p, "tau": sorted(tau)}
+    if not tau <= prime_divisors(q - 1):
+        return ConditionReport("III", False, bindings=bindings)
+    w = weyl_order(gid.lie_type, n)
+    bindings["weyl_order"] = w
+    holds = all(w % s != 0 for s in eff)
+    return ConditionReport("III", holds, bindings=bindings)
+
+
+def reference_suzuki_ree_sets(t_lie, q):
+    if t_lie == "2B2":
+        m = (q.bit_length() - 2) // 2
+        h = 2 ** (m + 1)
+        return [prime_divisors(q - 1), prime_divisors(q + h + 1), prime_divisors(q - h + 1)]
+    if t_lie == "2G2":
+        f = 1
+        qq = q
+        while qq % 3 == 0 and qq > 3:
+            qq //= 3
+            f += 1
+        m = (f - 1) // 2
+        h = 3 ** (m + 1)
+        return [prime_divisors(q - 1) - {2},
+                prime_divisors(q + h + 1) - {2},
+                prime_divisors(q - h + 1) - {2}]
+    m = (q.bit_length() - 2) // 2
+    h = 2 ** (m + 1)
+    g = 2 ** (3 * m + 2)
+    return [
+        prime_divisors(q * q + 1),
+        prime_divisors(q * q - 1),
+        prime_divisors(q + h + 1),
+        prime_divisors(q - h + 1),
+        prime_divisors(q * q + g - h - 1),
+        prime_divisors(q * q - g + h - 1),
+        prime_divisors(q * q + g + q + h - 1),
+        prime_divisors(q * q - g + q - h - 1),
+    ]
+
+
+def reference_condition_VI(gid, pi):
+    if gid.family != "Lie" or gid.lie_type not in SUZUKI_REE:
+        return ConditionReport("VI", False)
+    eff = pi_effective(gid, pi)
+    subcase = {"2B2": 1, "2G2": 2, "2F4": 3}[gid.lie_type]
+    for target in reference_suzuki_ree_sets(gid.lie_type, gid.q):
+        if eff <= target:
+            return ConditionReport("VI", True, subcase=subcase,
+                                   bindings={"pi_effective": sorted(eff),
+                                             "set": sorted(target)})
+    return ConditionReport("VI", False, bindings={"pi_effective": sorted(eff)})
+
+
+def reference_condition_VII(gid, pi):
+    if gid.family != "Lie":
+        return ConditionReport("VII", False)
+    q, p, n = gid.q, gid.p, gid.n
+    if 2 not in pi or 3 in pi or p in pi:
+        return ConditionReport("VII", False)
+    tau = pi_effective(gid, pi) - {2}
+    eps = eps_mod4(q)
+    bindings = {"eps": eps, "tau": sorted(tau)}
+    if not tau <= prime_divisors(q - eps):
+        return ConditionReport("VII", False, bindings=bindings)
+    phi = frozenset(t for t in tau if is_fermat_prime(t))
+    bindings["phi"] = sorted(phi)
+    t_lie = gid.lie_type
+
+    def report(subcase, holds):
+        return ConditionReport("VII", holds, subcase=subcase if holds else None,
+                               bindings=bindings)
+
+    if t_lie in ("A", "2A"):
+        return report(1, all(s > n for s in tau) and all(t > n + 1 for t in phi))
+    if t_lie == "B":
+        return report(2, all(s > 2 * n + 1 for s in tau))
+    if t_lie == "C":
+        return report(3, all(s > n for s in tau) and all(t > 2 * n + 1 for t in phi))
+    if t_lie in ("D", "2D"):
+        return report(4, all(s > 2 * n for s in tau))
+    if t_lie in ("G2", "2G2"):
+        return report(5, 7 not in tau)
+    if t_lie == "F4":
+        return report(6, not ({5, 7} & tau))
+    if t_lie in ("E6", "2E6"):
+        return report(7, not ({5, 7} & tau))
+    if t_lie == "E7":
+        return report(8, not ({5, 7, 11} & tau))
+    if t_lie == "E8":
+        return report(9, not ({5, 7, 11, 13} & tau))
+    if t_lie == "3D4":
+        return report(10, 7 not in tau)
+    return ConditionReport("VII", False, bindings=bindings)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+REFERENCE_PAIRS = ((condition_III, reference_condition_III),
+                   (condition_VI, reference_condition_VI),
+                   (condition_VII, reference_condition_VII))
+
+
+def assert_matches_reference(gid, pi):
+    for cond, ref in REFERENCE_PAIRS:
+        got, want = cond(gid, pi), ref(gid, pi)
+        assert (got.condition, got.holds, got.subcase, got.bindings) == \
+            (want.condition, want.holds, want.subcase, want.bindings), (gid, sorted(pi))
+
+
+def random_pis(rng, gid, pools):
+    """pi drawn from small primes, the characteristic, and the primes of
+    q - 1, q - eps and the given prime sets, so that III, VI and VII fire."""
+    q = gid.q
+    pools = [prime_divisors(q - 1), *pools]
+    if q % 2:
+        pools.append(prime_divisors(q - eps_mod4(q)))
+    for pool in pools:
+        pool = sorted(pool)
+        for extra in ({gid.p}, {2}, set(), {rng.choice(SMALL_PRIMES)}):
+            yield frozenset(rng.sample(pool, rng.randint(0, len(pool)))) | extra
+    for _ in range(4):
+        yield frozenset(rng.sample(SMALL_PRIMES, rng.randint(1, 4)))
+
+
+def random_prime_power(rng, bound):
+    while True:
+        p = rng.randrange(2, 10 ** rng.randint(1, 5))
+        if is_prime(p):
+            f = rng.randint(1, max(1, int(round(9 / len(str(p))))))
+            if p ** f < bound:
+                return p ** f
+
+
+def test_divisibility_conditions_match_the_factoring_reference_on_lie_ids():
+    rng = random.Random(10)
+    types = [t for t in LIE_TYPES if t not in SUZUKI_REE]
+    checked = 0
+    while checked < 1000:
+        t = rng.choice(types)
+        n = rng.randint(2, 8) if t in RANKED_TYPES else None
+        try:
+            gid = lie(t, random_prime_power(rng, 10 ** 9), n=n)
+        except ValueError:
+            continue
+        for pi in random_pis(rng, gid, ()):
+            assert_matches_reference(gid, pi)
+        checked += 1
+
+
+def test_condition_VI_matches_the_factoring_reference_on_every_small_suzuki_ree():
+    rng = random.Random(11)
+    ids = [lie(t, 2 ** f) for t in ("2B2", "2F4") for f in range(3, 28, 2)]
+    ids += [lie("2G2", 3 ** f) for f in range(3, 20, 2)]
+    fired = 0
+    for gid in ids:
+        for pi in random_pis(rng, gid, reference_suzuki_ree_sets(gid.lie_type, gid.q)):
+            assert_matches_reference(gid, pi)
+            fired += condition_VI(gid, pi).holds
+    assert fired > len(ids)
