@@ -31,6 +31,7 @@ from .permbrute import (
     check_final_corollary,
     maximal_pi_subgroups,
     realize,
+    split_hall,
 )
 from .tables import dump_tables
 
@@ -152,6 +153,7 @@ class SweepResult:
     violations: list[tuple] = field(default_factory=list)
     hypothesis_hits: int = 0
     corollary_hits: int = 0
+    split_hits: int = 0
 
 
 def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
@@ -159,9 +161,10 @@ def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
     structural lemmas wherever a pi-Hall subgroup exists and |pi| >= 2.
 
     `spec` is a simple group or a direct product such as "Alt:5,Cyclic:7";
-    the criterion side decides it from its composition factors.  The final
-    corollary is symmetric in sigma and tau, so each unordered two-part
-    partition is checked once.
+    the criterion side decides it from its composition factors.  Where a
+    pi-Hall subgroup splits as sigma-part x tau-part, D_pi = D_sigma and D_tau
+    (the split/merge theorem); it and the final corollary are symmetric in
+    sigma and tau, so each unordered two-part partition is checked once.
     """
     factors = parse_factors(spec)
     g = realize(spec)
@@ -187,6 +190,11 @@ def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
                 if not all(partitions.values()):
                     out.violations.append((spec, sorted(pi), "no nilpotent factor", partitions))
             for sigma, tau in partitions:
+                if not any(split_hall(g, c.rep, sigma, tau) for c in r.hall_classes):
+                    continue  # neither the theorem nor the corollary applies
+                out.split_hits += 1
+                if r.dpi != (reports[frozenset(sigma)].dpi and reports[frozenset(tau)].dpi):
+                    out.violations.append((spec, sorted(pi), "split/merge", sigma, tau))
                 verdict = check_final_corollary(g, reports, sigma, tau)
                 out.corollary_hits += verdict is True
                 if verdict is False:

@@ -272,7 +272,8 @@ def _suzuki_ree_tori(t_lie: str, q: int) -> list[int]:
 def condition_VI(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     """Suzuki and Ree groups: pi ^ pi(G) inside the prime set of a single
     torus order (less 2 for 2G2).  Only the first torus order that every
-    prime of pi ^ pi(G) divides is factored, for the "set" binding."""
+    prime of pi ^ pi(G) divides is factored, for the "set" binding, which is
+    None where that order is beyond the factoring bounds."""
     if gid.family != "Lie" or gid.lie_type not in SUZUKI_REE:
         return ConditionReport("VI", False)
     eff = pi_effective(gid, pi)
@@ -281,10 +282,13 @@ def condition_VI(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     if not eff & dropped:
         for torus in _suzuki_ree_tori(gid.lie_type, gid.q):
             if all(torus % s == 0 for s in eff):
-                target = prime_divisors(torus) - dropped
+                try:
+                    target = sorted(prime_divisors(torus) - dropped)
+                except (ValueError, ArithmeticError):
+                    target = None
                 return ConditionReport("VI", True, subcase=subcase,
                                        bindings={"pi_effective": sorted(eff),
-                                                 "set": sorted(target)})
+                                                 "set": target})
     return ConditionReport("VI", False, bindings={"pi_effective": sorted(eff)})
 
 

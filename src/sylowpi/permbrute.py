@@ -132,6 +132,11 @@ class HallReport:
     maximal_classes: list[SubgroupClass]
     structural: dict | None = None
 
+    @property
+    def hall_classes(self) -> list[SubgroupClass]:
+        """The maximal classes of pi-Hall subgroups."""
+        return [c for c in self.maximal_classes if c.order == self.hall_order]
+
 
 class PermGroup:
     """Immutable permutation group.  Element i is row i of `perms`, the
@@ -724,15 +729,18 @@ def _conjugate_inside(c: SubgroupClass, host: frozenset[int]) -> frozenset[int] 
 
 
 def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallReport:
-    """Conjugacy classes of maximal pi-subgroups and the E_pi/D_pi verdict."""
+    """Conjugacy classes of maximal pi-subgroups, in lattice order, and the
+    E_pi/D_pi verdict.  Each pi-class, largest first, is tested against the
+    maximal ones found so far: a non-maximal one lies in a larger maximal one."""
     pi = frozenset(pi)
     classes = g.subgroup_classes()
     pi_classes = [c for c in classes if pi_part(c.order, pi) == c.order]
     maximal = []
-    for c in pi_classes:
+    for c in reversed(pi_classes):
         if not any(d.order > c.order and d.order % c.order == 0
-                   and _conjugate_inside(c, d.rep) is not None for d in pi_classes):
+                   and _conjugate_inside(c, d.rep) is not None for d in maximal):
             maximal.append(c)
+    maximal.reverse()
     hall_order = pi_part(g.order, pi)
     epi = any(c.order == hall_order for c in maximal)
     dpi = len(maximal) == 1
@@ -771,12 +779,11 @@ def _two_part_partitions(primes: frozenset[int]):
 
 
 def _structural_flags(g: PermGroup, report: HallReport, pi_classes) -> dict:
-    hall_classes = [c for c in report.maximal_classes if c.order == report.hall_order]
-    solvable = all(g.is_solvable_set(c.rep) for c in hall_classes)
+    solvable = all(g.is_solvable_set(c.rep) for c in report.hall_classes)
     partitions = {}
     for sigma, tau in _two_part_partitions(report.pi_effective):
         ok = True
-        for c in hall_classes:
+        for c in report.hall_classes:
             s_hall = _find_hall_inside(pi_classes, c.rep, sigma)
             t_hall = _find_hall_inside(pi_classes, c.rep, tau)
             has_nilpotent = ((s_hall is not None and g.is_nilpotent_set(s_hall))
@@ -801,13 +808,12 @@ def verify_hall_inheritance(g: PermGroup, normal_subset, pi) -> bool:
     report = maximal_pi_subgroups(g, pi, with_structure=False)
     if not report.epi:
         raise ValueError("group has no pi-Hall subgroup; precondition violated")
-    hall_classes = [c for c in report.maximal_classes if c.order == report.hall_order]
     q, coset_of = g.quotient(normal_subset)
     a_hall = pi_part(len(normal_subset), pi)
     q_hall = pi_part(q.order, pi)
     t = g.require_table()
     coset_rep = np.unique(coset_of, return_index=True)[1]  # least element of each coset
-    for c in hall_classes:
+    for c in report.hall_classes:
         h = c.rep
         if len(h & normal_subset) != a_hall:
             return False
@@ -854,18 +860,10 @@ def check_final_corollary(g: PermGroup, reports, sigma, tau) -> bool | None:
     report = reports[sigma | tau]
     if not (report.epi and reports[sigma].dpi and reports[tau].dpi):
         return None
-    applicable = False
-    ok = True
-    for c in report.maximal_classes:
-        if c.order != report.hall_order:
-            continue
-        parts = split_hall(g, c.rep, sigma, tau)
-        if parts is None:
-            continue
-        applicable = True
-        s_part, t_part = parts
-        ok = ok and (g.is_nilpotent_set(s_part) or g.is_nilpotent_set(t_part))
-    return ok if applicable else None
+    splits = [parts for c in report.hall_classes
+              if (parts := split_hall(g, c.rep, sigma, tau)) is not None]
+    return (all(g.is_nilpotent_set(s) or g.is_nilpotent_set(t) for s, t in splits)
+            if splits else None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,6 @@ Each test prints a single PASS line on success (run with -s or read the
 captured output); a failure is an ordinary pytest failure.
 """
 
-import itertools
-
-from sylowpi.arith import prime_divisors
 from sylowpi.catalog import facts, parse_group
 from sylowpi.cli import CORPUS_SIMPLE, sweep
 from sylowpi.criterion import decide_dpi_simple
@@ -14,11 +11,9 @@ from sylowpi.permbrute import (
     DEFAULT_LATTICE_BOUND,
     BruteForceBoundError,
     _sym,
-    is_dpi_brute,
     maximal_pi_subgroups,
     realize,
     reproduce_table1,
-    split_hall,
 )
 from sylowpi.tables import SPORADIC_EVEN_ROWS, SPORADIC_ODD_ROWS
 from sylowpi.criterion import CONDITION_II_ITEMS
@@ -26,12 +21,6 @@ from sylowpi.criterion import CONDITION_II_ITEMS
 
 def _report(number: int, title: str) -> None:
     print(f"PASS  criterion {number}: {title}")
-
-
-def _subsets(primes):
-    primes = sorted(primes)
-    for k in range(len(primes) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(primes, k))
 
 
 def test_criterion_1_oracle_agreement():
@@ -80,41 +69,22 @@ def test_criterion_3_table1_reproduction():
 
 
 def test_criterion_4_split_merge_on_products():
-    """On every realized product K x L (order <= 1000) and every pi with a
-    verified split Hall subgroup: D_pi = D_sigma and D_tau."""
+    """On every realized product K x L (order <= 1000), `sweep` checks
+    D_pi = D_sigma and D_tau wherever a pi-Hall subgroup splits as
+    sigma-part x tau-part, besides criterion-oracle agreement."""
     parts = list(CORPUS_SIMPLE) + [f"Cyclic:{p}" for p in (2, 3, 5, 7, 11)]
-    violations = []
-    products = 0
-    instances = 0
+    results = {}
     for i, a in enumerate(parts):
         for b in parts[i:]:
             try:
-                g = realize(f"{a},{b}")
-                g.require_table()
+                results[a, b] = sweep(f"{a},{b}")
             except BruteForceBoundError:
                 continue
-            products += 1
-            spectrum = prime_divisors(g.order)
-            for pi in _subsets(spectrum):
-                if len(pi) < 2:
-                    continue
-                r = maximal_pi_subgroups(g, pi, with_structure=False)
-                if not r.epi:
-                    continue
-                halls = [c.rep for c in r.maximal_classes if c.order == r.hall_order]
-                for k in range(1, len(pi)):
-                    for sigma in map(frozenset, itertools.combinations(sorted(pi), k)):
-                        tau = pi - sigma
-                        if not any(split_hall(g, h, sigma, tau) for h in halls):
-                            continue  # hypothesis (1) not verified here
-                        instances += 1
-                        merged = is_dpi_brute(g, pi)
-                        split = is_dpi_brute(g, sigma) and is_dpi_brute(g, tau)
-                        if merged != split:
-                            violations.append((a, b, sorted(pi), sorted(sigma)))
-    assert products > 0 and instances > 0
-    assert violations == [], violations
-    _report(4, f"split/merge identity on {products} products, "
+    bad = {k: (r.disagreements, r.violations) for k, r in results.items()
+           if r.disagreements or r.violations}
+    instances = sum(r.split_hits for r in results.values())
+    assert bad == {} and instances > 0, bad
+    _report(4, f"split/merge identity on {len(results)} products, "
                f"{instances} verified-split instances (0 violations)")
 
 
@@ -143,8 +113,8 @@ def test_criterion_5_arith_oracles():
 def test_criterion_6_structural_lemma_sweep():
     """Where a Hall subgroup exists, pi(G) is not inside pi and 2 or 3 is
     missing from pi: the Hall subgroup is solvable and every 2-part
-    partition has a nilpotent factor; the final-corollary check never
-    reports a violation anywhere it applies."""
+    partition has a nilpotent factor; the final-corollary and split/merge
+    checks never report a violation anywhere they apply."""
     hypothesis_hits = 0
     corollary_hits = 0
     # simple corpus groups have no split Hall subgroups, so the corollary is

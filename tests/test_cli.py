@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, and JSON report round-trips."""
 
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from sylowpi import permbrute
+from sylowpi import cli, permbrute
 from sylowpi.cli import (
     EXIT_DISAGREE,
     EXIT_ERROR,
@@ -88,12 +89,27 @@ def test_check_huge_q_factors_nothing(capsys, group, pi):
     assert "no condition holds" in out
 
 
+def test_check_huge_torus_keeps_its_witness(capsys):
+    # 5 and 29 divide q + 2^60 + 1 for q = 2^119, whose cofactor is beyond
+    # the primality bound: the "set" binding is null, the verdict stands
+    code, out, err = run_cli(capsys, "check", "--group", f"Lie:2B2:{2 ** 119}",
+                             "--pi", "5,29", "--json")
+    assert code == EXIT_TRUE, err
+    witness = json.loads(out)["witness"]
+    assert (witness["condition"], witness["subcase"]) == ("VI", 1)
+    assert witness["bindings"]["set"] is None
+
+
 def test_brute_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "brute", "--group", "Alt:5", "--pi", "2,3")
     assert code == EXIT_FALSE
     assert "epi = True" in out and "dpi = False" in out
     code, out, _ = run_cli(capsys, "brute", "--group", "Alt:5", "--pi", "5")
     assert code == EXIT_TRUE
+    # C2^6: 2825 classes, one maximal
+    code, out, _ = run_cli(capsys, "brute", "--group", ",".join(["Cyclic:2"] * 6), "--pi", "2")
+    assert code == EXIT_TRUE
+    assert out.count("maximal pi-class") == 1 and "order 64, 1 conjugates" in out
 
 
 def test_brute_json(capsys):
@@ -206,3 +222,18 @@ def test_sweep_builds_one_hall_report_per_pi(monkeypatch):
                     monkeypatch.setattr(module, attr, counting)
     result = sweep("Alt:5")
     assert len(calls) == len(set(calls)) == len(result.rows) == 8
+
+
+def test_sweep_checks_split_merge(monkeypatch):
+    assert sweep("Alt:5,Cyclic:7").split_hits > 0
+    orig = cli.maximal_pi_subgroups
+
+    def no_dpi_for_3(g, pi, *args, **kwargs):
+        r = orig(g, pi, *args, **kwargs)
+        return dataclasses.replace(r, dpi=False) if pi == {3} else r
+
+    # C3 x C5 splits as C3 x C5: a false D_3 must contradict D_{3,5}
+    monkeypatch.setattr(cli, "maximal_pi_subgroups", no_dpi_for_3)
+    result = sweep("Cyclic:3,Cyclic:5")
+    assert result.split_hits == 1
+    assert result.violations == [("Cyclic:3,Cyclic:5", [3, 5], "split/merge", (3,), (5,))]

@@ -12,8 +12,9 @@ import pytest
 from sylowpi import permbrute
 from sylowpi.arith import prime_divisors
 from sylowpi.catalog import facts, parse_group
-from sylowpi.cli import CORPUS_SIMPLE
+from sylowpi.cli import CORPUS_SIMPLE, _hall_report_dict
 from sylowpi.permbrute import (
+    DEFAULT_LATTICE_BOUND,
     ORDER_BOUND,
     BruteForceBoundError,
     ElementListError,
@@ -288,6 +289,64 @@ def test_hall_report_alt5():
     assert r.hall_order == 20 and not r.epi and not r.dpi
     r = maximal_pi_subgroups(g, {5})
     assert r.dpi and r.epi  # Sylow
+
+
+def pairwise_maximal_pi_subgroups(g, pi, with_structure=True):
+    """Reference for maximal_pi_subgroups: each pi-class is tested against
+    every larger pi-class for a conjugate inside it."""
+    pi = frozenset(pi)
+    pi_classes = [c for c in g.subgroup_classes() if pi_part(c.order, pi) == c.order]
+    maximal = [c for c in pi_classes
+               if not any(d.order > c.order and d.order % c.order == 0
+                          and any(s <= d.rep for s in c.all_sets) for d in pi_classes)]
+    hall_order = pi_part(g.order, pi)
+    epi = any(c.order == hall_order for c in maximal)
+    report = permbrute.HallReport(pi, pi & prime_divisors(g.order), hall_order, epi,
+                                  len(maximal) == 1, maximal)
+    if epi and with_structure:
+        report.structural = permbrute._structural_flags(g, report, pi_classes)
+    return report
+
+
+def _acceptance_products():
+    """The direct products of acceptance criterion 4: every pair of corpus
+    groups and small cyclic groups within the default lattice bound."""
+    parts = list(CORPUS_SIMPLE) + [f"Cyclic:{p}" for p in (2, 3, 5, 7, 11)]
+    return [f"{a},{b}" for i, a in enumerate(parts) for b in parts[i:]
+            if realize(a).order * realize(b).order <= DEFAULT_LATTICE_BOUND]
+
+
+def _elementary_abelian(k):
+    return ",".join(["Cyclic:2"] * k)
+
+
+@pytest.mark.parametrize("groups", ["simple and small", "products"])
+def test_maximal_walk_matches_pairwise_scan(groups):
+    specs = (_acceptance_products() if groups == "products" else
+             CORPUS_SIMPLE + ("Sym:5",) + tuple(_elementary_abelian(k) for k in range(1, 6)))
+    for spec in specs:
+        g = realize(spec)
+        spectrum = sorted(prime_divisors(g.order))
+        for k in range(len(spectrum) + 1):
+            for pi in map(frozenset, itertools.combinations(spectrum, k)):
+                walk, ref = maximal_pi_subgroups(g, pi), pairwise_maximal_pi_subgroups(g, pi)
+                assert ([(c.order, c.rep) for c in walk.maximal_classes]
+                        == [(c.order, c.rep) for c in ref.maximal_classes]), (spec, pi)
+                assert _hall_report_dict(walk) == _hall_report_dict(ref), (spec, pi)
+
+
+def test_maximal_walk_tests_each_class_against_maximal_ones_only(monkeypatch):
+    # C2^6 has 2825 subgroups, all 2-subgroups; the whole group is the one
+    # maximal class, so the walk makes at most one containment test per class
+    g = realize(_elementary_abelian(6))
+    calls = []
+    inside = permbrute._conjugate_inside
+    monkeypatch.setattr(permbrute, "_conjugate_inside",
+                        lambda c, host: calls.append(c) or inside(c, host))
+    r = maximal_pi_subgroups(g, {2}, with_structure=False)
+    pi_classes = len(g.subgroup_classes())
+    assert pi_classes == 2825 and [c.order for c in r.maximal_classes] == [64]
+    assert len(calls) <= pi_classes * len(r.maximal_classes)
 
 
 def test_dpi_implies_epi_on_sweeps():
