@@ -5,16 +5,22 @@ A group is named by a `SimpleGroupId`: an alternating degree, a sporadic
 Atlas name (the Tits group counts as sporadic here), or a Lie family with
 rank/field parameters.  An id is validated once, when it is built: one
 naming no simple group raises ValueError with the violated constraint, so
-code taking an id may assume it is valid.  Order formulas are the standard
-product formulas for the simple quotients (the center order is divided out
-per family).
+code taking an id may assume it is valid.
+
+Lie orders and Weyl orders come from one table, the degrees d of the basic
+invariants of the Weyl group W: |W| is the product of the d (Humphreys,
+Reflection Groups and Coxeter Groups, 1990, ch. 3), and the simple group has
+order q^N * prod(q^d - e_d) / |Z| with N = sum(d - 1), where e_d is -1 on
+the invariants a twist negates and 1 elsewhere, and Z is the centre of the
+universal group (Carter, Simple Groups of Lie Type, 1972).  Only 3D4 and the
+Suzuki-Ree families keep explicit formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .arith import is_prime, prime_divisors
 
@@ -67,16 +73,17 @@ SPORADIC_ALIASES = {
     "Tits": "2F4(2)'",
 }
 
-_EXCEPTIONAL_WEYL = {
-    "G2": 12,
-    "F4": 1152,
-    "E6": 51840,
-    "E7": 2903040,
-    "E8": 696729600,
-    # twisted types: order of the Weyl group of the ambient root system
-    "3D4": 192,
-    "2E6": 51840,
+# Degrees of the basic invariants of each exceptional Weyl group; 3D4 and
+# 2E6 take those of D4 and E6.
+_EXCEPTIONAL_DEGREES = {
+    "G2": (2, 6),
+    "F4": (2, 6, 8, 12),
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "3D4": (2, 4, 6, 4),
 }
+_EXCEPTIONAL_DEGREES["2E6"] = _EXCEPTIONAL_DEGREES["E6"]
 
 
 @dataclass(frozen=True)
@@ -172,11 +179,6 @@ def prime_power(q) -> tuple[int, int] | None:
     return None
 
 
-def validate(gid: SimpleGroupId) -> str | None:
-    """Return None if gid names a simple group, else the violated constraint."""
-    return _check(gid)[0]
-
-
 def ensure_valid(gid: SimpleGroupId) -> int | None:
     """Raise ValueError with the violated constraint unless gid names a
     simple group; return the characteristic of a Lie id, else None."""
@@ -246,75 +248,54 @@ def _lie_constraint(t: str, n: int | None, q: int, p: int, f: int) -> str | None
     return None
 
 
+def _degrees(t: str, n: int | None) -> tuple[int, ...]:
+    """Degrees of the basic invariants of the Weyl group of type t, of rank
+    n for a classical type: 2, ..., n for A_{n-1}, 2, 4, ..., 2n for B_n and
+    C_n, and 2, 4, ..., 2n - 2 and n for D_n, whose last degree is that of
+    the Pfaffian."""
+    if t in _EXCEPTIONAL_DEGREES:
+        return _EXCEPTIONAL_DEGREES[t]
+    if t in ("A", "2A"):
+        return tuple(range(2, n + 1))
+    if t in ("B", "C"):
+        return tuple(range(2, 2 * n + 1, 2))
+    if t in ("D", "2D"):
+        return (*range(2, 2 * n - 1, 2), n)
+    raise ValueError(f"unknown Lie type {t!r}")
+
+
 def weyl_order(lie_type: str, n: int | None = None) -> int:
-    """Order of the Weyl group; for twisted classical types this is the
-    Weyl group of the ambient untwisted root system."""
+    """Order of the Weyl group, the product of its degrees; for twisted
+    types this is the Weyl group of the ambient untwisted root system."""
     if lie_type in SUZUKI_REE:
         raise ValueError(f"Weyl order is not defined here for {lie_type}")
-    if lie_type in _EXCEPTIONAL_WEYL:
-        return _EXCEPTIONAL_WEYL[lie_type]
-    if n is None:
+    if n is None and lie_type not in _EXCEPTIONAL_DEGREES:
         raise ValueError(f"type {lie_type} needs a rank")
-    if lie_type in ("A", "2A"):
-        return math.factorial(n)
-    if lie_type in ("B", "C"):
-        return 2**n * math.factorial(n)
-    if lie_type in ("D", "2D"):
-        return 2 ** (n - 1) * math.factorial(n)
-    raise ValueError(f"unknown Lie type {lie_type!r}")
+    return math.prod(_degrees(lie_type, n))
+
+
+@cache
+def _order_parameters(t: str, n: int | None):
+    """(N, ((d, e_d), ...), z, k, e0) with |G| = q^N * prod(q^d - e_d) / |Z|
+    and |Z| = gcd(z, q^k - e0), for type t of rank n other than 3D4 and the
+    Suzuki-Ree families.  N = sum(d - 1) counts the positive roots.  e0 is
+    the twist's sign, and e_d is e0 on the invariants the twist negates:
+    those of odd degree for 2A and 2E6, the Pfaffian for 2D.  |Z| is
+    gcd(n, q - e0) for A_{n-1}, gcd(4, q^n - e0) for D_n, gcd(2, q - 1) for
+    B_n, C_n and E7, gcd(3, q - e0) for E6, and 1 for G2, F4 and E8.  Kept
+    per (type, rank), so an order is one loop."""
+    ds = _degrees(t, n)
+    e0 = -1 if t in ("2A", "2D", "2E6") else 1
+    if t in ("D", "2D"):
+        pairs = tuple((d, 1) for d in ds[:-1]) + ((n, e0),)
+        return sum(ds) - len(ds), pairs, 4, n, e0
+    pairs = tuple((d, e0 if d % 2 else 1) for d in ds)
+    z = {"A": n, "2A": n, "B": 2, "C": 2, "E6": 3, "2E6": 3, "E7": 2}.get(t, 1)
+    return sum(ds) - len(ds), pairs, z, 1, e0
 
 
 def _lie_order(t: str, n: int | None, q: int) -> int:
-    if t == "A":
-        o = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            o *= q**i - 1
-        return o // math.gcd(n, q - 1)
-    if t == "2A":
-        o = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            o *= q**i - (-1) ** i
-        return o // math.gcd(n, q + 1)
-    if t in ("B", "C"):
-        o = q ** (n * n)
-        for i in range(1, n + 1):
-            o *= q ** (2 * i) - 1
-        return o // math.gcd(2, q - 1)
-    if t == "D":
-        o = q ** (n * (n - 1)) * (q**n - 1)
-        for i in range(1, n):
-            o *= q ** (2 * i) - 1
-        return o // math.gcd(4, q**n - 1)
-    if t == "2D":
-        o = q ** (n * (n - 1)) * (q**n + 1)
-        for i in range(1, n):
-            o *= q ** (2 * i) - 1
-        return o // math.gcd(4, q**n + 1)
-    if t == "G2":
-        return q**6 * (q**6 - 1) * (q**2 - 1)
-    if t == "F4":
-        return q**24 * (q**12 - 1) * (q**8 - 1) * (q**6 - 1) * (q**2 - 1)
-    if t == "E6":
-        o = q**36
-        for d in (12, 9, 8, 6, 5, 2):
-            o *= q**d - 1
-        return o // math.gcd(3, q - 1)
-    if t == "2E6":
-        o = q**36 * (q**9 + 1) * (q**5 + 1)
-        for d in (12, 8, 6, 2):
-            o *= q**d - 1
-        return o // math.gcd(3, q + 1)
-    if t == "E7":
-        o = q**63
-        for d in (18, 14, 12, 10, 8, 6, 2):
-            o *= q**d - 1
-        return o // math.gcd(2, q - 1)
-    if t == "E8":
-        o = q**120
-        for d in (30, 24, 20, 18, 14, 12, 8, 2):
-            o *= q**d - 1
-        return o
-    if t == "3D4":
+    if t == "3D4":  # the triality twist gives the factor q^8 + q^4 + 1
         return q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1)
     if t == "2B2":
         return q**2 * (q**2 + 1) * (q - 1)
@@ -322,7 +303,11 @@ def _lie_order(t: str, n: int | None, q: int) -> int:
         return q**3 * (q**3 + 1) * (q - 1)
     if t == "2F4":
         return q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1)
-    raise ValueError(f"unknown Lie type {t!r}")
+    roots, pairs, z, k, e0 = _order_parameters(t, n)
+    o = q**roots
+    for d, e in pairs:
+        o *= q**d - e
+    return o // math.gcd(z, q**k - e0)
 
 
 def facts(gid: SimpleGroupId) -> GroupFacts:

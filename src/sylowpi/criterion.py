@@ -360,11 +360,3 @@ def decide_dpi_simple(gid: SimpleGroupId, pi: frozenset[int]) -> Verdict:
         if report.holds:
             return Verdict(True, report, gid, eff)
     return Verdict(False, None, gid, eff)
-
-
-def dpi23_shortcut(gid: SimpleGroupId, pi: frozenset[int]) -> bool | None:
-    """When 2 and 3 both lie in pi ^ pi(G), D_pi reduces to the containment
-    pi(G) within pi.  Returns None when the shortcut does not apply."""
-    if not {2, 3} <= pi_effective(gid, pi):
-        return None
-    return spectrum_within(gid, pi)

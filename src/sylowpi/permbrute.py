@@ -114,9 +114,8 @@ def _closure(gens: np.ndarray, degree: int, bound: int) -> np.ndarray:
 @dataclass
 class SubgroupClass:
     """One conjugacy class of subgroups: a representative (as a frozenset
-    of element indices), a generating set for it, and every conjugate set."""
+    of element indices) and every conjugate set."""
     rep: frozenset[int]
-    gens: tuple[int, ...]
     order: int
     class_size: int
     all_sets: tuple[frozenset[int], ...]
@@ -347,7 +346,7 @@ class PermGroup:
         seen: dict[frozenset[int], int] = {}
         classes: list[SubgroupClass] = []
 
-        def register(rep: frozenset[int], gens: tuple[int, ...]) -> int:
+        def register(rep: frozenset[int]) -> int:
             orbit = {rep}
             queue = [rep]
             while queue:
@@ -361,10 +360,10 @@ class PermGroup:
             idx = len(classes)
             for s in orbit:
                 seen[s] = idx
-            classes.append(SubgroupClass(rep, gens, len(rep), len(orbit), tuple(orbit)))
+            classes.append(SubgroupClass(rep, len(rep), len(orbit), tuple(orbit)))
             return idx
 
-        register(frozenset({self.identity}), ())
+        register(frozenset({self.identity}))
         # cyclic_gens[cyc_of[x]] holds the generators of <x>: the powers x^k
         # with k prime to |x|
         cyc_of = np.full(n, -1, dtype=np.intp)
@@ -383,16 +382,16 @@ class PermGroup:
             cyclic_gens.append(gens)
             fs = frozenset(powers)
             if fs not in seen:
-                register(fs, (x,))
+                register(fs)
 
         worklist = list(range(1, len(classes)))
         while worklist:
             cls = classes[worklist.pop()]
             if cls.order == n:
                 continue
-            for ext, x in self._joins(cls.rep, cyclic_gens, cyc_of):
+            for ext in self._joins(cls.rep, cyclic_gens, cyc_of):
                 if ext not in seen:
-                    worklist.append(register(ext, cls.gens + (x,)))
+                    worklist.append(register(ext))
 
         classes.sort(key=lambda c: (c.order, sorted(c.rep)))
         self._classes = classes
@@ -400,7 +399,7 @@ class PermGroup:
 
     def _joins(self, rep: frozenset[int], cyclic_gens, cyc_of):
         """The distinct joins <H, x> of H = rep with one x per double coset
-        HxH outside H, as (elements, x) in increasing x.  <H, x> = <H, h x h'>
+        HxH outside H, as element sets in increasing x.  <H, x> = <H, h x h'>
         = <H, x^k> for h, h' in H and k prime to |x|, so x is the least
         element of its double coset and the double cosets of every generator
         of <x> need no join of their own.
@@ -460,11 +459,11 @@ class PermGroup:
                 pairs = pairs[slot[pairs] == at]
                 flat[pairs] = True
                 fc, fd = np.divmod(pairs, m)
-            for i, x in enumerate(xs.tolist()):
-                key = reached[i].tobytes()
+            for row in reached:
+                key = row.tobytes()
                 if key not in distinct:
                     distinct.add(key)
-                    yield frozenset(np.flatnonzero(reached[i][dc]).tolist()), x
+                    yield frozenset(np.flatnonzero(row[dc]).tolist())
 
     # -- structure tests on element-index sets ------------------------------
 

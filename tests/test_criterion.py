@@ -16,7 +16,7 @@ from sylowpi.catalog import (
     lie,
     pi_effective,
     sporadic,
-    validate,
+    spectrum_within,
     weyl_order,
 )
 from sylowpi.criterion import (
@@ -30,7 +30,6 @@ from sylowpi.criterion import (
     condition_VI,
     condition_VII,
     decide_dpi_simple,
-    dpi23_shortcut,
 )
 
 
@@ -179,6 +178,15 @@ def test_decide_dpi_simple_witnesses():
     assert v.dpi and v.witness.condition == "I"  # lowest-numbered witness wins
 
 
+def dpi23_shortcut(gid, pi):
+    """Oracle: when 2 and 3 both lie in pi ^ pi(G), D_pi reduces to the
+    containment pi(G) within pi.  Returns None when the shortcut does not
+    apply."""
+    if not {2, 3} <= pi_effective(gid, pi):
+        return None
+    return spectrum_within(gid, pi)
+
+
 def test_dpi23_shortcut():
     assert dpi23_shortcut(alt(7), frozenset({2, 3, 5, 7})) is True
     assert dpi23_shortcut(alt(7), frozenset({2, 3, 5})) is False
@@ -215,12 +223,13 @@ def test_gate_disjointness_with_2_and_3():
 def test_decide_on_a_built_id_validates_nothing(monkeypatch):
     gid = lie("A", 7, n=3)
     calls = []
+    check = catalog._check
 
-    def counting_validate(g):
+    def counting_check(g):
         calls.append(g)
-        return validate(g)
+        return check(g)
 
-    monkeypatch.setattr(catalog, "validate", counting_validate)
+    monkeypatch.setattr(catalog, "_check", counting_check)
     for pi in ({2}, {2, 3}, {3, 19}, {2, 19}, {7, 19}):
         decide_dpi_simple(gid, frozenset(pi))
     assert calls == []
