@@ -256,6 +256,14 @@ def test_class_gens_generate_rep(spec):
         assert len(set(gens)) == len(gens) and g.identity not in gens
 
 
+def test_gens_of_generates_each_class():
+    g = realize("Lie:A:2:7")
+    for c in g.subgroup_classes():
+        gens = g.gens_of(c.rep)
+        assert g.closure_indices(gens) == c.rep
+        assert len(set(gens)) == len(gens) and g.identity not in gens
+
+
 def test_alt5_class_orders():
     orders = sorted(c.order for c in realize("Alt:5").subgroup_classes())
     assert orders == [1, 2, 3, 4, 5, 6, 10, 12, 60]
