@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, and JSON report round-trips."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -237,3 +238,22 @@ def test_sweep_checks_split_merge(monkeypatch):
     result = sweep("Cyclic:3,Cyclic:5")
     assert result.split_hits == 1
     assert result.violations == [("Cyclic:3,Cyclic:5", [3, 5], "split/merge", (3,), (5,))]
+
+
+# exit code and the first 16 hex digits of the sha256 of stdout, pinned so
+# that a refactor of the sweep or the brute-force engine keeps every byte
+GOLDEN = [
+    ("corpus --json", 0, "10dedcd0bf439e0e"),
+    ("crosscheck --group Alt:5,Cyclic:7 --json", 0, "c58a4a239c3c4361"),
+    ("crosscheck --group Lie:A:2:7 --json", 0, "99b323b410d79309"),
+    ("crosscheck --group Cyclic:3,Cyclic:5 --json", 0, "59779387e27768e7"),
+    ("brute --group Lie:A:2:7 --pi 3,7 --json", 0, "5cc284e1c73c3fa8"),
+    ("brute --group Alt:5 --pi 2,3 --json", 1, "ecc4e271170ca32e"),
+    ("brute --group Alt:5,Cyclic:7 --pi 2,3,7 --json", 1, "98167540865a3e4e"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN)
+def test_golden_output(capsys, command, code, digest):
+    got, out, _ = run_cli(capsys, *command.split())
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
