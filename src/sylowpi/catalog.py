@@ -182,30 +182,25 @@ def prime_power(q) -> tuple[int, int] | None:
 def ensure_valid(gid: SimpleGroupId) -> int | None:
     """Raise ValueError with the violated constraint unless gid names a
     simple group; return the characteristic of a Lie id, else None."""
-    reason, p = _check(gid)
-    if reason is not None:
-        raise ValueError(reason)
-    return p
-
-
-def _check(gid: SimpleGroupId) -> tuple[str | None, int | None]:
-    """(the violated constraint or None, the characteristic of a Lie id)."""
     if gid.family == "Alt":
         if gid.n is None or gid.n < 5:
-            return f"Alt({gid.n}): alternating groups are simple only for n >= 5", None
-        return None, None
+            raise ValueError(f"Alt({gid.n}): alternating groups are simple only for n >= 5")
+        return None
     if gid.family == "Spor":
         if gid.name not in SPORADIC_ORDERS:
-            return f"unknown sporadic group name {gid.name!r}", None
-        return None, None
+            raise ValueError(f"unknown sporadic group name {gid.name!r}")
+        return None
     if gid.family != "Lie":
-        return f"unknown family {gid.family!r}", None
+        raise ValueError(f"unknown family {gid.family!r}")
     if gid.lie_type not in LIE_TYPES:
-        return f"unknown Lie type {gid.lie_type!r}", None
+        raise ValueError(f"unknown Lie type {gid.lie_type!r}")
     pf = prime_power(gid.q)
     if pf is None:
-        return f"q = {gid.q} is not a prime power", None
-    return _lie_constraint(gid.lie_type, gid.n, gid.q, *pf), pf[0]
+        raise ValueError(f"q = {gid.q} is not a prime power")
+    reason = _lie_constraint(gid.lie_type, gid.n, gid.q, *pf)
+    if reason is not None:
+        raise ValueError(reason)
+    return pf[0]
 
 
 def _lie_constraint(t: str, n: int | None, q: int, p: int, f: int) -> str | None:

@@ -28,6 +28,7 @@ from .permbrute import (
     DEFAULT_LATTICE_BOUND,
     BruteForceBoundError,
     HallReport,
+    _two_part_partitions,
     check_final_corollary,
     maximal_pi_subgroups,
     realize,
@@ -158,13 +159,17 @@ class SweepResult:
 
 def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
     """Criterion vs brute force on every pi within pi(G), plus the
-    structural lemmas wherever a pi-Hall subgroup exists and |pi| >= 2.
+    structural lemmas.
 
     `spec` is a simple group or a direct product such as "Alt:5,Cyclic:7";
-    the criterion side decides it from its composition factors.  Where a
-    pi-Hall subgroup splits as sigma-part x tau-part, D_pi = D_sigma and D_tau
-    (the split/merge theorem); it and the final corollary are symmetric in
-    sigma and tau, so each unordered two-part partition is checked once.
+    the criterion side decides it from its composition factors.  The lemma
+    flags are built only where the lemmas' hypothesis holds: a pi-Hall
+    subgroup exists, |pi| >= 2, pi(G) is not inside pi and {2, 3} is not
+    inside pi.  Wherever a pi-Hall subgroup splits as sigma-part x tau-part,
+    D_pi = D_sigma and D_tau (the split/merge theorem), and where D_sigma
+    and D_tau hold the final corollary is checked on those same splits.
+    Both are symmetric in sigma and tau, so each unordered two-part
+    partition is checked once, and each Hall class is split once for it.
     """
     factors = parse_factors(spec)
     g = realize(spec)
@@ -175,30 +180,33 @@ def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
     for k in range(len(spectrum) + 1):
         for combo in itertools.combinations(sorted(spectrum), k):
             pi = frozenset(combo)
-            r = reports[pi] = maximal_pi_subgroups(g, pi, with_structure=k >= 2)
+            hypothesis = k >= 2 and not spectrum <= pi and not {2, 3} <= pi
+            r = reports[pi] = maximal_pi_subgroups(g, pi, with_structure=hypothesis)
             crit = decide_dpi_composite(factors, pi).dpi
             out.rows.append({"pi": sorted(pi), "brute": r.dpi, "criterion": crit,
                              "agree": r.dpi == crit})
             out.disagreements += r.dpi != crit
-            if r.structural is None:
-                continue
-            partitions = r.structural["nilpotent_factor_per_partition"]
-            if not spectrum <= pi and (2 not in pi or 3 not in pi):
+            if r.structural is not None:
                 out.hypothesis_hits += 1
+                partitions = r.structural["nilpotent_factor_per_partition"]
                 if not r.structural["hall_solvable"]:
                     out.violations.append((spec, sorted(pi), "Hall subgroup not solvable"))
                 if not all(partitions.values()):
                     out.violations.append((spec, sorted(pi), "no nilpotent factor", partitions))
-            for sigma, tau in partitions:
-                if not any(split_hall(g, c.rep, sigma, tau) for c in r.hall_classes):
+            for sigma, tau in _two_part_partitions(pi):
+                splits = [s for c in r.hall_classes if (s := split_hall(g, c.rep, sigma, tau))]
+                if not splits:
                     continue  # neither the theorem nor the corollary applies
                 out.split_hits += 1
-                if r.dpi != (reports[frozenset(sigma)].dpi and reports[frozenset(tau)].dpi):
-                    out.violations.append((spec, sorted(pi), "split/merge", sigma, tau))
-                verdict = check_final_corollary(g, reports, sigma, tau)
-                out.corollary_hits += verdict is True
-                if verdict is False:
-                    out.violations.append((spec, sorted(pi), "final corollary", sigma, tau))
+                parts = tuple(sorted(sigma)), tuple(sorted(tau))
+                merged = reports[sigma].dpi and reports[tau].dpi
+                if r.dpi != merged:
+                    out.violations.append((spec, sorted(pi), "split/merge", *parts))
+                if merged:
+                    holds = check_final_corollary(g, splits)
+                    out.corollary_hits += holds
+                    if not holds:
+                        out.violations.append((spec, sorted(pi), "final corollary", *parts))
     return out
 
 

@@ -25,14 +25,15 @@ lcms of cycle lengths, so none of them runs Python per element.
 
 Everything interesting happens on element indices against a cached
 multiplication table (numpy), so degrees stay tiny and orders stay below
-explicit bounds: ORDER_BOUND for materializing a group at all, and a
-lattice bound for whole-lattice operations.  The lattice bound is checked
-when the multiplication table is first built: DEFAULT_LATTICE_BOUND unless
-the caller builds it first with `require_table(bound=...)`.  The table
-holds int16 indices, so one at ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.
-The structure tests (normality, normal closure, Sylow subgroups, nilpotency)
-gather conjugates from the table when they need them and keep no
-per-element arrays beyond it.
+explicit bounds: ORDER_BOUND for materializing a group at all, a lattice
+bound for whole-lattice operations, and _MAX_CLASSES subgroup classes in
+one lattice.  The lattice bound is checked when the multiplication table
+is first built: DEFAULT_LATTICE_BOUND unless the caller builds it first
+with `require_table(bound=...)`.  The table holds int16 indices, so one at
+ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.  The structure tests
+(normality, normal closure, Sylow subgroups, nilpotency) gather conjugates
+from the table when they need them and keep no per-element arrays beyond
+it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ ORDER_BOUND = 10080
 DEFAULT_LATTICE_BOUND = 1000
 _CHUNK = 256          # table rows per gather, so that no n^2 temporary is made
 _FRONTIER = 1 << 16   # (candidate, right coset) pairs per block of joins
+_MAX_CLASSES = 1 << 15  # subgroup classes per lattice: C2^7 has 29,212
 # multiplication tables and inverses hold element indices as int16
 assert ORDER_BOUND <= np.iinfo(np.int16).max + 1
 
@@ -347,6 +349,9 @@ class PermGroup:
         classes: list[SubgroupClass] = []
 
         def register(rep: frozenset[int]) -> int:
+            if len(classes) >= _MAX_CLASSES:
+                raise BruteForceBoundError(f"{self.name} has more than {_MAX_CLASSES} "
+                                           "conjugacy classes of subgroups")
             orbit = {rep}
             queue = [rep]
             while queue:
@@ -848,21 +853,11 @@ def split_hall(g: PermGroup, hall_subset, sigma, tau) -> tuple[frozenset[int], f
     return frozenset(parts[0].tolist()), frozenset(parts[1].tolist())
 
 
-def check_final_corollary(g: PermGroup, reports, sigma, tau) -> bool | None:
-    """If some pi-Hall subgroup, pi = sigma u tau, splits as sigma-part x
-    tau-part and both D_sigma and D_tau hold, at least one factor must be
-    nilpotent.  `reports` maps sigma, tau and pi to their HallReports from
-    maximal_pi_subgroups.  Returns None when the hypotheses do not apply."""
-    sigma, tau = frozenset(sigma), frozenset(tau)
-    if sigma & tau:
-        raise ValueError("sigma and tau overlap")
-    report = reports[sigma | tau]
-    if not (report.epi and reports[sigma].dpi and reports[tau].dpi):
-        return None
-    splits = [parts for c in report.hall_classes
-              if (parts := split_hall(g, c.rep, sigma, tau)) is not None]
-    return (all(g.is_nilpotent_set(s) or g.is_nilpotent_set(t) for s, t in splits)
-            if splits else None)
+def check_final_corollary(g: PermGroup, splits) -> bool:
+    """The final corollary on the pi-Hall subgroups of a group with D_sigma
+    and D_tau, pi = sigma u tau, given their splits (sigma-part, tau-part)
+    from split_hall: one factor of every split is nilpotent."""
+    return all(g.is_nilpotent_set(s) or g.is_nilpotent_set(t) for s, t in splits)
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,40 @@ def test_sweep_checks_split_merge(monkeypatch):
     assert result.violations == [("Cyclic:3,Cyclic:5", [3, 5], "split/merge", (3,), (5,))]
 
 
+
+def test_sweep_reports_a_final_corollary_violation(monkeypatch):
+    # with no nilpotent subgroup, the split C3 x C5 contradicts the corollary
+    monkeypatch.setattr(permbrute.PermGroup, "is_nilpotent_set", lambda self, subset: False)
+    result = sweep("Cyclic:3,Cyclic:5")
+    assert result.violations == [("Cyclic:3,Cyclic:5", [3, 5], "final corollary", (3,), (5,))]
+
+
+# the lemma flags are built only where the lemmas' hypothesis holds
+@pytest.mark.parametrize("spec, hits", [("Alt:5", 0), ("Lie:A:2:7", 1),
+                                        ("Alt:5,Cyclic:7", 3), ("Cyclic:3,Cyclic:5", 0)])
+def test_sweep_builds_lemma_flags_once_per_hypothesis_hit(monkeypatch, spec, hits):
+    orig = permbrute._structural_flags
+    calls = []
+
+    def counting(g, report, *args):
+        calls.append(report.pi)
+        return orig(g, report, *args)
+
+    monkeypatch.setattr(permbrute, "_structural_flags", counting)
+    result = sweep(spec)
+    assert len(calls) == result.hypothesis_hits == hits
+
+
+def test_brute_refuses_a_lattice_past_the_class_cap(capsys, monkeypatch):
+    # lattices are cached per group, so each spec is realized afresh
+    monkeypatch.setattr(permbrute, "_REALIZE_CACHE", {})
+    monkeypatch.setattr(permbrute, "_MAX_CLASSES", 100)
+    # C2^4 has 67 subgroup classes and C2^5 has 374
+    code, _, _ = run_cli(capsys, "brute", "--group", ",".join(["Cyclic:2"] * 4), "--pi", "2")
+    assert code == EXIT_TRUE
+    code, _, err = run_cli(capsys, "brute", "--group", ",".join(["Cyclic:2"] * 5), "--pi", "2")
+    assert code == EXIT_ERROR and "more than 100 conjugacy classes" in err
+
 # exit code and the first 16 hex digits of the sha256 of stdout, pinned so
 # that a refactor of the sweep or the brute-force engine keeps every byte
 GOLDEN = [

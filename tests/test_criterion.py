@@ -223,13 +223,13 @@ def test_gate_disjointness_with_2_and_3():
 def test_decide_on_a_built_id_validates_nothing(monkeypatch):
     gid = lie("A", 7, n=3)
     calls = []
-    check = catalog._check
+    check = catalog.ensure_valid
 
     def counting_check(g):
         calls.append(g)
         return check(g)
 
-    monkeypatch.setattr(catalog, "_check", counting_check)
+    monkeypatch.setattr(catalog, "ensure_valid", counting_check)
     for pi in ({2}, {2, 3}, {3, 19}, {2, 19}, {7, 19}):
         decide_dpi_simple(gid, frozenset(pi))
     assert calls == []

@@ -1,11 +1,13 @@
 """Embedded classification tables: checksum pin, gates, and cross-audits."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from sylowpi.catalog import facts, sporadic
+from sylowpi.permbrute import maximal_pi_subgroups, realize
 from sylowpi.criterion import CONDITION_II_ITEMS
 from sylowpi.tables import (
     SPORADIC_EVEN_ROWS,
@@ -129,3 +131,17 @@ def test_sporadic_epi_lookup():
 def test_dump_tables_is_json_ready():
     data = dump_tables()
     assert json.loads(json.dumps(data)) == data
+
+
+# Sym(7) agrees too, but its table (5040^2 entries) would stay in the
+# realize cache for the rest of the session
+@pytest.mark.parametrize("family, n", [("Alt", 5), ("Alt", 6), ("Alt", 7),
+                                       ("Sym", 5), ("Sym", 6)])
+def test_epi_tables_match_brute_force(family, n):
+    g = realize(f"{family}:{n}")
+    g.require_table(bound=2520)
+    spectrum = sorted(primes_upto(n))
+    for k in range(2, len(spectrum)):
+        for pi in map(frozenset, itertools.combinations(spectrum, k)):
+            table = alt_epi(n, pi) if family == "Alt" else sym_epi(n, pi)[0]
+            assert table == maximal_pi_subgroups(g, pi, with_structure=False).epi, (n, pi)
