@@ -240,7 +240,6 @@ def test_sweep_checks_split_merge(monkeypatch):
     assert result.violations == [("Cyclic:3,Cyclic:5", [3, 5], "split/merge", (3,), (5,))]
 
 
-
 def test_sweep_reports_a_final_corollary_violation(monkeypatch):
     # with no nilpotent subgroup, the split C3 x C5 contradicts the corollary
     monkeypatch.setattr(permbrute.PermGroup, "is_nilpotent_set", lambda self, subset: False)
@@ -273,6 +272,7 @@ def test_brute_refuses_a_lattice_past_the_class_cap(capsys, monkeypatch):
     assert code == EXIT_TRUE
     code, _, err = run_cli(capsys, "brute", "--group", ",".join(["Cyclic:2"] * 5), "--pi", "2")
     assert code == EXIT_ERROR and "more than 100 conjugacy classes" in err
+
 
 # exit code and the first 16 hex digits of the sha256 of stdout, pinned so
 # that a refactor of the sweep or the brute-force engine keeps every byte

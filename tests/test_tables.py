@@ -7,8 +7,8 @@ import json
 import pytest
 
 from sylowpi.catalog import facts, sporadic
-from sylowpi.permbrute import maximal_pi_subgroups, realize
 from sylowpi.criterion import CONDITION_II_ITEMS
+from sylowpi.permbrute import maximal_pi_subgroups, realize
 from sylowpi.tables import (
     SPORADIC_EVEN_ROWS,
     SPORADIC_ODD_ROWS,
@@ -134,7 +134,7 @@ def test_dump_tables_is_json_ready():
 
 
 # Sym(7) agrees too, but its table (5040^2 entries) would stay in the
-# realize cache for the rest of the session
+# realize cache for the rest of the test process
 @pytest.mark.parametrize("family, n", [("Alt", 5), ("Alt", 6), ("Alt", 7),
                                        ("Sym", 5), ("Sym", 6)])
 def test_epi_tables_match_brute_force(family, n):
