@@ -26,7 +26,6 @@ from .composition import SplitHypothesis, decide_dpi_composite, parse_factors, w
 from .criterion import Verdict, decide_dpi_simple
 from .permbrute import (
     DEFAULT_LATTICE_BOUND,
-    BruteForceBoundError,
     HallReport,
     _two_part_partitions,
     check_final_corollary,
@@ -344,7 +343,7 @@ def run(argv=None) -> int:
         return EXIT_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, BruteForceBoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -30,10 +30,17 @@ bound for whole-lattice operations, and _MAX_CLASSES subgroup classes in
 one lattice.  The lattice bound is checked when the multiplication table
 is first built: DEFAULT_LATTICE_BOUND unless the caller builds it first
 with `require_table(bound=...)`.  The table holds int16 indices, so one at
-ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.  The structure tests
-(normality, normal closure, Sylow subgroups, nilpotency) gather conjugates
-from the table when they need them and keep no per-element arrays beyond
-it.
+ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.
+
+Outside the lattice, every subgroup built from generators comes from one
+breadth-first closure over the table, `_close`: the closure of the
+identity under right multiplication by gens is <gens>, that of a subgroup
+H is <H, gens>, and adding conjugation by K's generators gives a normal
+closure in K.  Closures (`closure_indices`), generating sets (`gens_of`),
+Sylow subgroups and derived subgroups are all built with it.  The
+structure tests (normality, Sylow subgroups, derived series, nilpotency)
+gather conjugates from the table when they need them and keep no
+per-element arrays beyond it.
 """
 
 from __future__ import annotations
@@ -270,52 +277,45 @@ class PermGroup:
 
     def closure_indices(self, gen_idx) -> frozenset[int]:
         """Subgroup generated by element indices."""
-        return frozenset(self._generate(gen_idx)[0].tolist())
+        return frozenset(self._close([self.identity], gen_idx).tolist())
 
     def gens_of(self, subset) -> tuple[int, ...]:
-        """Small generating set for a subgroup given as an element-index set."""
+        """Small generating set for a subgroup given as an element-index set:
+        each element outside the subgroup generated so far is added to it."""
         # larger element orders first keeps the generating set short
         orders = self.element_orders()
-        return tuple(self._generate(sorted(subset, key=lambda i: -int(orders[i])))[1])
-
-    def _generate(self, candidates) -> tuple[np.ndarray, list[int]]:
-        """Dimino's algorithm: the elements of the subgroup generated by
-        `candidates`, and the candidates that enlarged it, in order.  Each
-        candidate outside the subgroup so far is joined to it."""
-        self.require_table()
-        harr = np.array([self.identity])
         member = np.zeros(self.order, dtype=bool)
         member[self.identity] = True
-        gens: list[int] = []
-        for x in candidates:
+        harr, gens = np.array([self.identity]), []
+        for x in sorted(subset, key=lambda i: -int(orders[i])):
             if not member[x]:
-                harr = self._join(harr, gens, x)
                 gens.append(x)
+                harr = self._close(harr, gens)
                 member[harr] = True
-        return harr, gens
+        return tuple(gens)
 
-    def _join(self, harr: np.ndarray, hgens, x: int) -> np.ndarray:
-        """Sorted elements of <H, x>, where H has elements `harr` and is
-        generated by `hgens`.  <H, x> is grown as a union of right cosets H*r,
-        breadth-first over the representatives r with one gather per layer of
-        new cosets; the cosets are closed under right multiplication by hgens
-        and x, which makes the union a group.  The lattice grows its joins
-        with _joins instead; _generate keeps this one, because it joins one
-        candidate at a time and _joins would first label every double coset
-        of H, two gathers over |H| x |G| table entries, for that one join."""
-        t = self._table
+    def _close(self, start, gens, conj=()) -> np.ndarray:
+        """Sorted elements of the least set that contains `start` and is
+        closed under right multiplication by `gens` and under conjugation by
+        `conj`, grown breadth-first over the table a layer at a time.  From
+        the identity that is <gens>, and from a subgroup H generated by some
+        of `gens` it is <H, gens>.  With `conj` generating K it is the normal
+        closure of <gens> in K: the set holds the identity, and x s^k =
+        (x^(k^-1) s)^k, so it is closed under right multiplication by every
+        conjugate of s."""
+        t = self.require_table()
+        gens = np.asarray(gens, dtype=np.intp)
+        conj = np.asarray(conj, dtype=np.intp)
         member = np.zeros(self.order, dtype=bool)
-        member[harr] = True
-        garr = np.array(list(hgens) + [x])
-        reps = np.array([self.identity])
-        while reps.size:
-            prods = t[reps[:, None], garr].ravel()
-            prods = prods[~member[prods]]
-            cosets = t[harr[:, None], prods]  # column j is the coset H*prods[j]
-            member[cosets] = True
-            named = np.zeros(self.order, dtype=bool)
-            named[cosets.min(axis=0)] = True  # a coset is named by its least element
-            reps = np.flatnonzero(named)
+        member[np.asarray(start, dtype=np.intp)] = True
+        layer = np.flatnonzero(member)
+        while layer.size:
+            fresh = np.zeros(self.order, dtype=bool)
+            fresh[t[layer[:, None], gens]] = True
+            fresh[self._conjugates(layer, conj)] = True
+            fresh &= ~member
+            member |= fresh
+            layer = np.flatnonzero(fresh)
         return np.flatnonzero(member)
 
     def _coset_least(self, harr: np.ndarray) -> np.ndarray:
@@ -326,11 +326,6 @@ class PermGroup:
         for lo in range(_CHUNK, len(harr), _CHUNK):
             np.minimum(least, t[harr[lo:lo + _CHUNK]].min(axis=0), out=least)
         return least
-
-    def _commutator(self, a: int, b: int) -> int:
-        t = self.require_table()
-        inv = self.inv
-        return int(t[t[t[inv[a], inv[b]], a], b])
 
     # -- subgroup lattice ---------------------------------------------------
 
@@ -345,7 +340,7 @@ class PermGroup:
         n = self.order
         ggens = self.gen_indices()
 
-        seen: dict[frozenset[int], int] = {}
+        seen: set[frozenset[int]] = set()
         classes: list[SubgroupClass] = []
 
         def register(rep: frozenset[int]) -> int:
@@ -362,11 +357,9 @@ class PermGroup:
                     if s2 not in orbit:
                         orbit.add(s2)
                         queue.append(s2)
-            idx = len(classes)
-            for s in orbit:
-                seen[s] = idx
+            seen.update(orbit)
             classes.append(SubgroupClass(rep, len(rep), len(orbit), tuple(orbit)))
-            return idx
+            return len(classes) - 1
 
         register(frozenset({self.identity}))
         # cyclic_gens[cyc_of[x]] holds the generators of <x>: the powers x^k
@@ -472,20 +465,14 @@ class PermGroup:
 
     # -- structure tests on element-index sets ------------------------------
 
-    def normal_closure_in(self, seeds, ambient_gens) -> frozenset[int]:
-        gens = {s for s in seeds if s != self.identity}
-        while True:
-            cur = self.closure_indices(tuple(gens))
-            arr = np.fromiter(cur, dtype=np.int32, count=len(cur))
-            extra = set(self._conjugates(arr, ambient_gens).ravel().tolist()) - cur
-            if not extra:
-                return cur
-            gens |= extra
-
     def derived_subgroup(self, subset) -> frozenset[int]:
-        kgens = self.gens_of(subset)
-        comms = {self._commutator(a, b) for a in kgens for b in kgens}
-        return self.normal_closure_in(comms, kgens)
+        """The normal closure in K = <k> of the commutators [a, b] =
+        a^-1 b^-1 a b of K's generators."""
+        t = self.require_table()
+        k = np.array(self.gens_of(subset), dtype=np.intp)
+        ki = self._inv[k]
+        comms = t[t[t[ki[:, None], ki], k[:, None]], k].ravel()
+        return frozenset(self._close([self.identity], comms, k).tolist())
 
     def is_solvable_set(self, subset) -> bool:
         cur = frozenset(subset)
@@ -515,9 +502,8 @@ class PermGroup:
             norm = outside[member[self._conjugates(parr, outside)].all(axis=1)]
             if not norm.size:  # cannot happen for a genuine subgroup
                 raise RuntimeError("Sylow ascent stalled; input was not a subgroup")
-            y = int(norm[0])
-            parr = self._join(parr, pgens, y)
-            pgens.append(y)
+            pgens.append(int(norm[0]))
+            parr = self._close(parr, pgens)
         return frozenset(parr.tolist())
 
     def _pi_elements(self, arr: np.ndarray, primes) -> np.ndarray:

@@ -3,7 +3,11 @@ structure tests, quotients and the constructive table rows."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -437,6 +441,52 @@ def test_derived_series_of_s4_inside_s5():
     assert len(der) == 12           # A4
     assert len(s5.derived_subgroup(der)) == 4  # V4
     assert s5.is_solvable_set(s4)
+
+
+@pytest.mark.parametrize("spec", STRUCTURE_GROUPS)
+def test_derived_subgroup_matches_definition(spec):
+    # the subgroup generated by every commutator a^-1 b^-1 a b of K, computed
+    # on the permutations themselves; classes of order at most 60 keep the
+    # pairs few.  The commutators of gens_of(K) alone can generate less than
+    # K': 2 of the 4 elements of A4' = V4
+    g = realize(spec)
+    elements, index = _tuples(g)
+    for c in g.subgroup_classes():
+        if c.order > 60:
+            continue
+        ks = [elements[k] for k in c.rep]
+        comms = {pmul(pmul(pinv(a), pinv(b)), pmul(a, b)) for a in ks for b in ks}
+        expected = {index[e] for e in tuple_closure(comms, g.degree)}
+        assert g.derived_subgroup(c.rep) == expected, (spec, c.order)
+
+
+def test_structure_ops_do_not_import_numpy_ma():
+    """Plain np.unique imports numpy.ma on its first call, tens of
+    milliseconds that a fresh process would pay inside its first structure
+    op.  The realize, table, Sylow, solvability, closure and generating-set
+    paths and the corpus sweep stay clear of it."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from sylowpi import cli
+        from sylowpi.arith import prime_divisors
+        from sylowpi.permbrute import ORDER_BOUND, realize
+        g = realize("Alt:7")
+        g.require_table(bound=ORDER_BOUND)
+        whole = range(g.order)
+        for p in prime_divisors(g.order):
+            g.sylow_in(whole, p)
+        g.is_solvable_set(whole)
+        g.closure_indices(g.gen_indices())
+        g.gens_of(whole)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["corpus", "--json"])
+        print(code, "numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(permbrute.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_quotient_by_normal_subgroup():
