@@ -21,15 +21,17 @@ being row i.  `lookup` maps rows back to indices by binary search over the
 rows' bytes.  Realization closes the generators breadth-first with one
 gather per layer, the multiplication table is filled layer by layer along
 the Cayley graph with one gather per generator, and element orders are the
-lcms of cycle lengths, so none of them runs Python per element.
+lcms of cycle lengths, so none of them runs Python per element.  The field
+tables behind PSL(2, q) are arrays too, and a Moebius map is one array
+expression over them.
 
 Everything interesting happens on element indices against a cached
 multiplication table (numpy), so degrees stay tiny and orders stay below
 explicit bounds: ORDER_BOUND for materializing a group at all, a lattice
 bound for whole-lattice operations, and _MAX_CLASSES subgroup classes in
-one lattice.  The lattice bound is checked when the multiplication table
-is first built: DEFAULT_LATTICE_BOUND unless the caller builds it first
-with `require_table(bound=...)`.  The table holds int16 indices, so one at
+one lattice.  The lattice bound is checked on every `require_table` call
+that passes one; a table operation that finds no table builds it under
+DEFAULT_LATTICE_BOUND.  The table holds int16 indices, so one at
 ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.
 
 Outside the lattice, every subgroup built from generators comes from one
@@ -98,7 +100,7 @@ def _rows_of(keys: np.ndarray, degree: int) -> np.ndarray:
     return keys.view(dtype.newbyteorder(">")).reshape(-1, degree).astype(dtype, copy=False)
 
 
-def _closure(gens: np.ndarray, degree: int, bound: int) -> np.ndarray:
+def _closure(gens: np.ndarray, degree: int) -> np.ndarray:
     """Sorted row keys of the group generated by the rows `gens`: a
     breadth-first search of the right Cayley graph, one gather for all
     generators per layer (x followed by g is the row g[x])."""
@@ -110,9 +112,9 @@ def _closure(gens: np.ndarray, degree: int, bound: int) -> np.ndarray:
         at = np.searchsorted(keys, ckeys)
         new = keys[np.minimum(at, len(keys) - 1)] != ckeys
         keys = np.insert(keys, at[new], ckeys[new])
-        if len(keys) > bound:
+        if len(keys) > ORDER_BOUND:
             raise BruteForceBoundError(
-                f"group order exceeds the bound {bound}; refusing to materialize")
+                f"group order exceeds the bound {ORDER_BOUND}; refusing to materialize")
         frontier = cand[first[new]]
     return keys
 
@@ -157,8 +159,7 @@ class PermGroup:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of degree {degree}: {g}")
         if elements is None:
-            keys = _closure(np.array(self.generators, dtype=np.intp).reshape(-1, degree),
-                            degree, ORDER_BOUND)
+            keys = _closure(np.array(self.generators, dtype=np.intp).reshape(-1, degree), degree)
         else:
             rows = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements))
             if len(rows) > ORDER_BOUND:
@@ -216,12 +217,16 @@ class PermGroup:
         return self._gen_idx
 
     def require_table(self, bound: int | None = None) -> np.ndarray:
+        """The multiplication table, built on first use.  The order is checked
+        against `bound` on every call that passes one, and against
+        DEFAULT_LATTICE_BOUND on a call without one that builds the table."""
+        if bound is None and self._table is None:
+            bound = DEFAULT_LATTICE_BOUND
+        if bound is not None and self.order > bound:
+            raise BruteForceBoundError(
+                f"order {self.order} exceeds the lattice bound {bound} "
+                "(pass --max-order to raise it)")
         if self._table is None:
-            bound = DEFAULT_LATTICE_BOUND if bound is None else bound
-            if self.order > bound:
-                raise BruteForceBoundError(
-                    f"order {self.order} exceeds the lattice bound {bound} "
-                    "(pass --max-order to raise it)")
             self._table = self._cayley_table()
             # the inverse of a permutation p is argsort(p)
             self._inv = self.lookup(np.argsort(self.perms, axis=1)).astype(np.int16)
@@ -563,40 +568,20 @@ class _GF:
     def __init__(self, q: int):
         p, f = prime_power(q)
         self.q, self.p, self.f = q, p, f
-        digits = [self._digits(a, p, f) for a in range(q)]
-        enc = {tuple(d): a for a, d in enumerate(digits)}
-        self.add = [[enc[tuple((x + y) % p for x, y in zip(digits[a], digits[b]))]
-                     for b in range(q)] for a in range(q)]
-
-        def poly_mul(u, v, low):  # u * v mod x^f + low(x)
-            out = [0] * (2 * f - 1)
-            for i, ui in enumerate(u):
-                for j, vj in enumerate(v):
-                    out[i + j] = (out[i + j] + ui * vj) % p
-            for k in range(len(out) - 1, f - 1, -1):
-                c = out[k]
-                if c:
-                    out[k] = 0
-                    for i in range(f):
-                        out[k - f + i] = (out[k - f + i] - c * low[i]) % p
-            return tuple(out[:f])
-
+        weights = p ** np.arange(f)
+        digits = np.arange(q)[:, None] // weights % p  # (q, f)
+        self.add = (digits[:, None] + digits) % p @ weights
         for low in digits:
-            self.mul = [[enc[poly_mul(digits[a], digits[b], low)] for b in range(q)]
-                        for a in range(q)]
-            if all(all(row[1:]) for row in self.mul[1:]):
+            # the digits of a * x^k: a shift of a * x^(k-1), reduced by x^f = -low(x)
+            shifts = [digits]
+            for _ in range(1, f):
+                d = shifts[-1]
+                shifts.append((np.pad(d[:, :-1], ((0, 0), (1, 0))) - d[:, -1:] * low) % p)
+            self.mul = np.einsum("bk,akf->abf", digits, np.stack(shifts, axis=1)) % p @ weights
+            if self.mul[1:, 1:].all():
                 break
-        self.neg = [next(b for b in range(q) if self.add[a][b] == 0) for a in range(q)]
-        self.inv = [0] + [next(b for b in range(1, q) if self.mul[a][b] == 1)
-                          for a in range(1, q)]
-
-    @staticmethod
-    def _digits(a: int, p: int, f: int) -> list[int]:
-        out = []
-        for _ in range(f):
-            out.append(a % p)
-            a //= p
-        return out
+        self.neg = self.add.argmin(axis=1)
+        self.inv = (self.mul == 1).argmax(axis=1)  # 0 for a = 0, whose row has no 1
 
 
 def _psl2(q: int) -> PermGroup:
@@ -605,16 +590,13 @@ def _psl2(q: int) -> PermGroup:
     x -> -1/x: they give the upper and lower unitriangular matrices, which
     generate SL(2, q)."""
     F = _GF(q)
-    inf = q
+    # point x is u/v: (x, 1) for x in F_q, then infinity (1, 0)
+    u, v = np.append(np.arange(q), 1), np.append(np.ones(q, dtype=int), 0)
 
     def mobius(a, b, c, d):  # x -> (a x + b) / (c x + d)
-        img = []
-        for x in range(q):
-            num = F.add[F.mul[a][x]][b]
-            den = F.add[F.mul[c][x]][d]
-            img.append(F.mul[num][F.inv[den]] if den else inf)
-        img.append(F.mul[a][F.inv[c]] if c else inf)
-        return tuple(img)
+        num = F.add[F.mul[a, u], F.mul[b, v]]
+        den = F.add[F.mul[c, u], F.mul[d, v]]
+        return tuple(np.where(den != 0, F.mul[num, F.inv[den]], q).tolist())
 
     gens = [mobius(1, F.p ** i, 0, 1) for i in range(F.f)] + [mobius(0, F.neg[1], 1, 0)]
     return PermGroup(q + 1, gens, name=f"PSL(2,{q})")
@@ -853,22 +835,10 @@ def reproduce_table1(n: int) -> bool:
     """Rebuild the {2,3}-Hall subgroup of Sym_n for n = 7 (Sym_3 x Sym_4)
     or n = 8 (Sym_4 wr Sym_2) and verify order and Hall property."""
     if n == 7:
-        gens = [
-            (1, 0, 2, 3, 4, 5, 6),          # (0 1)
-            (1, 2, 0, 3, 4, 5, 6),          # (0 1 2)
-            (0, 1, 2, 4, 3, 5, 6),          # (3 4)
-            (0, 1, 2, 4, 5, 6, 3),          # (3 4 5 6)
-        ]
-        expected = 144
+        gens, expected = direct_product(_sym(3), _sym(4)).generators, 144
     elif n == 8:
-        gens = [
-            (1, 0, 2, 3, 4, 5, 6, 7),       # (0 1)
-            (1, 2, 3, 0, 4, 5, 6, 7),       # (0 1 2 3)
-            (0, 1, 2, 3, 5, 4, 6, 7),       # (4 5)
-            (0, 1, 2, 3, 5, 6, 7, 4),       # (4 5 6 7)
-            (4, 5, 6, 7, 0, 1, 2, 3),       # block swap
-        ]
-        expected = 1152
+        block_swap = (4, 5, 6, 7, 0, 1, 2, 3)
+        gens, expected = direct_product(_sym(4), _sym(4)).generators + (block_swap,), 1152
     else:
         raise ValueError("only degrees 7 and 8 have special table rows")
     order = PermGroup(n, gens).order

@@ -137,6 +137,10 @@ def test_max_order_does_not_outlive_its_invocation(capsys):
     assert code == EXIT_ERROR and "lattice bound 50" in err
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_TRUE and "dpi = True" in out
+    # nor does the table the default bound built lift a later, smaller bound
+    for bound in ("50", "0"):
+        code, _, err = run_cli(capsys, *argv, "--max-order", bound)
+        assert code == EXIT_ERROR and f"lattice bound {bound}" in err
     assert "DPI_CORPUS_BOUND" not in os.environ
 
 

@@ -1,6 +1,7 @@
 """Brute-force oracle: realizations, subgroup lattice, Hall reports,
 structure tests, quotients and the constructive table rows."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -212,11 +213,27 @@ def test_psl2_is_every_determinant_one_mobius_map(q):
 
 
 def test_gf_takes_the_first_irreducible_polynomial():
-    # x is element p; x^2 + x + 1, x^3 + x + 1 and x^2 + 1 are the first
-    # irreducible moduli for q = 4, 8, 9 in the digit order
+    # x is element p; x^2 + x + 1, x^3 + x + 1, x^2 + 1, x^4 + x + 1, x^2 + 2
+    # and x^3 + 2x + 1 are the first irreducible moduli for q = 4, 8, 9, 16,
+    # 25 and 27, every non-prime q that is realized, in the digit order
     assert _GF(4).mul[2][2] == 3   # x^2 = x + 1
     assert _GF(8).mul[2][4] == 3   # x^3 = x + 1
     assert _GF(9).mul[3][3] == 2   # x^2 = -1
+    assert _GF(16).mul[2][8] == 3   # x^4 = x + 1
+    assert _GF(25).mul[5][5] == 3   # x^2 = 3
+    assert _GF(27).mul[3][9] == 5   # x^3 = x + 2
+
+
+def test_builtin_elements_are_pinned():
+    # one sha256 over the element arrays of 30 built-in realizations, among
+    # them PSL(2, q) for every q <= 27 that is realized
+    specs = ([f"Alt:{n}" for n in (5, 6, 7)] + [f"Sym:{n}" for n in (5, 6, 7)]
+             + [f"Lie:A:2:{q}" for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)]
+             + [f"Cyclic:{p}" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)])
+    h = hashlib.sha256()
+    for spec in specs:
+        h.update(realize(spec).perms.tobytes())
+    assert h.hexdigest()[:16] == "66b6eee5794d02af"
 
 
 @pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Alt:5,Cyclic:7",))
