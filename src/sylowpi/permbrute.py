@@ -14,6 +14,13 @@ the least element of its right coset Hg and of its double coset HgH, and a
 join is the union of the double cosets that H reaches by right
 multiplication with x, one product per right coset (coset methods as in
 Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+Each <x> is named by its least generator x^k, k prime to |x|, found with
+one table gather per exponent k.  A subgroup in the lattice is a sorted
+int16 row of element indices, known by the row's bytes; a class keeps its
+conjugates as the rows of one array, grown a breadth-first layer at a time
+with one conjugation gather per layer.  Whether a class has a conjugate
+inside a subgroup is one gather of that subgroup's membership mask over
+the class's rows.
 
 A group keeps its elements as one array, `perms`: its permutations as
 rows in lexicographic order (uint8, uint16 above degree 256), element i
@@ -90,8 +97,24 @@ def _row_dtype(degree: int) -> np.dtype:
 def _row_keys(rows, degree: int) -> np.ndarray:
     """One bytes key per row of `rows`, shape (k, degree).  The entries are
     stored big-endian, so that bytewise key order is lexicographic row order."""
-    rows = np.ascontiguousarray(rows, dtype=_row_dtype(degree).newbyteorder(">"))
-    return rows.view(np.dtype((np.void, rows.itemsize * degree))).reshape(-1)
+    return _bytes_keys(np.asarray(rows, dtype=_row_dtype(degree).newbyteorder(">")))
+
+
+def _bytes_keys(rows: np.ndarray) -> np.ndarray:
+    """One bytes key per row of the 2-d array `rows`: key i is rows[i].tobytes()."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+
+
+def _add_new(rows: np.ndarray, known: set[bytes]) -> list[int]:
+    """Positions of the rows whose bytes are not in `known`, one for each
+    new key, where it first occurs; the new keys are added to `known`."""
+    new = []
+    for i, key in enumerate(_bytes_keys(rows).tolist()):
+        if key not in known:
+            known.add(key)
+            new.append(i)
+    return new
 
 
 def _rows_of(keys: np.ndarray, degree: int) -> np.ndarray:
@@ -122,14 +145,19 @@ def _closure(gens: np.ndarray, degree: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # groups
 
-@dataclass
+@dataclass(eq=False)
 class SubgroupClass:
-    """One conjugacy class of subgroups: a representative (as a frozenset
-    of element indices) and every conjugate set."""
-    rep: frozenset[int]
+    """One conjugacy class of subgroups: every conjugate as a row of the
+    int16 array `conjugates` (class_size x order), the row its element
+    indices in increasing order.  Row 0 is the representative, which `rep`
+    gives as a frozenset, built on first use."""
     order: int
     class_size: int
-    all_sets: tuple[frozenset[int], ...]
+    conjugates: np.ndarray
+
+    @functools.cached_property
+    def rep(self) -> frozenset[int]:
+        return frozenset(self.conjugates[0].tolist())
 
 
 @dataclass
@@ -275,9 +303,9 @@ class PermGroup:
         return self._inv
 
     def _conjugates(self, arr, gs) -> np.ndarray:
-        """Index matrix c with c[i, j] = index of gs[i]^-1 arr[j] gs[i]."""
+        """Index array c with c[i, j...] = index of gs[i]^-1 arr[j...] gs[i]."""
         t = self.require_table()
-        gs = np.asarray(gs, dtype=np.intp)[:, None]
+        gs = np.asarray(gs, dtype=np.intp).reshape((-1,) + (1,) * np.ndim(arr))
         return t[t[self._inv[gs], arr], gs]
 
     def closure_indices(self, gen_idx) -> frozenset[int]:
@@ -338,74 +366,87 @@ class PermGroup:
         """All subgroups up to conjugacy: the cyclic subgroups, then, for each
         new class representative H, the joins <H, x>, one per double coset
         HxH outside H, until no join gives a new class.  The joins of one H
-        are grown together by _joins."""
+        are grown together by _joins.
+
+        Every subgroup is a sorted int16 row of element indices, known by the
+        row's bytes: `seen` holds the key of every conjugate of every class
+        registered, and a class's conjugates are grown a breadth-first layer
+        at a time, one conjugation gather and one row sort per layer."""
         if self._classes is not None:
             return self._classes
         t = self.require_table()
         n = self.order
         ggens = self.gen_indices()
 
-        seen: set[frozenset[int]] = set()
+        seen: set[bytes] = set()
         classes: list[SubgroupClass] = []
 
-        def register(rep: frozenset[int]) -> int:
+        def register(rep: np.ndarray) -> int:
             if len(classes) >= _MAX_CLASSES:
                 raise BruteForceBoundError(f"{self.name} has more than {_MAX_CLASSES} "
                                            "conjugacy classes of subgroups")
-            orbit = {rep}
-            queue = [rep]
-            while queue:
-                s = queue.pop()
-                arr = np.fromiter(s, dtype=np.int32, count=len(s))
-                for row in self._conjugates(arr, ggens).tolist():
-                    s2 = frozenset(row)
-                    if s2 not in orbit:
-                        orbit.add(s2)
-                        queue.append(s2)
-            seen.update(orbit)
-            classes.append(SubgroupClass(rep, len(rep), len(orbit), tuple(orbit)))
+            seen.add(rep.tobytes())
+            orbit = [rep[None]]
+            frontier = orbit[0]
+            while len(frontier):
+                rows = np.sort(self._conjugates(frontier, ggens).reshape(-1, rep.size), axis=1)
+                if (rows == rep).all():  # nothing new: at once when H is normal
+                    break
+                frontier = rows[_add_new(rows, seen)]
+                orbit.append(frontier)
+            conjugates = np.concatenate(orbit)
+            classes.append(SubgroupClass(rep.size, len(conjugates), conjugates))
             return len(classes) - 1
 
-        register(frozenset({self.identity}))
-        # cyclic_gens[cyc_of[x]] holds the generators of <x>: the powers x^k
-        # with k prime to |x|
-        cyc_of = np.full(n, -1, dtype=np.intp)
-        cyclic_gens: list[np.ndarray] = []
-        for x in range(n):
-            if cyc_of[x] >= 0:
+        # least[x] names <x> by its least generator x^k, k prime to |x|: one
+        # gather of n entries per exponent below the largest element order
+        orders = self.element_orders()
+        everything = np.arange(n)
+        least, power = everything.copy(), everything
+        for k in range(2, int(orders.max())):
+            power = t[power, everything]  # x^k
+            gen = (k < orders) & (np.gcd(k, orders) == 1)
+            least[gen] = np.minimum(least[gen], power[gen])
+        # the generators of <x> are by_least[gens_from[x]:gens_to[x]]
+        by_least = np.argsort(least, kind="stable")
+        gens_from = np.searchsorted(least[by_least], least)
+        gens_to = np.searchsorted(least[by_least], least, side="right")
+        # the cyclic classes in increasing order of least generator; a class
+        # marks the least generators of all its conjugates, the first element
+        # of full order in each row, as registered
+        register(np.array([self.identity], dtype=np.int16))
+        done = np.zeros(n, dtype=bool)
+        done[self.identity] = True
+        for x in np.flatnonzero(least == everything).tolist():
+            if done[x]:
                 continue
-            powers = [x]
-            y = int(t[x, x])
-            while y != x:  # x, x^2, ..., x^|x| = identity
-                powers.append(y)
-                y = int(t[y, x])
-            o = len(powers)
-            gens = np.array([z for k, z in enumerate(powers, 1) if math.gcd(k, o) == 1])
-            cyc_of[gens] = len(cyclic_gens)
-            cyclic_gens.append(gens)
-            fs = frozenset(powers)
-            if fs not in seen:
-                register(fs)
+            powers = [self.identity]
+            while len(powers) < orders[x]:
+                powers.append(int(t[powers[-1], x]))
+            cls = classes[register(np.sort(np.array(powers, dtype=np.int16)))]
+            rows = cls.conjugates
+            done[rows[np.arange(len(rows)), (orders[rows] == cls.order).argmax(axis=1)]] = True
 
         worklist = list(range(1, len(classes)))
         while worklist:
             cls = classes[worklist.pop()]
             if cls.order == n:
                 continue
-            for ext in self._joins(cls.rep, cyclic_gens, cyc_of):
-                if ext not in seen:
-                    worklist.append(register(ext))
+            for key in self._joins(cls.conjugates[0], by_least, gens_from, gens_to):
+                if key not in seen:
+                    worklist.append(register(np.frombuffer(key, dtype=np.int16)))
 
-        classes.sort(key=lambda c: (c.order, sorted(c.rep)))
+        classes.sort(key=lambda c: (c.order, c.conjugates[0].tolist()))
         self._classes = classes
         return classes
 
-    def _joins(self, rep: frozenset[int], cyclic_gens, cyc_of):
-        """The distinct joins <H, x> of H = rep with one x per double coset
-        HxH outside H, as element sets in increasing x.  <H, x> = <H, h x h'>
-        = <H, x^k> for h, h' in H and k prime to |x|, so x is the least
-        element of its double coset and the double cosets of every generator
-        of <x> need no join of their own.
+    def _joins(self, rep: np.ndarray, by_least, gens_from, gens_to):
+        """The joins <H, x> of H = rep with one x per double coset HxH
+        outside H, in increasing x, each as the bytes of its sorted int16
+        element row.  <H, x> = <H, h x h'> = <H, x^k> for h, h' in H and k
+        prime to |x|, so x is the least element of its double coset, and the
+        double cosets of the generators of <x>, by_least[gens_from[x]:
+        gens_to[x]], need no join of their own.
 
         All joins are grown together, breadth-first over (candidate, double
         coset) pairs.  <H, x> is a union of double cosets; a double coset D
@@ -416,12 +457,16 @@ class PermGroup:
         pairs, a bound on everything one block's search holds."""
         t = self._table
         n = self.order
-        harr = np.fromiter(rep, dtype=np.intp, count=len(rep))
+        harr = rep.astype(np.intp)
         rc = self._coset_least(harr)
         reps = np.flatnonzero(rc == np.arange(n))  # one element per right coset
         # HgH is the union of the right cosets Hgh, so its least element is the
         # least of theirs; dc[g] numbers HgH in the order of least elements
-        least, rep_dc = np.unique(rc[t[reps[:, None], harr]].min(axis=1), return_inverse=True)
+        rep_least = rc[t[reps[:, None], harr]].min(axis=1)
+        is_least = np.zeros(n, dtype=np.intp)
+        is_least[rep_least] = 1
+        least = is_least.nonzero()[0]
+        rep_dc = is_least.cumsum()[rep_least] - 1
         pos = np.empty(n, dtype=np.intp)
         pos[reps] = np.arange(len(reps))
         dc = rep_dc[pos[rc]]
@@ -434,7 +479,7 @@ class PermGroup:
         for d, x in enumerate(least.tolist()):
             if not covered[d]:
                 cands.append(x)
-                covered[dc[cyclic_gens[cyc_of[x]]]] = True
+                covered[dc[by_least[gens_from[x]:gens_to[x]]]] = True
 
         # the right coset representatives of double coset d are
         # coset_reps[start[d]:start[d] + count[d]]
@@ -442,7 +487,7 @@ class PermGroup:
         count = np.bincount(rep_dc, minlength=m)
         start = np.cumsum(count) - count
         block = max(1, _FRONTIER // len(reps))
-        distinct = set()
+        distinct: set[bytes] = set()  # the reached rows of the joins so far
         for lo in range(0, len(cands), block):
             xs = np.array(cands[lo:lo + block])
             reached = np.zeros((len(xs), m), dtype=bool)
@@ -462,11 +507,16 @@ class PermGroup:
                 pairs = pairs[slot[pairs] == at]
                 flat[pairs] = True
                 fc, fd = np.divmod(pairs, m)
-            for row in reached:
-                key = row.tobytes()
-                if key not in distinct:
-                    distinct.add(key)
-                    yield frozenset(np.flatnonzero(row[dc]).tolist())
+            # the element rows of the new joins, from masks of at most
+            # _FRONTIER elements at a time
+            reached = reached[_add_new(reached, distinct)]
+            step = max(1, _FRONTIER // n)
+            for a in range(0, len(reached), step):
+                members = reached[a:a + step, dc]
+                ends = np.add.reduce(members, axis=1).cumsum().tolist()
+                rows = members.nonzero()[1].astype(np.int16).tobytes()
+                for b, e in zip([0] + ends[:-1], ends):
+                    yield rows[2 * b:2 * e]
 
     # -- structure tests on element-index sets ------------------------------
 
@@ -695,9 +745,19 @@ def _realize_factor(spec: str) -> PermGroup:
 # ---------------------------------------------------------------------------
 # pi-subgroup analysis
 
-def _conjugate_inside(c: SubgroupClass, host: frozenset[int]) -> frozenset[int] | None:
-    """A subgroup of the class c inside the subgroup `host`, if one is."""
-    return next((s for s in c.all_sets if s <= host), None)
+def _member_mask(g: PermGroup, c: SubgroupClass) -> np.ndarray:
+    """Boolean membership mask of the representative of c."""
+    mask = np.zeros(g.order, dtype=bool)
+    mask[c.conjugates[0]] = True
+    return mask
+
+
+def _conjugate_inside(c: SubgroupClass, host: np.ndarray) -> np.ndarray | None:
+    """A subgroup of the class c inside the subgroup whose membership mask
+    is `host`, if one is: one gather of the mask over all conjugates."""
+    inside = np.logical_and.reduce(host[c.conjugates], axis=1)
+    k = inside.argmax()
+    return c.conjugates[k] if inside[k] else None
 
 
 def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallReport:
@@ -707,11 +767,13 @@ def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallR
     pi = frozenset(pi)
     classes = g.subgroup_classes()
     pi_classes = [c for c in classes if pi_part(c.order, pi) == c.order]
-    maximal = []
+    maximal, masks = [], []
     for c in reversed(pi_classes):
         if not any(d.order > c.order and d.order % c.order == 0
-                   and _conjugate_inside(c, d.rep) is not None for d in maximal):
+                   and _conjugate_inside(c, mask) is not None
+                   for d, mask in zip(maximal, masks)):
             maximal.append(c)
+            masks.append(_member_mask(g, c))
     maximal.reverse()
     hall_order = pi_part(g.order, pi)
     epi = any(c.order == hall_order for c in maximal)
@@ -729,10 +791,11 @@ def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallR
     return report
 
 
-def _find_hall_inside(pi_classes, host: frozenset[int],
-                      sub_pi: frozenset[int]) -> frozenset[int] | None:
-    """A sub_pi-Hall subgroup of the subgroup `host`, if one exists."""
-    want = pi_part(len(host), sub_pi)
+def _find_hall_inside(pi_classes, host: np.ndarray,
+                      sub_pi: frozenset[int]) -> np.ndarray | None:
+    """A sub_pi-Hall subgroup of the subgroup whose membership mask is
+    `host`, if one exists."""
+    want = pi_part(np.count_nonzero(host), sub_pi)
     for c in pi_classes:
         if c.order == want and (s := _conjugate_inside(c, host)) is not None:
             return s
@@ -753,11 +816,12 @@ def _two_part_partitions(primes: frozenset[int]):
 def _structural_flags(g: PermGroup, report: HallReport, pi_classes) -> dict:
     solvable = all(g.is_solvable_set(c.rep) for c in report.hall_classes)
     partitions = {}
+    hosts = [_member_mask(g, c) for c in report.hall_classes]
     for sigma, tau in _two_part_partitions(report.pi_effective):
         ok = True
-        for c in report.hall_classes:
-            s_hall = _find_hall_inside(pi_classes, c.rep, sigma)
-            t_hall = _find_hall_inside(pi_classes, c.rep, tau)
+        for host in hosts:
+            s_hall = _find_hall_inside(pi_classes, host, sigma)
+            t_hall = _find_hall_inside(pi_classes, host, tau)
             has_nilpotent = ((s_hall is not None and g.is_nilpotent_set(s_hall))
                              or (t_hall is not None and g.is_nilpotent_set(t_hall)))
             ok = ok and has_nilpotent

@@ -258,7 +258,7 @@ def test_lattice_is_closed_under_joins(spec):
     lattice = g.subgroup_classes()
     owners: dict[frozenset, list[int]] = {}
     for i, c in enumerate(lattice):
-        for s in c.all_sets:
+        for s in map(frozenset, c.conjugates.tolist()):
             owners.setdefault(s, []).append(i)
     for c in lattice:
         rep = tuple(sorted(c.rep))
@@ -285,6 +285,61 @@ def test_gens_of_generates_each_class():
         assert len(set(gens)) == len(gens) and g.identity not in gens
 
 
+def test_lattice_is_pinned():
+    # one sha256 over every class (order, class size, sorted rep, sorted
+    # conjugate sets) and every maximal_pi_subgroups report with |pi| >= 2
+    h = hashlib.sha256()
+    for spec in CORPUS_SIMPLE + ("Sym:5", "Alt:5,Cyclic:7", _elementary_abelian(5)):
+        g = realize(spec)
+        for c in g.subgroup_classes():
+            conjugates = sorted(row.tolist() for row in c.conjugates)
+            h.update(repr((c.order, c.class_size, sorted(c.rep), conjugates)).encode())
+        spectrum = sorted(prime_divisors(g.order))
+        for k in range(2, len(spectrum) + 1):
+            for pi in map(frozenset, itertools.combinations(spectrum, k)):
+                r = maximal_pi_subgroups(g, pi)
+                h.update(repr((r.epi, r.dpi, [sorted(c.rep) for c in r.maximal_classes],
+                               r.structural)).encode())
+    assert h.hexdigest()[:16] == "76408a500dee5b2d"
+
+
+def test_conjugates_are_sorted_int16_rows():
+    for c in realize("Sym:5").subgroup_classes():
+        assert c.conjugates.dtype == np.int16 and c.conjugates.shape == (c.class_size, c.order)
+        assert (np.diff(c.conjugates, axis=1) > 0).all()
+
+
+def test_conjugate_inside_alt5():
+    # in Sym(5), the Klein four-groups of double transpositions lie in Alt(5);
+    # those that contain transpositions do not
+    g = _sym(5)
+    classes = g.subgroup_classes()
+    elements, _ = _tuples(g)
+    # a permutation is odd when it has an odd number of inversions
+    is_odd = [sum(a[i] > a[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 1
+              for a in elements]
+    alt5 = next(c for c in classes if c.order == 60)
+    assert not any(is_odd[x] for x in alt5.rep)
+    host = permbrute._member_mask(g, alt5)
+    fours = [c for c in classes if c.order == 4
+             and all(perm_order(elements[x]) <= 2 for x in c.rep)]
+    even = [c for c in fours if not any(is_odd[x] for x in c.rep)]
+    odd = [c for c in fours if any(is_odd[x] for x in c.rep)]
+    assert len(even) == len(odd) == 1
+    assert permbrute._conjugate_inside(even[0], host) is not None
+    assert permbrute._conjugate_inside(odd[0], host) is None
+    # every pair of classes against a scan of the conjugates as sets
+    for d in classes:
+        host = permbrute._member_mask(g, d)
+        for c in classes:
+            sets = set(map(frozenset, c.conjugates.tolist()))
+            inside = permbrute._conjugate_inside(c, host)
+            if inside is None:
+                assert not any(s <= d.rep for s in sets), (c.order, d.order)
+            else:
+                assert frozenset(inside.tolist()) in sets and set(inside.tolist()) <= d.rep
+
+
 def test_alt5_class_orders():
     orders = sorted(c.order for c in realize("Alt:5").subgroup_classes())
     assert orders == [1, 2, 3, 4, 5, 6, 10, 12, 60]
@@ -297,8 +352,8 @@ def test_lagrange_and_conjugacy_audit():
         seen = set()
         for c in classes:
             assert g.order % c.order == 0
-            assert c.class_size == len(c.all_sets)
-            for s in c.all_sets:
+            assert c.class_size == len(c.conjugates)
+            for s in map(frozenset, c.conjugates.tolist()):
                 assert s not in seen  # distinct classes never share a set
                 seen.add(s)
 
@@ -322,7 +377,8 @@ def pairwise_maximal_pi_subgroups(g, pi, with_structure=True):
     pi_classes = [c for c in g.subgroup_classes() if pi_part(c.order, pi) == c.order]
     maximal = [c for c in pi_classes
                if not any(d.order > c.order and d.order % c.order == 0
-                          and any(s <= d.rep for s in c.all_sets) for d in pi_classes)]
+                          and any(d.rep.issuperset(s) for s in c.conjugates.tolist())
+                          for d in pi_classes)]
     hall_order = pi_part(g.order, pi)
     epi = any(c.order == hall_order for c in maximal)
     report = permbrute.HallReport(pi, pi & prime_divisors(g.order), hall_order, epi,
