@@ -150,10 +150,17 @@ class SubgroupClass:
     """One conjugacy class of subgroups: every conjugate as a row of the
     int16 array `conjugates` (class_size x order), the row its element
     indices in increasing order.  Row 0 is the representative, which `rep`
-    gives as a frozenset, built on first use."""
-    order: int
-    class_size: int
+    gives as a frozenset, built on first use; `class_size` and `order` are
+    the array's shape."""
     conjugates: np.ndarray
+
+    @property
+    def class_size(self) -> int:
+        return self.conjugates.shape[0]
+
+    @property
+    def order(self) -> int:
+        return self.conjugates.shape[1]
 
     @functools.cached_property
     def rep(self) -> frozenset[int]:
@@ -390,12 +397,9 @@ class PermGroup:
             frontier = orbit[0]
             while len(frontier):
                 rows = np.sort(self._conjugates(frontier, ggens).reshape(-1, rep.size), axis=1)
-                if (rows == rep).all():  # nothing new: at once when H is normal
-                    break
                 frontier = rows[_add_new(rows, seen)]
                 orbit.append(frontier)
-            conjugates = np.concatenate(orbit)
-            classes.append(SubgroupClass(rep.size, len(conjugates), conjugates))
+            classes.append(SubgroupClass(np.concatenate(orbit)))
             return len(classes) - 1
 
         # least[x] names <x> by its least generator x^k, k prime to |x|: one
@@ -461,7 +465,9 @@ class PermGroup:
         rc = self._coset_least(harr)
         reps = np.flatnonzero(rc == np.arange(n))  # one element per right coset
         # HgH is the union of the right cosets Hgh, so its least element is the
-        # least of theirs; dc[g] numbers HgH in the order of least elements
+        # least of theirs; dc[g] numbers HgH in the order of least elements,
+        # by marking them and counting (np.unique costs about three times as
+        # much per call, which tells on the tiny H of elementary abelian groups)
         rep_least = rc[t[reps[:, None], harr]].min(axis=1)
         is_least = np.zeros(n, dtype=np.intp)
         is_least[rep_least] = 1
