@@ -32,14 +32,17 @@ lcms of cycle lengths, so none of them runs Python per element.  The field
 tables behind PSL(2, q) are arrays too, and a Moebius map is one array
 expression over them.
 
-Everything interesting happens on element indices against a cached
+Everything interesting happens on element indices against a
 multiplication table (numpy), so degrees stay tiny and orders stay below
 explicit bounds: ORDER_BOUND for materializing a group at all, a lattice
 bound for whole-lattice operations, and _MAX_CLASSES subgroup classes in
 one lattice.  The lattice bound is checked on every `require_table` call
 that passes one; a table operation that finds no table builds it under
 DEFAULT_LATTICE_BOUND.  The table holds int16 indices, so one at
-ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.
+ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.  A group keeps its table
+and lattice until `release` drops them.  `realize` caches single factors
+by spec, and never direct products, which it assembles from the cached
+factors on each call.
 
 Outside the lattice, every subgroup built from generators comes from one
 breadth-first closure over the table, `_close`: the closure of the
@@ -200,8 +203,11 @@ class PermGroup:
             if len(rows) > ORDER_BOUND:
                 raise BruteForceBoundError(
                     f"order {len(rows)} exceeds the hard bound {ORDER_BOUND}")
-            # repeated rows stay: the table's reach check refuses them
-            keys = np.sort(_row_keys(rows.reshape(-1, degree), degree))
+            # repeated rows stay: the table's reach check refuses them.  A
+            # stable sort makes one pass over rows already in order, as a
+            # direct product's are; equal keys are equal bytes, so the result
+            # is that of any sort
+            keys = np.sort(_row_keys(rows.reshape(-1, degree), degree), kind="stable")
         self._keys = keys
         self.perms = _rows_of(keys, degree)
         self.perms.flags.writeable = False
@@ -303,6 +309,11 @@ class PermGroup:
                 f"{self.name}: the generators reach only {count} "
                 f"of the {n} listed elements")
         return table
+
+    def release(self) -> None:
+        """Drop the multiplication table, the inverses and the lattice; each
+        is rebuilt on its next use."""
+        self._table = self._inv = self._classes = None
 
     @property
     def inv(self) -> np.ndarray:
@@ -698,16 +709,16 @@ def realize(spec: str) -> PermGroup:
     comma-separated factors ("Alt:5,Cyclic:7"), each one of Alt:n, Sym:n
     (n >= 5), PSL(2, q) as Lie:A:2:q, and Cyclic:p for a prime p <= 31.  An
     Alt, Sym or PSL factor is realized exactly when its order is at most
-    ORDER_BOUND, which is checked before any element is built.  Groups are
-    cached by spec."""
-    g = _REALIZE_CACHE.get(spec)
+    ORDER_BOUND, which is checked before any element is built.  Factors are
+    cached by spec, tables and lattices included; a product is assembled from
+    its cached factors on every call and not stored, so its table and
+    lattice are freed when its caller drops it."""
+    parts = [s.strip() for s in spec.split(",") if s.strip()] or [spec]
+    if len(parts) > 1:
+        return functools.reduce(direct_product, [realize(s) for s in parts])
+    g = _REALIZE_CACHE.get(parts[0])
     if g is None:
-        parts = [s.strip() for s in spec.split(",") if s.strip()] or [spec]
-        if len(parts) == 1:
-            g = _realize_factor(parts[0])
-        else:
-            g = functools.reduce(direct_product, [realize(s) for s in parts])
-        _REALIZE_CACHE[spec] = g
+        g = _REALIZE_CACHE[parts[0]] = _realize_factor(parts[0])
     return g
 
 

@@ -268,8 +268,6 @@ def test_sweep_builds_lemma_flags_once_per_hypothesis_hit(monkeypatch, spec, hit
 
 
 def test_brute_refuses_a_lattice_past_the_class_cap(capsys, monkeypatch):
-    # lattices are cached per group, so each spec is realized afresh
-    monkeypatch.setattr(permbrute, "_REALIZE_CACHE", {})
     monkeypatch.setattr(permbrute, "_MAX_CLASSES", 100)
     # C2^4 has 67 subgroup classes and C2^5 has 374
     code, _, _ = run_cli(capsys, "brute", "--group", ",".join(["Cyclic:2"] * 4), "--pi", "2")

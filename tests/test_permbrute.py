@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sylowpi import permbrute
+from sylowpi import cli, permbrute
 from sylowpi.arith import prime_divisors
 from sylowpi.catalog import facts, parse_group
 from sylowpi.cli import CORPUS_SIMPLE, _hall_report_dict, sweep
@@ -161,6 +161,50 @@ def test_realize_products_and_cyclic():
 
 def test_realize_is_cached():
     assert realize("Alt:5") is realize("Alt:5")
+
+
+def test_products_are_assembled_afresh_from_cached_factors():
+    a, b = realize("Alt:5,Cyclic:7"), realize("Alt:5,Cyclic:7")
+    assert a is not b and np.array_equal(a.perms, b.perms)
+
+
+def test_product_sweeps_cache_only_factors(monkeypatch):
+    # the pairs of acceptance criterion 4, over a few small factors
+    monkeypatch.setattr(permbrute, "_REALIZE_CACHE", {})
+    parts = ["Alt:5", "Cyclic:2", "Cyclic:3", "Cyclic:7"]
+    for i, a in enumerate(parts):
+        for b in parts[i:]:
+            try:
+                sweep(f"{a},{b}")
+            except BruteForceBoundError:  # Alt(5) x Alt(5)
+                continue
+    assert sorted(permbrute._REALIZE_CACHE) == sorted(parts)
+    assert all(g._table is None for g in permbrute._REALIZE_CACHE.values())
+
+
+def test_sweep_releases_the_table_and_lattice(monkeypatch):
+    g = realize("Lie:A:2:7")
+    counts = [(c.order, c.class_size) for c in g.subgroup_classes()]
+    sweep("Lie:A:2:7")
+    assert realize("Lie:A:2:7") is g
+    assert g._table is None and g._inv is None and g._classes is None
+    assert [(c.order, c.class_size) for c in g.subgroup_classes()] == counts
+    # a sweep that raises releases them too
+    monkeypatch.setattr(cli, "decide_dpi_composite", _raise)
+    with pytest.raises(RuntimeError):
+        sweep("Lie:A:2:7")
+    assert g._table is None and g._classes is None
+
+
+def _raise(*args):
+    raise RuntimeError("refused")
+
+
+def test_shuffled_element_list_gives_the_sorted_rows():
+    g = realize("Alt:5,Cyclic:7")
+    shuffled = g.perms[np.random.default_rng(0).permutation(g.order)]
+    h = PermGroup(g.degree, g.generators, elements=shuffled)
+    assert np.array_equal(h.perms, g.perms) and h.identity == g.identity
 
 
 def test_subgroup_class_counts():
