@@ -8,19 +8,23 @@ conjugacy, and E_pi / D_pi are decided by definition: D_pi holds exactly
 when all maximal pi-subgroups form a single conjugacy class.
 
 The lattice starts from the cyclic subgroups.  For each class
-representative H it takes the joins <H, x>, one x per double coset HxH, and
-grows all of them in one breadth-first search: every element is labelled by
-the least element of its right coset Hg and of its double coset HgH, and a
-join is the union of the double cosets that H reaches by right
-multiplication with x, one product per right coset (coset methods as in
-Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
-Each <x> is named by its least generator x^k, k prime to |x|, found with
-one table gather per exponent k.  A subgroup in the lattice is a sorted
-int16 row of element indices, known by the row's bytes; a class keeps its
+representative H it takes the joins <H, x>, one x per double coset HxH.
+The joins of every representative waiting on the worklist are grown
+together in one breadth-first search: every element is labelled, for all
+of them at once, by the least element of its right coset Hg and of its
+double coset HgH, and a join is the union of the double cosets that H
+reaches by right multiplication with x, one product per right coset
+(coset methods as in Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, 2005).  The joins are kept by class and replayed in the
+order of a walk that grows one class at a time, so the classes and their
+representatives do not depend on how the searches are batched.  Each <x>
+is named by its least generator x^k, k prime to |x|, found with one table
+gather per exponent k.  A subgroup in the lattice is a sorted int16 row
+of element indices, known by the row's bytes; a class keeps its
 conjugates as the rows of one array, grown a breadth-first layer at a time
-with one conjugation gather per layer.  Whether a class has a conjugate
-inside a subgroup is one gather of that subgroup's membership mask over
-the class's rows.
+with one conjugation gather per layer.  Whether classes of one order have
+a conjugate inside a subgroup is one gather of that subgroup's membership
+mask over all their rows.
 
 A group keeps its elements as one array, `perms`: its permutations as
 rows in lexicographic order (uint8, uint16 above degree 256), element i
@@ -58,6 +62,7 @@ per-element arrays beyond it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -369,13 +374,22 @@ class PermGroup:
             layer = np.flatnonzero(fresh)
         return np.flatnonzero(member)
 
-    def _coset_least(self, harr: np.ndarray) -> np.ndarray:
-        """least[g] = least element of the right coset Hg, where H has
-        elements `harr`, taken _CHUNK rows of H at a time."""
+    def _coset_least(self, hs: list[np.ndarray]) -> np.ndarray:
+        """least[i, g] = least element of the right coset H_i g, where H_i has
+        the elements hs[i]: for each order among the H_i, one minimum over
+        gathered table rows, taken _CHUNK rows at a time."""
         t = self._table
-        least = t[harr[:_CHUNK]].min(axis=0)
-        for lo in range(_CHUNK, len(harr), _CHUNK):
-            np.minimum(least, t[harr[lo:lo + _CHUNK]].min(axis=0), out=least)
+        least = np.empty((len(hs), self.order), dtype=t.dtype)
+        by_size: dict[int, list[int]] = {}
+        for i, h in enumerate(hs):
+            by_size.setdefault(len(h), []).append(i)
+        for size, ids in by_size.items():
+            arr = np.array([hs[i] for i in ids], dtype=np.intp)
+            step = max(1, _CHUNK // len(ids))
+            part = t[arr[:, :step]].min(axis=1)
+            for lo in range(step, size, step):
+                np.minimum(part, t[arr[:, lo:lo + step]].min(axis=1), out=part)
+            least[ids] = part
         return least
 
     # -- subgroup lattice ---------------------------------------------------
@@ -383,8 +397,14 @@ class PermGroup:
     def subgroup_classes(self) -> list[SubgroupClass]:
         """All subgroups up to conjugacy: the cyclic subgroups, then, for each
         new class representative H, the joins <H, x>, one per double coset
-        HxH outside H, until no join gives a new class.  The joins of one H
-        are grown together by _joins.
+        HxH outside H, until no join gives a new class.
+
+        New classes go on a LIFO worklist.  When it yields a class whose joins
+        are not known yet, one call of _joins grows the joins of every class
+        on the worklist whose joins are not known.  They are kept by class
+        and replayed as each class comes off the worklist, so classes are
+        found, and their representatives chosen, in the order of growing one
+        class's joins at a time.
 
         Every subgroup is a sorted int16 row of element indices, known by the
         row's bytes: `seen` holds the key of every conjugate of every class
@@ -394,7 +414,9 @@ class PermGroup:
             return self._classes
         t = self.require_table()
         n = self.order
-        ggens = self.gen_indices()
+        # conjugation by each generator s, x -> s^-1 x s, is t[sinv[x], s]
+        s = np.array(self.gen_indices(), dtype=np.intp)[:, None, None]
+        sinv = self._inv[s]
 
         seen: set[bytes] = set()
         classes: list[SubgroupClass] = []
@@ -407,47 +429,45 @@ class PermGroup:
             orbit = [rep[None]]
             frontier = orbit[0]
             while len(frontier):
-                rows = np.sort(self._conjugates(frontier, ggens).reshape(-1, rep.size), axis=1)
+                rows = t[t[sinv, frontier], s].reshape(-1, rep.size)
+                rows.sort(axis=1)
                 frontier = rows[_add_new(rows, seen)]
                 orbit.append(frontier)
             classes.append(SubgroupClass(np.concatenate(orbit)))
             return len(classes) - 1
 
-        # least[x] names <x> by its least generator x^k, k prime to |x|: one
-        # gather of n entries per exponent below the largest element order
-        orders = self.element_orders()
-        everything = np.arange(n)
-        least, power = everything.copy(), everything
-        for k in range(2, int(orders.max())):
-            power = t[power, everything]  # x^k
-            gen = (k < orders) & (np.gcd(k, orders) == 1)
-            least[gen] = np.minimum(least[gen], power[gen])
-        # the generators of <x> are by_least[gens_from[x]:gens_to[x]]
-        by_least = np.argsort(least, kind="stable")
-        gens_from = np.searchsorted(least[by_least], least)
-        gens_to = np.searchsorted(least[by_least], least, side="right")
         # the cyclic classes in increasing order of least generator; a class
         # marks the least generators of all its conjugates, the first element
         # of full order in each row, as registered
+        orders = self.element_orders()
+        cyclic = self._cyclic_subgroups()
+        gens, gens_from, _, powers = cyclic
         register(np.array([self.identity], dtype=np.int16))
         done = np.zeros(n, dtype=bool)
         done[self.identity] = True
-        for x in np.flatnonzero(least == everything).tolist():
+        for x in gens[gens_from].tolist():
             if done[x]:
                 continue
-            powers = [self.identity]
-            while len(powers) < orders[x]:
-                powers.append(int(t[powers[-1], x]))
-            cls = classes[register(np.sort(np.array(powers, dtype=np.int16)))]
+            cls = classes[register(np.sort(powers[x, :orders[x]]))]
             rows = cls.conjugates
             done[rows[np.arange(len(rows)), (orders[rows] == cls.order).argmax(axis=1)]] = True
 
+        # joins[i]: the joins of class i not yet in `seen` when they were grown
+        # (seen only grows, so leaving those out changes no replay); the
+        # classes from `unjoined` on have none yet, and are all on the worklist
+        joins: dict[int, list[bytes]] = {}
         worklist = list(range(1, len(classes)))
+        unjoined = 1
         while worklist:
-            cls = classes[worklist.pop()]
-            if cls.order == n:
+            i = worklist.pop()
+            if classes[i].order == n:
                 continue
-            for key in self._joins(cls.conjugates[0], by_least, gens_from, gens_to):
+            if i >= unjoined:
+                pending = [j for j in range(unjoined, len(classes)) if classes[j].order < n]
+                grown = self._joins([classes[j].conjugates[0] for j in pending], cyclic, seen)
+                joins.update(zip(pending, grown))
+                unjoined = len(classes)
+            for key in joins.pop(i):
                 if key not in seen:
                     worklist.append(register(np.frombuffer(key, dtype=np.int16)))
 
@@ -455,85 +475,157 @@ class PermGroup:
         self._classes = classes
         return classes
 
-    def _joins(self, rep: np.ndarray, by_least, gens_from, gens_to):
-        """The joins <H, x> of H = rep with one x per double coset HxH
-        outside H, in increasing x, each as the bytes of its sorted int16
-        element row.  <H, x> = <H, h x h'> = <H, x^k> for h, h' in H and k
-        prime to |x|, so x is the least element of its double coset, and the
-        double cosets of the generators of <x>, by_least[gens_from[x]:
-        gens_to[x]], need no join of their own.
+    def _cyclic_subgroups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(gens, gens_from, number, powers): the cyclic subgroups, numbered
+        in the order of their least generators, so that <x> is number[x] and
+        the generators of number c are gens[gens_from[c]:gens_from[c + 1]], in
+        increasing order; powers[x, k] = x^k for k below the largest element
+        order, so that powers[x] runs through <x>, one gather of n entries
+        per exponent.  The least generator of <x> is the least x^k, k prime
+        to |x|."""
+        t = self.require_table()
+        n = self.order
+        orders = self.element_orders()
+        everything = np.arange(n)
+        powers = np.empty((n, max(2, int(orders.max()))), dtype=t.dtype)
+        powers[:, 0], powers[:, 1] = self.identity, everything
+        for k in range(2, powers.shape[1]):
+            powers[:, k] = t[powers[:, k - 1], everything]
+        kinds, kind = np.unique(orders, return_inverse=True)
+        k = np.arange(powers.shape[1])
+        prime_to = (k < kinds[:, None]) & (np.gcd(k, kinds[:, None]) == 1)
+        least = np.where(prime_to[kind], powers, n).min(axis=1)
+        gens = np.argsort(least, kind="stable")
+        first = np.ones(n, dtype=bool)
+        first[1:] = least[gens[1:]] != least[gens[:-1]]
+        number = np.empty(n, dtype=np.intp)
+        number[gens] = first.cumsum() - 1
+        return gens, np.flatnonzero(first), number, powers
 
-        All joins are grown together, breadth-first over (candidate, double
-        coset) pairs.  <H, x> is a union of double cosets; a double coset D
-        in it reaches the double coset of g x for one g per right coset Hg
-        inside D, and the union of what is reached from H contains H and is
-        closed under right multiplication by H and by x, so it is a group.
-        Candidates go in blocks of at most _FRONTIER (candidate, right coset)
-        pairs, a bound on everything one block's search holds."""
+    def _joins(self, reps: list[np.ndarray], cyclic, known):
+        """For each proper subgroup H in `reps` (sorted element rows), the
+        joins <H, x> with one x per double coset HxH outside H, as the bytes
+        of their sorted int16 element rows, in the order in which increasing
+        x first reaches them, less those in `known`: one list per H, yielded
+        in the order of `reps`.  `cyclic` is _cyclic_subgroups().
+
+        The reps go in blocks of at most _FRONTIER (rep, element) pairs, each
+        labelled at once by _double_cosets.  The joins of a block are grown
+        together in one breadth-first search over (candidate, double coset)
+        pairs, the candidates taken in blocks of at most _FRONTIER
+        (candidate, right coset) pairs.  <H, x> is a union of double cosets; a
+        double coset D in it reaches the double coset of g x for one g per
+        right coset Hg inside D, and the union of what is reached from H and
+        from the double coset of each power of x is closed under right
+        multiplication by H and by x, so it is a group (coset methods as in
+        Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+        Starting from all the powers rather than from H alone takes fewer
+        layers.  A join's element rows are expanded from masks of at most
+        _FRONTIER elements at a time."""
         t = self._table
         n = self.order
-        harr = rep.astype(np.intp)
-        rc = self._coset_least(harr)
-        reps = np.flatnonzero(rc == np.arange(n))  # one element per right coset
-        # HgH is the union of the right cosets Hgh, so its least element is the
-        # least of theirs; dc[g] numbers HgH in the order of least elements,
-        # by marking them and counting (np.unique costs about three times as
-        # much per call, which tells on the tiny H of elementary abelian groups)
-        rep_least = rc[t[reps[:, None], harr]].min(axis=1)
-        is_least = np.zeros(n, dtype=np.intp)
-        is_least[rep_least] = 1
-        least = is_least.nonzero()[0]
-        rep_dc = is_least.cumsum()[rep_least] - 1
-        pos = np.empty(n, dtype=np.intp)
-        pos[reps] = np.arange(len(reps))
-        dc = rep_dc[pos[rc]]
-        m = len(least)
+        powers = cyclic[3]
+        step = max(1, _FRONTIER // n)
+        for first in range(0, len(reps), step):
+            block = reps[first:first + step]
+            dc, coset_reps, count, cr, cx = self._double_cosets(block, cyclic)
+            m = dc.max(axis=1) + 1
+            off = np.cumsum(m) - m  # double coset d of H_i is number off[i] + d
+            start = np.cumsum(count) - count
+            # cost[j]: the right cosets of the candidates before j
+            cost = np.concatenate([[0], np.cumsum(n // np.array([len(h) for h in block])[cr])])
+            found: list[list[bytes]] = [[] for _ in block]
+            distinct: set[tuple[int, bytes]] = set()  # (i, reached mask) so far
+            lo = 0
+            while lo < len(cr):
+                hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + _FRONTIER, side="right")) - 1)
+                xs, rs = cx[lo:hi], cr[lo:hi]
+                lo = hi
+                mc = m[rs]
+                base = np.cumsum(mc) - mc  # pair (c, d) is base[c] + d
+                shift = off[rs] - base  # pair p of c is double coset p + shift[c]
+                reached = np.zeros(base[-1] + mc[-1], dtype=bool)
+                slot = np.empty(len(reached), dtype=np.int32)
+                # <H, x> holds the double cosets of the powers of x, H among them
+                pairs = (base[:, None] + dc[rs[:, None], powers[xs]]).ravel()
+                while True:
+                    pairs = pairs[~reached[pairs]]
+                    # keep one copy of each new pair: the one whose index lands last
+                    at = np.arange(len(pairs), dtype=np.int32)
+                    slot[pairs] = at
+                    pairs = pairs[slot[pairs] == at]
+                    if not pairs.size:
+                        break
+                    reached[pairs] = True
+                    fc = np.searchsorted(base, pairs, side="right") - 1
+                    fd = pairs + shift[fc]
+                    cnt = count[fd]
+                    c = np.repeat(fc, cnt)
+                    idx = np.arange(len(c)) + np.repeat(start[fd] - (np.cumsum(cnt) - cnt), cnt)
+                    pairs = base[c] + dc[rs[c], t[coset_reps[idx], xs[c]]]
+                masks = reached.tobytes()
+                new = []
+                for j, (i, u, v) in enumerate(zip(rs.tolist(), base.tolist(), (base + mc).tolist())):
+                    key = (i, masks[u:v])
+                    if key not in distinct:
+                        distinct.add(key)
+                        new.append(j)
+                new = np.array(new, dtype=np.intp)
+                for u in range(0, len(new), step):
+                    js = new[u:u + step]
+                    # in place, so that one index array is held at a time
+                    members = dc[rs[js]]
+                    members += base[js, None]
+                    members = reached[members]
+                    ends = np.add.reduce(members, axis=1).cumsum().tolist()
+                    members = np.flatnonzero(members)
+                    members %= n
+                    rows = members.astype(np.int16).tobytes()
+                    for i, e0, e in zip(rs[js].tolist(), [0] + ends[:-1], ends):
+                        if (key := rows[2 * e0:2 * e]) not in known:
+                            found[i].append(key)
+            yield from found
 
-        covered = np.zeros(m, dtype=bool)
-        home = dc[self.identity]
-        covered[home] = True
-        cands = []
-        for d, x in enumerate(least.tolist()):
-            if not covered[d]:
-                cands.append(x)
-                covered[dc[by_least[gens_from[x]:gens_to[x]]]] = True
+    def _double_cosets(self, block: list[np.ndarray], cyclic):
+        """(dc, coset_reps, count, cr, cx) for the subgroups H_i in `block`:
+        dc[i, g] numbers the double coset H_i g H_i among those of H_i, in the
+        order of their least elements; numbered across the block, in the
+        order of (i, dc), double coset e has the right coset representatives
+        coset_reps[s:s + count[e]], s = count[:e].sum(); and (cr[j], cx[j])
+        are the candidates for joins, by i and then x.
 
-        # the right coset representatives of double coset d are
-        # coset_reps[start[d]:start[d] + count[d]]
-        coset_reps = reps[np.argsort(rep_dc, kind="stable")]
-        count = np.bincount(rep_dc, minlength=m)
-        start = np.cumsum(count) - count
-        block = max(1, _FRONTIER // len(reps))
-        distinct: set[bytes] = set()  # the reached rows of the joins so far
-        for lo in range(0, len(cands), block):
-            xs = np.array(cands[lo:lo + block])
-            reached = np.zeros((len(xs), m), dtype=bool)
-            reached[:, home] = True
-            flat = reached.ravel()  # pair (c, d) is flat[c * m + d]
-            slot = np.empty(flat.size, dtype=np.intp)
-            fc, fd = np.arange(len(xs)), np.full(len(xs), home)
-            while fc.size:
-                cnt = count[fd]
-                c = np.repeat(fc, cnt)
-                idx = np.arange(len(c)) + np.repeat(start[fd] - (np.cumsum(cnt) - cnt), cnt)
-                pairs = c * m + dc[t[coset_reps[idx], xs[c]]]
-                pairs = pairs[~flat[pairs]]
-                # keep one copy of each new pair: the one whose index lands last
-                at = np.arange(len(pairs))
-                slot[pairs] = at
-                pairs = pairs[slot[pairs] == at]
-                flat[pairs] = True
-                fc, fd = np.divmod(pairs, m)
-            # the element rows of the new joins, from masks of at most
-            # _FRONTIER elements at a time
-            reached = reached[_add_new(reached, distinct)]
-            step = max(1, _FRONTIER // n)
-            for a in range(0, len(reached), step):
-                members = reached[a:a + step, dc]
-                ends = np.add.reduce(members, axis=1).cumsum().tolist()
-                rows = members.nonzero()[1].astype(np.int16).tobytes()
-                for b, e in zip([0] + ends[:-1], ends):
-                    yield rows[2 * b:2 * e]
+        <H, x> = <H, h x h'> = <H, x^k> for h, h' in H and k prime to |x|, so
+        a candidate x is the least element of a double coset d != H, taken
+        only when d is the least double coset holding a generator of <x>: any
+        other x has the join of an x' in an earlier double coset, which is
+        taken or has the join of one earlier still."""
+        t = self._table
+        n = self.order
+        k = len(block)
+        rc = self._coset_least(block)
+        # (i, g) for one g per right coset H_i g, the least, by i
+        ri, gi = np.nonzero(rc == np.arange(n))
+        # H g H is the union of the right cosets H g h, so its least element
+        # is the least of theirs: one gather of the k n products g h
+        sizes = np.array([len(h) for h in block])
+        hcat = np.concatenate(block)
+        s = sizes[ri]
+        ends = np.cumsum(s)
+        h = hcat[np.arange(ends[-1]) - np.repeat(ends - s - (np.cumsum(sizes) - sizes)[ri], s)]
+        dl = np.minimum.reduceat(rc[np.repeat(ri, s), t[np.repeat(gi, s), h]], ends - s)
+        # number the double cosets by marking their least elements and counting
+        is_least = np.zeros((k, n), dtype=bool)
+        is_least[ri, dl] = True
+        number = is_least.cumsum()
+        coset_dc = number[ri * n + dl] - 1  # numbered across the block
+        dc = np.empty((k, n), dtype=np.intp)
+        dc[ri, gi] = coset_dc
+        dc = dc[np.arange(k)[:, None], rc] - (number[::n] - is_least[:, 0])[:, None]
+        gens, gens_from, cyc, _ = cyclic
+        dmin = np.minimum.reduceat(dc[:, gens], gens_from, axis=1)[:, cyc]
+        cr, cx = np.nonzero(is_least & (dmin == dc) & (dc != dc[:, [self.identity]]))
+        return (dc, gi[np.argsort(coset_dc, kind="stable")],
+                np.bincount(coset_dc, minlength=number[-1]), cr, cx)
 
     # -- structure tests on element-index sets ------------------------------
 
@@ -611,7 +703,7 @@ class PermGroup:
         t = self.require_table()
         aarr = np.fromiter(normal_subset, dtype=np.intp, count=len(normal_subset))
         # cosets are numbered in the order of their least elements
-        reps, coset_of = np.unique(self._coset_least(aarr), return_inverse=True)
+        reps, coset_of = np.unique(self._coset_least([aarr])[0], return_inverse=True)
         coset_of = coset_of.astype(np.int32)
         k = len(reps)
         gen_perms = [tuple(coset_of[t[reps, s]].tolist()) for s in self.gen_indices()]
@@ -769,28 +861,58 @@ def _member_mask(g: PermGroup, c: SubgroupClass) -> np.ndarray:
     return mask
 
 
+def _inside(rows: np.ndarray, host: np.ndarray) -> np.ndarray:
+    """Whether each subgroup in `rows` (one element row each) lies inside
+    the subgroup whose membership mask is `host`: one gather of the mask."""
+    return np.logical_and.reduce(host[rows], axis=1)
+
+
 def _conjugate_inside(c: SubgroupClass, host: np.ndarray) -> np.ndarray | None:
     """A subgroup of the class c inside the subgroup whose membership mask
-    is `host`, if one is: one gather of the mask over all conjugates."""
-    inside = np.logical_and.reduce(host[c.conjugates], axis=1)
+    is `host`, if one is."""
+    inside = _inside(c.conjugates, host)
     k = inside.argmax()
     return c.conjugates[k] if inside[k] else None
 
 
+def _contained(same: list[SubgroupClass], hosts: list[np.ndarray]) -> list[bool]:
+    """Whether each class in `same`, all of one order, has a conjugate inside
+    one of the subgroups whose membership masks are `hosts`: one gather of a
+    mask over the conjugates of all the classes at once."""
+    if len(same) == 1:
+        return [any(_inside(same[0].conjugates, mask).any() for mask in hosts)]
+    contained = np.zeros(len(same), dtype=bool)
+    if hosts:
+        rows = [c.conjugates for c in same]
+        starts = list(itertools.accumulate([len(r) for r in rows[:-1]], initial=0))
+        rows = np.concatenate(rows)
+        for mask in hosts:
+            contained |= np.logical_or.reduceat(_inside(rows, mask), starts)
+            if contained.all():
+                break
+    return contained.tolist()
+
+
 def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallReport:
     """Conjugacy classes of maximal pi-subgroups, in lattice order, and the
-    E_pi/D_pi verdict.  Each pi-class, largest first, is tested against the
-    maximal ones found so far: a non-maximal one lies in a larger maximal one."""
+    E_pi/D_pi verdict.  The pi-classes are taken an order at a time, largest
+    first, and tested against the maximal ones found so far: a non-maximal
+    one lies in a larger maximal one.  Classes of one order cannot contain
+    each other, so all of them are tested against a maximal class in one
+    gather of its mask over their conjugates."""
     pi = frozenset(pi)
     classes = g.subgroup_classes()
-    pi_classes = [c for c in classes if pi_part(c.order, pi) == c.order]
+    orders = [c.conjugates.shape[1] for c in classes]
+    is_pi = {o: pi_part(o, pi) == o for o in set(orders)}
+    pi_classes = [c for c, o in zip(classes, orders) if is_pi[o]]
     maximal, masks = [], []
-    for c in reversed(pi_classes):
-        if not any(d.order > c.order and d.order % c.order == 0
-                   and _conjugate_inside(c, mask) is not None
-                   for d, mask in zip(maximal, masks)):
-            maximal.append(c)
-            masks.append(_member_mask(g, c))
+    for order, same in itertools.groupby(reversed(pi_classes), key=lambda c: c.conjugates.shape[1]):
+        same = list(same)
+        hosts = [mask for d, mask in zip(maximal, masks) if d.order % order == 0]
+        for c, inside in zip(same, _contained(same, hosts)):
+            if not inside:
+                maximal.append(c)
+                masks.append(_member_mask(g, c))
     maximal.reverse()
     hall_order = pi_part(g.order, pi)
     epi = any(c.order == hall_order for c in maximal)

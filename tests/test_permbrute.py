@@ -347,6 +347,47 @@ def test_lattice_is_pinned():
     assert h.hexdigest()[:16] == "76408a500dee5b2d"
 
 
+@pytest.mark.parametrize("spec", ("Sym:5", "Lie:A:2:7", "Alt:5,Cyclic:7", "Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2"))
+def test_batched_joins_match_closures(spec):
+    # the joins of every class representative, grown in one batch, against
+    # <H, x> closed directly; <H, hx> = <H, x>, so one x per right coset Hx
+    g = realize(spec)
+    t = g.require_table()
+    reps = [c.conjugates[0] for c in g.subgroup_classes() if c.order < g.order]
+    for rep, joins in zip(reps, g._joins(reps, g._cyclic_subgroups(), set())):
+        h = rep.astype(np.intp)
+        gens = g.gens_of(h.tolist())
+        xs = np.flatnonzero(t[h].min(axis=0) == np.arange(g.order))
+        expected = {g._close(h, gens + (x,)).astype(np.int16).tobytes()
+                    for x in np.setdiff1d(xs, h).tolist()}
+        assert set(joins) == expected and len(joins) == len(expected), (spec, len(h))
+
+
+def test_lattice_is_the_same_in_small_blocks(monkeypatch):
+    # blocks of 64 (rep, element) and (candidate, right coset) pairs and of 4
+    # table rows split every batch of joins, every search and every gather
+    def lattices():
+        c2 = permbrute._cyclic(2)
+        groups = (_sym(5), direct_product(permbrute._alt(5), permbrute._cyclic(7)),
+                  direct_product(direct_product(c2, c2), direct_product(c2, direct_product(c2, c2))))
+        out = []
+        for g in groups:  # built afresh, so that no table or lattice is shared
+            classes = g.subgroup_classes()
+            reps = [c.conjugates[0] for c in classes if c.order < g.order]
+            out.append(([c.conjugates for c in classes],
+                         list(g._joins(reps, g._cyclic_subgroups(), set()))))
+        return out
+
+    default = lattices()
+    monkeypatch.setattr(permbrute, "_FRONTIER", 1 << 6)
+    monkeypatch.setattr(permbrute, "_CHUNK", 4)
+    for (classes, joins), (default_classes, default_joins) in zip(lattices(), default):
+        assert joins == default_joins
+        assert len(classes) == len(default_classes)
+        for a, b in zip(classes, default_classes):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_conjugates_are_sorted_int16_rows():
     for c in realize("Sym:5").subgroup_classes():
         assert c.conjugates.dtype == np.int16 and c.conjugates.shape == (c.class_size, c.order)
@@ -461,16 +502,18 @@ def test_maximal_walk_matches_pairwise_scan(groups):
 
 def test_maximal_walk_tests_each_class_against_maximal_ones_only(monkeypatch):
     # C2^6 has 2825 subgroups, all 2-subgroups; the whole group is the one
-    # maximal class, so the walk makes at most one containment test per class
+    # maximal class, so the walk tests each class at most once, and all the
+    # classes of one order in one gather
     g = realize(_elementary_abelian(6))
     calls = []
-    inside = permbrute._conjugate_inside
-    monkeypatch.setattr(permbrute, "_conjugate_inside",
-                        lambda c, host: calls.append(c) or inside(c, host))
+    inside = permbrute._inside
+    monkeypatch.setattr(permbrute, "_inside",
+                        lambda rows, host: calls.append(len(rows)) or inside(rows, host))
     r = maximal_pi_subgroups(g, {2}, with_structure=False)
     pi_classes = len(g.subgroup_classes())
     assert pi_classes == 2825 and [c.order for c in r.maximal_classes] == [64]
-    assert len(calls) <= pi_classes * len(r.maximal_classes)
+    assert sum(calls) <= pi_classes * len(r.maximal_classes)
+    assert len(calls) <= 6 * len(r.maximal_classes)  # orders 1, 2, ..., 32
 
 
 def test_dpi_implies_epi_on_sweeps():
