@@ -22,9 +22,9 @@ is named by its least generator x^k, k prime to |x|, found with one table
 gather per exponent k.  A subgroup in the lattice is a sorted int16 row
 of element indices, known by the row's bytes; a class keeps its
 conjugates as the rows of one array, grown a breadth-first layer at a time
-with one conjugation gather per layer.  Whether classes of one order have
-a conjugate inside a subgroup is one gather of that subgroup's membership
-mask over all their rows.
+with one conjugation gather per layer.  Whether a class has a conjugate
+inside a subgroup is one gather of that subgroup's membership mask over
+the class's rows.
 
 A group keeps its elements as one array, `perms`: its permutations as
 rows in lexicographic order (uint8, uint16 above degree 256), element i
@@ -62,7 +62,6 @@ per-element arrays beyond it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -112,6 +111,14 @@ def _bytes_keys(rows: np.ndarray) -> np.ndarray:
     """One bytes key per row of the 2-d array `rows`: key i is rows[i].tobytes()."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+
+
+def _spans(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, idx) for the index ranges start[j]:start[j] + count[j] laid
+    end to end: idx runs through them in turn, and idx[i] is in range
+    owner[i]."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + (start - np.cumsum(count) + count)[owner]
 
 
 def _add_new(rows: np.ndarray, known: set[bytes]) -> list[int]:
@@ -412,11 +419,9 @@ class PermGroup:
         at a time, one conjugation gather and one row sort per layer."""
         if self._classes is not None:
             return self._classes
-        t = self.require_table()
+        self.require_table()
         n = self.order
-        # conjugation by each generator s, x -> s^-1 x s, is t[sinv[x], s]
-        s = np.array(self.gen_indices(), dtype=np.intp)[:, None, None]
-        sinv = self._inv[s]
+        ggens = self.gen_indices()
 
         seen: set[bytes] = set()
         classes: list[SubgroupClass] = []
@@ -429,28 +434,19 @@ class PermGroup:
             orbit = [rep[None]]
             frontier = orbit[0]
             while len(frontier):
-                rows = t[t[sinv, frontier], s].reshape(-1, rep.size)
-                rows.sort(axis=1)
+                rows = np.sort(self._conjugates(frontier, ggens).reshape(-1, rep.size), axis=1)
                 frontier = rows[_add_new(rows, seen)]
                 orbit.append(frontier)
             classes.append(SubgroupClass(np.concatenate(orbit)))
             return len(classes) - 1
 
-        # the cyclic classes in increasing order of least generator; a class
-        # marks the least generators of all its conjugates, the first element
-        # of full order in each row, as registered
-        orders = self.element_orders()
+        # the cyclic classes in increasing order of least generator
         cyclic = self._cyclic_subgroups()
-        gens, gens_from, _, powers = cyclic
+        members, members_from = cyclic[3].astype(np.int16), cyclic[4].tolist()
         register(np.array([self.identity], dtype=np.int16))
-        done = np.zeros(n, dtype=bool)
-        done[self.identity] = True
-        for x in gens[gens_from].tolist():
-            if done[x]:
-                continue
-            cls = classes[register(np.sort(powers[x, :orders[x]]))]
-            rows = cls.conjugates
-            done[rows[np.arange(len(rows)), (orders[rows] == cls.order).argmax(axis=1)]] = True
+        for lo, hi in zip(members_from, members_from[1:]):
+            if members[lo:hi].tobytes() not in seen:
+                register(members[lo:hi])
 
         # joins[i]: the joins of class i not yet in `seen` when they were grown
         # (seen only grows, so leaving those out changes no replay); the
@@ -475,32 +471,54 @@ class PermGroup:
         self._classes = classes
         return classes
 
-    def _cyclic_subgroups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(gens, gens_from, number, powers): the cyclic subgroups, numbered
-        in the order of their least generators, so that <x> is number[x] and
-        the generators of number c are gens[gens_from[c]:gens_from[c + 1]], in
-        increasing order; powers[x, k] = x^k for k below the largest element
-        order, so that powers[x] runs through <x>, one gather of n entries
-        per exponent.  The least generator of <x> is the least x^k, k prime
-        to |x|."""
+    def _cyclic_subgroups(self):
+        """(gens, gens_from, number, members, members_from): the cyclic
+        subgroups, numbered in the order of their least generators, so that
+        <x> is number[x], the generators of number c are gens[gens_from[c]:
+        gens_from[c + 1]], in increasing order, and its elements are
+        members[members_from[c]:members_from[c + 1]], sorted.  The least
+        generator of <x> is the least x^k, k prime to |x|: a running minimum
+        with one gather per exponent k over the elements of order above k.
+        The elements are the powers of the least generators, one gather per
+        exponent again."""
         t = self.require_table()
         n = self.order
         orders = self.element_orders()
-        everything = np.arange(n)
-        powers = np.empty((n, max(2, int(orders.max()))), dtype=t.dtype)
-        powers[:, 0], powers[:, 1] = self.identity, everything
-        for k in range(2, powers.shape[1]):
-            powers[:, k] = t[powers[:, k - 1], everything]
-        kinds, kind = np.unique(orders, return_inverse=True)
-        k = np.arange(powers.shape[1])
-        prime_to = (k < kinds[:, None]) & (np.gcd(k, kinds[:, None]) == 1)
-        least = np.where(prime_to[kind], powers, n).min(axis=1)
+        # the elements by decreasing element order, so that those of order
+        # above k lead: there are above[k] of them
+        by_order = np.argsort(-orders, kind="stable")
+        top = orders[by_order]
+        above = np.searchsorted(-top, -np.arange(top[0]))
+        kinds, kind = np.unique(top, return_inverse=True)
+        exps = np.arange(top[0])
+        prime_to = (exps < kinds[:, None]) & (np.gcd(exps, kinds[:, None]) == 1)
+        running, power = by_order.copy(), by_order
+        for k in range(2, top[0]):
+            m = above[k]
+            power = t[power[:m], by_order[:m]]  # x^k
+            np.minimum(running[:m], power, out=running[:m], where=prime_to[kind[:m], k])
+        least = np.empty(n, dtype=np.intp)
+        least[by_order] = running
         gens = np.argsort(least, kind="stable")
         first = np.ones(n, dtype=bool)
         first[1:] = least[gens[1:]] != least[gens[:-1]]
         number = np.empty(n, dtype=np.intp)
         number[gens] = first.cumsum() - 1
-        return gens, np.flatnonzero(first), number, powers
+        gens_from = np.flatnonzero(first)
+        # x^k of cyclic subgroup c = <x> as c n + x^k, for the least generators
+        # x by decreasing order, sorted
+        cyc_orders = orders[gens[gens_from]]
+        cs = np.argsort(-cyc_orders, kind="stable")
+        xs = gens[gens_from[cs]]
+        above = np.searchsorted(-cyc_orders[cs], -np.arange(cyc_orders[cs[0]]))
+        power, keys = np.full(len(xs), self.identity), []
+        for m in above.tolist():
+            power = power[:m]
+            keys.append(cs[:m] * n + power)
+            power = t[power, xs[:m]]
+        members = np.sort(np.concatenate(keys)) % n
+        members_from = np.concatenate([[0], np.cumsum(cyc_orders)])
+        return gens, gens_from, number, members, members_from
 
     def _joins(self, reps: list[np.ndarray], cyclic, known):
         """For each proper subgroup H in `reps` (sorted element rows), the
@@ -513,18 +531,19 @@ class PermGroup:
         labelled at once by _double_cosets.  The joins of a block are grown
         together in one breadth-first search over (candidate, double coset)
         pairs, the candidates taken in blocks of at most _FRONTIER
-        (candidate, right coset) pairs.  <H, x> is a union of double cosets; a
-        double coset D in it reaches the double coset of g x for one g per
-        right coset Hg inside D, and the union of what is reached from H and
-        from the double coset of each power of x is closed under right
-        multiplication by H and by x, so it is a group (coset methods as in
-        Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
-        Starting from all the powers rather than from H alone takes fewer
-        layers.  A join's element rows are expanded from masks of at most
+        (candidate, right coset) and (candidate, power) pairs.  <H, x> is a
+        union of double cosets; a double coset D in it reaches the double
+        coset of g x for one g per right coset Hg inside D, and the union of
+        what is reached from the double coset of each power of x, H among
+        them, is closed under right multiplication by H and by x, so it is a
+        group (coset methods as in Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, 2005).  Starting from all the powers, the
+        elements of the cyclic subgroup <x>, rather than from H alone takes
+        fewer layers.  A join's element rows are expanded from masks of at most
         _FRONTIER elements at a time."""
         t = self._table
         n = self.order
-        powers = cyclic[3]
+        number, elements, elements_from = cyclic[2:]
         step = max(1, _FRONTIER // n)
         for first in range(0, len(reps), step):
             block = reps[first:first + step]
@@ -532,14 +551,16 @@ class PermGroup:
             m = dc.max(axis=1) + 1
             off = np.cumsum(m) - m  # double coset d of H_i is number off[i] + d
             start = np.cumsum(count) - count
-            # cost[j]: the right cosets of the candidates before j
-            cost = np.concatenate([[0], np.cumsum(n // np.array([len(h) for h in block])[cr])])
+            # cost[j]: the right cosets and powers of the candidates before j
+            cyc = number[cx]
+            size = elements_from[cyc + 1] - elements_from[cyc]
+            cost = np.concatenate([[0], np.cumsum(n // np.array([len(h) for h in block])[cr] + size)])
             found: list[list[bytes]] = [[] for _ in block]
             distinct: set[tuple[int, bytes]] = set()  # (i, reached mask) so far
             lo = 0
             while lo < len(cr):
                 hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + _FRONTIER, side="right")) - 1)
-                xs, rs = cx[lo:hi], cr[lo:hi]
+                xs, rs, ps, ss = cx[lo:hi], cr[lo:hi], cyc[lo:hi], size[lo:hi]
                 lo = hi
                 mc = m[rs]
                 base = np.cumsum(mc) - mc  # pair (c, d) is base[c] + d
@@ -547,7 +568,8 @@ class PermGroup:
                 reached = np.zeros(base[-1] + mc[-1], dtype=bool)
                 slot = np.empty(len(reached), dtype=np.int32)
                 # <H, x> holds the double cosets of the powers of x, H among them
-                pairs = (base[:, None] + dc[rs[:, None], powers[xs]]).ravel()
+                c, idx = _spans(elements_from[ps], ss)
+                pairs = base[c] + dc[rs[c], elements[idx]]
                 while True:
                     pairs = pairs[~reached[pairs]]
                     # keep one copy of each new pair: the one whose index lands last
@@ -559,9 +581,8 @@ class PermGroup:
                     reached[pairs] = True
                     fc = np.searchsorted(base, pairs, side="right") - 1
                     fd = pairs + shift[fc]
-                    cnt = count[fd]
-                    c = np.repeat(fc, cnt)
-                    idx = np.arange(len(c)) + np.repeat(start[fd] - (np.cumsum(cnt) - cnt), cnt)
+                    c, idx = _spans(start[fd], count[fd])
+                    c = fc[c]
                     pairs = base[c] + dc[rs[c], t[coset_reps[idx], xs[c]]]
                 masks = reached.tobytes()
                 new = []
@@ -610,9 +631,8 @@ class PermGroup:
         sizes = np.array([len(h) for h in block])
         hcat = np.concatenate(block)
         s = sizes[ri]
-        ends = np.cumsum(s)
-        h = hcat[np.arange(ends[-1]) - np.repeat(ends - s - (np.cumsum(sizes) - sizes)[ri], s)]
-        dl = np.minimum.reduceat(rc[np.repeat(ri, s), t[np.repeat(gi, s), h]], ends - s)
+        j, h = _spans((np.cumsum(sizes) - sizes)[ri], s)
+        dl = np.minimum.reduceat(rc[ri[j], t[gi[j], hcat[h]]], np.cumsum(s) - s)
         # number the double cosets by marking their least elements and counting
         is_least = np.zeros((k, n), dtype=bool)
         is_least[ri, dl] = True
@@ -621,7 +641,7 @@ class PermGroup:
         dc = np.empty((k, n), dtype=np.intp)
         dc[ri, gi] = coset_dc
         dc = dc[np.arange(k)[:, None], rc] - (number[::n] - is_least[:, 0])[:, None]
-        gens, gens_from, cyc, _ = cyclic
+        gens, gens_from, cyc = cyclic[:3]
         dmin = np.minimum.reduceat(dc[:, gens], gens_from, axis=1)[:, cyc]
         cr, cx = np.nonzero(is_least & (dmin == dc) & (dc != dc[:, [self.identity]]))
         return (dc, gi[np.argsort(coset_dc, kind="stable")],
@@ -861,58 +881,28 @@ def _member_mask(g: PermGroup, c: SubgroupClass) -> np.ndarray:
     return mask
 
 
-def _inside(rows: np.ndarray, host: np.ndarray) -> np.ndarray:
-    """Whether each subgroup in `rows` (one element row each) lies inside
-    the subgroup whose membership mask is `host`: one gather of the mask."""
-    return np.logical_and.reduce(host[rows], axis=1)
-
-
 def _conjugate_inside(c: SubgroupClass, host: np.ndarray) -> np.ndarray | None:
     """A subgroup of the class c inside the subgroup whose membership mask
-    is `host`, if one is."""
-    inside = _inside(c.conjugates, host)
+    is `host`, if one is: one gather of the mask over all conjugates."""
+    inside = np.logical_and.reduce(host[c.conjugates], axis=1)
     k = inside.argmax()
     return c.conjugates[k] if inside[k] else None
 
 
-def _contained(same: list[SubgroupClass], hosts: list[np.ndarray]) -> list[bool]:
-    """Whether each class in `same`, all of one order, has a conjugate inside
-    one of the subgroups whose membership masks are `hosts`: one gather of a
-    mask over the conjugates of all the classes at once."""
-    if len(same) == 1:
-        return [any(_inside(same[0].conjugates, mask).any() for mask in hosts)]
-    contained = np.zeros(len(same), dtype=bool)
-    if hosts:
-        rows = [c.conjugates for c in same]
-        starts = list(itertools.accumulate([len(r) for r in rows[:-1]], initial=0))
-        rows = np.concatenate(rows)
-        for mask in hosts:
-            contained |= np.logical_or.reduceat(_inside(rows, mask), starts)
-            if contained.all():
-                break
-    return contained.tolist()
-
-
 def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallReport:
     """Conjugacy classes of maximal pi-subgroups, in lattice order, and the
-    E_pi/D_pi verdict.  The pi-classes are taken an order at a time, largest
-    first, and tested against the maximal ones found so far: a non-maximal
-    one lies in a larger maximal one.  Classes of one order cannot contain
-    each other, so all of them are tested against a maximal class in one
-    gather of its mask over their conjugates."""
+    E_pi/D_pi verdict.  Each pi-class, largest first, is tested against the
+    maximal ones found so far: a non-maximal one lies in a larger maximal one."""
     pi = frozenset(pi)
     classes = g.subgroup_classes()
-    orders = [c.conjugates.shape[1] for c in classes]
-    is_pi = {o: pi_part(o, pi) == o for o in set(orders)}
-    pi_classes = [c for c, o in zip(classes, orders) if is_pi[o]]
+    pi_classes = [c for c in classes if pi_part(c.order, pi) == c.order]
     maximal, masks = [], []
-    for order, same in itertools.groupby(reversed(pi_classes), key=lambda c: c.conjugates.shape[1]):
-        same = list(same)
-        hosts = [mask for d, mask in zip(maximal, masks) if d.order % order == 0]
-        for c, inside in zip(same, _contained(same, hosts)):
-            if not inside:
-                maximal.append(c)
-                masks.append(_member_mask(g, c))
+    for c in reversed(pi_classes):
+        if not any(d.order > c.order and d.order % c.order == 0
+                   and _conjugate_inside(c, mask) is not None
+                   for d, mask in zip(maximal, masks)):
+            maximal.append(c)
+            masks.append(_member_mask(g, c))
     maximal.reverse()
     hall_order = pi_part(g.order, pi)
     epi = any(c.order == hall_order for c in maximal)
