@@ -17,14 +17,14 @@ reaches by right multiplication with x, one product per right coset
 (coset methods as in Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005).  The joins are kept by class and replayed in the
 order of a walk that grows one class at a time, so the classes and their
-representatives do not depend on how the searches are batched.  Each <x>
-is named by its least generator x^k, k prime to |x|, found with one table
-gather per exponent k.  A subgroup in the lattice is a sorted int16 row
-of element indices, known by the row's bytes; a class keeps its
-conjugates as the rows of one array, grown a breadth-first layer at a time
-with one conjugation gather per layer.  Whether a class has a conjugate
-inside a subgroup is one gather of that subgroup's membership mask over
-the class's rows.
+representatives do not depend on how the searches are batched.  The
+cyclic subgroups come from one walk over the elements in increasing order,
+one table lookup per power of each least generator.  A subgroup in the
+lattice is a sorted int16 row of element indices, known by the row's
+bytes; a class keeps its conjugates as the rows of one array, grown a
+breadth-first layer at a time with one conjugation gather per layer.
+Whether a class has a conjugate inside a subgroup is one gather of that
+subgroup's membership mask over the class's rows.
 
 A group keeps its elements as one array, `perms`: its permutations as
 rows in lexicographic order (uint8, uint16 above degree 256), element i
@@ -440,10 +440,9 @@ class PermGroup:
             classes.append(SubgroupClass(np.concatenate(orbit)))
             return len(classes) - 1
 
-        # the cyclic classes in increasing order of least generator
+        # the cyclic classes in increasing order of least generator, {e} first
         cyclic = self._cyclic_subgroups()
         members, members_from = cyclic[3].astype(np.int16), cyclic[4].tolist()
-        register(np.array([self.identity], dtype=np.int16))
         for lo, hi in zip(members_from, members_from[1:]):
             if members[lo:hi].tobytes() not in seen:
                 register(members[lo:hi])
@@ -476,49 +475,32 @@ class PermGroup:
         subgroups, numbered in the order of their least generators, so that
         <x> is number[x], the generators of number c are gens[gens_from[c]:
         gens_from[c + 1]], in increasing order, and its elements are
-        members[members_from[c]:members_from[c + 1]], sorted.  The least
-        generator of <x> is the least x^k, k prime to |x|: a running minimum
-        with one gather per exponent k over the elements of order above k.
-        The elements are the powers of the least generators, one gather per
-        exponent again."""
+        members[members_from[c]:members_from[c + 1]], sorted; {e} is number 0.
+        One walk over the elements in increasing order (cyclic extension, as
+        in Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+        2005): the first x with no number yet is the least generator of <x>,
+        because all generators of a cyclic subgroup are numbered together.
+        Its powers x^j, j < |x|, one table lookup each, are the elements of
+        <x>, and those with j prime to |x| its generators."""
         t = self.require_table()
-        n = self.order
-        orders = self.element_orders()
-        # the elements by decreasing element order, so that those of order
-        # above k lead: there are above[k] of them
-        by_order = np.argsort(-orders, kind="stable")
-        top = orders[by_order]
-        above = np.searchsorted(-top, -np.arange(top[0]))
-        kinds, kind = np.unique(top, return_inverse=True)
-        exps = np.arange(top[0])
-        prime_to = (exps < kinds[:, None]) & (np.gcd(exps, kinds[:, None]) == 1)
-        running, power = by_order.copy(), by_order
-        for k in range(2, top[0]):
-            m = above[k]
-            power = t[power[:m], by_order[:m]]  # x^k
-            np.minimum(running[:m], power, out=running[:m], where=prime_to[kind[:m], k])
-        least = np.empty(n, dtype=np.intp)
-        least[by_order] = running
-        gens = np.argsort(least, kind="stable")
-        first = np.ones(n, dtype=bool)
-        first[1:] = least[gens[1:]] != least[gens[:-1]]
-        number = np.empty(n, dtype=np.intp)
-        number[gens] = first.cumsum() - 1
-        gens_from = np.flatnonzero(first)
-        # x^k of cyclic subgroup c = <x> as c n + x^k, for the least generators
-        # x by decreasing order, sorted
-        cyc_orders = orders[gens[gens_from]]
-        cs = np.argsort(-cyc_orders, kind="stable")
-        xs = gens[gens_from[cs]]
-        above = np.searchsorted(-cyc_orders[cs], -np.arange(cyc_orders[cs[0]]))
-        power, keys = np.full(len(xs), self.identity), []
-        for m in above.tolist():
-            power = power[:m]
-            keys.append(cs[:m] * n + power)
-            power = t[power, xs[:m]]
-        members = np.sort(np.concatenate(keys)) % n
-        members_from = np.concatenate([[0], np.cumsum(cyc_orders)])
-        return gens, gens_from, number, members, members_from
+        number = [-1] * self.order
+        gens, gens_from, members, members_from = [], [], [], [0]
+        for x in range(self.order):
+            if number[x] >= 0:
+                continue
+            powers, p = [self.identity], x
+            while p != self.identity:
+                powers.append(p)
+                p = t.item(p, x)
+            k = len(powers)
+            gen = sorted(powers[j] for j in range(k) if math.gcd(j, k) == 1)
+            for y in gen:
+                number[y] = len(gens_from)
+            gens_from.append(len(gens))
+            gens += gen
+            members += sorted(powers)
+            members_from.append(len(members))
+        return tuple(map(np.array, (gens, gens_from, number, members, members_from)))
 
     def _joins(self, reps: list[np.ndarray], cyclic, known):
         """For each proper subgroup H in `reps` (sorted element rows), the

@@ -393,7 +393,6 @@ def test_lattice_of_a_large_cyclic_group_holds_no_table_of_powers():
     # n x exp(G) int16 entries, would take 1.5 MB
     g = realize("Cyclic:31,Cyclic:29")
     g.require_table(bound=ORDER_BOUND)
-    g.element_orders()
     tracemalloc.start()
     try:
         classes = g.subgroup_classes()
@@ -402,6 +401,28 @@ def test_lattice_of_a_large_cyclic_group_holds_no_table_of_powers():
         tracemalloc.stop()
     assert [c.order for c in classes] == [1, 29, 31, 899]
     assert peak < 2**19
+
+
+@pytest.mark.parametrize("spec", ("Sym:5", "Lie:A:2:7", "Alt:5,Cyclic:7",
+                                  "Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2", "Cyclic:31,Cyclic:29"))
+def test_cyclic_subgroups_match_closures(spec):
+    # each cyclic subgroup against the closure of its least generator; an
+    # element x of <y> with |x| = |<y>| generates it, so this gives <x> for
+    # every x without |x| closure layers per x
+    g = realize(spec)
+    g.require_table(bound=ORDER_BOUND)
+    gens, gens_from, number, members, members_from = g._cyclic_subgroups()
+    orders = g.element_orders()
+    least = gens[gens_from]
+    assert least[0] == g.identity and (np.diff(least) > 0).all()
+    gens_to = np.append(gens_from[1:], len(gens))
+    for c, (lo, hi) in enumerate(zip(members_from[:-1], members_from[1:])):
+        elems = members[lo:hi]
+        assert elems.tolist() == g._close([g.identity], [least[c]]).tolist()
+        assert gens[gens_from[c]:gens_to[c]].tolist() == elems[orders[elems] == len(elems)].tolist()
+    # every x is a generator of number[x] and of no other cyclic subgroup
+    assert sorted(gens.tolist()) == list(range(g.order))
+    assert (number[gens] == np.repeat(np.arange(len(gens_from)), gens_to - gens_from)).all()
 
 
 def test_conjugates_are_sorted_int16_rows():
