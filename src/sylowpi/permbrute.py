@@ -31,10 +31,10 @@ rows in lexicographic order (uint8, uint16 above degree 256), element i
 being row i.  `lookup` maps rows back to indices by binary search over the
 rows' bytes.  Realization closes the generators breadth-first with one
 gather per layer, the multiplication table is filled layer by layer along
-the Cayley graph with one gather per generator, and element orders are the
-lcms of cycle lengths, so none of them runs Python per element.  The field
-tables behind PSL(2, q) are arrays too, and a Moebius map is one array
-expression over them.
+the Cayley graph with one intp-indexed gather per generator and block of
+rows, and element orders are the lcms of cycle lengths, so none of them
+runs Python per element.  The field tables behind PSL(2, q) are arrays
+too, and a Moebius map is one array expression over them.
 
 Everything interesting happens on element indices against a
 multiplication table (numpy), so degrees stay tiny and orders stay below
@@ -72,8 +72,8 @@ from .catalog import order_of, parse_group, prime_power
 
 ORDER_BOUND = 10080
 DEFAULT_LATTICE_BOUND = 1000
-_CHUNK = 256          # table rows per gather, so that no n^2 temporary is made
-_FRONTIER = 1 << 16   # (candidate, right coset) pairs per block of joins
+_CHUNK = 256          # table rows per gather in _coset_least, so that no n^2 temporary is made
+_FRONTIER = 1 << 16   # (candidate, right coset) pairs per block of joins, table entries per block
 _MAX_CLASSES = 1 << 15  # subgroup classes per lattice: C2^7 has 29,212
 # multiplication tables and inverses hold element indices as int16
 assert ORDER_BOUND <= np.iinfo(np.int16).max + 1
@@ -290,7 +290,9 @@ class PermGroup:
         layer by layer along the left Cayley graph: row s*i is left_s[row i],
         because (s*i)*x = s*(i*x).  The lookups prove the element list closed
         under left multiplication by the generators and the search proves
-        every element a word in them, so the list is exactly <generators>."""
+        every element a word in them, so the list is exactly <generators>.
+        New rows are filled _FRONTIER // n at a time from source rows copied
+        to one intp buffer: an int16 index takes numpy's slower casting path."""
         n = self.order
         try:
             # s followed by element e is the row e[s]
@@ -303,6 +305,8 @@ class PermGroup:
         reached = np.zeros(n, dtype=bool)
         reached[self.identity] = True
         layer = np.array([self.identity])
+        step = max(1, _FRONTIER // n)
+        idx = np.empty((step, n), dtype=np.intp)
         while layer.size:  # breadth-first
             nxt = []
             for left in lefts:
@@ -311,8 +315,10 @@ class PermGroup:
                 new, first = np.unique(rows[fresh], return_index=True)
                 src = layer[fresh][first]
                 reached[new] = True
-                for lo in range(0, len(new), _CHUNK):
-                    table[new[lo:lo + _CHUNK]] = left[table[src[lo:lo + _CHUNK]]]
+                for lo in range(0, len(new), step):
+                    block = idx[:min(step, len(new) - lo)]
+                    block[...] = table[src[lo:lo + step]]
+                    table[new[lo:lo + step]] = left.take(block)
                 nxt.append(new)
             layer = np.concatenate(nxt) if lefts else layer[:0]
         count = np.count_nonzero(reached)

@@ -364,8 +364,10 @@ def test_batched_joins_match_closures(spec):
 
 
 def test_lattice_is_the_same_in_small_blocks(monkeypatch):
-    # blocks of 64 (rep, element) and (candidate, right coset) pairs and of 4
-    # table rows split every batch of joins, every search and every gather
+    # blocks of 64 (rep, element) and (candidate, right coset) pairs split
+    # every batch of joins and every search, and 64 table entries fill the
+    # table one row (two for C2^5) at a time; blocks of 4 table rows split
+    # every gather of _coset_least
     def lattices():
         c2 = permbrute._cyclic(2)
         groups = (_sym(5), direct_product(permbrute._alt(5), permbrute._cyclic(7)),
@@ -821,12 +823,38 @@ def test_table_reaches_sym7():
     assert g.order == 5040
     for i in range(0, g.order, 256):  # chunked: no second n^2 array
         assert (np.sort(t[i:i + 256], axis=1) == ident).all()
+    # sampled rows against the definition: element i followed by element j
+    # is the permutation perms[j][perms[i]]
+    sample = np.random.default_rng(7).choice(g.order, 48, replace=False)
+    for i in [g.identity, g.order - 1, *sample.tolist()]:
+        assert (t[i] == g.lookup(g.perms[:, g.perms[i]])).all()
+        assert t[i, g.inv[i]] == g.identity
 
 
 def _regular_quotient():
     """Alt(5) x C7 acting on the cosets of its trivial subgroup: degree 420."""
     g = realize("Alt:5,Cyclic:7")
     return g.quotient(frozenset({g.identity}))[0]
+
+
+@pytest.mark.parametrize("spec", ["Sym:5", "Alt:5,Cyclic:7", "quotient"])
+def test_table_is_the_same_in_small_blocks(monkeypatch, spec):
+    # the table is filled a block of rows at a time: blocks of one row, and of
+    # three rows, which end inside a breadth-first layer somewhere because 3
+    # does not divide the n - 1 rows filled after the identity's.  Alt(5) x C7
+    # has three generators and the degree-420 quotient uint16 rows.
+    def build():  # afresh, so that no table is shared
+        return (_sym(5) if spec == "Sym:5" else
+                _regular_quotient() if spec == "quotient" else realize(spec))
+
+    g = build()
+    n = g.order
+    assert (n - 1) % 3
+    default = g.require_table().tobytes(), g.inv.tobytes()
+    for frontier in (1, 3 * n):
+        monkeypatch.setattr(permbrute, "_FRONTIER", frontier)
+        h = build()
+        assert (h.require_table().tobytes(), h.inv.tobytes()) == default
 
 
 def test_wide_rows():
