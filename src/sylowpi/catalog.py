@@ -141,8 +141,6 @@ class SimpleGroupId:
 class GroupFacts:
     order: int
     spectrum: frozenset[int]
-    characteristic: int | None
-    weyl_order: int | None
 
 
 def alt(n: int) -> SimpleGroupId:
@@ -306,16 +304,11 @@ def _lie_order(t: str, n: int | None, q: int) -> int:
 
 
 def facts(gid: SimpleGroupId) -> GroupFacts:
-    """Exact order, prime spectrum, characteristic and Weyl order.
-
-    Factors the order, so this can fail for huge Lie parameters; callers
-    that only need divisibility should use pi_effective / spectrum_within.
-    """
+    """Exact order and prime spectrum.  Factors the order, so this can fail
+    for huge Lie parameters; callers that only need divisibility should use
+    pi_effective / spectrum_within."""
     order = order_of(gid)
-    if gid.family in ("Alt", "Spor"):
-        return GroupFacts(order, prime_divisors(order), None, None)
-    w = None if gid.lie_type in SUZUKI_REE else weyl_order(gid.lie_type, gid.n)
-    return GroupFacts(order, prime_divisors(order), gid.p, w)
+    return GroupFacts(order, prime_divisors(order))
 
 
 def order_of(gid: SimpleGroupId) -> int:
@@ -368,3 +361,11 @@ def parse_group(spec: str) -> SimpleGroupId:
     if build is None:
         raise ValueError(f"cannot parse group spec {spec!r}")
     return build()  # outside the try: a validation error reaches the caller as is
+
+
+def spec_number(spec: str) -> int:
+    """The number n in a one-parameter spec such as Cyclic:n or Sym:n."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError as exc:
+        raise ValueError(f"cannot parse group spec {spec!r}: {exc}") from None

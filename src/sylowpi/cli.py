@@ -339,9 +339,9 @@ _HANDLERS = {
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("check", "split") and not (getattr(args, "group", None)
-                                                   or getattr(args, "factors", None)):
-        print("error: one of --group / --factors is required", file=sys.stderr)
+    if args.command in ("check", "split") and bool(args.group) == bool(args.factors):
+        print("error: give one of --group / --factors, not both" if args.group
+              else "error: one of --group / --factors is required", file=sys.stderr)
         return EXIT_ERROR
     if args.command in ("brute", "crosscheck") and not getattr(args, "group", None):
         print("error: --group is required", file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .catalog import SimpleGroupId, parse_group
+from .catalog import SimpleGroupId, parse_group, spec_number
 from .criterion import Verdict, decide_dpi_simple
 
 
@@ -72,7 +72,7 @@ def parse_factors(text: str) -> CompositionSpec:
         if not chunk:
             continue
         if chunk.startswith("Cyclic:"):
-            factors.append(CyclicFactor(int(chunk.split(":", 1)[1])))
+            factors.append(CyclicFactor(spec_number(chunk)))
         else:
             factors.append(parse_group(chunk))
     return CompositionSpec(tuple(factors))

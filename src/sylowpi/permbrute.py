@@ -33,8 +33,10 @@ rows' bytes.  Realization closes the generators breadth-first with one
 gather per layer, the multiplication table is filled layer by layer along
 the Cayley graph with one intp-indexed gather per generator and block of
 rows, and element orders are the lcms of cycle lengths, so none of them
-runs Python per element.  The field tables behind PSL(2, q) are arrays
-too, and a Moebius map is one array expression over them.
+runs Python per element; the pi-element and nilpotency tests read each
+element's index among the distinct orders, found once with them.  The
+field tables behind PSL(2, q) are arrays too, and a Moebius map is one
+array expression over them.
 
 Everything interesting happens on element indices against a
 multiplication table (numpy), so degrees stay tiny and orders stay below
@@ -56,7 +58,7 @@ closure in K.  Closures (`closure_indices`), generating sets (`gens_of`),
 Sylow subgroups and derived subgroups are all built with it.  The
 structure tests (normality, Sylow subgroups, derived series, nilpotency)
 gather conjugates from the table when they need them and keep no
-per-element arrays beyond it.
+per-element arrays beyond it and the element orders.
 """
 
 from __future__ import annotations
@@ -68,12 +70,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime, prime_divisors, r_part
-from .catalog import order_of, parse_group, prime_power
+from .catalog import order_of, parse_group, prime_power, spec_number
 
 ORDER_BOUND = 10080
 DEFAULT_LATTICE_BOUND = 1000
-_CHUNK = 256          # table rows per gather in _coset_least, so that no n^2 temporary is made
-_FRONTIER = 1 << 16   # (candidate, right coset) pairs per block of joins, table entries per block
+_FRONTIER = 1 << 16  # pairs per block of joins, entries per gather in _cayley_table, _coset_least
 _MAX_CLASSES = 1 << 15  # subgroup classes per lattice: C2^7 has 29,212
 # multiplication tables and inverses hold element indices as int16
 assert ORDER_BOUND <= np.iinfo(np.int16).max + 1
@@ -228,7 +229,7 @@ class PermGroup:
         self.identity = int(self.lookup(np.arange(degree)[None])[0])
         self._table: np.ndarray | None = None
         self._inv: np.ndarray | None = None
-        self._orders: np.ndarray | None = None
+        self._orders = self._kinds = self._kind = None  # see element_orders
         self._gen_idx: tuple[int, ...] | None = None
         self._classes: list[SubgroupClass] | None = None
 
@@ -246,7 +247,10 @@ class PermGroup:
 
     def element_orders(self) -> np.ndarray:
         """Order of each element: the lcm of its cycle lengths, found by
-        following every point until it returns, one gather per step."""
+        following every point until it returns, one gather per step; cached
+        with the distinct orders `_kinds` and each element's index `_kind`
+        among them (np.unique's return_inverse form: the plain one imports
+        numpy.ma on its first call)."""
         if self._orders is None:
             p = self.perms.astype(np.intp)
             points = np.arange(self.degree)
@@ -258,6 +262,7 @@ class PermGroup:
                     break
                 y = np.take_along_axis(p, y, axis=1)
             self._orders = np.lcm.reduce(cycle, axis=1)
+            self._kinds, self._kind = np.unique(self._orders, return_inverse=True)
         return self._orders
 
     def gen_indices(self) -> tuple[int, ...]:
@@ -389,20 +394,15 @@ class PermGroup:
 
     def _coset_least(self, hs: list[np.ndarray]) -> np.ndarray:
         """least[i, g] = least element of the right coset H_i g, where H_i has
-        the elements hs[i]: for each order among the H_i, one minimum over
-        gathered table rows, taken _CHUNK rows at a time."""
+        the elements hs[i]: the minimum of H_i's table rows, gathered one H_i
+        at a time, _FRONTIER // n rows per gather."""
         t = self._table
-        least = np.empty((len(hs), self.order), dtype=t.dtype)
-        by_size: dict[int, list[int]] = {}
-        for i, h in enumerate(hs):
-            by_size.setdefault(len(h), []).append(i)
-        for size, ids in by_size.items():
-            arr = np.array([hs[i] for i in ids], dtype=np.intp)
-            step = max(1, _CHUNK // len(ids))
-            part = t[arr[:, :step]].min(axis=1)
-            for lo in range(step, size, step):
-                np.minimum(part, t[arr[:, lo:lo + step]].min(axis=1), out=part)
-            least[ids] = part
+        step = max(1, _FRONTIER // self.order)
+        least = np.full((len(hs), self.order), self.order - 1, dtype=t.dtype)  # the largest index
+        for h, row in zip(hs, least):
+            h = np.asarray(h, dtype=np.intp)
+            for lo in range(0, len(h), step):
+                np.minimum(row, t[h[lo:lo + step]].min(axis=0), out=row)
         return least
 
     # -- subgroup lattice ---------------------------------------------------
@@ -680,19 +680,18 @@ class PermGroup:
 
     def _pi_elements(self, arr: np.ndarray, primes) -> np.ndarray:
         """The elements of `arr` whose orders are products of primes in
-        `primes`, decided once per distinct order.  (Plain np.unique would
-        import numpy.ma on its first call; the return_inverse form does not.)"""
-        kinds, kind = np.unique(self.element_orders()[arr], return_inverse=True)
-        return arr[np.array([pi_part(o, primes) == o for o in kinds.tolist()], dtype=bool)[kind]]
+        `primes`: decided once per distinct order of the group, and gathered
+        through each element's index among those orders."""
+        self.element_orders()  # caches _kinds and _kind
+        is_pi = np.array([pi_part(o, primes) == o for o in self._kinds.tolist()], dtype=bool)
+        return arr[is_pi[self._kind[arr]]]
 
     def is_nilpotent_set(self, subset) -> bool:
         """Nilpotent iff every Sylow subgroup is normal, that is, iff for
         every prime p the subgroup has exactly |K|_p p-elements: they are
         then the only Sylow p-subgroup."""
-        arr = np.fromiter(subset, dtype=np.int32, count=len(subset))
-        orders, counts = np.unique(self.element_orders()[arr], return_counts=True)
-        return all(sum(c for o, c in zip(orders.tolist(), counts.tolist())
-                       if r_part(o, p) == o) == r_part(len(arr), p)
+        arr = np.fromiter(subset, dtype=np.intp, count=len(subset))
+        return all(len(self._pi_elements(arr, (p,))) == r_part(len(arr), p)
                    for p in prime_divisors(len(arr)))
 
     def is_normal_set(self, subset) -> bool:
@@ -824,12 +823,12 @@ def realize(spec: str) -> PermGroup:
 
 def _realize_factor(spec: str) -> PermGroup:
     if spec.startswith("Cyclic:"):
-        p = int(spec.split(":", 1)[1])
+        p = spec_number(spec)
         if not (2 <= p <= 31 and is_prime(p)):  # the degree is p
             raise BruteForceBoundError(f"Cyclic({p}) needs a prime p <= 31")
         return _cyclic(p)
     if spec.startswith("Sym:"):
-        n = int(spec.split(":", 1)[1])
+        n = spec_number(spec)
         if n < 5:
             raise BruteForceBoundError(f"Sym({n}) is not a built-in realization")
         name, degree = f"Sym({n})", n

@@ -132,7 +132,6 @@ def test_orders_exceptional():
 def test_alternating_and_sporadic_facts():
     a5 = facts(alt(5))
     assert a5.order == 60 and a5.spectrum == {2, 3, 5}
-    assert a5.characteristic is None and a5.weyl_order is None
     m11 = facts(sporadic("M11"))
     assert m11.order == 7920 and m11.spectrum == {2, 3, 5, 11}
     assert facts(sporadic("Tits")).order == SPORADIC_ORDERS["2F4(2)'"]
@@ -309,11 +308,14 @@ def test_degree_table_matches_reference_weyl_orders():
         catalog._lie_order("X", None, 4)
 
 
-def test_lie_facts_carry_characteristic_and_weyl():
-    f = facts(lie("A", 8, n=2))
-    assert f.characteristic == 2 and f.weyl_order == 2
-    f = facts(lie("2G2", 27))
-    assert f.characteristic == 3 and f.weyl_order is None
+def test_lie_ids_carry_characteristic_and_weyl():
+    # the characteristic is found once, when the id is validated
+    gid = lie("A", 8, n=2)
+    assert gid.p == 2 and weyl_order(gid.lie_type, gid.n) == 2
+    gid = lie("2G2", 27)
+    assert gid.p == 3
+    with pytest.raises(ValueError):
+        weyl_order(gid.lie_type, gid.n)
 
 
 def test_parse_group_round_trip():

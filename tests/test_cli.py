@@ -68,6 +68,27 @@ def test_parse_errors_exit_2(capsys):
     assert code == EXIT_ERROR  # neither --group nor --factors
 
 
+@pytest.mark.parametrize("command", ["check", "split"])
+def test_group_and_factors_together_exit_2(capsys, command):
+    # neither flag may be dropped without a word: each names a different group
+    primes = ["--pi", "2,3"] if command == "check" else ["--sigma", "2", "--tau", "3"]
+    code, out, err = run_cli(capsys, command, "--group", "Alt:5", "--factors", "Alt:6", *primes)
+    assert code == EXIT_ERROR and out == ""
+    assert "give one of --group / --factors, not both" in err
+
+
+@pytest.mark.parametrize("argv", [("check", "--factors", "Cyclic:x", "--pi", "2"),
+                                  ("check", "--factors", "Alt:5,Cyclic:", "--pi", "2"),
+                                  ("brute", "--group", "Sym:x", "--pi", "2"),
+                                  ("brute", "--group", "Alt:5,Cyclic:x", "--pi", "2")])
+def test_unparsable_number_names_the_spec(capsys, argv):
+    # parse_factors (check) and the brute-force realization (brute) read the
+    # number of a Cyclic: or Sym: spec; the error names the spec it came from
+    code, _, err = run_cli(capsys, *argv)
+    spec = argv[2].split(",")[-1]
+    assert code == EXIT_ERROR and f"cannot parse group spec {spec!r}" in err
+
+
 def test_check_alternating_without_its_order(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"factorial({n}) computed")

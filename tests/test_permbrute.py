@@ -366,8 +366,8 @@ def test_batched_joins_match_closures(spec):
 def test_lattice_is_the_same_in_small_blocks(monkeypatch):
     # blocks of 64 (rep, element) and (candidate, right coset) pairs split
     # every batch of joins and every search, and 64 table entries fill the
-    # table one row (two for C2^5) at a time; blocks of 4 table rows split
-    # every gather of _coset_least
+    # table, and gather the rows of each subgroup in _coset_least, one row
+    # (two for C2^5) at a time
     def lattices():
         c2 = permbrute._cyclic(2)
         groups = (_sym(5), direct_product(permbrute._alt(5), permbrute._cyclic(7)),
@@ -382,12 +382,27 @@ def test_lattice_is_the_same_in_small_blocks(monkeypatch):
 
     default = lattices()
     monkeypatch.setattr(permbrute, "_FRONTIER", 1 << 6)
-    monkeypatch.setattr(permbrute, "_CHUNK", 4)
     for (classes, joins), (default_classes, default_joins) in zip(lattices(), default):
         assert joins == default_joins
         assert len(classes) == len(default_classes)
         for a, b in zip(classes, default_classes):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", ("Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2", "Alt:5,Cyclic:7"))
+@pytest.mark.parametrize("frontier", (None, 1 << 6))
+def test_coset_least_matches_definition(monkeypatch, spec, frontier):
+    # every class representative in one call: C2^5 has many subgroups of one
+    # order; 64 table entries gather one row (two for C2^5) at a time
+    g = realize(spec)
+    t = g.require_table()
+    hs = [c.conjugates[0] for c in g.subgroup_classes()]
+    if frontier is not None:
+        monkeypatch.setattr(permbrute, "_FRONTIER", frontier)
+    least = g._coset_least(hs)
+    assert least.shape == (len(hs), g.order)
+    for h, row in zip(hs, least):
+        assert (row == t[h].min(axis=0)).all()
 
 
 def test_lattice_of_a_large_cyclic_group_holds_no_table_of_powers():
@@ -874,7 +889,10 @@ def test_wide_rows():
 @pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Sym:5", "Alt:5,Cyclic:7", "quotient"))
 def test_element_orders_match_perm_order(spec):
     g = _regular_quotient() if spec == "quotient" else realize(spec)
-    assert g.element_orders().tolist() == [perm_order(e) for e in _tuples(g)[0]]
+    orders = g.element_orders()
+    assert orders.tolist() == [perm_order(e) for e in _tuples(g)[0]]
+    # the order index that the pi-element and nilpotency tests read
+    assert (np.diff(g._kinds) > 0).all() and (g._kinds[g._kind] == orders).all()
 
 
 def test_group_without_generators():
