@@ -32,6 +32,10 @@ LIE_TYPES = (
 RANKED_TYPES = ("A", "2A", "B", "C", "D", "2D")
 # Suzuki/Ree families: odd power of the defining characteristic
 SUZUKI_REE = {"2B2": 2, "2G2": 3, "2F4": 2}
+# a Lie order is refused above this many bits, estimated from the degrees
+# before any product: its cost, and that of dividing it by each prime of pi,
+# grow about as the cube of the rank (Lie:A:1000:2 has 999,999 bits)
+ORDER_BITS_BOUND = 1 << 20
 
 SPORADIC_ORDERS: dict[str, int] = {
     "M11": 7_920,
@@ -297,6 +301,10 @@ def _lie_order(t: str, n: int | None, q: int) -> int:
     if t == "2F4":
         return q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1)
     roots, pairs, z, k, e0 = _order_parameters(t, n)
+    bits = (roots + sum(d for d, _ in pairs)) * math.log2(q)
+    if bits > ORDER_BITS_BOUND:
+        raise ValueError(f"the order of this {t}-type group has about {bits:.0f} bits, "
+                         f"above the bound of {ORDER_BITS_BOUND} bits")
     o = q**roots
     for d, e in pairs:
         o *= q**d - e

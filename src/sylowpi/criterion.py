@@ -15,6 +15,7 @@ and the group order are never factored, however large q is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .arith import eps_mod4, is_fermat_prime, mult_order, prime_divisors, r_part
@@ -236,37 +237,16 @@ def condition_V(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     return ConditionReport("V", False, bindings=bindings)
 
 
-def _suzuki_ree_tori(t_lie: str, q: int) -> list[int]:
+def _suzuki_ree_tori(gid: SimpleGroupId) -> list[int]:
     """The torus orders of Condition VI, one per expression; each +/-
-    expands to its own expression."""
-    if t_lie == "2B2":
-        m = (q.bit_length() - 2) // 2  # q = 2^(2m+1)
-        h = 2 ** (m + 1)
+    expands to its own expression.  With q = p^(2m+1), h = p^(m+1) is the
+    integer square root of pq, and 2F4's 2^(3m+2) is h^3 / 2."""
+    q, h = gid.q, math.isqrt(gid.p * gid.q)
+    if gid.lie_type != "2F4":
         return [q - 1, q + h + 1, q - h + 1]
-    if t_lie == "2G2":
-        f = 1
-        qq = q
-        while qq % 3 == 0 and qq > 3:
-            qq //= 3
-            f += 1
-        m = (f - 1) // 2
-        h = 3 ** (m + 1)
-        return [q - 1, q + h + 1, q - h + 1]
-    if t_lie == "2F4":
-        m = (q.bit_length() - 2) // 2
-        h = 2 ** (m + 1)       # 2^(m+1)
-        g = 2 ** (3 * m + 2)   # 2^(3m+2)
-        return [
-            q * q + 1,
-            q * q - 1,
-            q + h + 1,
-            q - h + 1,
-            q * q + g - h - 1,
-            q * q - g + h - 1,
-            q * q + g + q + h - 1,
-            q * q - g + q - h - 1,
-        ]
-    raise ValueError(f"{t_lie} is not a Suzuki/Ree type")
+    g = h**3 // 2
+    return [q * q + 1, q * q - 1, q + h + 1, q - h + 1, q * q + g - h - 1,
+            q * q - g + h - 1, q * q + g + q + h - 1, q * q - g + q - h - 1]
 
 
 def condition_VI(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
@@ -280,7 +260,7 @@ def condition_VI(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     subcase = {"2B2": 1, "2G2": 2, "2F4": 3}[gid.lie_type]
     dropped = frozenset({2}) if gid.lie_type == "2G2" else frozenset()
     if not eff & dropped:
-        for torus in _suzuki_ree_tori(gid.lie_type, gid.q):
+        for torus in _suzuki_ree_tori(gid):
             if all(torus % s == 0 for s in eff):
                 try:
                     target = sorted(prime_divisors(torus) - dropped)

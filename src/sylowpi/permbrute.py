@@ -56,9 +56,10 @@ identity under right multiplication by gens is <gens>, that of a subgroup
 H is <H, gens>, and adding conjugation by K's generators gives a normal
 closure in K.  Closures (`closure_indices`), generating sets (`gens_of`),
 Sylow subgroups and derived subgroups are all built with it.  The
-structure tests (normality, Sylow subgroups, derived series, nilpotency)
-gather conjugates from the table when they need them and keep no
-per-element arrays beyond it and the element orders.
+structure tests (Sylow subgroups, derived series, nilpotency) gather
+conjugates from the table when they need them and keep no per-element
+arrays beyond it and the element orders.  The normal subgroups are the
+lattice classes of size 1.
 """
 
 from __future__ import annotations
@@ -694,31 +695,6 @@ class PermGroup:
         return all(len(self._pi_elements(arr, (p,))) == r_part(len(arr), p)
                    for p in prime_divisors(len(arr)))
 
-    def is_normal_set(self, subset) -> bool:
-        arr = np.fromiter(subset, dtype=np.int32, count=len(subset))
-        member = np.zeros(self.order, dtype=bool)
-        member[arr] = True
-        return bool(member[self._conjugates(arr, self.gen_indices())].all())
-
-    def quotient(self, normal_subset) -> tuple["PermGroup", np.ndarray]:
-        """Coset action on the right cosets of a normal subgroup.
-
-        Returns the quotient group and the element-index -> coset-point map.
-        """
-        if not self.is_normal_set(normal_subset):
-            raise ValueError("subgroup is not normal")
-        t = self.require_table()
-        aarr = np.fromiter(normal_subset, dtype=np.intp, count=len(normal_subset))
-        # cosets are numbered in the order of their least elements
-        reps, coset_of = np.unique(self._coset_least([aarr])[0], return_inverse=True)
-        coset_of = coset_of.astype(np.int32)
-        k = len(reps)
-        gen_perms = [tuple(coset_of[t[reps, s]].tolist()) for s in self.gen_indices()]
-        if not gen_perms:
-            gen_perms = [tuple(range(k))]
-        q = PermGroup(k, gen_perms, name=f"{self.name} / N (order {len(normal_subset)})")
-        return q, coset_of
-
 
 # ---------------------------------------------------------------------------
 # realizations
@@ -950,33 +926,23 @@ def is_dpi_brute(g: PermGroup, pi) -> bool:
     return maximal_pi_subgroups(g, pi, with_structure=False).dpi
 
 
-def verify_hall_inheritance(g: PermGroup, normal_subset, pi) -> bool:
-    """Every pi-Hall subgroup H meets a normal subgroup A in a pi-Hall
-    subgroup of A, and maps onto a pi-Hall subgroup of G/A."""
+def verify_hall_inheritance(g: PermGroup, pi) -> bool:
+    """Every pi-Hall subgroup H meets every normal subgroup A, a lattice
+    class of size 1, in a pi-Hall subgroup of A, and maps onto a pi-Hall
+    subgroup of G/A: H meets |G/A|_pi right cosets of A."""
     pi = frozenset(pi)
-    normal_subset = frozenset(normal_subset)
-    if not g.is_normal_set(normal_subset):
-        raise ValueError("subgroup is not normal")
     report = maximal_pi_subgroups(g, pi, with_structure=False)
     if not report.epi:
         raise ValueError("group has no pi-Hall subgroup; precondition violated")
-    q, coset_of = g.quotient(normal_subset)
-    a_hall = pi_part(len(normal_subset), pi)
-    q_hall = pi_part(q.order, pi)
-    t = g.require_table()
-    coset_rep = np.unique(coset_of, return_index=True)[1]  # least element of each coset
-    for c in report.hall_classes:
-        h = c.rep
-        if len(h & normal_subset) != a_hall:
-            return False
-        image_points = {int(coset_of[x]) for x in h}
-        if len(image_points) != q_hall:
-            return False
-        # realize the image inside the coset-action group and re-check there:
-        # each generator of H permutes the cosets by right multiplication
-        image_gens = [coset_of[t[coset_rep, hg]].tolist() for hg in g.gens_of(h)]
-        if PermGroup(q.order, image_gens).order != q_hall:
-            return False
+    hs = [c.conjugates[0] for c in report.hall_classes]
+    for a in g.subgroup_classes():
+        if a.class_size != 1:
+            continue
+        member, coset = _member_mask(g, a), g._coset_least([a.conjugates[0]])[0]
+        for h in hs:
+            if (np.count_nonzero(member[h]) != pi_part(a.order, pi)
+                    or np.unique(coset[h]).size != pi_part(g.order // a.order, pi)):
+                return False
     return True
 
 

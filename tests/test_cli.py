@@ -6,10 +6,12 @@ import json
 import math
 import os
 import sys
+import time
 
 import pytest
 
 from sylowpi import cli, permbrute
+from sylowpi.catalog import ORDER_BITS_BOUND
 from sylowpi.cli import (
     EXIT_DISAGREE,
     EXIT_ERROR,
@@ -120,6 +122,18 @@ def test_check_huge_torus_keeps_its_witness(capsys):
     witness = json.loads(out)["witness"]
     assert (witness["condition"], witness["subcase"]) == ("VI", 1)
     assert witness["bindings"]["set"] is None
+
+
+def test_check_refuses_orders_above_the_bit_bound(capsys):
+    # Lie:A:30000:2 has about 9 * 10^8 bits, estimated from the degrees and
+    # refused before any product is taken
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "check", "--group", "Lie:A:30000:2", "--pi", "3,5")
+    assert code == EXIT_ERROR and f"bound of {ORDER_BITS_BOUND} bits" in err
+    assert time.perf_counter() - start < 1
+    # E8 over q near 10^9, of about 7,400 bits, still gets an answer
+    code, _, err = run_cli(capsys, "check", "--group", "Lie:E8:999999937", "--pi", "3,5")
+    assert code == EXIT_FALSE, err
 
 
 def test_brute_exit_codes(capsys):
@@ -307,6 +321,14 @@ GOLDEN = [
     ("brute --group Lie:A:2:7 --pi 3,7 --json", 0, "5cc284e1c73c3fa8"),
     ("brute --group Alt:5 --pi 2,3 --json", 1, "ecc4e271170ca32e"),
     ("brute --group Alt:5,Cyclic:7 --pi 2,3,7 --json", 1, "98167540865a3e4e"),
+    ("check --group Spor:M11 --pi 5,11 --json", 0, "8e84d095f0cbb6bd"),
+    ("check --factors Alt:5,Cyclic:7 --pi 2,3,5 --json", 0, "738a7276687a541f"),
+    ("split --factors Alt:5,Cyclic:7 --sigma 5 --tau 7 --json", 0, "37f258a69722db49"),
+    ("tables --json", 0, "4e74879d30283d40"),
+    # Condition VI(1), VI(2) and VI(3) witnesses, one per Suzuki-Ree family.
+    ("check --group Lie:2B2:128 --pi 5,29 --json", 0, "2a99073d1866ebb5"),
+    ("check --group Lie:2G2:243 --pi 7,31 --json", 0, "0282479f6d8e4978"),
+    ("check --group Lie:2F4:8 --pi 5,13 --json", 0, "c6d49f95e50e9c92"),
 ]
 
 
