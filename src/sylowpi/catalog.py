@@ -160,8 +160,15 @@ def lie(lie_type: str, q: int, n: int | None = None) -> SimpleGroupId:
 
 
 def _iroot(q: int, k: int) -> int:
-    """Largest x with x**k <= q, by Newton's method from above."""
-    x = 1 << -(-q.bit_length() // k)  # 2^ceil(bits/k) exceeds the root
+    """Largest x with x**k <= q, by Newton's method from above, started at a
+    float estimate of the root's leading bits.  One Newton step lifts any
+    start to at least the root (a mean of k terms is at least their
+    geometric mean, q^(1/k)); a start at 2^ceil(bits/k) would take about k
+    steps to fall by half."""
+    e = math.log2(q) / k
+    shift = max(0, int(e) - 52)
+    x = (int(2 ** (e - shift)) + 1) << shift
+    x = ((k - 1) * x + q // x ** (k - 1)) // k
     while True:
         y = ((k - 1) * x + q // x ** (k - 1)) // k
         if y >= x:
@@ -170,15 +177,24 @@ def _iroot(q: int, k: int) -> int:
 
 
 def prime_power(q) -> tuple[int, int] | None:
-    """Return (p, f) with q = p^f, or None if q is not a prime power.  Takes
-    an integer f-th root for each f, largest first: polynomial in log q."""
+    """Return (p, f) with q = p^f, or None if q is not a prime power.  A
+    perfect power is a perfect l-th power for a prime l, so q is replaced by
+    its l-th root while that is exact, for each prime l below its bit length,
+    largest first; what is left must be prime.  Polynomial in log q."""
     if not isinstance(q, int) or q < 2:
         return None
-    for f in range(q.bit_length() - 1, 0, -1):
-        p = _iroot(q, f)
-        if p**f == q and is_prime(p):
-            return p, f
-    return None
+    f = 1
+    ells = [ell for ell in range(q.bit_length() - 1, 1, -1) if is_prime(ell)]
+    i = 0
+    while i < len(ells):
+        # a root that were a perfect power for a larger prime would have made
+        # q one, so the larger primes need no second try
+        root = _iroot(q, ells[i])
+        if root ** ells[i] == q:
+            q, f = root, f * ells[i]
+        else:
+            i += 1
+    return (q, f) if is_prime(q) else None
 
 
 def ensure_valid(gid: SimpleGroupId) -> int | None:
@@ -300,11 +316,22 @@ def _lie_order(t: str, n: int | None, q: int) -> int:
         return q**3 * (q**3 + 1) * (q - 1)
     if t == "2F4":
         return q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1)
-    roots, pairs, z, k, e0 = _order_parameters(t, n)
-    bits = (roots + sum(d for d, _ in pairs)) * math.log2(q)
+    # N + sum(d) = 2 sum(d) - (number of d), from the rank alone, so that no
+    # degree is listed for a rank whose order is refused
+    if t in ("A", "2A"):
+        span = n * n - 1
+    elif t in ("B", "C"):
+        span = 2 * n * n + n
+    elif t in ("D", "2D"):
+        span = 2 * n * n - n
+    else:  # an exceptional type's degrees are fixed
+        ds = _degrees(t, n)
+        span = 2 * sum(ds) - len(ds)
+    bits = span * math.log2(q)
     if bits > ORDER_BITS_BOUND:
         raise ValueError(f"the order of this {t}-type group has about {bits:.0f} bits, "
                          f"above the bound of {ORDER_BITS_BOUND} bits")
+    roots, pairs, z, k, e0 = _order_parameters(t, n)
     o = q**roots
     for d, e in pairs:
         o *= q**d - e

@@ -169,48 +169,43 @@ def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
     and D_tau hold the final corollary is checked on those same splits.
     Both are symmetric in sigma and tau, so each unordered two-part
     partition is checked once, and each Hall class is split once for it.
-    The group's table and lattice are released when the sweep ends, so a
-    run over many groups holds one table at a time.
     """
     factors = parse_factors(spec)
     g = realize(spec)
-    try:
-        g.require_table(bound=bound)
-        spectrum = prime_divisors(g.order)
-        out = SweepResult()
-        reports = {}  # every subset of pi comes before pi
-        for k in range(len(spectrum) + 1):
-            for combo in itertools.combinations(sorted(spectrum), k):
-                pi = frozenset(combo)
-                hypothesis = k >= 2 and not spectrum <= pi and not {2, 3} <= pi
-                r = reports[pi] = maximal_pi_subgroups(g, pi, with_structure=hypothesis)
-                crit = decide_dpi_composite(factors, pi).dpi
-                out.rows.append({"pi": sorted(pi), "brute": r.dpi, "criterion": crit,
-                                 "agree": r.dpi == crit})
-                out.disagreements += r.dpi != crit
-                if r.structural is not None:
-                    out.hypothesis_hits += 1
-                    partitions = r.structural["nilpotent_factor_per_partition"]
-                    if not r.structural["hall_solvable"]:
-                        out.violations.append((spec, sorted(pi), "Hall subgroup not solvable"))
-                    if not all(partitions.values()):
-                        out.violations.append((spec, sorted(pi), "no nilpotent factor", partitions))
-                for sigma, tau in _two_part_partitions(pi):
-                    splits = [s for c in r.hall_classes if (s := split_hall(g, c.rep, sigma, tau))]
-                    if not splits:
-                        continue  # neither the theorem nor the corollary applies
-                    out.split_hits += 1
-                    parts = tuple(sorted(sigma)), tuple(sorted(tau))
-                    merged = reports[sigma].dpi and reports[tau].dpi
-                    if r.dpi != merged:
-                        out.violations.append((spec, sorted(pi), "split/merge", *parts))
-                    if merged:
-                        holds = check_final_corollary(g, splits)
-                        out.corollary_hits += holds
-                        if not holds:
-                            out.violations.append((spec, sorted(pi), "final corollary", *parts))
-    finally:
-        g.release()
+    g.require_table(bound=bound)
+    spectrum = prime_divisors(g.order)
+    out = SweepResult()
+    reports = {}  # every subset of pi comes before pi
+    for k in range(len(spectrum) + 1):
+        for combo in itertools.combinations(sorted(spectrum), k):
+            pi = frozenset(combo)
+            hypothesis = k >= 2 and not spectrum <= pi and not {2, 3} <= pi
+            r = reports[pi] = maximal_pi_subgroups(g, pi, with_structure=hypothesis)
+            crit = decide_dpi_composite(factors, pi).dpi
+            out.rows.append({"pi": sorted(pi), "brute": r.dpi, "criterion": crit,
+                             "agree": r.dpi == crit})
+            out.disagreements += r.dpi != crit
+            if r.structural is not None:
+                out.hypothesis_hits += 1
+                partitions = r.structural["nilpotent_factor_per_partition"]
+                if not r.structural["hall_solvable"]:
+                    out.violations.append((spec, sorted(pi), "Hall subgroup not solvable"))
+                if not all(partitions.values()):
+                    out.violations.append((spec, sorted(pi), "no nilpotent factor", partitions))
+            for sigma, tau in _two_part_partitions(pi):
+                splits = [s for c in r.hall_classes if (s := split_hall(g, c.rep, sigma, tau))]
+                if not splits:
+                    continue  # neither the theorem nor the corollary applies
+                out.split_hits += 1
+                parts = tuple(sorted(sigma)), tuple(sorted(tau))
+                merged = reports[sigma].dpi and reports[tau].dpi
+                if r.dpi != merged:
+                    out.violations.append((spec, sorted(pi), "split/merge", *parts))
+                if merged:
+                    holds = check_final_corollary(g, splits)
+                    out.corollary_hits += holds
+                    if not holds:
+                        out.violations.append((spec, sorted(pi), "final corollary", *parts))
     return out
 
 

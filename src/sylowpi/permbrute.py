@@ -46,9 +46,8 @@ one lattice.  The lattice bound is checked on every `require_table` call
 that passes one; a table operation that finds no table builds it under
 DEFAULT_LATTICE_BOUND.  The table holds int16 indices, so one at
 ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.  A group keeps its table
-and lattice until `release` drops them.  `realize` caches single factors
-by spec, and never direct products, which it assembles from the cached
-factors on each call.
+and lattice while it lives; `realize` caches single factors' element rows
+by spec and returns a new group of the caller's own on every call.
 
 Outside the lattice, every subgroup built from generators comes from one
 breadth-first closure over the table, `_close`: the closure of the
@@ -64,6 +63,7 @@ lattice classes of size 1.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -333,11 +333,6 @@ class PermGroup:
                 f"{self.name}: the generators reach only {count} "
                 f"of the {n} listed elements")
         return table
-
-    def release(self) -> None:
-        """Drop the multiplication table, the inverses and the lattice; each
-        is rebuilt on its next use."""
-        self._table = self._inv = self._classes = None
 
     @property
     def inv(self) -> np.ndarray:
@@ -785,16 +780,17 @@ def realize(spec: str) -> PermGroup:
     (n >= 5), PSL(2, q) as Lie:A:2:q, and Cyclic:p for a prime p <= 31.  An
     Alt, Sym or PSL factor is realized exactly when its order is at most
     ORDER_BOUND, which is checked before any element is built.  Factors are
-    cached by spec, tables and lattices included; a product is assembled from
-    its cached factors on every call and not stored, so its table and
-    lattice are freed when its caller drops it."""
+    cached by spec, and every call returns a new group that belongs to its
+    caller: a factor comes as a shallow copy of the cached one, sharing its
+    read-only rows and generators, and a product is assembled from the
+    cached factors, so a table or lattice is freed with the caller's group."""
     parts = [s.strip() for s in spec.split(",") if s.strip()] or [spec]
+    for part in parts:
+        if part not in _REALIZE_CACHE:
+            _REALIZE_CACHE[part] = _realize_factor(part)
     if len(parts) > 1:
-        return functools.reduce(direct_product, [realize(s) for s in parts])
-    g = _REALIZE_CACHE.get(parts[0])
-    if g is None:
-        g = _REALIZE_CACHE[parts[0]] = _realize_factor(parts[0])
-    return g
+        return functools.reduce(direct_product, [_REALIZE_CACHE[s] for s in parts])
+    return copy.copy(_REALIZE_CACHE[parts[0]])  # the cached factor never builds a table
 
 
 def _realize_factor(spec: str) -> PermGroup:

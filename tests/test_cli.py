@@ -5,12 +5,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 
 import pytest
 
-from sylowpi import cli, permbrute
+from sylowpi import catalog, cli, permbrute
 from sylowpi.catalog import ORDER_BITS_BOUND
 from sylowpi.cli import (
     EXIT_DISAGREE,
@@ -125,7 +126,7 @@ def test_check_huge_torus_keeps_its_witness(capsys):
 
 
 def test_check_refuses_orders_above_the_bit_bound(capsys):
-    # Lie:A:30000:2 has about 9 * 10^8 bits, estimated from the degrees and
+    # Lie:A:30000:2 has about 9 * 10^8 bits, estimated from the rank and
     # refused before any product is taken
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "check", "--group", "Lie:A:30000:2", "--pi", "3,5")
@@ -134,6 +135,52 @@ def test_check_refuses_orders_above_the_bit_bound(capsys):
     # E8 over q near 10^9, of about 7,400 bits, still gets an answer
     code, _, err = run_cli(capsys, "check", "--group", "Lie:E8:999999937", "--pi", "3,5")
     assert code == EXIT_FALSE, err
+
+
+def test_check_refuses_a_huge_rank_before_listing_its_degrees(capsys, monkeypatch):
+    # Lie:A:3000000:2 would list three million degrees; the bound is checked
+    # from the rank first, and nothing is cached for it
+    cached = catalog._order_parameters.cache_info().currsize
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "check", "--group", "Lie:A:3000000:2", "--pi", "3,5")
+    assert code == EXIT_ERROR and f"bound of {ORDER_BITS_BOUND} bits" in err
+    assert time.perf_counter() - start < 1
+    assert catalog._order_parameters.cache_info().currsize == cached
+    # the estimate is n^2 - 1 bits for A(n-1, 2): 999,999 passes the bound and
+    # reaches the degrees, 1,050,624 does not
+    def listed(*args):
+        raise RuntimeError("degrees listed")
+
+    monkeypatch.setattr(catalog, "_order_parameters", listed)
+    with pytest.raises(RuntimeError, match="degrees listed"):
+        catalog._lie_order("A", 1000, 2)
+    with pytest.raises(ValueError, match="about 1050624 bits"):
+        catalog._lie_order("A", 1025, 2)
+
+
+def test_check_q_of_the_longest_parsed_length(capsys):
+    # 10^4299 + 7 has 4,300 digits, the most that int() parses by default;
+    # prime_power tries prime exponents only, then refuses it as is_prime does
+    q = 10 ** 4299 + 7
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "check", "--group", f"Lie:A:2:{q}", "--pi", "2")
+    assert code == EXIT_ERROR and "primality test only deterministic below" in err
+    assert time.perf_counter() - start < 6
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--group", "Spor:M11", "--pi", "5,11"], EXIT_TRUE),
+    (["check", "--group", "Alt:5", "--pi", "2,3"], EXIT_FALSE),
+    (["check", "--group", "Alt:banana", "--pi", "2"], EXIT_ERROR),
+    (["frobnicate"], EXIT_ERROR),
+])
+def test_process_exit_status(argv, code):
+    # main() as a process: the status the shell sees
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "sylowpi.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == code, out.stderr
 
 
 def test_brute_exit_codes(capsys):

@@ -160,7 +160,9 @@ def test_realize_products_and_cyclic():
 
 
 def test_realize_is_cached():
-    assert realize("Alt:5") is realize("Alt:5")
+    # each call returns the caller's own group over the cached factor's rows
+    a, b = realize("Alt:5"), realize("Alt:5")
+    assert a is not b and a.perms is b.perms
 
 
 def test_products_are_assembled_afresh_from_cached_factors():
@@ -182,18 +184,15 @@ def test_product_sweeps_cache_only_factors(monkeypatch):
     assert all(g._table is None for g in permbrute._REALIZE_CACHE.values())
 
 
-def test_sweep_releases_the_table_and_lattice(monkeypatch):
-    g = realize("Lie:A:2:7")
-    counts = [(c.order, c.class_size) for c in g.subgroup_classes()]
-    sweep("Lie:A:2:7")
-    assert realize("Lie:A:2:7") is g
-    assert g._table is None and g._inv is None and g._classes is None
-    assert [(c.order, c.class_size) for c in g.subgroup_classes()] == counts
-    # a sweep that raises releases them too
+def test_cached_factors_hold_no_table_lattice_or_orders(monkeypatch):
+    assert cli.run(["brute", "--group", "Alt:5", "--pi", "2,3"]) == cli.EXIT_FALSE
+    assert cli.run(["crosscheck", "--group", "Lie:A:2:7"]) == cli.EXIT_TRUE
     monkeypatch.setattr(cli, "decide_dpi_composite", _raise)
     with pytest.raises(RuntimeError):
         sweep("Lie:A:2:7")
-    assert g._table is None and g._classes is None
+    assert {"Alt:5", "Lie:A:2:7"} <= set(permbrute._REALIZE_CACHE)
+    for spec, g in permbrute._REALIZE_CACHE.items():
+        assert g._table is None and g._classes is None and g._orders is None, spec
 
 
 def _raise(*args):

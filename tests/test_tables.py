@@ -133,13 +133,11 @@ def test_dump_tables_is_json_ready():
     assert json.loads(json.dumps(data)) == data
 
 
-# Sym(7) agrees too, but its table (5040^2 entries) would stay in the
-# realize cache for the rest of the test process
 @pytest.mark.parametrize("family, n", [("Alt", 5), ("Alt", 6), ("Alt", 7),
-                                       ("Sym", 5), ("Sym", 6)])
+                                       ("Sym", 5), ("Sym", 6), ("Sym", 7)])
 def test_epi_tables_match_brute_force(family, n):
     g = realize(f"{family}:{n}")
-    g.require_table(bound=2520)
+    g.require_table(bound=5040)
     spectrum = sorted(primes_upto(n))
     for k in range(2, len(spectrum)):
         for pi in map(frozenset, itertools.combinations(spectrum, k)):
