@@ -25,7 +25,9 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return False
     if n >= _MR_BOUND:
-        raise ValueError(f"primality test only deterministic below {_MR_BOUND}: got {n}")
+        # the size, not the digits: n may have thousands of them
+        raise ValueError(f"primality test only deterministic below {_MR_BOUND}: "
+                         f"got a number of {n.bit_length()} bits")
     d = n - 1
     s = 0
     while d % 2 == 0:

@@ -30,9 +30,11 @@ A group keeps its elements as one array, `perms`: its permutations as
 rows in lexicographic order (uint8, uint16 above degree 256), element i
 being row i.  `lookup` maps rows back to indices by binary search over the
 rows' bytes.  Realization closes the generators breadth-first with one
-gather per layer, the multiplication table is filled layer by layer along
-the Cayley graph with one intp-indexed gather per generator and block of
-rows, and element orders are the lcms of cycle lengths, so none of them
+gather per layer.  The multiplication table of a group built by
+`direct_product` is the outer sum of its factors' tables, written a block
+of rows at a time; any other group's is filled layer by layer along the
+Cayley graph with one intp-indexed gather per generator and block of rows.
+Element orders are the lcms of cycle lengths, so none of these
 runs Python per element; the pi-element and nilpotency tests read each
 element's index among the distinct orders, found once with them.  The
 field tables behind PSL(2, q) are arrays too, and a Moebius map is one
@@ -75,7 +77,7 @@ from .catalog import order_of, parse_group, prime_power, spec_number
 
 ORDER_BOUND = 10080
 DEFAULT_LATTICE_BOUND = 1000
-_FRONTIER = 1 << 16  # pairs per block of joins, entries per gather in _cayley_table, _coset_least
+_FRONTIER = 1 << 16  # pairs per block of joins, table entries per block written or gathered
 _MAX_CLASSES = 1 << 15  # subgroup classes per lattice: C2^7 has 29,212
 # multiplication tables and inverses hold element indices as int16
 assert ORDER_BOUND <= np.iinfo(np.int16).max + 1
@@ -217,7 +219,7 @@ class PermGroup:
             if len(rows) > ORDER_BOUND:
                 raise BruteForceBoundError(
                     f"order {len(rows)} exceeds the hard bound {ORDER_BOUND}")
-            # repeated rows stay: the table's reach check refuses them.  A
+            # repeated rows stay: the table's checks refuse them.  A
             # stable sort makes one pass over rows already in order, as a
             # direct product's are; equal keys are equal bytes, so the result
             # is that of any sort
@@ -233,6 +235,7 @@ class PermGroup:
         self._orders = self._kinds = self._kind = None  # see element_orders
         self._gen_idx: tuple[int, ...] | None = None
         self._classes: list[SubgroupClass] | None = None
+        self._factors: tuple[PermGroup, PermGroup] | None = None  # set by direct_product
 
     # -- basic machinery ----------------------------------------------------
 
@@ -292,13 +295,17 @@ class PermGroup:
         return self._table
 
     def _cayley_table(self) -> np.ndarray:
-        """table[i, j] = index of (element i followed by element j), built
-        layer by layer along the left Cayley graph: row s*i is left_s[row i],
-        because (s*i)*x = s*(i*x).  The lookups prove the element list closed
-        under left multiplication by the generators and the search proves
-        every element a word in them, so the list is exactly <generators>.
-        New rows are filled _FRONTIER // n at a time from source rows copied
-        to one intp buffer: an int16 index takes numpy's slower casting path."""
+        """table[i, j] = index of (element i followed by element j).  For a
+        group built by direct_product it comes from its factors' tables
+        (_product_table).  Any other group's is built layer by layer along the
+        left Cayley graph: row s*i is left_s[row i], because (s*i)*x =
+        s*(i*x).  The lookups prove the element list closed under left
+        multiplication by the generators and the search proves every element
+        a word in them, so the list is exactly <generators>.  New rows are
+        filled _FRONTIER // n at a time from source rows copied to one intp
+        buffer: an int16 index takes numpy's slower casting path."""
+        if self._factors is not None:
+            return self._product_table(*self._factors)
         n = self.order
         try:
             # s followed by element e is the row e[s]
@@ -334,6 +341,42 @@ class PermGroup:
                 f"of the {n} listed elements")
         return table
 
+    def _product_table(self, k: PermGroup, l: PermGroup) -> np.ndarray:
+        """_cayley_table of K x L from the factors' tables, which are built
+        and not kept: element (a, b) is row a*|L| + b, so its product with
+        (a', b') is t_K[a, a']*|L| + t_L[b, b'].  The rows are checked to be
+        the pairs (a, b) in that order; with the factors' tables, which prove
+        each factor's list the group its generators generate, that proves the
+        list <generators>.  The outer sum is written for _FRONTIER // (n |L|)
+        elements a at a time, at least one: t_K's rows repeated |L| times
+        each, plus t_L's rows tiled across as many column blocks a' as
+        _FRONTIER entries hold, at least one, so that the innermost loop runs
+        along at least |L| entries and no copy of t_L grows with |K|.  One
+        3-d broadcast with |L| innermost was slower than the breadth-first
+        fill for |L| = 2."""
+        n, m = self.order, l.order
+        laid_out = n == k.order * m and self.degree == k.degree + l.degree
+        if laid_out:
+            rows = self.perms.reshape(k.order, m, self.degree)
+            laid_out = ((rows[:, :, :k.degree] == k.perms[:, None]).all()
+                        and (rows[:, :, k.degree:] == l.perms.astype(np.intp) + k.degree).all())
+        if not laid_out:
+            raise ElementListError(f"{self.name}: the element list is not the pairs "
+                                   "of its factors' elements in order")
+        tk, tl = k._cayley_table(), l._cayley_table()
+        tk *= m
+        reps = min(k.order, max(1, _FRONTIER // (m * m)))
+        tiled, width = (np.tile(tl, (1, reps)) if reps > 1 else tl), reps * m
+        table = np.empty((n, n), dtype=np.int16)
+        rows_of_a = table.reshape(k.order, m, n)  # rows (a, b) for each a
+        step = max(1, _FRONTIER // n // m)
+        for lo in range(0, k.order, step):
+            left = np.repeat(tk[lo:lo + step], m, axis=1)[:, None]
+            for col in range(0, n, width):
+                np.add(left[..., col:col + width], tiled[:, :n - col],
+                       out=rows_of_a[lo:lo + step, :, col:col + width])
+        return table
+
     @property
     def inv(self) -> np.ndarray:
         self.require_table()
@@ -352,16 +395,18 @@ class PermGroup:
     def gens_of(self, subset) -> tuple[int, ...]:
         """Small generating set for a subgroup given as an element-index set:
         each element outside the subgroup generated so far is added to it."""
-        # larger element orders first keeps the generating set short
+        # larger element orders first keeps the generating set short; a stable
+        # sort keeps the subset's own order among elements of one order
         orders = self.element_orders()
+        arr = np.fromiter(subset, dtype=np.intp)
+        arr = arr[np.argsort(-orders[arr], kind="stable")]
         member = np.zeros(self.order, dtype=bool)
         member[self.identity] = True
         harr, gens = np.array([self.identity]), []
-        for x in sorted(subset, key=lambda i: -int(orders[i])):
-            if not member[x]:
-                gens.append(x)
-                harr = self._close(harr, gens)
-                member[harr] = True
+        while (arr := arr[~member[arr]]).size:
+            gens.append(int(arr[0]))
+            harr = self._close(harr, gens)
+            member[harr] = True
         return tuple(gens)
 
     def _close(self, start, gens, conj=()) -> np.ndarray:
@@ -760,18 +805,22 @@ def _cyclic(p: int) -> PermGroup:
 
 
 def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
+    """g1 x g2 on the disjoint union of their points, element (a, b) being
+    row a*|g2| + b.  The group records its factors, and its table is built
+    from theirs (PermGroup._product_table), which it does not keep."""
     d1, d2 = g1.degree, g2.degree
     gens = [tuple(g) + tuple(x + d1 for x in range(d2)) for g in g1.generators]
     gens += [tuple(range(d1)) + tuple(x + d1 for x in g) for g in g2.generators]
     if g1.order * g2.order > ORDER_BOUND:
         raise BruteForceBoundError(
             f"product order {g1.order * g2.order} exceeds the bound {ORDER_BOUND}")
-    # the rows a + b in the order of (a, b); the table's reach check proves
-    # them <gens>
+    # the rows a + b in the order of (a, b), which the table checks
     dtype = _row_dtype(d1 + d2)
     rows = np.concatenate([np.repeat(g1.perms.astype(dtype), g2.order, axis=0),
                            np.tile(g2.perms.astype(dtype) + dtype.type(d1), (g1.order, 1))], axis=1)
-    return PermGroup(d1 + d2, gens, elements=rows, name=f"{g1.name} x {g2.name}")
+    g = PermGroup(d1 + d2, gens, elements=rows, name=f"{g1.name} x {g2.name}")
+    g._factors = (g1, g2)
+    return g
 
 
 def realize(spec: str) -> PermGroup:

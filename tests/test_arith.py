@@ -51,6 +51,15 @@ def test_is_prime_large_values():
         is_prime(2**89 - 1)  # beyond the deterministic witness bound
 
 
+def test_is_prime_names_the_bit_count_of_a_refused_input():
+    # not the digits, which number thousands for a q near int()'s limit
+    for n, bits in ((2**89 - 1, 89), (10**4299 + 7, 14281)):
+        with pytest.raises(ValueError) as err:
+            is_prime(n)
+        assert str(err.value).endswith(f"got a number of {bits} bits")
+        assert len(str(err.value)) < 200
+
+
 def test_prime_set_validates():
     assert prime_set([2, 3, 5]) == frozenset({2, 3, 5})
     assert prime_set([]) == frozenset()

@@ -166,6 +166,8 @@ def test_check_q_of_the_longest_parsed_length(capsys):
     code, _, err = run_cli(capsys, "check", "--group", f"Lie:A:2:{q}", "--pi", "2")
     assert code == EXIT_ERROR and "primality test only deterministic below" in err
     assert time.perf_counter() - start < 6
+    # the error names how long q is instead of echoing its digits
+    assert "got a number of 14281 bits" in err and len(err) < 300
 
 
 @pytest.mark.parametrize("argv, code", [

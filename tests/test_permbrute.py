@@ -1,6 +1,7 @@
 """Brute-force oracle: realizations, subgroup lattice, Hall reports,
 structure tests and the constructive table rows."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -326,6 +327,36 @@ def test_gens_of_generates_each_class():
         gens = g.gens_of(c.rep)
         assert g.closure_indices(gens) == c.rep
         assert len(set(gens)) == len(gens) and g.identity not in gens
+
+
+def _gens_of_by_sorted_loop(g, subset):
+    """gens_of as a Python loop over the subset sorted by decreasing order."""
+    orders = g.element_orders()
+    member = np.zeros(g.order, dtype=bool)
+    member[g.identity] = True
+    harr, gens = np.array([g.identity]), []
+    for x in sorted(subset, key=lambda i: -int(orders[i])):
+        if not member[x]:
+            gens.append(x)
+            harr = g._close(harr, gens)
+            member[harr] = True
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("spec", ("Alt:5", "Alt:6", "Lie:A:2:7", "Lie:A:2:8", "Alt:5,Cyclic:7", "Sym:5"))
+def test_gens_of_matches_the_sorted_loop(spec):
+    # the same generators, in the same order, whatever container holds the
+    # subset: iteration order decides ties between elements of one order
+    g = realize(spec)
+    subsets = [c.rep for c in g.subgroup_classes()]
+    subsets += [frozenset(g.closure_indices(row.tolist()))
+                for row in np.random.default_rng(len(spec)).integers(g.order, size=(12, 2))]
+    for s in subsets:
+        for container in (frozenset(s), set(s), sorted(s), sorted(s, reverse=True)):
+            assert g.gens_of(container) == _gens_of_by_sorted_loop(g, container), (spec, len(s))
+    everything = range(g.order)
+    assert g.gens_of(everything) == _gens_of_by_sorted_loop(g, everything)
+    assert g.gens_of(()) == () == g.gens_of([g.identity])
 
 
 def test_lattice_is_pinned():
@@ -866,11 +897,14 @@ def _regular_quotient():
 def test_table_is_the_same_in_small_blocks(monkeypatch, spec):
     # the table is filled a block of rows at a time: blocks of one row, and of
     # three rows, which end inside a breadth-first layer somewhere because 3
-    # does not divide the n - 1 rows filled after the identity's.  Alt(5) x C7
-    # has three generators and the degree-420 quotient uint16 rows.
+    # does not divide the n - 1 rows filled after the identity's.  Alt(5) x C7,
+    # built from its generators so that it is not filled from its factors'
+    # tables, has three generators and the degree-420 quotient uint16 rows.
     def build():  # afresh, so that no table is shared
-        return (_sym(5) if spec == "Sym:5" else
-                _regular_quotient() if spec == "quotient" else realize(spec))
+        if spec == "Alt:5,Cyclic:7":
+            g = realize(spec)
+            return PermGroup(g.degree, g.generators)
+        return _sym(5) if spec == "Sym:5" else _regular_quotient()
 
     g = build()
     n = g.order
@@ -880,6 +914,74 @@ def test_table_is_the_same_in_small_blocks(monkeypatch, spec):
         monkeypatch.setattr(permbrute, "_FRONTIER", frontier)
         h = build()
         assert (h.require_table().tobytes(), h.inv.tobytes()) == default
+
+
+PRODUCTS = ("Alt:5,Cyclic:7", "Lie:A:2:9,Cyclic:5", "Lie:A:2:8,Cyclic:3", "Sym:6,Cyclic:2",
+            "Lie:A:2:11,Cyclic:2", "Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2",
+            "Alt:5,Cyclic:2,Cyclic:3", "Lie:A:2:7,Cyclic:5", "Alt:6,Cyclic:7",
+            "Cyclic:31,Cyclic:29,Cyclic:11", "Alt:5,Alt:5", "nested")
+
+
+def _product(spec):
+    """A realized product, or C2 x (C3 x (C5 x C7)), whose second factor is
+    a product itself; realize nests to the left."""
+    if spec == "nested":
+        c = [permbrute._cyclic(p) for p in (2, 3, 5, 7)]
+        return direct_product(c[0], direct_product(c[1], direct_product(c[2], c[3])))
+    return realize(spec)
+
+
+def _table_digest(g):
+    # a digest, so that the test holds one table at a time: C31 x C29 x C11
+    # has one of 196 MB
+    t = g.require_table(bound=ORDER_BOUND)
+    return hashlib.sha256(t).hexdigest(), g.inv.tobytes()
+
+
+@pytest.mark.parametrize("spec", PRODUCTS)
+def test_product_table_is_the_breadth_first_one(spec):
+    # a product's table comes from its factors' tables; the same group built
+    # from its generators alone fills it along its Cayley graph
+    g = _product(spec)
+    assert g._factors is not None
+    product = _table_digest(g)
+    g._table = None
+    h = PermGroup(g.degree, g.generators)
+    assert h._factors is None and np.array_equal(h.perms, g.perms)
+    assert _table_digest(h) == product
+    assert all(f._table is None for f in g._factors)
+
+
+@pytest.mark.parametrize("spec", ("Alt:5,Cyclic:7", "Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2",
+                                  "Lie:A:2:7,Cyclic:5", "nested"))
+def test_product_table_is_the_same_in_small_blocks(monkeypatch, spec):
+    # 64 entries make a block of one element a of the first factor, rows
+    # (a, b) for every b, and columns one block a' wide where |L|^2 > 32;
+    # 5 |L|^2 entries make columns five blocks a' wide, and 3 |G| |L| blocks
+    # of three elements a.  5 does not divide |K| for C2^5 = C2^4 x C2 or
+    # PSL(2,7) x C5, nor 3 for C2^5 or C2 x (C3 x (C5 x C7)), so a block ends
+    # short of the table's edge
+    default = _table_digest(_product(spec))
+    g = _product(spec)
+    m = g._factors[1].order
+    for frontier in (64, 5 * m * m, 3 * g.order * m):
+        monkeypatch.setattr(permbrute, "_FRONTIER", frontier)
+        assert _table_digest(_product(spec)) == default
+
+
+def test_product_rows_out_of_order_are_refused():
+    c3, c5 = permbrute._cyclic(3), permbrute._cyclic(5)
+    other_c5 = PermGroup(5, [(2, 4, 1, 0, 3)])  # not a power of (0 1 2 3 4)
+    g = direct_product(c3, c5)
+    # factors recorded the other way round, or a C5 whose rows are not the
+    # list's, or a list missing a row
+    missing = PermGroup(g.degree, g.generators, elements=g.perms[:-1])
+    for h, factors in ((g, (c5, c3)), (g, (c3, other_c5)), (missing, (c3, c5))):
+        h = copy.copy(h)
+        h._factors = factors
+        with pytest.raises(ElementListError, match="not the pairs of its factors"):
+            h.require_table()
+    assert direct_product(c3, other_c5).require_table().shape == (15, 15)
 
 
 def test_wide_rows():
