@@ -10,6 +10,10 @@ Subcommands:
 
 Exit codes: 0 = success / true verdict, 1 = false verdict, 2 = error,
 3 = crosscheck disagreement.  --json emits a versioned report (schema 1).
+
+Only brute, crosscheck and corpus import the brute-force engine, and numpy
+with it, and they do so when they run; check and split load the arithmetic
+modules alone, and tables the embedded tables.
 """
 
 from __future__ import annotations
@@ -19,21 +23,15 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .arith import prime_divisors, prime_set
-from .catalog import parse_group
+from .catalog import DEFAULT_LATTICE_BOUND, parse_group
 from .composition import SplitHypothesis, decide_dpi_composite, parse_factors, wielandt_split
 from .criterion import Verdict, decide_dpi_simple
-from .permbrute import (
-    DEFAULT_LATTICE_BOUND,
-    HallReport,
-    _two_part_partitions,
-    check_final_corollary,
-    maximal_pi_subgroups,
-    realize,
-    split_hall,
-)
-from .tables import dump_tables
+
+if TYPE_CHECKING:
+    from .permbrute import HallReport
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -129,6 +127,8 @@ def _hall_report_dict(r: HallReport) -> dict:
 
 
 def _cmd_brute(args) -> int:
+    from .permbrute import maximal_pi_subgroups, realize
+
     pi = _parse_pi(args.pi)
     g = realize(args.group)
     g.require_table(bound=args.max_order)
@@ -170,6 +170,9 @@ def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
     Both are symmetric in sigma and tau, so each unordered two-part
     partition is checked once, and each Hall class is split once for it.
     """
+    from .permbrute import (_two_part_partitions, check_final_corollary,
+                            maximal_pi_subgroups, realize, split_hall)
+
     factors = parse_factors(spec)
     g = realize(spec)
     g.require_table(bound=bound)
@@ -250,6 +253,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .tables import dump_tables
+
     data = dump_tables()
     lines = []
     for key, rows in data.items():

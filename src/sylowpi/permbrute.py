@@ -73,10 +73,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime, prime_divisors, r_part
-from .catalog import order_of, parse_group, prime_power, spec_number
+from .catalog import DEFAULT_LATTICE_BOUND, order_of, parse_group, prime_power, spec_number
 
 ORDER_BOUND = 10080
-DEFAULT_LATTICE_BOUND = 1000
 _FRONTIER = 1 << 16  # pairs per block of joins, table entries per block written or gathered
 _MAX_CLASSES = 1 << 15  # subgroup classes per lattice: C2^7 has 29,212
 # multiplication tables and inverses hold element indices as int16
@@ -351,9 +350,12 @@ class PermGroup:
         elements a at a time, at least one: t_K's rows repeated |L| times
         each, plus t_L's rows tiled across as many column blocks a' as
         _FRONTIER entries hold, at least one, so that the innermost loop runs
-        along at least |L| entries and no copy of t_L grows with |K|.  One
-        3-d broadcast with |L| innermost was slower than the breadth-first
-        fill for |L| = 2."""
+        along at least |L| entries and no copy of t_L grows with |K|.  When
+        one block a' is as wide as that (|L|^2 >= _FRONTIER), t_L is read back
+        from the rows (0, b), columns (0, b') once the first block is written,
+        since the identity is element 0 of K, and the t_L built for it is
+        freed.  One 3-d broadcast with |L| innermost was slower than the
+        breadth-first fill for |L| = 2."""
         n, m = self.order, l.order
         laid_out = n == k.order * m and self.degree == k.degree + l.degree
         if laid_out:
@@ -363,10 +365,12 @@ class PermGroup:
         if not laid_out:
             raise ElementListError(f"{self.name}: the element list is not the pairs "
                                    "of its factors' elements in order")
-        tk, tl = k._cayley_table(), l._cayley_table()
+        tk, tiled = k._cayley_table(), l._cayley_table()
         tk *= m
         reps = min(k.order, max(1, _FRONTIER // (m * m)))
-        tiled, width = (np.tile(tl, (1, reps)) if reps > 1 else tl), reps * m
+        if reps > 1:
+            tiled = np.tile(tiled, (1, reps))
+        width = reps * m
         table = np.empty((n, n), dtype=np.int16)
         rows_of_a = table.reshape(k.order, m, n)  # rows (a, b) for each a
         step = max(1, _FRONTIER // n // m)
@@ -375,6 +379,8 @@ class PermGroup:
             for col in range(0, n, width):
                 np.add(left[..., col:col + width], tiled[:, :n - col],
                        out=rows_of_a[lo:lo + step, :, col:col + width])
+            if reps == 1:
+                tiled = table[:m, :m]
         return table
 
     @property

@@ -7,10 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
 
+import sylowpi
 from sylowpi import catalog, cli, permbrute
 from sylowpi.catalog import ORDER_BITS_BOUND
 from sylowpi.cli import (
@@ -185,6 +187,50 @@ def test_process_exit_status(argv, code):
     assert out.returncode == code, out.stderr
 
 
+def test_arithmetic_commands_load_neither_numpy_nor_the_engine():
+    """check, split and tables run on the arithmetic modules and the tables
+    alone, so a fresh process that runs them imports neither numpy nor
+    sylowpi.permbrute.  The package's brute-force names are still the
+    engine's, looked up on first access."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from sylowpi import cli
+        runs = [["check", "--group", "Lie:A:2:7", "--pi", "2,3"],
+                ["check", "--factors", "Alt:5,Cyclic:7", "--pi", "2,3,5"],
+                ["split", "--factors", "Alt:5,Cyclic:7", "--sigma", "5", "--tau", "7"],
+                ["split", "--group", "Alt:5", "--sigma", "2,3", "--tau", "5"],
+                ["tables", "--json"]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.run(argv) for argv in runs]
+        loaded = [m for m in ("numpy", "sylowpi.permbrute") if m in sys.modules]
+        from sylowpi import PermGroup, is_dpi_brute, maximal_pi_subgroups, realize
+        from sylowpi import permbrute
+        same = [PermGroup is permbrute.PermGroup, realize is permbrute.realize,
+                maximal_pi_subgroups is permbrute.maximal_pi_subgroups,
+                is_dpi_brute is permbrute.is_dpi_brute]
+        print(json.dumps([codes, loaded, same]))
+    """)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    codes, loaded, same = json.loads(out.stdout)
+    assert codes == [EXIT_FALSE, EXIT_TRUE, EXIT_TRUE, EXIT_FALSE, EXIT_TRUE]
+    assert loaded == [] and same == [True] * 4
+    assert sylowpi.__all__ == [
+        "SimpleGroupId", "alt", "lie", "sporadic", "parse_group",
+        "CompositionSpec", "CyclicFactor", "decide_dpi_composite", "parse_factors",
+        "Verdict", "decide_dpi_simple",
+        "PermGroup", "realize", "maximal_pi_subgroups", "is_dpi_brute",
+    ]
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        sylowpi.nonexistent
+    # --max-order's default is the engine's bound
+    for argv in (["brute", "--group", "Alt:5", "--pi", "2"], ["crosscheck", "--group", "Alt:5"],
+                 ["corpus"]):
+        assert cli.build_parser().parse_args(argv).max_order == permbrute.DEFAULT_LATTICE_BOUND
+
+
 def test_brute_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "brute", "--group", "Alt:5", "--pi", "2,3")
     assert code == EXIT_FALSE
@@ -315,14 +361,14 @@ def test_sweep_builds_one_hall_report_per_pi(monkeypatch):
 
 def test_sweep_checks_split_merge(monkeypatch):
     assert sweep("Alt:5,Cyclic:7").split_hits > 0
-    orig = cli.maximal_pi_subgroups
+    orig = permbrute.maximal_pi_subgroups
 
     def no_dpi_for_3(g, pi, *args, **kwargs):
         r = orig(g, pi, *args, **kwargs)
         return dataclasses.replace(r, dpi=False) if pi == {3} else r
 
     # C3 x C5 splits as C3 x C5: a false D_3 must contradict D_{3,5}
-    monkeypatch.setattr(cli, "maximal_pi_subgroups", no_dpi_for_3)
+    monkeypatch.setattr(permbrute, "maximal_pi_subgroups", no_dpi_for_3)
     result = sweep("Cyclic:3,Cyclic:5")
     assert result.split_hits == 1
     assert result.violations == [("Cyclic:3,Cyclic:5", [3, 5], "split/merge", (3,), (5,))]

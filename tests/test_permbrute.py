@@ -969,6 +969,36 @@ def test_product_table_is_the_same_in_small_blocks(monkeypatch, spec):
         assert _table_digest(_product(spec)) == default
 
 
+def test_product_table_frees_a_large_second_factors_table(monkeypatch):
+    # PSL(2,8) has 504 elements and 504^2 >= _FRONTIER, so each block a' of
+    # columns is one t_L wide; once the rows (0, b) are written, t_L is read
+    # from them and the t_L built for them is freed
+    g = realize("Cyclic:2,Lie:A:2:8")
+    k, m = g._factors[0].order, g._factors[1].order
+    assert m * m >= permbrute._FRONTIER
+    held = []
+
+    class TracedAdd:  # numpy, noting the traced memory at each np.add
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def add(self, *args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return np.add(*args, **kwargs)
+
+    monkeypatch.setattr(permbrute, "np", TracedAdd())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = g.require_table(bound=ORDER_BOUND)
+    finally:
+        tracemalloc.stop()
+    # one np.add per block a' of columns: k for a = 0, then k per later a
+    assert len(held) == k * k
+    assert max(held[:k]) - before >= table.nbytes + m * m * 2
+    assert max(held[k:]) - before < table.nbytes + m * m * 2 // 8
+
+
 def test_product_rows_out_of_order_are_refused():
     c3, c5 = permbrute._cyclic(3), permbrute._cyclic(5)
     other_c5 = PermGroup(5, [(2, 4, 1, 0, 3)])  # not a power of (0 1 2 3 4)
