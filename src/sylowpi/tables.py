@@ -4,22 +4,15 @@ alternating, sporadic and Tits groups.
 The tables are embedded as source-level data: they are part of the
 program's correctness surface, so a checksum test pins them bit-exactly.
 The symmetric-group table keeps its "n prime" row symbolic and evaluates
-pi((n-1)!) on demand.
+pi((n-1)!) on demand.  Each lookup answers every pi: "G" when pi(G) lies
+within pi, "Sylow" when pi meets pi(G) in at most one prime, else the
+structures of the rows that match pi ^ pi(G).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import is_prime
-from .catalog import sporadic, facts
-
-
-@dataclass(frozen=True)
-class TableRow:
-    group_key: str
-    pi_intersection: frozenset[int]
-    hall_descriptor: str
+from .catalog import pi_effective, sporadic, spectrum_within
 
 
 def primes_upto(n: int) -> frozenset[int]:
@@ -96,64 +89,41 @@ def table1_rows() -> list[dict]:
     return rows
 
 
-def table2_rows() -> list[TableRow]:
-    return [TableRow(g, pi, "") for g, pi in SPORADIC_ODD_ROWS]
-
-
-def table3_rows() -> list[TableRow]:
-    return [TableRow(g, pi, s) for g, pi, s in SPORADIC_EVEN_ROWS]
-
-
-def _check_sym_gate(n: int, pi: frozenset[int]) -> frozenset[int]:
+def sym_epi(n: int, pi: frozenset[int]) -> tuple[str, ...]:
+    """Structures of the pi-Hall subgroups of Sym_n that the table records;
+    () when Sym_n has none."""
     if n < 5:
         raise ValueError(f"degree must be >= 5, got {n}")
-    pin = primes_upto(n)
-    eff = pi & pin
+    spectrum = primes_upto(n)
+    eff = pi & spectrum
+    if spectrum <= pi:
+        return ("G",)
     if len(eff) <= 1:
-        raise ValueError("gate violated: |pi ^ pi(n!)| <= 1 (existence is Sylow's theorem)")
-    if pin <= pi:
-        raise ValueError("gate violated: pi(n!) within pi (the whole group is a pi-group)")
-    return eff
-
-
-def sym_epi(n: int, pi: frozenset[int]) -> tuple[bool, list[TableRow]]:
-    """Does Sym_n have a pi-Hall subgroup?  Caller must have handled the
-    trivial cases (|pi ^ pi(n!)| <= 1 and pi(n!) within pi)."""
-    eff = _check_sym_gate(n, pi)
-    rows: list[TableRow] = []
-    if is_prime(n) and eff == primes_upto(n - 1):
-        rows.append(TableRow(f"Sym_{n}", eff, f"Sym_{n - 1}"))
-    for m, tpi, struct in _SYM_SPECIAL:
-        if n == m and eff == tpi:
-            rows.append(TableRow(f"Sym_{n}", eff, struct))
-    return (bool(rows), rows)
+        return ("Sylow",)
+    prime_row = (f"Sym_{n - 1}",) if is_prime(n) and eff == primes_upto(n - 1) else ()
+    return prime_row + tuple(s for m, p, s in _SYM_SPECIAL if m == n and p == eff)
 
 
 def alt_epi(n: int, pi: frozenset[int]) -> bool:
-    """Does Alt_n have a pi-Hall subgroup?  Same gate as sym_epi; the Hall
-    subgroups of Alt_n are exactly the intersections H ^ Alt_n with H a
-    pi-Hall subgroup of Sym_n, and none exist once 2 or 3 is missing."""
-    _check_sym_gate(n, pi)
-    if 2 not in pi or 3 not in pi:
-        return False
-    exists, _ = sym_epi(n, pi)
-    return exists
+    """Does Alt_n have a pi-Hall subgroup?  Its Hall subgroups are the H ^ Alt_n
+    with H a pi-Hall subgroup of Sym_n; every nontrivial Sym_n row holds 2
+    and 3, so none exist once 2 or 3 is missing."""
+    return bool(sym_epi(n, pi))
 
 
-def sporadic_epi(name: str, pi: frozenset[int]) -> tuple[bool, list[TableRow]]:
-    """Does the sporadic (or Tits) group have a pi-Hall subgroup?"""
+def sporadic_epi(name: str, pi: frozenset[int]) -> tuple[str, ...]:
+    """Structures of the pi-Hall subgroups of the sporadic (or Tits) group
+    that Tables 2-3 record ("" for a Table 2 row); () when it has none.  pi
+    is a set of primes, tested against the order by divisibility alone."""
     gid = sporadic(name)
-    spectrum = facts(gid).spectrum
-    eff = pi & spectrum
-    if spectrum <= pi:
-        return (True, [TableRow(gid.name, eff, "G")])
+    eff = pi_effective(gid, pi)
+    if spectrum_within(gid, pi):
+        return ("G",)
     if len(eff) <= 1:
-        return (True, [TableRow(gid.name, eff, "Sylow")])
+        return ("Sylow",)
     if 2 not in pi:
-        rows = [TableRow(g, p, "") for g, p in SPORADIC_ODD_ROWS if g == gid.name and p == eff]
-    else:
-        rows = [TableRow(g, p, s) for g, p, s in SPORADIC_EVEN_ROWS if g == gid.name and p == eff]
-    return (bool(rows), rows)
+        return tuple("" for g, p in SPORADIC_ODD_ROWS if g == gid.name and p == eff)
+    return tuple(s for g, p, s in SPORADIC_EVEN_ROWS if g == gid.name and p == eff)
 
 
 def dump_tables() -> dict:
@@ -161,11 +131,9 @@ def dump_tables() -> dict:
     return {
         "table1_symmetric": table1_rows(),
         "table2_sporadic_odd": [
-            {"group": r.group_key, "pi": sorted(r.pi_intersection), "structure": r.hall_descriptor}
-            for r in table2_rows()
+            {"group": g, "pi": sorted(pi), "structure": ""} for g, pi in SPORADIC_ODD_ROWS
         ],
         "table3_sporadic_even": [
-            {"group": r.group_key, "pi": sorted(r.pi_intersection), "structure": r.hall_descriptor}
-            for r in table3_rows()
+            {"group": g, "pi": sorted(pi), "structure": s} for g, pi, s in SPORADIC_EVEN_ROWS
         ],
     }

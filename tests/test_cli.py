@@ -420,6 +420,7 @@ GOLDEN = [
     ("check --factors Alt:5,Cyclic:7 --pi 2,3,5 --json", 0, "738a7276687a541f"),
     ("split --factors Alt:5,Cyclic:7 --sigma 5 --tau 7 --json", 0, "37f258a69722db49"),
     ("tables --json", 0, "4e74879d30283d40"),
+    ("tables", 0, "18d9e6dee7ad3d1e"),
     # Condition VI(1), VI(2) and VI(3) witnesses, one per Suzuki-Ree family.
     ("check --group Lie:2B2:128 --pi 5,29 --json", 0, "2a99073d1866ebb5"),
     ("check --group Lie:2G2:243 --pi 7,31 --json", 0, "0282479f6d8e4978"),

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from sylowpi.catalog import facts, sporadic
+from sylowpi import catalog
+from sylowpi.catalog import SPORADIC_ORDERS, facts, sporadic
 from sylowpi.criterion import CONDITION_II_ITEMS
 from sylowpi.permbrute import maximal_pi_subgroups, realize
 from sylowpi.tables import (
@@ -18,8 +19,6 @@ from sylowpi.tables import (
     sporadic_epi,
     sym_epi,
     table1_rows,
-    table2_rows,
-    table3_rows,
 )
 
 
@@ -31,8 +30,8 @@ def test_primes_upto():
 
 def test_table_shapes():
     assert len(table1_rows()) == 3
-    assert len(table2_rows()) == 30
-    assert len(table3_rows()) == 15
+    assert len(SPORADIC_ODD_ROWS) == 30
+    assert len(SPORADIC_EVEN_ROWS) == 15
 
 
 def test_table_checksum_pin():
@@ -80,33 +79,31 @@ def test_condition_ii_pairs_appear_in_table2():
 
 
 def test_sym_epi_prime_degree_row():
-    ok, rows = sym_epi(7, primes_upto(6))
-    assert ok and rows[0].hall_descriptor == "Sym_6"
-    ok, rows = sym_epi(11, primes_upto(10))
-    assert ok
+    assert sym_epi(7, primes_upto(6)) == ("Sym_6",)
+    assert sym_epi(11, primes_upto(10)) == ("Sym_10",)
     # composite degree with a proper prime subset does not qualify
-    ok, _ = sym_epi(9, frozenset({2, 3, 5}))
-    assert not ok
+    assert sym_epi(9, frozenset({2, 3, 5})) == ()
 
 
 def test_sym_epi_special_rows():
-    ok, rows = sym_epi(7, frozenset({2, 3}))
-    assert ok and rows[0].hall_descriptor == "Sym_3 x Sym_4"
-    ok, rows = sym_epi(8, frozenset({2, 3}))
-    assert ok and rows[0].hall_descriptor == "Sym_4 wr Sym_2"
-    ok, _ = sym_epi(9, frozenset({2, 3}))
-    assert not ok
-    ok, _ = sym_epi(8, frozenset({2, 3, 5}))
-    assert not ok
+    assert sym_epi(7, frozenset({2, 3})) == ("Sym_3 x Sym_4",)
+    assert sym_epi(8, frozenset({2, 3})) == ("Sym_4 wr Sym_2",)
+    assert sym_epi(9, frozenset({2, 3})) == ()
+    assert sym_epi(8, frozenset({2, 3, 5})) == ()
 
 
 def test_sym_epi_gate_violations():
-    with pytest.raises(ValueError):
-        sym_epi(7, frozenset({2}))          # |pi ^ pi(n!)| <= 1
-    with pytest.raises(ValueError):
-        sym_epi(7, primes_upto(7))          # pi(n!) within pi
+    """The trivial cases of the gate are answered, as sporadic_epi answers
+    them; only a degree below 5 is refused."""
+    assert sym_epi(7, frozenset()) == ("Sylow",)
+    assert sym_epi(7, frozenset({2, 11})) == ("Sylow",)   # |pi ^ pi(n!)| <= 1
+    assert sym_epi(7, primes_upto(7)) == ("G",)           # pi(n!) within pi
+    assert sym_epi(5, frozenset({2, 3, 5, 7})) == ("G",)
+    assert alt_epi(7, frozenset({5})) and alt_epi(7, primes_upto(7))
     with pytest.raises(ValueError):
         sym_epi(4, frozenset({2, 3}))       # degree too small
+    with pytest.raises(ValueError):
+        alt_epi(4, frozenset({2, 3}))
 
 
 def test_alt_epi_needs_2_and_3():
@@ -117,15 +114,42 @@ def test_alt_epi_needs_2_and_3():
 
 
 def test_sporadic_epi_lookup():
-    assert sporadic_epi("M11", frozenset({5, 11}))[0]
-    assert not sporadic_epi("M12", frozenset({3, 5}))[0]
-    assert sporadic_epi("J1", frozenset({2, 7}))[0]
-    assert not sporadic_epi("M11", frozenset({2, 5}))[0]
+    assert sporadic_epi("M11", frozenset({5, 11})) == ("",)
+    assert sporadic_epi("M12", frozenset({3, 5})) == ()
+    assert sporadic_epi("J1", frozenset({2, 7})) == ("2^3:7",)
+    assert sporadic_epi("M11", frozenset({2, 5})) == ()
+    # M23's two-row entries give both structures
+    assert sporadic_epi("M23", frozenset({2, 3, 5})) == ("2^4:A6", "2^4:(3 x A5):2")
+    assert sporadic_epi("M23", frozenset({2, 3, 5, 7})) == ("L3(4):2_2", "2^4:A7")
     # trivial gates are answered, not refused
-    assert sporadic_epi("M11", frozenset({11}))[0]          # Sylow
-    assert sporadic_epi("M11", frozenset({2, 3, 5, 11}))[0]  # whole group
+    assert sporadic_epi("M11", frozenset({11})) == ("Sylow",)
+    assert sporadic_epi("M11", frozenset({2, 3, 5, 11})) == ("G",)
     with pytest.raises(ValueError):
         sporadic_epi("NotAGroup", frozenset({2, 3}))
+
+
+def test_sporadic_epi_answers_every_row_without_factoring(monkeypatch):
+    """Every Table 2/3 row and Condition II pair is found through the lookup,
+    so D_pi => E_pi is checked by sporadic_epi itself, and the lookup tests
+    the order by divisibility: factoring is patched to raise."""
+    spectra = {name: facts(sporadic(name)).spectrum for name in SPORADIC_ORDERS}
+
+    def no_factoring(*_args):
+        raise AssertionError("sporadic_epi factored an order")
+
+    monkeypatch.setattr(catalog, "facts", no_factoring)
+    monkeypatch.setattr(catalog, "prime_divisors", no_factoring)
+    for name, pi in SPORADIC_ODD_ROWS:
+        assert sporadic_epi(name, pi | {4099}) == ("",), (name, pi)
+    for name, pi, structure in SPORADIC_EVEN_ROWS:
+        assert structure in sporadic_epi(name, pi), (name, pi)
+    for name, sets in CONDITION_II_ITEMS:
+        for pi in sets:
+            assert sporadic_epi(name, pi), (name, pi)
+    for name, spectrum in spectra.items():
+        assert sporadic_epi(name, frozenset()) == ("Sylow",), name
+        assert sporadic_epi(name, spectrum) == ("G",), name
+        assert sporadic_epi(name, spectrum | {4099}) == ("G",), name
 
 
 def test_dump_tables_is_json_ready():
@@ -139,7 +163,7 @@ def test_epi_tables_match_brute_force(family, n):
     g = realize(f"{family}:{n}")
     g.require_table(bound=5040)
     spectrum = sorted(primes_upto(n))
-    for k in range(2, len(spectrum)):
+    for k in range(len(spectrum) + 1):
         for pi in map(frozenset, itertools.combinations(spectrum, k)):
-            table = alt_epi(n, pi) if family == "Alt" else sym_epi(n, pi)[0]
+            table = alt_epi(n, pi) if family == "Alt" else bool(sym_epi(n, pi))
             assert table == maximal_pi_subgroups(g, pi, with_structure=False).epi, (n, pi)
