@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import eps_mod4, is_fermat_prime, mult_order, prime_divisors, r_part
+from .arith import eps_mod4, is_fermat_prime, mult_order, prime_divisors, prime_set, r_part
 from .catalog import (
     SUZUKI_REE,
     SimpleGroupId,
@@ -332,9 +332,10 @@ def decide_dpi_simple(gid: SimpleGroupId, pi: frozenset[int]) -> Verdict:
     """D_pi verdict for a simple group: true iff some condition holds.
 
     The witness is the first holding condition in the order I..VII; the
-    order is a presentation choice only.
+    order is a presentation choice only.  A member of pi that divides |G|
+    and is not prime raises ValueError.
     """
-    eff = pi_effective(gid, pi)
+    eff = prime_set(pi_effective(gid, pi))
     for cond in _CONDITIONS:
         report = cond(gid, pi)
         if report.holds:

@@ -27,13 +27,14 @@ Whether a class has a conjugate inside a subgroup is one gather of that
 subgroup's membership mask over the class's rows.
 
 A group keeps its elements as one array, `perms`: its permutations as
-rows in lexicographic order (uint8, uint16 above degree 256), element i
-being row i.  `lookup` maps rows back to indices by binary search over the
-rows' bytes.  Realization closes the generators breadth-first with one
-gather per layer.  The multiplication table of a group built by
-`direct_product` is the outer sum of its factors' tables, written a block
-of rows at a time; any other group's is filled layer by layer along the
-Cayley graph with one intp-indexed gather per generator and block of rows.
+uint8 rows in lexicographic order, element i being row i, so the degree is
+at most 256.  `lookup` maps rows back to indices by binary search over the
+rows' bytes.  A group is built from its generators, closed breadth-first
+with one gather per layer, or by `direct_product` from its two factors,
+whose rows it lays out in order.  A product's multiplication table is the
+outer sum of its factors' tables, written a block of rows at a time; any
+other group's is filled layer by layer along the Cayley graph with one
+intp-indexed gather per generator and block of rows.
 Element orders are the lcms of cycle lengths, so none of these
 runs Python per element; the pi-element and nilpotency tests read each
 element's index among the distinct orders, found once with them.  The
@@ -87,7 +88,7 @@ class BruteForceBoundError(ValueError):
 
 
 class ElementListError(ValueError):
-    """An explicit element list is not the group its generators generate."""
+    """A permutation passed to `lookup` is not an element of the group."""
 
 
 def pi_part(m: int, pi) -> int:
@@ -100,14 +101,10 @@ def pi_part(m: int, pi) -> int:
 # ---------------------------------------------------------------------------
 # permutations as sorted array rows
 
-def _row_dtype(degree: int) -> np.dtype:
-    return np.dtype(np.uint8 if degree <= 256 else np.uint16)
-
-
-def _row_keys(rows, degree: int) -> np.ndarray:
-    """One bytes key per row of `rows`, shape (k, degree).  The entries are
-    stored big-endian, so that bytewise key order is lexicographic row order."""
-    return _bytes_keys(np.asarray(rows, dtype=_row_dtype(degree).newbyteorder(">")))
+def _row_keys(rows) -> np.ndarray:
+    """One bytes key per permutation row of `rows`, shape (k, degree), stored
+    as uint8, so that bytewise key order is lexicographic row order."""
+    return _bytes_keys(np.asarray(rows, dtype=np.uint8))
 
 
 def _bytes_keys(rows: np.ndarray) -> np.ndarray:
@@ -135,21 +132,15 @@ def _add_new(rows: np.ndarray, known: set[bytes]) -> list[int]:
     return new
 
 
-def _rows_of(keys: np.ndarray, degree: int) -> np.ndarray:
-    """The rows behind `keys`, in native byte order."""
-    dtype = _row_dtype(degree)
-    return keys.view(dtype.newbyteorder(">")).reshape(-1, degree).astype(dtype, copy=False)
-
-
 def _closure(gens: np.ndarray, degree: int) -> np.ndarray:
-    """Sorted row keys of the group generated by the rows `gens`: a
+    """Sorted uint8 rows of the group generated by the rows `gens`: a
     breadth-first search of the right Cayley graph, one gather for all
     generators per layer (x followed by g is the row g[x])."""
-    keys = _row_keys(np.arange(degree)[None], degree)
-    frontier = _rows_of(keys, degree)
+    frontier = np.arange(degree)[None]
+    keys = _row_keys(frontier)
     while len(frontier):
         cand = gens[:, frontier].reshape(-1, degree)
-        ckeys, first = np.unique(_row_keys(cand, degree), return_index=True)
+        ckeys, first = np.unique(_row_keys(cand), return_index=True)
         at = np.searchsorted(keys, ckeys)
         new = keys[np.minimum(at, len(keys) - 1)] != ckeys
         keys = np.insert(keys, at[new], ckeys[new])
@@ -157,7 +148,7 @@ def _closure(gens: np.ndarray, degree: int) -> np.ndarray:
             raise BruteForceBoundError(
                 f"group order exceeds the bound {ORDER_BOUND}; refusing to materialize")
         frontier = cand[first[new]]
-    return keys
+    return keys.view(np.uint8).reshape(-1, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -202,31 +193,24 @@ class HallReport:
 
 
 class PermGroup:
-    """Immutable permutation group.  Element i is row i of `perms`, the
-    group's permutations in lexicographic order."""
+    """Immutable permutation group of degree at most 256, the closure of its
+    generators.  Element i is row i of `perms`, the group's permutations as
+    uint8 rows in lexicographic order."""
 
-    def __init__(self, degree: int, generators, elements=None, name: str = ""):
+    _factors: tuple[PermGroup, PermGroup] | None = None  # (K, L) of a product K x L
+
+    def __init__(self, degree: int, generators, name: str = ""):
+        if degree > 256:
+            raise ValueError(f"degree {degree} exceeds 256, the most that uint8 rows hold")
         self.degree = degree
         self.generators = tuple(tuple(g) for g in generators)
         for g in self.generators:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of degree {degree}: {g}")
-        if elements is None:
-            keys = _closure(np.array(self.generators, dtype=np.intp).reshape(-1, degree), degree)
-        else:
-            rows = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements))
-            if len(rows) > ORDER_BOUND:
-                raise BruteForceBoundError(
-                    f"order {len(rows)} exceeds the hard bound {ORDER_BOUND}")
-            # repeated rows stay: the table's checks refuse them.  A
-            # stable sort makes one pass over rows already in order, as a
-            # direct product's are; equal keys are equal bytes, so the result
-            # is that of any sort
-            keys = np.sort(_row_keys(rows.reshape(-1, degree), degree), kind="stable")
-        self._keys = keys
-        self.perms = _rows_of(keys, degree)
+        self.perms = self._element_rows()
         self.perms.flags.writeable = False
-        self.order = len(keys)
+        self._keys = _bytes_keys(self.perms)
+        self.order = len(self.perms)
         self.name = name or f"group of order {self.order} on {degree} points"
         self.identity = int(self.lookup(np.arange(degree)[None])[0])
         self._table: np.ndarray | None = None
@@ -234,13 +218,17 @@ class PermGroup:
         self._orders = self._kinds = self._kind = None  # see element_orders
         self._gen_idx: tuple[int, ...] | None = None
         self._classes: list[SubgroupClass] | None = None
-        self._factors: tuple[PermGroup, PermGroup] | None = None  # set by direct_product
 
     # -- basic machinery ----------------------------------------------------
 
+    def _element_rows(self) -> np.ndarray:
+        """The sorted uint8 rows of <generators>."""
+        return _closure(np.array(self.generators, dtype=np.intp).reshape(-1, self.degree),
+                        self.degree)
+
     def lookup(self, rows) -> np.ndarray:
         """Element indices of the permutations `rows`, shape (k, degree)."""
-        keys = _row_keys(rows, self.degree)
+        keys = _row_keys(rows)
         idx = np.searchsorted(self._keys, keys)
         found = self._keys[np.minimum(idx, self.order - 1)] == keys
         if not found.all():
@@ -294,24 +282,15 @@ class PermGroup:
         return self._table
 
     def _cayley_table(self) -> np.ndarray:
-        """table[i, j] = index of (element i followed by element j).  For a
-        group built by direct_product it comes from its factors' tables
-        (_product_table).  Any other group's is built layer by layer along the
-        left Cayley graph: row s*i is left_s[row i], because (s*i)*x =
-        s*(i*x).  The lookups prove the element list closed under left
-        multiplication by the generators and the search proves every element
-        a word in them, so the list is exactly <generators>.  New rows are
-        filled _FRONTIER // n at a time from source rows copied to one intp
-        buffer: an int16 index takes numpy's slower casting path."""
-        if self._factors is not None:
-            return self._product_table(*self._factors)
+        """table[i, j] = index of (element i followed by element j), filled
+        layer by layer along the left Cayley graph from the identity's row:
+        row s*i is left_s[row i], because (s*i)*x = s*(i*x).  The elements
+        are the closure of the generators, so the search reaches every row.
+        New rows are filled _FRONTIER // n at a time from source rows copied
+        to one intp buffer: an int16 index takes numpy's slower casting path."""
         n = self.order
-        try:
-            # s followed by element e is the row e[s]
-            lefts = [self.lookup(self.perms[:, s]).astype(np.int16) for s in self.generators]
-        except ElementListError:
-            raise ElementListError(f"{self.name}: the element list is not closed "
-                                   "under its generators") from None
+        # s followed by element e is the row e[s]
+        lefts = [self.lookup(self.perms[:, s]).astype(np.int16) for s in self.generators]
         table = np.empty((n, n), dtype=np.int16)
         table[self.identity] = np.arange(n)
         reached = np.zeros(n, dtype=bool)
@@ -333,54 +312,6 @@ class PermGroup:
                     table[new[lo:lo + step]] = left.take(block)
                 nxt.append(new)
             layer = np.concatenate(nxt) if lefts else layer[:0]
-        count = np.count_nonzero(reached)
-        if count != n:
-            raise ElementListError(
-                f"{self.name}: the generators reach only {count} "
-                f"of the {n} listed elements")
-        return table
-
-    def _product_table(self, k: PermGroup, l: PermGroup) -> np.ndarray:
-        """_cayley_table of K x L from the factors' tables, which are built
-        and not kept: element (a, b) is row a*|L| + b, so its product with
-        (a', b') is t_K[a, a']*|L| + t_L[b, b'].  The rows are checked to be
-        the pairs (a, b) in that order; with the factors' tables, which prove
-        each factor's list the group its generators generate, that proves the
-        list <generators>.  The outer sum is written for _FRONTIER // (n |L|)
-        elements a at a time, at least one: t_K's rows repeated |L| times
-        each, plus t_L's rows tiled across as many column blocks a' as
-        _FRONTIER entries hold, at least one, so that the innermost loop runs
-        along at least |L| entries and no copy of t_L grows with |K|.  When
-        one block a' is as wide as that (|L|^2 >= _FRONTIER), t_L is read back
-        from the rows (0, b), columns (0, b') once the first block is written,
-        since the identity is element 0 of K, and the t_L built for it is
-        freed.  One 3-d broadcast with |L| innermost was slower than the
-        breadth-first fill for |L| = 2."""
-        n, m = self.order, l.order
-        laid_out = n == k.order * m and self.degree == k.degree + l.degree
-        if laid_out:
-            rows = self.perms.reshape(k.order, m, self.degree)
-            laid_out = ((rows[:, :, :k.degree] == k.perms[:, None]).all()
-                        and (rows[:, :, k.degree:] == l.perms.astype(np.intp) + k.degree).all())
-        if not laid_out:
-            raise ElementListError(f"{self.name}: the element list is not the pairs "
-                                   "of its factors' elements in order")
-        tk, tiled = k._cayley_table(), l._cayley_table()
-        tk *= m
-        reps = min(k.order, max(1, _FRONTIER // (m * m)))
-        if reps > 1:
-            tiled = np.tile(tiled, (1, reps))
-        width = reps * m
-        table = np.empty((n, n), dtype=np.int16)
-        rows_of_a = table.reshape(k.order, m, n)  # rows (a, b) for each a
-        step = max(1, _FRONTIER // n // m)
-        for lo in range(0, k.order, step):
-            left = np.repeat(tk[lo:lo + step], m, axis=1)[:, None]
-            for col in range(0, n, width):
-                np.add(left[..., col:col + width], tiled[:, :n - col],
-                       out=rows_of_a[lo:lo + step, :, col:col + width])
-            if reps == 1:
-                tiled = table[:m, :m]
         return table
 
     @property
@@ -810,23 +741,63 @@ def _cyclic(p: int) -> PermGroup:
     return PermGroup(p, [g], name=f"Cyclic({p})")
 
 
+class _Product(PermGroup):
+    """K x L on the disjoint union of their points, element (a, b) being row
+    a*|L| + b: K's row a followed by L's row b shifted by deg K.  Pairs in
+    that order are already in lexicographic order."""
+
+    def __init__(self, k: PermGroup, l: PermGroup):
+        self._factors = (k, l)
+        d1, d2 = k.degree, l.degree
+        gens = [tuple(g) + tuple(range(d1, d1 + d2)) for g in k.generators]
+        gens += [tuple(range(d1)) + tuple(x + d1 for x in g) for g in l.generators]
+        super().__init__(d1 + d2, gens, name=f"{k.name} x {l.name}")
+
+    def _element_rows(self) -> np.ndarray:
+        k, l = self._factors
+        return np.concatenate([np.repeat(k.perms, l.order, axis=0),
+                               np.tile(l.perms + np.uint8(k.degree), (k.order, 1))], axis=1)
+
+    def _cayley_table(self) -> np.ndarray:
+        """The table from the factors' tables, which are built and not kept:
+        (a, b) followed by (a', b') is t_K[a, a']*|L| + t_L[b, b'].  The outer
+        sum is written for _FRONTIER // (n |L|) elements a at a time, at least
+        one: t_K's rows repeated |L| times each, plus t_L's rows tiled across
+        as many column blocks a' as _FRONTIER entries hold, at least one, so
+        that the innermost loop runs along at least |L| entries and no copy of
+        t_L grows with |K|.  When one block a' is as wide as that (|L|^2 >=
+        _FRONTIER), t_L is read back from the rows (0, b), columns (0, b') once
+        the first block is written, since the identity is element 0 of K, and
+        the t_L built for it is freed.  One 3-d broadcast with |L| innermost
+        was slower than the breadth-first fill for |L| = 2."""
+        k, l = self._factors
+        n, m = self.order, l.order
+        tk, tiled = k._cayley_table(), l._cayley_table()
+        tk *= m
+        reps = min(k.order, max(1, _FRONTIER // (m * m)))
+        if reps > 1:
+            tiled = np.tile(tiled, (1, reps))
+        width = reps * m
+        table = np.empty((n, n), dtype=np.int16)
+        rows_of_a = table.reshape(k.order, m, n)  # rows (a, b) for each a
+        step = max(1, _FRONTIER // n // m)
+        for lo in range(0, k.order, step):
+            left = np.repeat(tk[lo:lo + step], m, axis=1)[:, None]
+            for col in range(0, n, width):
+                np.add(left[..., col:col + width], tiled[:, :n - col],
+                       out=rows_of_a[lo:lo + step, :, col:col + width])
+            if reps == 1:
+                tiled = table[:m, :m]
+        return table
+
+
 def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
-    """g1 x g2 on the disjoint union of their points, element (a, b) being
-    row a*|g2| + b.  The group records its factors, and its table is built
-    from theirs (PermGroup._product_table), which it does not keep."""
-    d1, d2 = g1.degree, g2.degree
-    gens = [tuple(g) + tuple(x + d1 for x in range(d2)) for g in g1.generators]
-    gens += [tuple(range(d1)) + tuple(x + d1 for x in g) for g in g2.generators]
+    """g1 x g2, its order checked before any row is built.  It records its
+    factors, and its table is built from theirs, which it does not keep."""
     if g1.order * g2.order > ORDER_BOUND:
         raise BruteForceBoundError(
             f"product order {g1.order * g2.order} exceeds the bound {ORDER_BOUND}")
-    # the rows a + b in the order of (a, b), which the table checks
-    dtype = _row_dtype(d1 + d2)
-    rows = np.concatenate([np.repeat(g1.perms.astype(dtype), g2.order, axis=0),
-                           np.tile(g2.perms.astype(dtype) + dtype.type(d1), (g1.order, 1))], axis=1)
-    g = PermGroup(d1 + d2, gens, elements=rows, name=f"{g1.name} x {g2.name}")
-    g._factors = (g1, g2)
-    return g
+    return _Product(g1, g2)
 
 
 def realize(spec: str) -> PermGroup:

@@ -11,7 +11,7 @@ structures of the rows that match pi ^ pi(G).
 
 from __future__ import annotations
 
-from .arith import is_prime
+from .arith import is_prime, prime_set
 from .catalog import pi_effective, sporadic, spectrum_within
 
 
@@ -114,9 +114,10 @@ def alt_epi(n: int, pi: frozenset[int]) -> bool:
 def sporadic_epi(name: str, pi: frozenset[int]) -> tuple[str, ...]:
     """Structures of the pi-Hall subgroups of the sporadic (or Tits) group
     that Tables 2-3 record ("" for a Table 2 row); () when it has none.  pi
-    is a set of primes, tested against the order by divisibility alone."""
+    is a set of primes, tested against the order by divisibility alone; a
+    member that divides it and is not prime raises ValueError."""
     gid = sporadic(name)
-    eff = pi_effective(gid, pi)
+    eff = prime_set(pi_effective(gid, pi))
     if spectrum_within(gid, pi):
         return ("G",)
     if len(eff) <= 1:

@@ -1,7 +1,12 @@
 """Conditions I-VII and the top-level simple-group D_pi decision."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -14,6 +19,7 @@ from sylowpi.catalog import (
     alt,
     facts,
     lie,
+    parse_group,
     pi_effective,
     sporadic,
     spectrum_within,
@@ -176,6 +182,37 @@ def test_decide_dpi_simple_witnesses():
     assert v.dpi and v.witness.condition == "III"
     v = decide_dpi_simple(lie("2B2", 8), frozenset({5}))
     assert v.dpi and v.witness.condition == "I"  # lowest-numbered witness wins
+
+
+def test_a_pi_that_holds_1_is_refused():
+    # in a process of its own, so that a hang fails this test at its timeout
+    # and not the whole suite
+    script = textwrap.dedent("""
+        from sylowpi.catalog import sporadic
+        from sylowpi.criterion import decide_dpi_simple
+        from sylowpi.tables import sporadic_epi
+        for call in (lambda: decide_dpi_simple(sporadic("M11"), frozenset({1, 5})),
+                     lambda: sporadic_epi("M11", frozenset({1, 5}))):
+            try:
+                call()
+            except ValueError as e:
+                print(e)
+    """)
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.splitlines() == ["1 is not prime"] * 2
+
+
+def test_a_large_power_of_2_is_stripped_at_once():
+    # |PSL(300, 2)| holds 2^44850: 44,850 divisions of a 90,000-bit order
+    # when 2 is stripped one power at a time
+    gid = parse_group("Lie:A:300:2")
+    start = time.perf_counter()
+    verdict = decide_dpi_simple(gid, frozenset({2, 3}))
+    assert time.perf_counter() - start < 0.5
+    assert not verdict.dpi and verdict.witness is None
 
 
 def dpi23_shortcut(gid, pi):

@@ -1,7 +1,6 @@
 """Brute-force oracle: realizations, subgroup lattice, Hall reports,
 structure tests and the constructive table rows."""
 
-import copy
 import hashlib
 import itertools
 import math
@@ -198,13 +197,6 @@ def test_cached_factors_hold_no_table_lattice_or_orders(monkeypatch):
 
 def _raise(*args):
     raise RuntimeError("refused")
-
-
-def test_shuffled_element_list_gives_the_sorted_rows():
-    g = realize("Alt:5,Cyclic:7")
-    shuffled = g.perms[np.random.default_rng(0).permutation(g.order)]
-    h = PermGroup(g.degree, g.generators, elements=shuffled)
-    assert np.array_equal(h.perms, g.perms) and h.identity == g.identity
 
 
 def test_subgroup_class_counts():
@@ -635,7 +627,7 @@ def test_structure_tests():
 
 def test_sylow_in_keeps_no_per_element_arrays():
     a7 = realize("Alt:7")
-    g = PermGroup(a7.degree, a7.generators, elements=_tuples(a7)[0])
+    g = PermGroup(a7.degree, a7.generators)
     table = g.require_table(bound=ORDER_BOUND)
     g.element_orders()
     tracemalloc.start()
@@ -886,9 +878,9 @@ def test_table_reaches_sym7():
 
 
 def _regular_quotient():
-    """Alt(5) x C7 acting on the cosets of its trivial subgroup, that is on
-    itself by right multiplication: degree 420."""
-    g = realize("Alt:5,Cyclic:7")
+    """Alt(5) x C2 acting on the cosets of its trivial subgroup, that is on
+    itself by right multiplication: degree 120, three generators."""
+    g = realize("Alt:5,Cyclic:2")
     t = g.require_table()
     return PermGroup(g.order, [t[:, s].tolist() for s in g.gen_indices()])
 
@@ -899,7 +891,7 @@ def test_table_is_the_same_in_small_blocks(monkeypatch, spec):
     # three rows, which end inside a breadth-first layer somewhere because 3
     # does not divide the n - 1 rows filled after the identity's.  Alt(5) x C7,
     # built from its generators so that it is not filled from its factors'
-    # tables, has three generators and the degree-420 quotient uint16 rows.
+    # tables, and the degree-120 quotient have three generators each.
     def build():  # afresh, so that no table is shared
         if spec == "Alt:5,Cyclic:7":
             g = realize(spec)
@@ -999,33 +991,28 @@ def test_product_table_frees_a_large_second_factors_table(monkeypatch):
     assert max(held[k:]) - before < table.nbytes + m * m * 2 // 8
 
 
-def test_product_rows_out_of_order_are_refused():
-    c3, c5 = permbrute._cyclic(3), permbrute._cyclic(5)
-    other_c5 = PermGroup(5, [(2, 4, 1, 0, 3)])  # not a power of (0 1 2 3 4)
-    g = direct_product(c3, c5)
-    # factors recorded the other way round, or a C5 whose rows are not the
-    # list's, or a list missing a row
-    missing = PermGroup(g.degree, g.generators, elements=g.perms[:-1])
-    for h, factors in ((g, (c5, c3)), (g, (c3, other_c5)), (missing, (c3, c5))):
-        h = copy.copy(h)
-        h._factors = factors
-        with pytest.raises(ElementListError, match="not the pairs of its factors"):
-            h.require_table()
-    assert direct_product(c3, other_c5).require_table().shape == (15, 15)
-
-
-def test_wide_rows():
-    # rows wider than uint8 must be keyed in a byte order that sorts as the
-    # rows do, or no lookup finds its row
-    c300 = PermGroup(300, [tuple(range(1, 300)) + (0,)])
-    for h, order in ((c300, 300), (_regular_quotient(), 420)):
-        elements, index = _tuples(h)
-        assert h.order == order and elements == sorted(elements)
-        assert elements[h.identity] == identity_perm(h.degree)
-        assert h.lookup(np.array(h.generators)).tolist() == [index[s] for s in h.generators]
-        assert h.element_orders().tolist() == [perm_order(e) for e in elements]
+@pytest.mark.parametrize("spec", PRODUCTS)
+def test_product_rows_are_the_pairs_in_order(spec):
+    # row a |L| + b is K's row a followed by L's row b shifted by deg K, and
+    # those rows are already sorted; a permutation that moves a point of K
+    # into L is no element
+    g = _product(spec)
+    k, l = g._factors
+    rows = g.perms.reshape(k.order, l.order, g.degree).astype(np.intp)
+    assert (rows[:, :, :k.degree] == k.perms[:, None]).all()
+    assert (rows[:, :, k.degree:] == l.perms.astype(np.intp) + k.degree).all()
+    keys = g._keys.tolist()
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    swap = list(range(g.degree))
+    swap[0], swap[-1] = swap[-1], swap[0]
     with pytest.raises(ElementListError):
-        c300.lookup(np.array([(1, 0) + tuple(range(2, 300))]))
+        g.lookup(np.array([swap]))
+
+
+def test_degree_above_256_is_refused():
+    # rows hold one byte per point
+    with pytest.raises(ValueError, match="degree 257"):
+        PermGroup(257, [tuple(range(1, 257)) + (0,)])
 
 
 @pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Sym:5", "Alt:5,Cyclic:7", "quotient"))
@@ -1042,26 +1029,6 @@ def test_group_without_generators():
     assert g.order == 1 and g.gen_indices() == ()
     assert g.require_table().tolist() == [[0]] and g.inv.tolist() == [0]
     assert [c.rep for c in g.subgroup_classes()] == [frozenset({0})]
-
-
-def test_element_list_errors():
-    ident, s, u = (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)
-    # s * u = (1, 0, 3, 2) is missing
-    g = PermGroup(4, [s], elements={ident, s, u})
-    with pytest.raises(ElementListError, match="not closed under"):
-        g.require_table()
-    # the Klein four-group is closed, but (0 1) alone reaches only half of it
-    g = PermGroup(4, [s], elements={ident, s, u, pmul(s, u)})
-    with pytest.raises(ElementListError, match="reach only 2 of the 4"):
-        g.require_table()
-    # a generator outside the list
-    g = PermGroup(4, [s, u], elements={ident, s})
-    with pytest.raises(ElementListError, match="not closed under"):
-        g.require_table()
-    # a repeated permutation is counted, and the generators miss the copy
-    g = PermGroup(4, [s], elements=[ident, s, s])
-    with pytest.raises(ElementListError, match="reach only 2 of the 3"):
-        g.require_table()
 
 
 @pytest.mark.parametrize("k, l", [("Alt:5", "Cyclic:7"), ("Cyclic:3", "Cyclic:5"),
@@ -1087,6 +1054,6 @@ def test_order_bound_enforced():
 
 def test_lattice_bound_explicit():
     g = realize("Lie:A:2:9")  # order 360, fine at the default bound
-    fresh = PermGroup(g.degree, g.generators, elements=set(_tuples(g)[0]))
+    fresh = PermGroup(g.degree, g.generators)
     with pytest.raises(BruteForceBoundError):
         fresh.require_table(bound=100)
