@@ -374,10 +374,13 @@ def spectrum_within(gid: SimpleGroupId, pi) -> bool:
         while s in pi or not is_prime(s):
             s += 1
         return gid.n < s
-    # strip the pi-part from the order m: step k divides out up to p^(2^k) of
-    # each prime p of pi left in m, so about log2 of the largest exponent
-    # steps in all (2 divides |PSL(1000, 2)| 499,500 times)
+    # strip the pi-part from the order m: the power of 2 with one shift (2
+    # divides |PSL(1000, 2)| 499,500 times, and gcd is quadratic in the bits),
+    # then step k divides out up to p^(2^k) of each other prime p of pi left
+    # in m, so about log2 of the largest exponent steps in all
     m = order_of(gid)
+    if 2 in pi:
+        m >>= (m & -m).bit_length() - 1
     h = math.gcd(m, math.prod(s for s in pi if m % s == 0))
     while h > 1:
         m //= h

@@ -9,22 +9,24 @@ when all maximal pi-subgroups form a single conjugacy class.
 
 The lattice starts from the cyclic subgroups.  For each class
 representative H it takes the joins <H, x>, one x per double coset HxH.
-The joins of every representative waiting on the worklist are grown
-together in one breadth-first search: every element is labelled, for all
-of them at once, by the least element of its right coset Hg and of its
-double coset HgH, and a join is the union of the double cosets that H
-reaches by right multiplication with x, one product per right coset
-(coset methods as in Holt, Eick and O'Brien, Handbook of Computational
-Group Theory, 2005).  The joins are kept by class and replayed in the
-order of a walk that grows one class at a time, so the classes and their
-representatives do not depend on how the searches are batched.  The
-cyclic subgroups come from one walk over the elements in increasing order,
-one table lookup per power of each least generator.  A subgroup in the
-lattice is a sorted int16 row of element indices, known by the row's
-bytes; a class keeps its conjugates as the rows of one array, grown a
-breadth-first layer at a time with one conjugation gather per layer.
-Whether a class has a conjugate inside a subgroup is one gather of that
-subgroup's membership mask over the class's rows.
+Each class is labelled once, when it is found, by the least element of
+every right coset Hg; H^g depends only on Hg, so one conjugation gather by
+those least elements gives every conjugate.  The joins of every
+representative waiting on the worklist are grown together in one
+breadth-first search: every element is labelled, for all of them at once,
+by the least element of its double coset HgH, read from the right coset
+labels, and a join is the union of the double cosets that H reaches by
+right multiplication with x, one product per right coset (coset methods as
+in Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+The joins are kept by class and replayed in the order of a walk that grows
+one class at a time, so the classes and their representatives do not
+depend on how the searches are batched.  The cyclic subgroups come from
+one walk over the elements in increasing order, one table lookup per power
+of each least generator.  A subgroup in the lattice is a sorted int16 row
+of element indices, known by the row's bytes; a class keeps its conjugates
+as the rows of one array.  Whether a class has a conjugate inside a
+subgroup is one gather of that subgroup's membership mask over the
+class's rows.
 
 A group keeps its elements as one array, `perms`: its permutations as
 uint8 rows in lexicographic order, element i being row i, so the degree is
@@ -216,7 +218,6 @@ class PermGroup:
         self._table: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._orders = self._kinds = self._kind = None  # see element_orders
-        self._gen_idx: tuple[int, ...] | None = None
         self._classes: list[SubgroupClass] | None = None
 
     # -- basic machinery ----------------------------------------------------
@@ -255,15 +256,6 @@ class PermGroup:
             self._orders = np.lcm.reduce(cycle, axis=1)
             self._kinds, self._kind = np.unique(self._orders, return_inverse=True)
         return self._orders
-
-    def gen_indices(self) -> tuple[int, ...]:
-        if self._gen_idx is None:
-            idx = []
-            for i in self.lookup(np.array(self.generators).reshape(-1, self.degree)).tolist():
-                if i != self.identity and i not in idx:
-                    idx.append(i)
-            self._gen_idx = tuple(idx)
-        return self._gen_idx
 
     def require_table(self, bound: int | None = None) -> np.ndarray:
         """The multiplication table, built on first use.  The order is checked
@@ -370,17 +362,14 @@ class PermGroup:
             layer = np.flatnonzero(fresh)
         return np.flatnonzero(member)
 
-    def _coset_least(self, hs: list[np.ndarray]) -> np.ndarray:
-        """least[i, g] = least element of the right coset H_i g, where H_i has
-        the elements hs[i]: the minimum of H_i's table rows, gathered one H_i
-        at a time, _FRONTIER // n rows per gather."""
+    def _coset_least(self, h: np.ndarray) -> np.ndarray:
+        """least[g] = least element of the right coset Hg, where H has the
+        elements h: the minimum of H's table rows, _FRONTIER // n per gather."""
         t = self._table
         step = max(1, _FRONTIER // self.order)
-        least = np.full((len(hs), self.order), self.order - 1, dtype=t.dtype)  # the largest index
-        for h, row in zip(hs, least):
-            h = np.asarray(h, dtype=np.intp)
-            for lo in range(0, len(h), step):
-                np.minimum(row, t[h[lo:lo + step]].min(axis=0), out=row)
+        least = t[h[:step]].min(axis=0)
+        for lo in range(step, len(h), step):
+            np.minimum(least, t[h[lo:lo + step]].min(axis=0), out=least)
         return least
 
     # -- subgroup lattice ---------------------------------------------------
@@ -399,29 +388,33 @@ class PermGroup:
 
         Every subgroup is a sorted int16 row of element indices, known by the
         row's bytes: `seen` holds the key of every conjugate of every class
-        registered, and a class's conjugates are grown a breadth-first layer
-        at a time, one conjugation gather and one row sort per layer."""
+        registered.  H^g depends only on the right coset Hg, so a new class's
+        conjugates are H conjugated by the least element of every right coset,
+        the identity first, in one gather and one row sort, one row kept per
+        distinct subgroup; none is in `seen`, since classes share no
+        conjugate.  The least elements are _coset_least's labels, which the
+        class's joins read, so they are kept until its joins are grown; G's
+        class is {G}, and G is never joined, so it has none."""
         if self._classes is not None:
             return self._classes
-        self.require_table()
+        t, inv = self.require_table(), self._inv
         n = self.order
-        ggens = self.gen_indices()
-
+        elements = np.arange(n)
         seen: set[bytes] = set()
         classes: list[SubgroupClass] = []
+        least: dict[int, np.ndarray] = {}  # right coset labels of the classes not yet joined
 
         def register(rep: np.ndarray) -> int:
             if len(classes) >= _MAX_CLASSES:
                 raise BruteForceBoundError(f"{self.name} has more than {_MAX_CLASSES} "
                                            "conjugacy classes of subgroups")
-            seen.add(rep.tobytes())
-            orbit = [rep[None]]
-            frontier = orbit[0]
-            while len(frontier):
-                rows = np.sort(self._conjugates(frontier, ggens).reshape(-1, rep.size), axis=1)
-                frontier = rows[_add_new(rows, seen)]
-                orbit.append(frontier)
-            classes.append(SubgroupClass(np.concatenate(orbit)))
+            rows = rep[None]
+            if rep.size < n:  # G is its only conjugate, and is never joined
+                rc = least[len(classes)] = self._coset_least(rep)
+                # H^g depends only on Hg: one g per right coset, the identity first
+                gs = np.flatnonzero(rc == elements)[:, None]
+                rows = np.sort(t[t[inv[gs], rep], gs], axis=1)
+            classes.append(SubgroupClass(rows[_add_new(rows, seen)]))
             return len(classes) - 1
 
         # the cyclic classes in increasing order of least generator, {e} first
@@ -443,7 +436,8 @@ class PermGroup:
                 continue
             if i >= unjoined:
                 pending = [j for j in range(unjoined, len(classes)) if classes[j].order < n]
-                grown = self._joins([classes[j].conjugates[0] for j in pending], cyclic, seen)
+                grown = self._joins([classes[j].conjugates[0] for j in pending],
+                                    [least.pop(j) for j in pending], cyclic, seen)
                 joins.update(zip(pending, grown))
                 unjoined = len(classes)
             for key in joins.pop(i):
@@ -486,12 +480,13 @@ class PermGroup:
             members_from.append(len(members))
         return tuple(map(np.array, (gens, gens_from, number, members, members_from)))
 
-    def _joins(self, reps: list[np.ndarray], cyclic, known):
+    def _joins(self, reps: list[np.ndarray], least, cyclic, known):
         """For each proper subgroup H in `reps` (sorted element rows), the
         joins <H, x> with one x per double coset HxH outside H, as the bytes
         of their sorted int16 element rows, in the order in which increasing
         x first reaches them, less those in `known`: one list per H, yielded
-        in the order of `reps`.  `cyclic` is _cyclic_subgroups().
+        in the order of `reps`.  least[i] is _coset_least(reps[i]), and
+        `cyclic` is _cyclic_subgroups().
 
         The reps go in blocks of at most _FRONTIER (rep, element) pairs, each
         labelled at once by _double_cosets.  The joins of a block are grown
@@ -513,7 +508,8 @@ class PermGroup:
         step = max(1, _FRONTIER // n)
         for first in range(0, len(reps), step):
             block = reps[first:first + step]
-            dc, coset_reps, count, cr, cx = self._double_cosets(block, cyclic)
+            dc, coset_reps, count, cr, cx = self._double_cosets(
+                block, np.asarray(least[first:first + step]), cyclic)
             m = dc.max(axis=1) + 1
             off = np.cumsum(m) - m  # double coset d of H_i is number off[i] + d
             start = np.cumsum(count) - count
@@ -573,11 +569,12 @@ class PermGroup:
                             found[i].append(key)
             yield from found
 
-    def _double_cosets(self, block: list[np.ndarray], cyclic):
-        """(dc, coset_reps, count, cr, cx) for the subgroups H_i in `block`:
-        dc[i, g] numbers the double coset H_i g H_i among those of H_i, in the
-        order of their least elements; numbered across the block, in the
-        order of (i, dc), double coset e has the right coset representatives
+    def _double_cosets(self, block: list[np.ndarray], rc: np.ndarray, cyclic):
+        """(dc, coset_reps, count, cr, cx) for the subgroups H_i in `block`,
+        given rc[i, g], the least element of the right coset H_i g: dc[i, g]
+        numbers the double coset H_i g H_i among those of H_i, in the order of
+        their least elements; numbered across the block, in the order of
+        (i, dc), double coset e has the right coset representatives
         coset_reps[s:s + count[e]], s = count[:e].sum(); and (cr[j], cx[j])
         are the candidates for joins, by i and then x.
 
@@ -589,7 +586,6 @@ class PermGroup:
         t = self._table
         n = self.order
         k = len(block)
-        rc = self._coset_least(block)
         # (i, g) for one g per right coset H_i g, the least, by i
         ri, gi = np.nonzero(rc == np.arange(n))
         # H g H is the union of the right cosets H g h, so its least element
@@ -960,7 +956,7 @@ def verify_hall_inheritance(g: PermGroup, pi) -> bool:
     for a in g.subgroup_classes():
         if a.class_size != 1:
             continue
-        member, coset = _member_mask(g, a), g._coset_least([a.conjugates[0]])[0]
+        member, coset = _member_mask(g, a), g._coset_least(a.conjugates[0])
         for h in hs:
             if (np.count_nonzero(member[h]) != pi_part(a.order, pi)
                     or np.unique(coset[h]).size != pi_part(g.order // a.order, pi)):

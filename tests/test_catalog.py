@@ -7,6 +7,7 @@ import re
 import pytest
 
 from sylowpi import catalog
+from sylowpi.arith import prime_divisors
 from sylowpi.catalog import (
     LIE_TYPES,
     RANKED_TYPES,
@@ -150,13 +151,29 @@ def test_alternating_spectrum_without_the_order():
         gid, order = alt(n), math.factorial(n) // 2
         assert order_of(gid) == order
         assert pi_effective(gid, pi) == {p for p in pi if order % p == 0}
-        m = order
-        for p in pi:
-            while m % p == 0:
-                m //= p
-        assert spectrum_within(gid, pi) == (m == 1)
+        assert spectrum_within(gid, pi) == (_pi_stripped(order, pi) == 1)
 
     check()
+
+
+def _pi_stripped(m, pi):
+    """Reference: m with the primes of pi divided out one power at a time."""
+    for p in pi:
+        while m % p == 0:
+            m //= p
+    return m
+
+
+def test_spectrum_within_on_orders_with_a_huge_power_of_2():
+    # characteristic 2: 2^26 to 2^19,900 divides each order; pi is pi(G),
+    # pi(G) less one prime (2 among them), {2, 3} or {3, 5}
+    for spec in ("Lie:A:24:2", "Lie:A:10:4", "Lie:C:10:2", "Lie:2A:12:2", "Lie:D:9:2",
+                 "Lie:E8:2", "Lie:2F4:8", "Lie:2B2:8192", "Lie:A:200:2"):
+        gid = parse_group(spec)
+        m = order_of(gid)
+        spectrum = prime_divisors(m) if m.bit_length() < 1000 else set()
+        for pi in [spectrum, {2, 3}, {3, 5}, *(spectrum - {p} for p in spectrum)]:
+            assert spectrum_within(gid, pi) == (_pi_stripped(m, pi) == 1), (spec, pi)
 
 
 def test_sporadic_spectra_spot_checks():

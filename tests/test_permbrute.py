@@ -376,7 +376,8 @@ def test_batched_joins_match_closures(spec):
     g = realize(spec)
     t = g.require_table()
     reps = [c.conjugates[0] for c in g.subgroup_classes() if c.order < g.order]
-    for rep, joins in zip(reps, g._joins(reps, g._cyclic_subgroups(), set())):
+    least = list(map(g._coset_least, reps))
+    for rep, joins in zip(reps, g._joins(reps, least, g._cyclic_subgroups(), set())):
         h = rep.astype(np.intp)
         gens = g.gens_of(h.tolist())
         xs = np.flatnonzero(t[h].min(axis=0) == np.arange(g.order))
@@ -398,8 +399,9 @@ def test_lattice_is_the_same_in_small_blocks(monkeypatch):
         for g in groups:  # built afresh, so that no table or lattice is shared
             classes = g.subgroup_classes()
             reps = [c.conjugates[0] for c in classes if c.order < g.order]
+            least = list(map(g._coset_least, reps))
             out.append(([c.conjugates for c in classes],
-                         list(g._joins(reps, g._cyclic_subgroups(), set()))))
+                         list(g._joins(reps, least, g._cyclic_subgroups(), set()))))
         return out
 
     default = lattices()
@@ -414,17 +416,16 @@ def test_lattice_is_the_same_in_small_blocks(monkeypatch):
 @pytest.mark.parametrize("spec", ("Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2", "Alt:5,Cyclic:7"))
 @pytest.mark.parametrize("frontier", (None, 1 << 6))
 def test_coset_least_matches_definition(monkeypatch, spec, frontier):
-    # every class representative in one call: C2^5 has many subgroups of one
-    # order; 64 table entries gather one row (two for C2^5) at a time
+    # every class representative: C2^5 has many subgroups of one order; 64
+    # table entries gather one row (two for C2^5) at a time
     g = realize(spec)
     t = g.require_table()
     hs = [c.conjugates[0] for c in g.subgroup_classes()]
     if frontier is not None:
         monkeypatch.setattr(permbrute, "_FRONTIER", frontier)
-    least = g._coset_least(hs)
-    assert least.shape == (len(hs), g.order)
-    for h, row in zip(hs, least):
-        assert (row == t[h].min(axis=0)).all()
+    for h in hs:
+        least = g._coset_least(h)
+        assert least.shape == (g.order,) and (least == t[h].min(axis=0)).all()
 
 
 def test_lattice_of_a_large_cyclic_group_holds_no_table_of_powers():
@@ -507,14 +508,25 @@ def test_alt5_class_orders():
 
 
 def test_lagrange_and_conjugacy_audit():
-    for spec in ("Alt:5", "Lie:A:2:7"):
+    # each class's rows against {H^g : g in G}, conjugated on the permutation
+    # tuples: x followed by y is y[x], so g^-1 h g maps i to g[h[g^-1[i]]]
+    for spec in ("Alt:5", "Lie:A:2:7", "Sym:5", "Alt:5,Cyclic:7", ",".join(["Cyclic:2"] * 4)):
         g = realize(spec)
-        classes = g.subgroup_classes()
+        perms = [tuple(p) for p in g.perms.tolist()]
+        index = {p: i for i, p in enumerate(perms)}
+        points = range(g.degree)
+        conj = [(x, sorted(points, key=x.__getitem__)) for x in perms]  # (g, g^-1)
         seen = set()
-        for c in classes:
+        for c in g.subgroup_classes():
             assert g.order % c.order == 0
             assert c.class_size == len(c.conjugates)
-            for s in map(frozenset, c.conjugates.tolist()):
+            rows = c.conjugates.tolist()
+            assert frozenset(rows[0]) == c.rep and all(r == sorted(r) for r in rows)
+            hs = [perms[i] for i in rows[0]]
+            orbit = {frozenset(index[tuple(x[h[xi[i]]] for i in points)] for h in hs)
+                     for x, xi in conj}
+            assert set(map(frozenset, rows)) == orbit and len(orbit) == len(rows), (spec, c.order)
+            for s in orbit:
                 assert s not in seen  # distinct classes never share a set
                 seen.add(s)
 
@@ -716,7 +728,7 @@ def test_structure_ops_do_not_import_numpy_ma():
         for p in prime_divisors(g.order):
             g.sylow_in(whole, p)
         g.is_solvable_set(whole)
-        g.closure_indices(g.gen_indices())
+        g.closure_indices(g.lookup(g.generators))
         g.gens_of(whole)
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.run(["corpus", "--json"])
@@ -738,7 +750,7 @@ def test_verify_hall_inheritance(monkeypatch):
     with pytest.raises(ValueError):
         verify_hall_inheritance(g, {2, 5})  # no {2,5}-Hall in Alt(5) x C7
     # with every element its own coset, H meets |H| cosets of C7, not 12
-    monkeypatch.setattr(PermGroup, "_coset_least", lambda self, hs: np.arange(self.order)[None])
+    monkeypatch.setattr(PermGroup, "_coset_least", lambda self, h: np.arange(self.order))
     assert not verify_hall_inheritance(g, {2, 3, 7})
 
 
@@ -882,7 +894,7 @@ def _regular_quotient():
     itself by right multiplication: degree 120, three generators."""
     g = realize("Alt:5,Cyclic:2")
     t = g.require_table()
-    return PermGroup(g.order, [t[:, s].tolist() for s in g.gen_indices()])
+    return PermGroup(g.order, [t[:, s].tolist() for s in g.lookup(g.generators)])
 
 
 @pytest.mark.parametrize("spec", ["Sym:5", "Alt:5,Cyclic:7", "quotient"])
@@ -1026,7 +1038,7 @@ def test_element_orders_match_perm_order(spec):
 
 def test_group_without_generators():
     g = PermGroup(3, [])
-    assert g.order == 1 and g.gen_indices() == ()
+    assert g.order == 1 and g.generators == ()
     assert g.require_table().tolist() == [[0]] and g.inv.tolist() == [0]
     assert [c.rep for c in g.subgroup_classes()] == [frozenset({0})]
 
