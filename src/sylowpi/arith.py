@@ -11,6 +11,8 @@ import math
 # Deterministic Miller-Rabin witness set; correct for all n below this bound.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+# the least strong pseudoprime to the witnesses 2, 3, 5 and 7: below it they suffice
+_MR_SMALL_BOUND = 3_215_031_751
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -33,7 +35,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4] if n < _MR_SMALL_BOUND else _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

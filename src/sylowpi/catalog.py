@@ -336,10 +336,12 @@ def _lie_order(t: str, n: int | None, q: int) -> int:
         raise ValueError(f"the order of this {t}-type group has about {bits:.0f} bits, "
                          f"above the bound of {ORDER_BITS_BOUND} bits")
     roots, pairs, z, k, e0 = _order_parameters(t, n)
-    o = q**roots
-    for d, e in pairs:
-        o *= q**d - e
-    return o // math.gcd(z, q**k - e0)
+    # multiplied pairwise, as a balanced tree: one factor at a time would
+    # multiply the whole growing product once per factor
+    factors = [q**roots] + [q**d - e for d, e in pairs]
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] // math.gcd(z, q**k - e0)
 
 
 def facts(gid: SimpleGroupId) -> GroupFacts:

@@ -7,26 +7,25 @@ products of those.  The full subgroup lattice is enumerated up to
 conjugacy, and E_pi / D_pi are decided by definition: D_pi holds exactly
 when all maximal pi-subgroups form a single conjugacy class.
 
-The lattice starts from the cyclic subgroups.  For each class
-representative H it takes the joins <H, x>, one x per double coset HxH.
-Each class is labelled once, when it is found, by the least element of
-every right coset Hg; H^g depends only on Hg, so one conjugation gather by
-those least elements gives every conjugate.  The joins of every
-representative waiting on the worklist are grown together in one
+The lattice starts from the cyclic subgroups.  For each subgroup H found
+it takes the joins <H, x>, one x per double coset HxH.  A subgroup in the
+lattice is a sorted int16 row of element indices, known by the row's
+bytes, its key, and subgroups waiting to be registered are keys on one
+stack.  Each is labelled once, when it is registered, by the least element
+of every right coset Hg; H^g depends only on Hg, so one conjugation gather
+by those least elements gives every conjugate.  A class keeps its
+conjugates as the rows of one array in key order, so its representative
+is the conjugate with the least key, whatever order the classes are found
+in.  The joins of a block of subgroups are grown together in one
 breadth-first search: every element is labelled, for all of them at once,
 by the least element of its double coset HgH, read from the right coset
 labels, and a join is the union of the double cosets that H reaches by
 right multiplication with x, one product per right coset (coset methods as
 in Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
-The joins are kept by class and replayed in the order of a walk that grows
-one class at a time, so the classes and their representatives do not
-depend on how the searches are batched.  The cyclic subgroups come from
-one walk over the elements in increasing order, one table lookup per power
-of each least generator.  A subgroup in the lattice is a sorted int16 row
-of element indices, known by the row's bytes; a class keeps its conjugates
-as the rows of one array.  Whether a class has a conjugate inside a
-subgroup is one gather of that subgroup's membership mask over the
-class's rows.
+The cyclic subgroups come from one walk over the elements in increasing
+order, one table lookup per power of each least generator.  Whether a
+class has a conjugate inside a subgroup is one gather of that subgroup's
+membership mask over the class's rows.
 
 A group keeps its elements as one array, `perms`: its permutations as
 uint8 rows in lexicographic order, element i being row i, so the degree is
@@ -123,17 +122,6 @@ def _spans(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return owner, np.arange(len(owner)) + (start - np.cumsum(count) + count)[owner]
 
 
-def _add_new(rows: np.ndarray, known: set[bytes]) -> list[int]:
-    """Positions of the rows whose bytes are not in `known`, one for each
-    new key, where it first occurs; the new keys are added to `known`."""
-    new = []
-    for i, key in enumerate(_bytes_keys(rows).tolist()):
-        if key not in known:
-            known.add(key)
-            new.append(i)
-    return new
-
-
 def _closure(gens: np.ndarray, degree: int) -> np.ndarray:
     """Sorted uint8 rows of the group generated by the rows `gens`: a
     breadth-first search of the right Cayley graph, one gather for all
@@ -160,9 +148,10 @@ def _closure(gens: np.ndarray, degree: int) -> np.ndarray:
 class SubgroupClass:
     """One conjugacy class of subgroups: every conjugate as a row of the
     int16 array `conjugates` (class_size x order), the row its element
-    indices in increasing order.  Row 0 is the representative, which `rep`
-    gives as a frozenset, built on first use; `class_size` and `order` are
-    the array's shape."""
+    indices in increasing order, the rows in the order of their bytes.  Row
+    0, the conjugate with the least bytes, is the representative, which
+    `rep` gives as a frozenset, built on first use; `class_size` and `order`
+    are the array's shape."""
     conjugates: np.ndarray
 
     @property
@@ -375,74 +364,53 @@ class PermGroup:
     # -- subgroup lattice ---------------------------------------------------
 
     def subgroup_classes(self) -> list[SubgroupClass]:
-        """All subgroups up to conjugacy: the cyclic subgroups, then, for each
-        new class representative H, the joins <H, x>, one per double coset
-        HxH outside H, until no join gives a new class.
-
-        New classes go on a LIFO worklist.  When it yields a class whose joins
-        are not known yet, one call of _joins grows the joins of every class
-        on the worklist whose joins are not known.  They are kept by class
-        and replayed as each class comes off the worklist, so classes are
-        found, and their representatives chosen, in the order of growing one
-        class's joins at a time.
+        """All subgroups up to conjugacy: the cyclic subgroups and, from each
+        subgroup H found, the joins <H, x>, one per double coset HxH outside
+        H, until no join gives a new subgroup.
 
         Every subgroup is a sorted int16 row of element indices, known by the
-        row's bytes: `seen` holds the key of every conjugate of every class
-        registered.  H^g depends only on the right coset Hg, so a new class's
-        conjugates are H conjugated by the least element of every right coset,
-        the identity first, in one gather and one row sort, one row kept per
-        distinct subgroup; none is in `seen`, since classes share no
-        conjugate.  The least elements are _coset_least's labels, which the
-        class's joins read, so they are kept until its joins are grown; G's
-        class is {G}, and G is never joined, so it has none."""
+        row's bytes, its key: `seen` holds the key of every conjugate of every
+        class registered.  Subgroups wait as keys on a LIFO stack, seeded with
+        the cyclic subgroups.  Keys not in `seen` are popped until a block of
+        _FRONTIER // n is collected, and each is registered: H^g depends only
+        on the right coset Hg, so its conjugates are H conjugated by the least
+        element of every right coset, _coset_least's labels, in one gather and
+        one row sort.  One row is kept per distinct subgroup, in key order, so
+        the representative, row 0, is the conjugate with the least key, and
+        the classes do not depend on the order in which they are found.  The
+        joins of the block are then grown in one call of _joins, which reads
+        the same labels, and pushed.  {e}, whose joins are the cyclic
+        subgroups, and G are registered first and never joined."""
         if self._classes is not None:
             return self._classes
         t, inv = self.require_table(), self._inv
         n = self.order
         elements = np.arange(n)
-        seen: set[bytes] = set()
-        classes: list[SubgroupClass] = []
-        least: dict[int, np.ndarray] = {}  # right coset labels of the classes not yet joined
-
-        def register(rep: np.ndarray) -> int:
-            if len(classes) >= _MAX_CLASSES:
-                raise BruteForceBoundError(f"{self.name} has more than {_MAX_CLASSES} "
-                                           "conjugacy classes of subgroups")
-            rows = rep[None]
-            if rep.size < n:  # G is its only conjugate, and is never joined
-                rc = least[len(classes)] = self._coset_least(rep)
-                # H^g depends only on Hg: one g per right coset, the identity first
-                gs = np.flatnonzero(rc == elements)[:, None]
-                rows = np.sort(t[t[inv[gs], rep], gs], axis=1)
-            classes.append(SubgroupClass(rows[_add_new(rows, seen)]))
-            return len(classes) - 1
-
-        # the cyclic classes in increasing order of least generator, {e} first
         cyclic = self._cyclic_subgroups()
         members, members_from = cyclic[3].astype(np.int16), cyclic[4].tolist()
-        for lo, hi in zip(members_from, members_from[1:]):
-            if members[lo:hi].tobytes() not in seen:
-                register(members[lo:hi])
-
-        # joins[i]: the joins of class i not yet in `seen` when they were grown
-        # (seen only grows, so leaving those out changes no replay); the
-        # classes from `unjoined` on have none yet, and are all on the worklist
-        joins: dict[int, list[bytes]] = {}
-        worklist = list(range(1, len(classes)))
-        unjoined = 1
-        while worklist:
-            i = worklist.pop()
-            if classes[i].order == n:
-                continue
-            if i >= unjoined:
-                pending = [j for j in range(unjoined, len(classes)) if classes[j].order < n]
-                grown = self._joins([classes[j].conjugates[0] for j in pending],
-                                    [least.pop(j) for j in pending], cyclic, seen)
-                joins.update(zip(pending, grown))
-                unjoined = len(classes)
-            for key in joins.pop(i):
-                if key not in seen:
-                    worklist.append(register(np.frombuffer(key, dtype=np.int16)))
+        seen = {members[:1].tobytes(), elements.astype(np.int16).tobytes()}  # {e} and G
+        classes = [SubgroupClass(np.frombuffer(key, dtype=np.int16)[None]) for key in seen]
+        stack = [members[lo:hi].tobytes() for lo, hi in zip(members_from[1:], members_from[2:])]
+        step = max(1, _FRONTIER // n)
+        while stack:
+            block, least = [], []
+            while stack and len(block) < step:
+                if (key := stack.pop()) in seen:
+                    continue
+                if len(classes) >= _MAX_CLASSES:
+                    raise BruteForceBoundError(f"{self.name} has more than {_MAX_CLASSES} "
+                                               "conjugacy classes of subgroups")
+                h = np.frombuffer(key, dtype=np.int16)
+                rc = self._coset_least(h)
+                gs = np.flatnonzero(rc == elements)[:, None]
+                rows = np.sort(t[t[inv[gs], h], gs], axis=1)
+                keys, first = np.unique(_bytes_keys(rows), return_index=True)
+                seen.update(keys.tolist())
+                classes.append(SubgroupClass(rows[first]))
+                block.append(h)
+                least.append(rc)
+            if block:
+                stack += self._joins(block, np.array(least), cyclic, seen)
 
         classes.sort(key=lambda c: (c.order, c.conjugates[0].tolist()))
         self._classes = classes
@@ -480,94 +448,89 @@ class PermGroup:
             members_from.append(len(members))
         return tuple(map(np.array, (gens, gens_from, number, members, members_from)))
 
-    def _joins(self, reps: list[np.ndarray], least, cyclic, known):
-        """For each proper subgroup H in `reps` (sorted element rows), the
-        joins <H, x> with one x per double coset HxH outside H, as the bytes
-        of their sorted int16 element rows, in the order in which increasing
-        x first reaches them, less those in `known`: one list per H, yielded
-        in the order of `reps`.  least[i] is _coset_least(reps[i]), and
-        `cyclic` is _cyclic_subgroups().
+    def _joins(self, block: list[np.ndarray], least: np.ndarray, cyclic, known) -> list[bytes]:
+        """The joins <H, x> of the proper subgroups H in `block` (sorted
+        element rows), one x per double coset HxH outside H, as the bytes of
+        their sorted int16 element rows, less those in `known`; one H's joins
+        are distinct, two H's may share one.  least[i] is
+        _coset_least(block[i]), and `cyclic` is _cyclic_subgroups().
 
-        The reps go in blocks of at most _FRONTIER (rep, element) pairs, each
-        labelled at once by _double_cosets.  The joins of a block are grown
-        together in one breadth-first search over (candidate, double coset)
-        pairs, the candidates taken in blocks of at most _FRONTIER
-        (candidate, right coset) and (candidate, power) pairs.  <H, x> is a
-        union of double cosets; a double coset D in it reaches the double
-        coset of g x for one g per right coset Hg inside D, and the union of
-        what is reached from the double coset of each power of x, H among
-        them, is closed under right multiplication by H and by x, so it is a
-        group (coset methods as in Holt, Eick and O'Brien, Handbook of
-        Computational Group Theory, 2005).  Starting from all the powers, the
-        elements of the cyclic subgroup <x>, rather than from H alone takes
-        fewer layers.  A join's element rows are expanded from masks of at most
-        _FRONTIER elements at a time."""
+        The block's (H, element) pairs are labelled at once by
+        _double_cosets, and its joins are grown together in one breadth-first
+        search over (candidate, double coset) pairs, the candidates taken in
+        blocks of at most _FRONTIER (candidate, right coset) and (candidate,
+        power) pairs.  <H, x> is a union of double cosets; a double coset D
+        in it reaches the double coset of g x for one g per right coset Hg
+        inside D, and the union of what is reached from the double coset of
+        each power of x, H among them, is closed under right multiplication
+        by H and by x, so it is a group (coset methods as in Holt, Eick and
+        O'Brien, Handbook of Computational Group Theory, 2005).  Starting
+        from all the powers, the elements of the cyclic subgroup <x>, rather
+        than from H alone takes fewer layers.  A join's element rows are
+        expanded from masks of at most _FRONTIER elements at a time."""
         t = self._table
         n = self.order
         number, elements, elements_from = cyclic[2:]
+        dc, coset_reps, count, cr, cx = self._double_cosets(block, least, cyclic)
+        m = dc.max(axis=1) + 1
+        off = np.cumsum(m) - m  # double coset d of H_i is number off[i] + d
+        start = np.cumsum(count) - count
+        # cost[j]: the right cosets and powers of the candidates before j
+        cyc = number[cx]
+        size = elements_from[cyc + 1] - elements_from[cyc]
+        cost = np.concatenate([[0], np.cumsum(n // np.array([len(h) for h in block])[cr] + size)])
         step = max(1, _FRONTIER // n)
-        for first in range(0, len(reps), step):
-            block = reps[first:first + step]
-            dc, coset_reps, count, cr, cx = self._double_cosets(
-                block, np.asarray(least[first:first + step]), cyclic)
-            m = dc.max(axis=1) + 1
-            off = np.cumsum(m) - m  # double coset d of H_i is number off[i] + d
-            start = np.cumsum(count) - count
-            # cost[j]: the right cosets and powers of the candidates before j
-            cyc = number[cx]
-            size = elements_from[cyc + 1] - elements_from[cyc]
-            cost = np.concatenate([[0], np.cumsum(n // np.array([len(h) for h in block])[cr] + size)])
-            found: list[list[bytes]] = [[] for _ in block]
-            distinct: set[tuple[int, bytes]] = set()  # (i, reached mask) so far
-            lo = 0
-            while lo < len(cr):
-                hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + _FRONTIER, side="right")) - 1)
-                xs, rs, ps, ss = cx[lo:hi], cr[lo:hi], cyc[lo:hi], size[lo:hi]
-                lo = hi
-                mc = m[rs]
-                base = np.cumsum(mc) - mc  # pair (c, d) is base[c] + d
-                shift = off[rs] - base  # pair p of c is double coset p + shift[c]
-                reached = np.zeros(base[-1] + mc[-1], dtype=bool)
-                slot = np.empty(len(reached), dtype=np.int32)
-                # <H, x> holds the double cosets of the powers of x, H among them
-                c, idx = _spans(elements_from[ps], ss)
-                pairs = base[c] + dc[rs[c], elements[idx]]
-                while True:
-                    pairs = pairs[~reached[pairs]]
-                    # keep one copy of each new pair: the one whose index lands last
-                    at = np.arange(len(pairs), dtype=np.int32)
-                    slot[pairs] = at
-                    pairs = pairs[slot[pairs] == at]
-                    if not pairs.size:
-                        break
-                    reached[pairs] = True
-                    fc = np.searchsorted(base, pairs, side="right") - 1
-                    fd = pairs + shift[fc]
-                    c, idx = _spans(start[fd], count[fd])
-                    c = fc[c]
-                    pairs = base[c] + dc[rs[c], t[coset_reps[idx], xs[c]]]
-                masks = reached.tobytes()
-                new = []
-                for j, (i, u, v) in enumerate(zip(rs.tolist(), base.tolist(), (base + mc).tolist())):
-                    key = (i, masks[u:v])
-                    if key not in distinct:
-                        distinct.add(key)
-                        new.append(j)
-                new = np.array(new, dtype=np.intp)
-                for u in range(0, len(new), step):
-                    js = new[u:u + step]
-                    # in place, so that one index array is held at a time
-                    members = dc[rs[js]]
-                    members += base[js, None]
-                    members = reached[members]
-                    ends = np.add.reduce(members, axis=1).cumsum().tolist()
-                    members = np.flatnonzero(members)
-                    members %= n
-                    rows = members.astype(np.int16).tobytes()
-                    for i, e0, e in zip(rs[js].tolist(), [0] + ends[:-1], ends):
-                        if (key := rows[2 * e0:2 * e]) not in known:
-                            found[i].append(key)
-            yield from found
+        found: list[bytes] = []
+        distinct: set[tuple[int, bytes]] = set()  # (i, reached mask) so far
+        lo = 0
+        while lo < len(cr):
+            hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + _FRONTIER, side="right")) - 1)
+            xs, rs, ps, ss = cx[lo:hi], cr[lo:hi], cyc[lo:hi], size[lo:hi]
+            lo = hi
+            mc = m[rs]
+            base = np.cumsum(mc) - mc  # pair (c, d) is base[c] + d
+            shift = off[rs] - base  # pair p of c is double coset p + shift[c]
+            reached = np.zeros(base[-1] + mc[-1], dtype=bool)
+            slot = np.empty(len(reached), dtype=np.int32)
+            # <H, x> holds the double cosets of the powers of x, H among them
+            c, idx = _spans(elements_from[ps], ss)
+            pairs = base[c] + dc[rs[c], elements[idx]]
+            while True:
+                pairs = pairs[~reached[pairs]]
+                # keep one copy of each new pair: the one whose index lands last
+                at = np.arange(len(pairs), dtype=np.int32)
+                slot[pairs] = at
+                pairs = pairs[slot[pairs] == at]
+                if not pairs.size:
+                    break
+                reached[pairs] = True
+                fc = np.searchsorted(base, pairs, side="right") - 1
+                fd = pairs + shift[fc]
+                c, idx = _spans(start[fd], count[fd])
+                c = fc[c]
+                pairs = base[c] + dc[rs[c], t[coset_reps[idx], xs[c]]]
+            masks = reached.tobytes()
+            new = []
+            for j, (i, u, v) in enumerate(zip(rs.tolist(), base.tolist(), (base + mc).tolist())):
+                key = (i, masks[u:v])
+                if key not in distinct:
+                    distinct.add(key)
+                    new.append(j)
+            new = np.array(new, dtype=np.intp)
+            for u in range(0, len(new), step):
+                js = new[u:u + step]
+                # in place, so that one index array is held at a time
+                members = dc[rs[js]]
+                members += base[js, None]
+                members = reached[members]
+                ends = np.add.reduce(members, axis=1).cumsum().tolist()
+                members = np.flatnonzero(members)
+                members %= n
+                rows = members.astype(np.int16).tobytes()
+                for e0, e in zip([0] + ends[:-1], ends):
+                    if (key := rows[2 * e0:2 * e]) not in known:
+                        found.append(key)
+        return found
 
     def _double_cosets(self, block: list[np.ndarray], rc: np.ndarray, cyclic):
         """(dc, coset_reps, count, cr, cx) for the subgroups H_i in `block`,

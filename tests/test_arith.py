@@ -51,6 +51,17 @@ def test_is_prime_large_values():
         is_prime(2**89 - 1)  # beyond the deterministic witness bound
 
 
+def test_is_prime_on_both_sides_of_the_four_witness_bound():
+    # below 3,215,031,751, the least strong pseudoprime to 2, 3, 5 and 7,
+    # those four witnesses decide alone; 25,326,001 is a strong pseudoprime
+    # to 2, 3 and 5, so the witness 7 is needed below the bound
+    bound = 3_215_031_751
+    cases = [25_326_001, *range(bound - 60, bound + 60)]
+    assert sum(map(naive_is_prime, cases)) >= 4  # primes below and above the bound
+    for n in cases:
+        assert is_prime(n) == naive_is_prime(n), n
+
+
 def test_is_prime_names_the_bit_count_of_a_refused_input():
     # not the digits, which number thousands for a q near int()'s limit
     for n, bits in ((2**89 - 1, 89), (10**4299 + 7, 14281)):

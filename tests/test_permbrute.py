@@ -366,42 +366,55 @@ def test_lattice_is_pinned():
                 r = maximal_pi_subgroups(g, pi)
                 h.update(repr((r.epi, r.dpi, [sorted(c.rep) for c in r.maximal_classes],
                                r.structural)).encode())
-    assert h.hexdigest()[:16] == "76408a500dee5b2d"
+    assert h.hexdigest()[:16] == "5a5f2947190e5c7e"
 
 
 @pytest.mark.parametrize("spec", ("Sym:5", "Lie:A:2:7", "Alt:5,Cyclic:7", "Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2"))
 def test_batched_joins_match_closures(spec):
-    # the joins of every class representative, grown in one batch, against
-    # <H, x> closed directly; <H, hx> = <H, x>, so one x per right coset Hx
+    # the joins of every class representative, grown as a block of one each
+    # and together as one block, against <H, x> closed directly;
+    # <H, hx> = <H, x>, so one x per right coset Hx
     g = realize(spec)
     t = g.require_table()
+    cyclic = g._cyclic_subgroups()
     reps = [c.conjugates[0] for c in g.subgroup_classes() if c.order < g.order]
-    least = list(map(g._coset_least, reps))
-    for rep, joins in zip(reps, g._joins(reps, least, g._cyclic_subgroups(), set())):
+    least = np.array(list(map(g._coset_least, reps)))
+    union = set()
+    for i, rep in enumerate(reps):
         h = rep.astype(np.intp)
         gens = g.gens_of(h.tolist())
         xs = np.flatnonzero(t[h].min(axis=0) == np.arange(g.order))
         expected = {g._close(h, gens + (x,)).astype(np.int16).tobytes()
                     for x in np.setdiff1d(xs, h).tolist()}
+        joins = g._joins([rep], least[i:i + 1], cyclic, set())
         assert set(joins) == expected and len(joins) == len(expected), (spec, len(h))
+        union |= expected
+    joins = g._joins(reps, least, cyclic, set())
+    assert set(joins) == union
+    known = set(sorted(union)[::2])
+    assert set(g._joins(reps, least, cyclic, known)) == union - known
 
 
 def test_lattice_is_the_same_in_small_blocks(monkeypatch):
-    # blocks of 64 (rep, element) and (candidate, right coset) pairs split
-    # every batch of joins and every search, and 64 table entries fill the
-    # table, and gather the rows of each subgroup in _coset_least, one row
-    # (two for C2^5) at a time
+    # the lattice does not depend on the order in which its classes are
+    # found: the block size decides which subgroups are registered first,
+    # and with _FRONTIER at 64 the lattice registers one subgroup per block,
+    # where by default it registers up to 2^16 // n.  Blocks of 64
+    # (candidate, right coset) pairs also split every search, 64 table
+    # entries fill the table, and _coset_least gathers the rows of each
+    # subgroup one row (two for C2^5) at a time
     def lattices():
         c2 = permbrute._cyclic(2)
-        groups = (_sym(5), direct_product(permbrute._alt(5), permbrute._cyclic(7)),
+        groups = (_sym(5), _sym(6), _psl2(11),
+                  direct_product(permbrute._alt(5), permbrute._cyclic(7)),
                   direct_product(direct_product(c2, c2), direct_product(c2, direct_product(c2, c2))))
         out = []
         for g in groups:  # built afresh, so that no table or lattice is shared
             classes = g.subgroup_classes()
             reps = [c.conjugates[0] for c in classes if c.order < g.order]
-            least = list(map(g._coset_least, reps))
+            least = np.array(list(map(g._coset_least, reps)))
             out.append(([c.conjugates for c in classes],
-                         list(g._joins(reps, least, g._cyclic_subgroups(), set()))))
+                         g._joins(reps, least, g._cyclic_subgroups(), set())))
         return out
 
     default = lattices()
@@ -522,6 +535,9 @@ def test_lagrange_and_conjugacy_audit():
             assert c.class_size == len(c.conjugates)
             rows = c.conjugates.tolist()
             assert frozenset(rows[0]) == c.rep and all(r == sorted(r) for r in rows)
+            # the representative is the conjugate with the least key
+            keys = [row.tobytes() for row in c.conjugates]
+            assert keys[0] == min(keys), (spec, c.order)
             hs = [perms[i] for i in rows[0]]
             orbit = {frozenset(index[tuple(x[h[xi[i]]] for i in points)] for h in hs)
                      for x, xi in conj}
