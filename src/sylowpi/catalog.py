@@ -36,10 +36,6 @@ SUZUKI_REE = {"2B2": 2, "2G2": 3, "2F4": 2}
 # before any product: its cost, and that of dividing it by each prime of pi,
 # grow about as the cube of the rank (Lie:A:1000:2 has 999,999 bits)
 ORDER_BITS_BOUND = 1 << 20
-# the largest order whose subgroup lattice is enumerated unless a caller
-# passes its own bound (`--max-order`); kept here, beside the other bounds,
-# so that the CLI's parser reads it without loading the brute-force engine
-DEFAULT_LATTICE_BOUND = 1000
 
 SPORADIC_ORDERS: dict[str, int] = {
     "M11": 7_920,

@@ -10,6 +10,8 @@ Subcommands:
 
 Exit codes: 0 = success / true verdict, 1 = false verdict, 2 = error,
 3 = crosscheck disagreement.  --json emits a versioned report (schema 1).
+brute, crosscheck and corpus exit 2 on a group that the engine will not
+realize or whose subgroup lattice passes the engine's cap.
 
 Only brute, crosscheck and corpus import the brute-force engine, and numpy
 with it, and they do so when they run; check and split load the arithmetic
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .arith import prime_divisors, prime_set
-from .catalog import DEFAULT_LATTICE_BOUND, parse_group
+from .catalog import parse_group
 from .composition import SplitHypothesis, decide_dpi_composite, parse_factors, wielandt_split
 from .criterion import Verdict, decide_dpi_simple
 
@@ -131,7 +133,6 @@ def _cmd_brute(args) -> int:
 
     pi = _parse_pi(args.pi)
     g = realize(args.group)
-    g.require_table(bound=args.max_order)
     r = maximal_pi_subgroups(g, pi)
     report = {"command": "brute", "group": args.group, **_hall_report_dict(r)}
     lines = [f"{g.name}: pi = {sorted(pi)}, hall_order = {r.hall_order}",
@@ -156,7 +157,7 @@ class SweepResult:
     split_hits: int = 0
 
 
-def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
+def sweep(spec: str) -> SweepResult:
     """Criterion vs brute force on every pi within pi(G), plus the
     structural lemmas.
 
@@ -175,7 +176,6 @@ def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
 
     factors = parse_factors(spec)
     g = realize(spec)
-    g.require_table(bound=bound)
     spectrum = prime_divisors(g.order)
     out = SweepResult()
     reports = {}  # every subset of pi comes before pi
@@ -213,7 +213,7 @@ def sweep(spec: str, bound: int = DEFAULT_LATTICE_BOUND) -> SweepResult:
 
 
 def _cmd_crosscheck(args) -> int:
-    result = sweep(args.group, args.max_order)
+    result = sweep(args.group)
     rows, disagreements = result.rows, result.disagreements
     report = {"command": "crosscheck", "group": args.group,
               "subsets_checked": len(rows), "disagreements": disagreements,
@@ -267,7 +267,7 @@ def _cmd_tables(args) -> int:
 
 def _cmd_corpus(args) -> int:
     """Criterion-vs-brute sweep plus the structural lemma sweep."""
-    results = [sweep(spec, args.max_order) for spec in CORPUS_SIMPLE]
+    results = [sweep(spec) for spec in CORPUS_SIMPLE]
     per_group = [{"group": spec, "subsets": len(r.rows), "disagreements": r.disagreements}
                  for spec, r in zip(CORPUS_SIMPLE, results)]
     total_rows = sum(len(r.rows) for r in results)
@@ -296,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide and verify the Sylow pi-theorem (D_pi) for finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, group=False, factors=False, pi=False, sigma_tau=False,
-                   max_order=False):
+    def add_common(p, group=False, factors=False, pi=False, sigma_tau=False):
         if group:
             p.add_argument("--group", help="group spec, e.g. Alt:5, Spor:M11, Lie:A:2:7")
         if factors:
@@ -308,21 +307,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sigma", required=True, help="comma-separated primes")
             p.add_argument("--tau", required=True, help="comma-separated primes")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if max_order:
-            p.add_argument("--max-order", type=int, default=DEFAULT_LATTICE_BOUND,
-                           help=f"override the order-{DEFAULT_LATTICE_BOUND} lattice bound")
 
     add_common(sub.add_parser("check", help="arithmetic D_pi verdict"),
                group=True, factors=True, pi=True)
     add_common(sub.add_parser("brute", help="brute-force D_pi / E_pi"),
-               group=True, pi=True, max_order=True)
+               group=True, pi=True)
     add_common(sub.add_parser("crosscheck", help="criterion vs brute sweep"),
-               group=True, max_order=True)
+               group=True)
     add_common(sub.add_parser("split", help="sigma/tau split verdict"),
                group=True, factors=True, sigma_tau=True)
     add_common(sub.add_parser("tables", help="dump embedded tables"))
-    add_common(sub.add_parser("corpus", help="full cross-validation sweep"),
-               max_order=True)
+    add_common(sub.add_parser("corpus", help="full cross-validation sweep"))
     return parser
 
 

@@ -44,14 +44,14 @@ array expression over them.
 
 Everything interesting happens on element indices against a
 multiplication table (numpy), so degrees stay tiny and orders stay below
-explicit bounds: ORDER_BOUND for materializing a group at all, a lattice
-bound for whole-lattice operations, and _MAX_CLASSES subgroup classes in
-one lattice.  The lattice bound is checked on every `require_table` call
-that passes one; a table operation that finds no table builds it under
-DEFAULT_LATTICE_BOUND.  The table holds int16 indices, so one at
-ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.  A group keeps its table
-and lattice while it lives; `realize` caches single factors' element rows
-by spec and returns a new group of the caller's own on every call.
+explicit bounds: ORDER_BOUND for materializing a group at all, and
+_LATTICE_CAP for one lattice, which is refused once its subgroup classes
+times the group order reach it.  `require_table(bound=...)` also checks
+the order against a bound that the caller passes.  The table holds int16
+indices, so one at ORDER_BOUND takes 10080^2 * 2 B, about 203 MB.  A group
+keeps its table and lattice while it lives; `realize` caches single
+factors' element rows by spec and returns a new group of the caller's own
+on every call.
 
 Outside the lattice, every subgroup built from generators comes from one
 breadth-first closure over the table, `_close`: the closure of the
@@ -75,11 +75,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime, prime_divisors, r_part
-from .catalog import DEFAULT_LATTICE_BOUND, order_of, parse_group, prime_power, spec_number
+from .catalog import order_of, parse_group, prime_power, spec_number
 
 ORDER_BOUND = 10080
 _FRONTIER = 1 << 16  # pairs per block of joins, table entries per block written or gathered
-_MAX_CLASSES = 1 << 15  # subgroup classes per lattice: C2^7 has 29,212
+# subgroup classes times group order per lattice: registering a class gathers
+# n coset labels and n conjugates at least, so classes x n is a lower bound
+# on the lattice's gathers; C2^7 has 29,212 classes x 128 = 3.7 M
+_LATTICE_CAP = 1 << 22
+# no command applies this order bound; only acceptance criterion 4 and
+# perfbench's products workload pass it to `require_table`, which selects
+# their products (the workload expects 56 refusals)
+DEFAULT_LATTICE_BOUND = 1000
 # multiplication tables and inverses hold element indices as int16
 assert ORDER_BOUND <= np.iinfo(np.int16).max + 1
 
@@ -248,14 +255,9 @@ class PermGroup:
 
     def require_table(self, bound: int | None = None) -> np.ndarray:
         """The multiplication table, built on first use.  The order is checked
-        against `bound` on every call that passes one, and against
-        DEFAULT_LATTICE_BOUND on a call without one that builds the table."""
-        if bound is None and self._table is None:
-            bound = DEFAULT_LATTICE_BOUND
+        against `bound` on every call that passes one."""
         if bound is not None and self.order > bound:
-            raise BruteForceBoundError(
-                f"order {self.order} exceeds the lattice bound {bound} "
-                "(pass --max-order to raise it)")
+            raise BruteForceBoundError(f"order {self.order} exceeds the lattice bound {bound}")
         if self._table is None:
             self._table = self._cayley_table()
             # the inverse of a permutation p is argsort(p)
@@ -380,7 +382,8 @@ class PermGroup:
         the classes do not depend on the order in which they are found.  The
         joins of the block are then grown in one call of _joins, which reads
         the same labels, and pushed.  {e}, whose joins are the cyclic
-        subgroups, and G are registered first and never joined."""
+        subgroups, and G are registered first and never joined.  The lattice
+        is refused once its classes registered times n reach _LATTICE_CAP."""
         if self._classes is not None:
             return self._classes
         t, inv = self.require_table(), self._inv
@@ -392,13 +395,14 @@ class PermGroup:
         classes = [SubgroupClass(np.frombuffer(key, dtype=np.int16)[None]) for key in seen]
         stack = [members[lo:hi].tobytes() for lo, hi in zip(members_from[1:], members_from[2:])]
         step = max(1, _FRONTIER // n)
+        cap = -(-_LATTICE_CAP // n)
         while stack:
             block, least = [], []
             while stack and len(block) < step:
                 if (key := stack.pop()) in seen:
                     continue
-                if len(classes) >= _MAX_CLASSES:
-                    raise BruteForceBoundError(f"{self.name} has more than {_MAX_CLASSES} "
+                if len(classes) >= cap:
+                    raise BruteForceBoundError(f"{self.name} has more than {cap} "
                                                "conjugacy classes of subgroups")
                 h = np.frombuffer(key, dtype=np.int16)
                 rc = self._coset_least(h)

@@ -4,12 +4,13 @@ Each test prints a single PASS line on success (run with -s or read the
 captured output); a failure is an ordinary pytest failure.
 """
 
+from collections import Counter
+
 from sylowpi.catalog import facts, parse_group
 from sylowpi.cli import CORPUS_SIMPLE, sweep
 from sylowpi.criterion import decide_dpi_simple
 from sylowpi.permbrute import (
     DEFAULT_LATTICE_BOUND,
-    BruteForceBoundError,
     _sym,
     maximal_pi_subgroups,
     realize,
@@ -25,26 +26,31 @@ def _report(number: int, title: str) -> None:
 
 def test_criterion_1_oracle_agreement():
     """Criterion-oracle agreement on every realized simple group and every
-    pi within its prime spectrum.  PSL(2,16) and PSL(2,19), swept with their
-    orders as the lattice bound, are where brute force checks Conditions V
-    and VII."""
-    bounds = {spec: DEFAULT_LATTICE_BOUND for spec in CORPUS_SIMPLE}
-    bounds.update({"Lie:A:2:16": 4080, "Lie:A:2:19": 3420})
+    pi within its prime spectrum: Alt(5)-Alt(7) and the 13 PSL(2,q) of
+    order <= 10080.  PSL(2,16) and PSL(2,19) are where brute force checks
+    Conditions V and VII."""
+    specs = [f"Alt:{n}" for n in (5, 6, 7)] + [
+        f"Lie:A:2:{q}" for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)]
     disagreements = []
     witnesses = {}
-    for spec, bound in bounds.items():
+    cells = Counter()
+    for spec in specs:
         gid = parse_group(spec)
-        result = sweep(spec, bound)
+        result = sweep(spec)
         assert len(result.rows) == 2 ** len(facts(gid).spectrum), spec
         disagreements += [(spec, row) for row in result.rows if not row["agree"]]
         verdicts = (decide_dpi_simple(gid, frozenset(row["pi"])) for row in result.rows)
-        witnesses[spec] = {(v.witness.condition, v.witness.subcase)
-                           for v in verdicts if v.witness is not None}
+        witnesses[spec] = [v.witness and (v.witness.condition, v.witness.subcase)
+                           for v in verdicts]
+        cells.update(witnesses[spec])
     assert disagreements == [], disagreements
     assert ("V", 1) in witnesses["Lie:A:2:16"], witnesses["Lie:A:2:16"]
     assert ("VII", 1) in witnesses["Lie:A:2:19"], witnesses["Lie:A:2:19"]
-    _report(1, "criterion-oracle agreement on the full corpus, PSL(2,16) and "
-               "PSL(2,19) (0 disagreements; V(1) and VII(1) checked)")
+    # every witness cell the oracle checks, with its rows; None: no condition
+    assert cells == {None: 94, ("I", None): 88, ("III", None): 7,
+                     ("V", 1): 1, ("VII", 1): 2}, cells
+    _report(1, f"criterion-oracle agreement on {len(specs)} simple groups, "
+               f"{sum(cells.values())} rows (0 disagreements; V(1) and VII(1) checked)")
 
 
 def test_criterion_2_epi_without_dpi_witness():
@@ -69,17 +75,14 @@ def test_criterion_3_table1_reproduction():
 
 
 def test_criterion_4_split_merge_on_products():
-    """On every realized product K x L (order <= 1000), `sweep` checks
-    D_pi = D_sigma and D_tau wherever a pi-Hall subgroup splits as
-    sigma-part x tau-part, besides criterion-oracle agreement."""
+    """On every realized product K x L of order <= DEFAULT_LATTICE_BOUND
+    (1000), `sweep` checks D_pi = D_sigma and D_tau wherever a pi-Hall
+    subgroup splits as sigma-part x tau-part, besides criterion-oracle
+    agreement.  The 29 products of order 1001-10080 are left out for the
+    suite's running time."""
     parts = list(CORPUS_SIMPLE) + [f"Cyclic:{p}" for p in (2, 3, 5, 7, 11)]
-    results = {}
-    for i, a in enumerate(parts):
-        for b in parts[i:]:
-            try:
-                results[a, b] = sweep(f"{a},{b}")
-            except BruteForceBoundError:
-                continue
+    results = {(a, b): sweep(f"{a},{b}") for i, a in enumerate(parts) for b in parts[i:]
+               if realize(a).order * realize(b).order <= DEFAULT_LATTICE_BOUND}
     bad = {k: (r.disagreements, r.violations) for k, r in results.items()
            if r.disagreements or r.violations}
     instances = sum(r.split_hits for r in results.values())

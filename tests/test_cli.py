@@ -225,10 +225,6 @@ def test_arithmetic_commands_load_neither_numpy_nor_the_engine():
     ]
     with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
         sylowpi.nonexistent
-    # --max-order's default is the engine's bound
-    for argv in (["brute", "--group", "Alt:5", "--pi", "2"], ["crosscheck", "--group", "Alt:5"],
-                 ["corpus"]):
-        assert cli.build_parser().parse_args(argv).max_order == permbrute.DEFAULT_LATTICE_BOUND
 
 
 def test_brute_exit_codes(capsys):
@@ -261,30 +257,12 @@ def test_brute_bound_error(capsys):
     assert "order 12180 exceeds the bound 10080" in err
 
 
-def test_max_order_does_not_outlive_its_invocation(capsys):
-    argv = ["brute", "--group", "Cyclic:7,Cyclic:13", "--pi", "7,13"]  # order 91
-    code, _, err = run_cli(capsys, *argv, "--max-order", "50")
-    assert code == EXIT_ERROR and "lattice bound 50" in err
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == EXIT_TRUE and "dpi = True" in out
-    # nor does the table the default bound built lift a later, smaller bound
-    for bound in ("50", "0"):
-        code, _, err = run_cli(capsys, *argv, "--max-order", bound)
-        assert code == EXIT_ERROR and f"lattice bound {bound}" in err
-    assert "DPI_CORPUS_BOUND" not in os.environ
-
-
-def test_max_order_zero_is_a_bound(capsys):
-    argv = ["brute", "--group", "Cyclic:11,Cyclic:13", "--pi", "11,13"]  # order 143
-    for bound in ("0", "-3"):
-        code, _, err = run_cli(capsys, *argv, "--max-order", bound)
-        assert code == EXIT_ERROR and f"lattice bound {bound}" in err
-
-
-def test_max_order_only_on_lattice_commands(capsys):
+def test_no_subcommand_takes_max_order(capsys):
     for argv in (["check", "--group", "Alt:5", "--pi", "2"],
+                 ["brute", "--group", "Alt:5", "--pi", "2"],
+                 ["crosscheck", "--group", "Alt:5"],
                  ["split", "--factors", "Alt:5", "--sigma", "2", "--tau", "5"],
-                 ["tables"]):
+                 ["tables"], ["corpus"]):
         with pytest.raises(SystemExit):
             run(argv + ["--max-order", "50"])
 
@@ -308,8 +286,7 @@ def test_crosscheck_json(capsys):
 
 def test_crosscheck_beyond_the_corpus(capsys):
     # PSL(2,19), order 3420, is realized from its order alone
-    code, out, _ = run_cli(capsys, "crosscheck", "--group", "Lie:A:2:19",
-                           "--max-order", "3420", "--json")
+    code, out, _ = run_cli(capsys, "crosscheck", "--group", "Lie:A:2:19", "--json")
     assert code == EXIT_TRUE
     report = json.loads(out)
     assert report["subsets_checked"] == 16 and report["disagreements"] == 0
@@ -398,12 +375,15 @@ def test_sweep_builds_lemma_flags_once_per_hypothesis_hit(monkeypatch, spec, hit
 
 
 def test_brute_refuses_a_lattice_past_the_class_cap(capsys, monkeypatch):
-    monkeypatch.setattr(permbrute, "_MAX_CLASSES", 100)
-    # C2^4 has 67 subgroup classes and C2^5 has 374
+    monkeypatch.setattr(permbrute, "_LATTICE_CAP", 2000)
+    # the cap is on classes x order: C2^4 has 67 x 16 = 1,072 and C2^5 374 x 32
     code, _, _ = run_cli(capsys, "brute", "--group", ",".join(["Cyclic:2"] * 4), "--pi", "2")
     assert code == EXIT_TRUE
     code, _, err = run_cli(capsys, "brute", "--group", ",".join(["Cyclic:2"] * 5), "--pi", "2")
-    assert code == EXIT_ERROR and "more than 100 conjugacy classes" in err
+    assert code == EXIT_ERROR and "more than 63 conjugacy classes" in err  # ceil(2000 / 32)
+    # PSL(2,11) has fewer classes than C2^4, but 16 x 660 = 10,560
+    code, _, err = run_cli(capsys, "brute", "--group", "Lie:A:2:11", "--pi", "2")
+    assert code == EXIT_ERROR and "more than 4 conjugacy classes" in err
 
 
 # exit code and the first 16 hex digits of the sha256 of stdout, pinned so

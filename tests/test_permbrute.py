@@ -579,7 +579,7 @@ def pairwise_maximal_pi_subgroups(g, pi, with_structure=True):
 
 def _acceptance_products():
     """The direct products of acceptance criterion 4: every pair of corpus
-    groups and small cyclic groups within the default lattice bound."""
+    groups and small cyclic groups of order at most DEFAULT_LATTICE_BOUND."""
     parts = list(CORPUS_SIMPLE) + [f"Cyclic:{p}" for p in (2, 3, 5, 7, 11)]
     return [f"{a},{b}" for i, a in enumerate(parts) for b in parts[i:]
             if realize(a).order * realize(b).order <= DEFAULT_LATTICE_BOUND]
