@@ -63,8 +63,6 @@ def prime_set(values) -> frozenset[int]:
 
 def _pollard_rho(n: int) -> int:
     """Find a nontrivial factor of odd composite n."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 50):
         x = y = 2
         d = 1
@@ -102,8 +100,6 @@ def prime_divisors(n: int) -> frozenset[int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out.add(m)
             continue

@@ -10,8 +10,12 @@ Subcommands:
 
 Exit codes: 0 = success / true verdict, 1 = false verdict, 2 = error,
 3 = crosscheck disagreement.  --json emits a versioned report (schema 1).
-brute, crosscheck and corpus exit 2 on a group that the engine will not
-realize or whose subgroup lattice passes the engine's cap.
+An argument error (a missing or unknown flag, both or neither of --group
+and --factors, a prime list that is not a set of primes) is argparse's:
+its usage line and the reason on stderr, exit 2.  A domain error (a group
+spec that does not parse or names no group, a bound, a group that the
+engine will not realize or whose subgroup lattice passes the engine's cap)
+is "error: ..." on stderr, exit 2.
 
 Only brute, crosscheck and corpus import the brute-force engine, and numpy
 with it, and they do so when they run; check and split load the arithmetic
@@ -49,10 +53,9 @@ CORPUS_SIMPLE = (
 
 def _parse_pi(text: str) -> frozenset[int]:
     try:
-        values = [int(x) for x in text.split(",") if x.strip()]
+        return prime_set(x for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise ValueError(f"cannot parse prime list {text!r}: {exc}") from None
-    return prime_set(values)
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
@@ -81,8 +84,8 @@ def _verdict_report(v: Verdict) -> dict:
 
 
 def _cmd_check(args) -> int:
-    pi = _parse_pi(args.pi)
-    if args.factors:
+    pi = args.pi
+    if args.factors is not None:
         cv = decide_dpi_composite(parse_factors(args.factors), pi)
         report = {
             "command": "check",
@@ -131,7 +134,7 @@ def _hall_report_dict(r: HallReport) -> dict:
 def _cmd_brute(args) -> int:
     from .permbrute import maximal_pi_subgroups, realize
 
-    pi = _parse_pi(args.pi)
+    pi = args.pi
     g = realize(args.group)
     r = maximal_pi_subgroups(g, pi)
     report = {"command": "brute", "group": args.group, **_hall_report_dict(r)}
@@ -229,9 +232,8 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    sigma = _parse_pi(args.sigma)
-    tau = _parse_pi(args.tau)
-    spec = parse_factors(args.factors if args.factors else args.group)
+    sigma, tau = args.sigma, args.tau
+    spec = parse_factors(args.group if args.factors is None else args.factors)
     hyp = SplitHypothesis(sigma=sigma, tau=tau, hall_split_assumed=True)
     cv = wielandt_split(spec, sigma, tau, hyp)
     report = {
@@ -295,54 +297,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sylowpi",
         description="Decide and verify the Sylow pi-theorem (D_pi) for finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
+    group_help = "group spec, e.g. Alt:5, Spor:M11, Lie:A:2:7"
 
-    def add_common(p, group=False, factors=False, pi=False, sigma_tau=False):
-        if group:
-            p.add_argument("--group", help="group spec, e.g. Alt:5, Spor:M11, Lie:A:2:7")
+    def add(name, handler, help, group=False, factors=False, primes=()):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         if factors:
-            p.add_argument("--factors", help="composition factors, e.g. 'Alt:5,Cyclic:7'")
-        if pi:
-            p.add_argument("--pi", required=True, help="comma-separated primes")
-        if sigma_tau:
-            p.add_argument("--sigma", required=True, help="comma-separated primes")
-            p.add_argument("--tau", required=True, help="comma-separated primes")
+            one = p.add_mutually_exclusive_group(required=True)
+            one.add_argument("--group", help=group_help)
+            one.add_argument("--factors", help="composition factors, e.g. 'Alt:5,Cyclic:7'")
+        elif group:
+            p.add_argument("--group", required=True, help=group_help)
+        for flag in primes:
+            p.add_argument(f"--{flag}", required=True, type=_parse_pi,
+                           help="comma-separated primes")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    add_common(sub.add_parser("check", help="arithmetic D_pi verdict"),
-               group=True, factors=True, pi=True)
-    add_common(sub.add_parser("brute", help="brute-force D_pi / E_pi"),
-               group=True, pi=True)
-    add_common(sub.add_parser("crosscheck", help="criterion vs brute sweep"),
-               group=True)
-    add_common(sub.add_parser("split", help="sigma/tau split verdict"),
-               group=True, factors=True, sigma_tau=True)
-    add_common(sub.add_parser("tables", help="dump embedded tables"))
-    add_common(sub.add_parser("corpus", help="full cross-validation sweep"))
+    add("check", _cmd_check, "arithmetic D_pi verdict", factors=True, primes=["pi"])
+    add("brute", _cmd_brute, "brute-force D_pi / E_pi", group=True, primes=["pi"])
+    add("crosscheck", _cmd_crosscheck, "criterion vs brute sweep", group=True)
+    add("split", _cmd_split, "sigma/tau split verdict", factors=True,
+        primes=["sigma", "tau"])
+    add("tables", _cmd_tables, "dump embedded tables")
+    add("corpus", _cmd_corpus, "full cross-validation sweep")
     return parser
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "brute": _cmd_brute,
-    "crosscheck": _cmd_crosscheck,
-    "split": _cmd_split,
-    "tables": _cmd_tables,
-    "corpus": _cmd_corpus,
-}
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("check", "split") and bool(args.group) == bool(args.factors):
-        print("error: give one of --group / --factors, not both" if args.group
-              else "error: one of --group / --factors is required", file=sys.stderr)
-        return EXIT_ERROR
-    if args.command in ("brute", "crosscheck") and not getattr(args, "group", None):
-        print("error: --group is required", file=sys.stderr)
-        return EXIT_ERROR
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

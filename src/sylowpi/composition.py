@@ -25,9 +25,6 @@ class CyclicFactor:
     def __str__(self) -> str:
         return f"Cyclic({self.p})"
 
-    def spec(self) -> str:
-        return f"Cyclic:{self.p}"
-
 
 Factor = SimpleGroupId | CyclicFactor
 

@@ -972,10 +972,5 @@ def reproduce_table1(n: int) -> bool:
         gens, expected = direct_product(_sym(4), _sym(4)).generators + (block_swap,), 1152
     else:
         raise ValueError("only degrees 7 and 8 have special table rows")
-    order = PermGroup(n, gens).order
-    if order != expected or order != pi_part(math.factorial(n), {2, 3}):
-        return False
-    if not prime_divisors(order) <= {2, 3}:
-        return False
-    cofactor = math.factorial(n) // order
-    return math.gcd(cofactor, 6) == 1
+    # a {2,3}-part of n! is a {2,3}-number whose index is prime to 6
+    return PermGroup(n, gens).order == expected == pi_part(math.factorial(n), {2, 3})

@@ -108,6 +108,12 @@ def test_validate_lie_exclusions():
     rejected("D(n,q) requires n >= 4", lambda: lie("D", 7, n=3))     # rank too small
 
 
+def test_validate_parameters():
+    rejected("type A needs a rank parameter", lambda: lie("A", 7))
+    rejected("type E8 takes no rank parameter", lambda: lie("E8", 2, n=3))
+    rejected("unknown family 'X'", lambda: catalog.SimpleGroupId(family="X"))
+
+
 def test_orders_classical():
     # |PSL(2,q)| = q(q^2-1)/gcd(2,q-1)
     for q in (4, 5, 7, 8, 9, 11):

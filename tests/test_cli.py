@@ -63,23 +63,37 @@ def test_check_json_round_trip(capsys):
 
 
 def test_parse_errors_exit_2(capsys):
+    # a group spec is a domain error, which run() maps to exit 2
     code, _, err = run_cli(capsys, "check", "--group", "Alt:banana", "--pi", "2")
     assert code == EXIT_ERROR and "error" in err
-    code, _, err = run_cli(capsys, "check", "--group", "Alt:5", "--pi", "2,4")
-    assert code == EXIT_ERROR
-    code, _, err = run_cli(capsys, "check", "--group", "Alt:5", "--pi", "2,2")
-    assert code == EXIT_ERROR  # duplicates rejected
-    code, _, err = run_cli(capsys, "check", "--pi", "2")
-    assert code == EXIT_ERROR  # neither --group nor --factors
+    # the prime lists and the choice of group are argparse's: usage, exit 2
+    for argv, reason in [(["--group", "Alt:5", "--pi", "2,4"], "4 is not prime"),
+                         (["--group", "Alt:5", "--pi", "2,2"], "duplicate prime 2"),
+                         (["--pi", "2"], "one of the arguments --group --factors is required")]:
+        with pytest.raises(SystemExit) as exc:
+            run(["check", *argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_ERROR and "usage:" in err and reason in err
 
 
 @pytest.mark.parametrize("command", ["check", "split"])
 def test_group_and_factors_together_exit_2(capsys, command):
     # neither flag may be dropped without a word: each names a different group
     primes = ["--pi", "2,3"] if command == "check" else ["--sigma", "2", "--tau", "3"]
-    code, out, err = run_cli(capsys, command, "--group", "Alt:5", "--factors", "Alt:6", *primes)
-    assert code == EXIT_ERROR and out == ""
-    assert "give one of --group / --factors, not both" in err
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--group", "Alt:5", "--factors", "Alt:6", *primes])
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_ERROR and out == ""
+    assert "argument --factors: not allowed with argument --group" in err
+
+
+@pytest.mark.parametrize("argv", [["brute", "--pi", "2"], ["crosscheck"]])
+def test_brute_and_crosscheck_require_a_group(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_ERROR and out == ""
+    assert "the following arguments are required: --group" in err
 
 
 @pytest.mark.parametrize("argv", [("check", "--factors", "Cyclic:x", "--pi", "2"),
@@ -92,6 +106,21 @@ def test_unparsable_number_names_the_spec(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     spec = argv[2].split(",")[-1]
     assert code == EXIT_ERROR and f"cannot parse group spec {spec!r}" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["brute", "--group", "Alt:7,Alt:5"], "product order 151200 exceeds the bound 10080"),
+    (["brute", "--group", "Sym:4"], "Sym(4) is not a built-in realization"),
+    (["check", "--group", "Lie:Z:5"], "unknown Lie type 'Z'"),
+    (["check", "--group", "Lie:A:2:6"], "q = 6 is not a prime power"),
+    (["check", "--group", "Lie:A:1:7"], "A(n-1,q) requires n >= 2"),
+    (["check", "--group", "Lie:B:1:3"], "B(n,q) requires n >= 2"),
+    # an empty --factors is still the one given, not a missing --group
+    (["check", "--factors", ""], "composition spec needs at least one factor"),
+])
+def test_domain_refusals_exit_2(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv, "--pi", "2")
+    assert code == EXIT_ERROR and out == "" and f"error: {reason}" in err
 
 
 def test_check_alternating_without_its_order(capsys, monkeypatch):

@@ -184,6 +184,75 @@ def test_decide_dpi_simple_witnesses():
     assert v.dpi and v.witness.condition == "I"  # lowest-numbered witness wins
 
 
+# One (G, pi) per subcase of Conditions IV and V, found by a scan over the
+# code's own conditions.  These pin what the code decides today; no
+# independent oracle has checked them.  V(7) has no case: V(6) is tried
+# first and accepts every input that V(7) accepts.
+@pytest.mark.parametrize("spec, pi, condition, subcase, bindings", [
+    ("Lie:A:3:2", {3, 7}, "IV", 1, {"a": 2, "b": 3, "r": 3, "t": 7, "tau": [7]}),
+    ("Lie:A:5:2", {3, 7}, "IV", 2, {"a": 2, "b": 3, "r": 3, "t": 7, "tau": [7]}),
+    ("Lie:2A:5:2", {5, 11}, "IV", 3, {"a": 4, "b": 10, "r": 5, "t": 11, "tau": [11]}),
+    ("Lie:2A:3:4", {3, 13}, "IV", 4, {"a": 1, "b": 6, "r": 3, "t": 13, "tau": [13]}),
+    ("Lie:2A:9:2", {5, 11}, "IV", 5, {"a": 4, "b": 10, "r": 5, "t": 11, "tau": [11]}),
+    ("Lie:2A:5:4", {3, 13}, "IV", 6, {"a": 1, "b": 6, "r": 3, "t": 13, "tau": [13]}),
+    ("Lie:2D:6:4", {7, 13}, "IV", 7, {"a": 3, "b": 6, "r": 7, "t": 13, "tau": [13]}),
+    ("Lie:2D:6:3", {7, 13}, "IV", 8, {"a": 6, "b": 3, "r": 7, "t": 13, "tau": [13]}),
+    ("Lie:A:2:16", {3, 5}, "V", 1, {"c": 1, "r": 3, "tau": [5]}),
+    ("Lie:2A:4:8", {5, 13}, "V", 2, {"c": 4, "r": 5, "tau": [13]}),
+    ("Lie:2A:3:17", {7, 13}, "V", 3, {"c": 6, "r": 7, "tau": [13]}),
+    ("Lie:2A:3:16", {3, 5}, "V", 4, {"c": 1, "r": 3, "tau": [5]}),
+    ("Lie:B:2:16", {3, 5}, "V", 5, {"c": 1, "r": 3, "tau": [5]}),
+    ("Lie:B:2:8", {5, 13}, "V", 6, {"c": 4, "r": 5, "tau": [13]}),
+    ("Lie:2D:4:16", {3, 5}, "V", 8, {"c": 1, "r": 3, "tau": [5]}),
+    ("Lie:3D4:9", {7, 13}, "V", 9, {"c": 3, "r": 7, "tau": [13]}),
+    ("Lie:E6:4", {11, 31}, "V", 10, {"c": 5, "r": 11, "tau": [31]}),
+    ("Lie:2E6:3", {19, 37}, "V", 11, {"c": 18, "r": 19, "tau": [37]}),
+    ("Lie:E7:3", {19, 37}, "V", 12, {"c": 18, "r": 19, "tau": [37]}),
+    ("Lie:E8:3", {19, 37}, "V", 13, {"c": 18, "r": 19, "tau": [37]}),
+    ("Lie:G2:9", {7, 13}, "V", 14, {"c": 3, "r": 7, "tau": [13]}),
+    ("Lie:F4:8", {5, 13}, "V", 15, {"c": 4, "r": 5, "tau": [13]}),
+])
+def test_each_subcase_of_IV_and_V_is_a_witness(spec, pi, condition, subcase, bindings):
+    v = decide_dpi_simple(parse_group(spec), frozenset(pi))
+    assert v.dpi
+    assert (v.witness.condition, v.witness.subcase) == (condition, subcase)
+    assert v.witness.bindings == bindings
+
+
+def isomorphic_classes():
+    """Groups that the catalog names more than once, one tuple per group."""
+    yield alt(5), lie("A", 4, n=2), lie("A", 5, n=2)
+    yield alt(6), lie("A", 9, n=2)
+    yield lie("A", 7, n=2), lie("A", 2, n=3)
+    yield alt(8), lie("A", 2, n=4)
+    yield lie("B", 3, n=2), lie("2A", 2, n=4)  # PSp(4,3) = PSU(4,2)
+    for q in range(3, 130):
+        if catalog.prime_power(q):
+            yield lie("B", q, n=2), lie("C", q, n=2)
+    for n in (3, 4, 5):
+        for k in range(1, 6):
+            yield lie("B", 2**k, n=n), lie("C", 2**k, n=n)
+
+
+def test_isomorphic_groups_get_one_verdict():
+    # 65 pairs and 9,030 (pair, pi) rows with 1 <= |pi| <= 4, in about 1 s;
+    # 11 rows agree through different witnesses: III against IV(1), and
+    # VII(2) against VII(3)
+    reached = set()
+    for group in isomorphic_classes():
+        orders = {catalog.order_of(g) for g in group}
+        assert len(orders) == 1, group
+        spectrum = sorted(prime_divisors(orders.pop()))
+        for k in range(1, 5):
+            for pi in itertools.combinations(spectrum, k):
+                verdicts = [decide_dpi_simple(g, frozenset(pi)) for g in group]
+                assert len({v.dpi for v in verdicts}) == 1, (group, pi)
+                reached |= {(v.witness.condition, v.witness.subcase)
+                            for v in verdicts if v.dpi}
+    assert reached == {("I", None), ("III", None), ("IV", 1), ("V", 5), ("V", 6),
+                       ("VII", 2), ("VII", 3)}
+
+
 def test_a_pi_that_holds_1_is_refused():
     # in a process of its own, so that a hang fails this test at its timeout
     # and not the whole suite
