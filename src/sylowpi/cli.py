@@ -108,15 +108,6 @@ def _cmd_check(args) -> int:
 
 
 def _hall_report_dict(r: HallReport) -> dict:
-    structural = None
-    if r.structural is not None:
-        structural = {
-            "hall_solvable": r.structural["hall_solvable"],
-            "nilpotent_factor_per_partition": [
-                {"sigma": list(s), "tau": list(t), "holds": ok}
-                for (s, t), ok in sorted(r.structural["nilpotent_factor_per_partition"].items())
-            ],
-        }
     return {
         "pi": sorted(r.pi),
         "pi_effective": sorted(r.pi_effective),
@@ -127,7 +118,7 @@ def _hall_report_dict(r: HallReport) -> dict:
             {"order": c.order, "class_size": c.class_size}
             for c in r.maximal_classes
         ],
-        "structural": structural,
+        "structural": r.structural,
     }
 
 
@@ -196,7 +187,7 @@ def sweep(spec: str) -> SweepResult:
                 partitions = r.structural["nilpotent_factor_per_partition"]
                 if not r.structural["hall_solvable"]:
                     out.violations.append((spec, sorted(pi), "Hall subgroup not solvable"))
-                if not all(partitions.values()):
+                if not all(p["holds"] for p in partitions):
                     out.violations.append((spec, sorted(pi), "no nilpotent factor", partitions))
             for sigma, tau in _two_part_partitions(pi):
                 splits = [s for c in r.hall_classes if (s := split_hall(g, c.rep, sigma, tau))]

@@ -176,6 +176,9 @@ class SubgroupClass:
 
 @dataclass
 class HallReport:
+    """The maximal pi-subgroup classes of a group and its E_pi/D_pi verdict.
+    `structural` is None unless a pi-Hall subgroup exists and the flags were
+    asked for; otherwise it is _structural_flags' dict, as JSON prints it."""
     pi: frozenset[int]
     pi_effective: frozenset[int]
     hall_order: int
@@ -210,7 +213,7 @@ class PermGroup:
         self._keys = _bytes_keys(self.perms)
         self.order = len(self.perms)
         self.name = name or f"group of order {self.order} on {degree} points"
-        self.identity = int(self.lookup(np.arange(degree)[None])[0])
+        self.identity = 0  # the least permutation: row 0 of the sorted rows, a product's too
         self._table: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._orders = self._kinds = self._kind = None  # see element_orders
@@ -891,8 +894,12 @@ def _two_part_partitions(primes: frozenset[int]):
 
 
 def _structural_flags(g: PermGroup, report: HallReport, pi_classes) -> dict:
+    """The structural-lemma flags, in the shape that `brute --json` prints:
+    whether the pi-Hall subgroups are solvable, and one {sigma, tau, holds}
+    per two-part partition of pi_effective, sorted by (sigma, tau), holding
+    when every pi-Hall subgroup has a nilpotent sigma- or tau-Hall subgroup."""
     solvable = all(g.is_solvable_set(c.rep) for c in report.hall_classes)
-    partitions = {}
+    partitions = []
     hosts = [_member_mask(g, c) for c in report.hall_classes]
     for sigma, tau in _two_part_partitions(report.pi_effective):
         ok = True
@@ -902,8 +909,8 @@ def _structural_flags(g: PermGroup, report: HallReport, pi_classes) -> dict:
             has_nilpotent = ((s_hall is not None and g.is_nilpotent_set(s_hall))
                              or (t_hall is not None and g.is_nilpotent_set(t_hall)))
             ok = ok and has_nilpotent
-        key = (tuple(sorted(sigma)), tuple(sorted(tau)))
-        partitions[key] = ok
+        partitions.append({"sigma": sorted(sigma), "tau": sorted(tau), "holds": ok})
+    partitions.sort(key=lambda p: (p["sigma"], p["tau"]))
     return {"hall_solvable": solvable, "nilpotent_factor_per_partition": partitions}
 
 

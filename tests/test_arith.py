@@ -124,6 +124,15 @@ def test_fermat_primes():
             assert is_fermat_prime(t) == (t in fermat), t
 
 
+def test_refusals_and_non_fermat_values():
+    # _pollard_rho's ArithmeticError stays untested: no odd composite is known
+    # on which x^2 + c fails for every c = 1..49
+    for call in (lambda: prime_divisors(0), lambda: r_part(0, 2)):
+        with pytest.raises(ValueError, match="expected a positive integer, got 0"):
+            call()
+    assert not is_fermat_prime(9)  # 2^3 + 1, but not prime
+
+
 def test_eps_mod4():
     assert eps_mod4(5) == 1
     assert eps_mod4(9) == 1

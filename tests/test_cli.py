@@ -387,6 +387,35 @@ def test_sweep_reports_a_final_corollary_violation(monkeypatch):
     assert result.violations == [("Cyclic:3,Cyclic:5", [3, 5], "final corollary", (3,), (5,))]
 
 
+def test_sweep_reports_an_unsolvable_hall_subgroup(monkeypatch):
+    # PSL(2,7) meets the lemmas' hypothesis at pi = {3, 7} alone
+    monkeypatch.setattr(permbrute.PermGroup, "is_solvable_set", lambda self, subset: False)
+    result = sweep("Lie:A:2:7")
+    assert result.violations == [("Lie:A:2:7", [3, 7], "Hall subgroup not solvable")]
+
+
+def test_sweep_reports_no_nilpotent_factor(capsys, monkeypatch):
+    monkeypatch.setattr(permbrute.PermGroup, "is_nilpotent_set", lambda self, subset: False)
+    result = sweep("Lie:A:2:7")
+    partitions = [{"sigma": [3], "tau": [7], "holds": False}]
+    assert result.violations == [("Lie:A:2:7", [3, 7], "no nilpotent factor", partitions)]
+    code, out, _ = run_cli(capsys, "corpus")
+    assert code == EXIT_DISAGREE and "3 structural violations" in out
+
+
+def test_crosscheck_prints_a_disagreement(capsys, monkeypatch):
+    decide = cli.decide_dpi_composite
+
+    def flipped(factors, pi):
+        v = decide(factors, pi)
+        return dataclasses.replace(v, dpi=v.dpi != (pi == {3, 7}))
+
+    monkeypatch.setattr(cli, "decide_dpi_composite", flipped)
+    code, out, _ = run_cli(capsys, "crosscheck", "--group", "Lie:A:2:7")
+    assert code == EXIT_DISAGREE
+    assert "1 disagreements" in out and "DISAGREE pi=[3, 7]: brute=True, criterion=False" in out
+
+
 # the lemma flags are built only where the lemmas' hypothesis holds
 @pytest.mark.parametrize("spec, hits", [("Alt:5", 0), ("Lie:A:2:7", 1),
                                         ("Alt:5,Cyclic:7", 3), ("Cyclic:3,Cyclic:5", 0)])

@@ -105,6 +105,14 @@ def test_condition_IV_gates():
     assert not condition_IV(sporadic("M11"), frozenset({5, 11})).holds
 
 
+def test_conditions_IV_and_V_refuse_a_pi_outside_the_order():
+    # 7 does not divide |PSL(3,5)|, so pi_effective is empty.  The fall-through
+    # returns at the end of condition_V and condition_VII stay untested: every
+    # Lie type that their gates let through has its own branch
+    for condition in (condition_IV, condition_V):
+        assert not condition(lie("A", 5, n=3), frozenset({7})).holds
+
+
 def test_condition_V():
     # PSL(2,16): r=3, c=e(16,3)=1, e(16,5)=1, n=2 < 1*5: item 1
     r = condition_V(lie("A", 16, n=2), frozenset({3, 5}))

@@ -138,6 +138,30 @@ def test_realize_refuses_a_huge_degree_without_its_order():
         realize("Alt:1000000")
 
 
+def test_safety_branches_raise():
+    with pytest.raises(ValueError, match="not a permutation of degree 3"):
+        PermGroup(3, [(0, 0, 1)])
+    # {e, (0 1), (0 1 2), (0 2 1)} is not a subgroup: no Sylow 2-subgroup grows
+    g = realize("Sym:5")
+    subset = g.lookup(np.array([(0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (1, 2, 0, 3, 4),
+                                (2, 0, 1, 3, 4)]))
+    with pytest.raises(RuntimeError, match="Sylow ascent stalled"):
+        g.sylow_in(set(subset.tolist()), 2)
+
+
+def test_realize_checks_the_built_order(monkeypatch):
+    monkeypatch.setattr(permbrute, "_alt", _sym)
+    monkeypatch.setattr(permbrute, "_REALIZE_CACHE", {})
+    with pytest.raises(RuntimeError, match="realization of Alt\\(5\\) has order 120, expected 60"):
+        realize("Alt:5")
+
+
+@pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Sym:5", "Alt:5,Cyclic:7", None))
+def test_element_0_is_the_identity(spec):
+    g = PermGroup(3, []) if spec is None else realize(spec)
+    assert tuple(g.perms[0].tolist()) == identity_perm(g.degree), spec
+
+
 def test_realize_psl27_degree_and_transitivity():
     g = realize("Lie:A:2:7")
     assert g.degree == 8 and g.order == 168
@@ -366,7 +390,7 @@ def test_lattice_is_pinned():
                 r = maximal_pi_subgroups(g, pi)
                 h.update(repr((r.epi, r.dpi, [sorted(c.rep) for c in r.maximal_classes],
                                r.structural)).encode())
-    assert h.hexdigest()[:16] == "5a5f2947190e5c7e"
+    assert h.hexdigest()[:16] == "3a0b0283dc9c8833"
 
 
 @pytest.mark.parametrize("spec", ("Sym:5", "Lie:A:2:7", "Alt:5,Cyclic:7", "Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2"))
