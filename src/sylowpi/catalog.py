@@ -19,8 +19,8 @@ Suzuki-Ree families keep explicit formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
+from typing import NamedTuple
 
 from .arith import is_prime, prime_divisors
 
@@ -90,26 +90,28 @@ _EXCEPTIONAL_DEGREES = {
 _EXCEPTIONAL_DEGREES["2E6"] = _EXCEPTIONAL_DEGREES["E6"]
 
 
-@dataclass(frozen=True)
-class SimpleGroupId:
+class _GroupFields(NamedTuple):
+    family: str
+    n: int | None = None
+    q: int | None = None
+    lie_type: str | None = None
+    name: str | None = None
+
+
+class SimpleGroupId(_GroupFields):
     """Identifier of a finite simple group.
 
     family is "Alt", "Spor" or "Lie".  Alt carries n; Spor carries name;
     Lie carries lie_type, q, and (for classical types) the linear rank n,
     so lie("A", q, n=2) is A_1(q) = PSL(2, q).  A Lie id also carries p,
     the characteristic (q = p^f), which validation finds; it is None for
-    the other families.
+    the other families.  Ids compare and hash as the tuple of the five
+    fields, which are read-only; p is not one of them.
     """
 
-    family: str
-    n: int | None = None
-    q: int | None = None
-    lie_type: str | None = None
-    name: str | None = None
-    p: int | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", ensure_valid(self))
+    def __init__(self, *fields, **named):
+        # the tuple's __new__ has stored the fields; validation finds p
+        self.p = ensure_valid(self)
 
     @cached_property
     def order(self) -> int:
@@ -141,8 +143,7 @@ class SimpleGroupId:
         return f"Lie:{self.lie_type}:{self.q}"
 
 
-@dataclass(frozen=True)
-class GroupFacts:
+class GroupFacts(NamedTuple):
     order: int
     spectrum: frozenset[int]
 

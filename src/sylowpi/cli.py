@@ -19,7 +19,9 @@ is "error: ..." on stderr, exit 2.
 
 Only brute, crosscheck and corpus import the brute-force engine, and numpy
 with it, and they do so when they run; check and split load the arithmetic
-modules alone, and tables the embedded tables.
+modules alone, and tables the embedded tables.  No module of the package
+imports dataclasses, which would load inspect, ast and dis into every
+process: its records are NamedTuples and small plain classes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .arith import prime_divisors, prime_set
@@ -139,16 +140,19 @@ def _cmd_brute(args) -> int:
     return EXIT_TRUE if r.dpi else EXIT_FALSE
 
 
-@dataclass
 class SweepResult:
     """One row per pi; one violation tuple (spec, pi, lemma, ...) per failed
     structural lemma; hit counts of the cases where the lemmas applied."""
-    rows: list[dict] = field(default_factory=list)
-    disagreements: int = 0
-    violations: list[tuple] = field(default_factory=list)
-    hypothesis_hits: int = 0
-    corollary_hits: int = 0
-    split_hits: int = 0
+
+    def __init__(self, rows: list[dict] | None = None, disagreements: int = 0,
+                 violations: list[tuple] | None = None, hypothesis_hits: int = 0,
+                 corollary_hits: int = 0, split_hits: int = 0):
+        self.rows = [] if rows is None else rows
+        self.disagreements = disagreements
+        self.violations = [] if violations is None else violations
+        self.hypothesis_hits = hypothesis_hits
+        self.corollary_hits = corollary_hits
+        self.split_hits = split_hits
 
 
 def sweep(spec: str) -> SweepResult:

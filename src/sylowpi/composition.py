@@ -11,15 +11,14 @@ labeled conditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import is_prime
 from .catalog import SimpleGroupId, parse_group, spec_number
 from .criterion import Verdict, decide_dpi_simple
 
 
-@dataclass(frozen=True)
-class CyclicFactor:
+class CyclicFactor(NamedTuple):
     p: int
 
     def __str__(self) -> str:
@@ -29,31 +28,24 @@ class CyclicFactor:
 Factor = SimpleGroupId | CyclicFactor
 
 
-@dataclass(frozen=True)
 class CompositionSpec:
-    factors: tuple[Factor, ...]
-
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[Factor, ...]):
+        if not factors:
             raise ValueError("composition spec needs at least one factor")
-        for f in self.factors:
+        for f in factors:
             if isinstance(f, CyclicFactor) and not is_prime(f.p):
                 raise ValueError(f"cyclic factor order {f.p} is not prime")
+        self.factors = factors
 
 
-@dataclass
 class SplitHypothesis:
-    sigma: frozenset[int]
-    tau: frozenset[int]
-    hall_split_assumed: bool
-
-    def __post_init__(self):
-        if self.sigma & self.tau:
-            raise ValueError(f"sigma and tau overlap: {sorted(self.sigma & self.tau)}")
+    def __init__(self, sigma: frozenset[int], tau: frozenset[int], hall_split_assumed: bool):
+        if sigma & tau:
+            raise ValueError(f"sigma and tau overlap: {sorted(sigma & tau)}")
+        self.sigma, self.tau, self.hall_split_assumed = sigma, tau, hall_split_assumed
 
 
-@dataclass
-class CompositeVerdict:
+class CompositeVerdict(NamedTuple):
     dpi: bool
     pi: frozenset[int]
     trace: list[tuple[str, bool, str]]  # (factor, dpi, witness text)

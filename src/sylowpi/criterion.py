@@ -16,7 +16,7 @@ and the group order are never factored, however large q is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import eps_mod4, is_fermat_prime, mult_order, prime_divisors, prime_set, r_part
 from .catalog import (
@@ -28,12 +28,14 @@ from .catalog import (
 )
 
 
-@dataclass
 class ConditionReport:
-    condition: str
-    holds: bool
-    subcase: int | None = None
-    bindings: dict = field(default_factory=dict)
+    """Whether one condition holds, the subcase that does, and the symbol
+    bindings the evaluator used (a fresh dict unless one is passed)."""
+
+    def __init__(self, condition: str, holds: bool, subcase: int | None = None,
+                 bindings: dict | None = None):
+        self.condition, self.holds, self.subcase = condition, holds, subcase
+        self.bindings = {} if bindings is None else bindings
 
     def describe(self) -> str:
         name = f"Condition {self.condition}"
@@ -42,8 +44,7 @@ class ConditionReport:
         return name
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     dpi: bool
     witness: ConditionReport | None
     group: SimpleGroupId

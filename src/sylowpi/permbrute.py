@@ -70,7 +70,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,15 +150,16 @@ def _closure(gens: np.ndarray, degree: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # groups
 
-@dataclass(eq=False)
 class SubgroupClass:
     """One conjugacy class of subgroups: every conjugate as a row of the
     int16 array `conjugates` (class_size x order), the row its element
     indices in increasing order, the rows in the order of their bytes.  Row
     0, the conjugate with the least bytes, is the representative, which
     `rep` gives as a frozenset, built on first use; `class_size` and `order`
-    are the array's shape."""
-    conjugates: np.ndarray
+    are the array's shape.  Classes compare by identity."""
+
+    def __init__(self, conjugates: np.ndarray):
+        self.conjugates = conjugates
 
     @property
     def class_size(self) -> int:
@@ -174,18 +174,21 @@ class SubgroupClass:
         return frozenset(self.conjugates[0].tolist())
 
 
-@dataclass
 class HallReport:
     """The maximal pi-subgroup classes of a group and its E_pi/D_pi verdict.
     `structural` is None unless a pi-Hall subgroup exists and the flags were
     asked for; otherwise it is _structural_flags' dict, as JSON prints it."""
-    pi: frozenset[int]
-    pi_effective: frozenset[int]
-    hall_order: int
-    epi: bool
-    dpi: bool
-    maximal_classes: list[SubgroupClass]
-    structural: dict | None = None
+
+    def __init__(self, pi: frozenset[int], pi_effective: frozenset[int], hall_order: int,
+                 epi: bool, dpi: bool, maximal_classes: list[SubgroupClass],
+                 structural: dict | None = None):
+        self.pi, self.pi_effective, self.hall_order = pi, pi_effective, hall_order
+        self.epi, self.dpi, self.maximal_classes = epi, dpi, maximal_classes
+        self.structural = structural
+
+    def _replace(self, **changes) -> HallReport:
+        """A copy with the given fields changed, as a NamedTuple's."""
+        return HallReport(**{**vars(self), **changes})
 
     @property
     def hall_classes(self) -> list[SubgroupClass]:
@@ -845,8 +848,9 @@ def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallR
     E_pi/D_pi verdict.  Each pi-class, largest first, is tested against the
     maximal ones found so far: a non-maximal one lies in a larger maximal one."""
     pi = frozenset(pi)
-    classes = g.subgroup_classes()
-    pi_classes = [c for c in classes if pi_part(c.order, pi) == c.order]
+    hall_order = pi_part(g.order, pi)
+    # a class order divides |G|, so it is a pi-number when it divides |G|_pi
+    pi_classes = [c for c in g.subgroup_classes() if hall_order % c.order == 0]
     maximal, masks = [], []
     for c in reversed(pi_classes):
         if not any(d.order > c.order and d.order % c.order == 0
@@ -855,19 +859,11 @@ def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallR
             maximal.append(c)
             masks.append(_member_mask(g, c))
     maximal.reverse()
-    hall_order = pi_part(g.order, pi)
-    epi = any(c.order == hall_order for c in maximal)
-    dpi = len(maximal) == 1
-    report = HallReport(
-        pi=pi,
-        pi_effective=pi & prime_divisors(g.order),
-        hall_order=hall_order,
-        epi=epi,
-        dpi=dpi,
-        maximal_classes=maximal,
-    )
-    if epi and with_structure:
-        report.structural = _structural_flags(g, report, pi_classes)
+    report = HallReport(pi, pi & prime_divisors(g.order), hall_order,
+                        epi=any(c.order == hall_order for c in maximal),
+                        dpi=len(maximal) == 1, maximal_classes=maximal)
+    if report.epi and with_structure:
+        report = report._replace(structural=_structural_flags(g, report, pi_classes))
     return report
 
 

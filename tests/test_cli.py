@@ -1,6 +1,5 @@
 """CLI dispatch, exit codes, and JSON report round-trips."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -219,7 +218,8 @@ def test_process_exit_status(argv, code):
 def test_arithmetic_commands_load_neither_numpy_nor_the_engine():
     """check, split and tables run on the arithmetic modules and the tables
     alone, so a fresh process that runs them imports neither numpy nor
-    sylowpi.permbrute.  The package's brute-force names are still the
+    sylowpi.permbrute, and no module of the package imports dataclasses
+    (which loads inspect).  The package's brute-force names are still the
     engine's, looked up on first access."""
     script = textwrap.dedent("""
         import contextlib, io, json, sys
@@ -232,20 +232,25 @@ def test_arithmetic_commands_load_neither_numpy_nor_the_engine():
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.run(argv) for argv in runs]
         loaded = [m for m in ("numpy", "sylowpi.permbrute") if m in sys.modules]
+        arith = {m: m in sys.modules for m in ("dataclasses", "inspect")}
         from sylowpi import PermGroup, is_dpi_brute, maximal_pi_subgroups, realize
         from sylowpi import permbrute
         same = [PermGroup is permbrute.PermGroup, realize is permbrute.realize,
                 maximal_pi_subgroups is permbrute.maximal_pi_subgroups,
                 is_dpi_brute is permbrute.is_dpi_brute]
-        print(json.dumps([codes, loaded, same]))
+        engine = "dataclasses" in sys.modules
+        print(json.dumps([codes, loaded, arith, same, engine]))
     """)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    codes, loaded, same = json.loads(out.stdout)
+    codes, loaded, arith, same, engine = json.loads(out.stdout)
     assert codes == [EXIT_FALSE, EXIT_TRUE, EXIT_TRUE, EXIT_FALSE, EXIT_TRUE]
     assert loaded == [] and same == [True] * 4
+    assert not arith["dataclasses"]
+    assert not arith["inspect"]
+    assert not engine  # numpy loads inspect, but not dataclasses
     assert sylowpi.__all__ == [
         "SimpleGroupId", "alt", "lie", "sporadic", "parse_group",
         "CompositionSpec", "CyclicFactor", "decide_dpi_composite", "parse_factors",
@@ -371,7 +376,7 @@ def test_sweep_checks_split_merge(monkeypatch):
 
     def no_dpi_for_3(g, pi, *args, **kwargs):
         r = orig(g, pi, *args, **kwargs)
-        return dataclasses.replace(r, dpi=False) if pi == {3} else r
+        return r._replace(dpi=False) if pi == {3} else r
 
     # C3 x C5 splits as C3 x C5: a false D_3 must contradict D_{3,5}
     monkeypatch.setattr(permbrute, "maximal_pi_subgroups", no_dpi_for_3)
@@ -408,7 +413,7 @@ def test_crosscheck_prints_a_disagreement(capsys, monkeypatch):
 
     def flipped(factors, pi):
         v = decide(factors, pi)
-        return dataclasses.replace(v, dpi=v.dpi != (pi == {3, 7}))
+        return v._replace(dpi=v.dpi != (pi == {3, 7}))
 
     monkeypatch.setattr(cli, "decide_dpi_composite", flipped)
     code, out, _ = run_cli(capsys, "crosscheck", "--group", "Lie:A:2:7")
