@@ -144,15 +144,13 @@ class SweepResult:
     """One row per pi; one violation tuple (spec, pi, lemma, ...) per failed
     structural lemma; hit counts of the cases where the lemmas applied."""
 
-    def __init__(self, rows: list[dict] | None = None, disagreements: int = 0,
-                 violations: list[tuple] | None = None, hypothesis_hits: int = 0,
-                 corollary_hits: int = 0, split_hits: int = 0):
-        self.rows = [] if rows is None else rows
-        self.disagreements = disagreements
-        self.violations = [] if violations is None else violations
-        self.hypothesis_hits = hypothesis_hits
-        self.corollary_hits = corollary_hits
-        self.split_hits = split_hits
+    def __init__(self):
+        self.rows: list[dict] = []
+        self.disagreements = 0
+        self.violations: list[tuple] = []
+        self.hypothesis_hits = 0
+        self.corollary_hits = 0
+        self.split_hits = 0
 
 
 def sweep(spec: str) -> SweepResult:

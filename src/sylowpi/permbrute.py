@@ -70,6 +70,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,21 +175,18 @@ class SubgroupClass:
         return frozenset(self.conjugates[0].tolist())
 
 
-class HallReport:
+class HallReport(NamedTuple):
     """The maximal pi-subgroup classes of a group and its E_pi/D_pi verdict.
     `structural` is None unless a pi-Hall subgroup exists and the flags were
     asked for; otherwise it is _structural_flags' dict, as JSON prints it."""
 
-    def __init__(self, pi: frozenset[int], pi_effective: frozenset[int], hall_order: int,
-                 epi: bool, dpi: bool, maximal_classes: list[SubgroupClass],
-                 structural: dict | None = None):
-        self.pi, self.pi_effective, self.hall_order = pi, pi_effective, hall_order
-        self.epi, self.dpi, self.maximal_classes = epi, dpi, maximal_classes
-        self.structural = structural
-
-    def _replace(self, **changes) -> HallReport:
-        """A copy with the given fields changed, as a NamedTuple's."""
-        return HallReport(**{**vars(self), **changes})
+    pi: frozenset[int]
+    pi_effective: frozenset[int]
+    hall_order: int
+    epi: bool
+    dpi: bool
+    maximal_classes: list[SubgroupClass]
+    structural: dict | None = None
 
     @property
     def hall_classes(self) -> list[SubgroupClass]:
@@ -880,8 +878,6 @@ def _find_hall_inside(pi_classes, host: np.ndarray,
 
 def _two_part_partitions(primes: frozenset[int]):
     primes = sorted(primes)
-    if len(primes) < 2:
-        return
     rest = primes[1:]
     for mask in range(2 ** len(rest) - 1):
         sigma = {primes[0]} | {p for i, p in enumerate(rest) if mask >> i & 1}

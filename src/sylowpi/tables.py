@@ -3,6 +3,8 @@ alternating, sporadic and Tits groups.
 
 The tables are embedded as source-level data: they are part of the
 program's correctness surface, so a checksum test pins them bit-exactly.
+Table 2 (odd pi) is not written out: its rows are Condition II's pairs
+from `criterion`, which have D_pi and so E_pi, and ON at {3, 5}.
 The symmetric-group table keeps its "n prime" row symbolic and evaluates
 pi((n-1)!) on demand.  Each lookup answers every pi: "G" when pi(G) lies
 within pi, "Sylow" when pi meets pi(G) in at most one prime, else the
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from .arith import is_prime, prime_set
 from .catalog import pi_effective, sporadic, spectrum_within
+from .criterion import CONDITION_II_ITEMS
 
 
 def primes_upto(n: int) -> frozenset[int]:
@@ -26,39 +29,13 @@ _SYM_SPECIAL = (
     (8, frozenset({2, 3}), "Sym_4 wr Sym_2"),
 )
 
-# sporadic groups with a pi-Hall subgroup for 2 not in pi (|pi ^ pi(G)| > 1)
-SPORADIC_ODD_ROWS: tuple[tuple[str, frozenset[int]], ...] = (
-    ("M11", frozenset({5, 11})),
-    ("M12", frozenset({5, 11})),
-    ("M22", frozenset({5, 11})),
-    ("M23", frozenset({5, 11})),
-    ("M23", frozenset({11, 23})),
-    ("M24", frozenset({5, 11})),
-    ("M24", frozenset({11, 23})),
-    ("J1", frozenset({3, 5})),
-    ("J1", frozenset({3, 7})),
-    ("J1", frozenset({3, 19})),
-    ("J1", frozenset({5, 11})),
-    ("J4", frozenset({5, 7})),
-    ("J4", frozenset({5, 11})),
-    ("J4", frozenset({5, 31})),
-    ("J4", frozenset({7, 29})),
-    ("J4", frozenset({7, 43})),
-    ("ON", frozenset({3, 5})),
-    ("ON", frozenset({5, 11})),
-    ("ON", frozenset({5, 31})),
-    ("Ly", frozenset({11, 67})),
-    ("Ru", frozenset({7, 29})),
-    ("Co1", frozenset({11, 23})),
-    ("Co2", frozenset({11, 23})),
-    ("Co3", frozenset({11, 23})),
-    ("Fi23", frozenset({11, 23})),
-    ("Fi24'", frozenset({11, 23})),
-    ("B", frozenset({11, 23})),
-    ("B", frozenset({23, 47})),
-    ("M", frozenset({23, 47})),
-    ("M", frozenset({29, 59})),
-)
+# Table 2, sporadic groups with a pi-Hall subgroup for 2 not in pi
+# (|pi ^ pi(G)| > 1): the Condition II pairs, since D_pi implies E_pi, and
+# ON at {3, 5}, the one such pair with Hall subgroups but not D_pi, placed
+# before ON's other two.
+SPORADIC_ODD_ROWS: tuple[tuple[str, frozenset[int]], ...] = tuple(
+    (name, pi) for name, sets in CONDITION_II_ITEMS
+    for pi in ((frozenset({3, 5}),) + sets if name == "ON" else sets))
 
 # sporadic groups with a pi-Hall subgroup for 2 in pi, pi(G) not within pi,
 # |pi ^ pi(G)| > 1: (group, pi ^ pi(G), structure of H)

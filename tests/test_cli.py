@@ -42,6 +42,13 @@ def test_check_false_verdict(capsys):
     assert "no condition holds" in out
 
 
+def test_check_on_at_3_5_is_false(capsys):
+    # ON has {3, 5}-Hall subgroups (Table 2) but not D_pi there
+    code, out, _ = run_cli(capsys, "check", "--group", "Spor:ON", "--pi", "3,5")
+    assert code == EXIT_FALSE
+    assert "no condition holds" in out
+
+
 def test_check_factors(capsys):
     code, out, _ = run_cli(capsys, "check", "--factors", "Alt:5,Cyclic:7",
                            "--pi", "2,3,5")
@@ -259,6 +266,15 @@ def test_arithmetic_commands_load_neither_numpy_nor_the_engine():
     ]
     with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
         sylowpi.nonexistent
+
+
+def test_import_loads_no_tables():
+    # tables reads Condition II from criterion, never the reverse, so the
+    # package and its front end load the tables only when `tables` runs
+    script = "import sys, sylowpi, sylowpi.cli; sys.exit('sylowpi.tables' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", script], env=env, timeout=60).returncode == 0
 
 
 def test_brute_exit_codes(capsys):

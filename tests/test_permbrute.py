@@ -597,7 +597,7 @@ def pairwise_maximal_pi_subgroups(g, pi, with_structure=True):
     report = permbrute.HallReport(pi, pi & prime_divisors(g.order), hall_order, epi,
                                   len(maximal) == 1, maximal)
     if epi and with_structure:
-        report.structural = permbrute._structural_flags(g, report, pi_classes)
+        report = report._replace(structural=permbrute._structural_flags(g, report, pi_classes))
     return report
 
 
@@ -640,6 +640,15 @@ def test_maximal_walk_tests_each_class_against_maximal_ones_only(monkeypatch):
     pi_classes = len(g.subgroup_classes())
     assert pi_classes == 2825 and [c.order for c in r.maximal_classes] == [64]
     assert len(calls) <= pi_classes * len(r.maximal_classes)
+
+
+def test_two_part_partitions():
+    # with fewer than two primes there is no partition; otherwise the least
+    # prime stays in sigma and the masks run over the rest
+    assert list(permbrute._two_part_partitions(frozenset())) == []
+    assert list(permbrute._two_part_partitions(frozenset({2}))) == []
+    assert list(permbrute._two_part_partitions(frozenset({2, 3, 5}))) == [
+        ({2}, {3, 5}), ({2, 3}, {5}), ({2, 5}, {3})]
 
 
 def test_dpi_implies_epi_on_sweeps():

@@ -8,7 +8,7 @@ import pytest
 
 from sylowpi import catalog
 from sylowpi.catalog import SPORADIC_ORDERS, facts, sporadic
-from sylowpi.criterion import CONDITION_II_ITEMS
+from sylowpi.criterion import CONDITION_II_ITEMS, decide_dpi_simple
 from sylowpi.permbrute import maximal_pi_subgroups, realize
 from sylowpi.tables import (
     SPORADIC_EVEN_ROWS,
@@ -76,6 +76,17 @@ def test_condition_ii_pairs_appear_in_table2():
             pairs += 1
             assert (name, pi) in table2, (name, pi)
     assert pairs == 29
+
+
+def test_table2_rows_have_hall_subgroups_and_d_pi_but_on_at_3_5():
+    """Table 2 is Condition II's pairs plus ON at {3, 5}: every row is a
+    Hall row, and every row but that one has D_pi through Condition II."""
+    for name, pi in SPORADIC_ODD_ROWS:
+        assert sporadic_epi(name, pi) == ("",), (name, pi)
+        verdict = decide_dpi_simple(sporadic(name), pi)
+        through_ii = verdict.dpi and verdict.witness.condition == "II"
+        assert through_ii == ((name, pi) != ("ON", frozenset({3, 5}))), (name, pi)
+    assert not decide_dpi_simple(sporadic("ON"), frozenset({3, 5})).dpi
 
 
 def test_sym_epi_prime_degree_row():
