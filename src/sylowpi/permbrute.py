@@ -33,14 +33,15 @@ at most 256.  `lookup` maps rows back to indices by binary search over the
 rows' bytes.  A group is built from its generators, closed breadth-first
 with one gather per layer, or by `direct_product` from its two factors,
 whose rows it lays out in order.  A product's multiplication table is the
-outer sum of its factors' tables, written a block of rows at a time; any
-other group's is filled layer by layer along the Cayley graph with one
-intp-indexed gather per generator and block of rows.
-Element orders are the lcms of cycle lengths, so none of these
-runs Python per element; the pi-element and nilpotency tests read each
-element's index among the distinct orders, found once with them.  The
-field tables behind PSL(2, q) are arrays too, and a Moebius map is one
-array expression over them.
+outer sum of its factors' tables, written a block of rows at a time, and
+its inverses and element orders are its factors' paired up; any other
+group's table is filled layer by layer along the Cayley graph with one
+intp-indexed gather per generator and block of rows, its inverses are
+looked up from the argsorts of its rows, and its element orders are the
+lcms of cycle lengths, so none of these runs Python per element; the
+pi-element and nilpotency tests read each element's index among the
+distinct orders, found once with them.  The field tables behind PSL(2, q)
+are arrays too, and a Moebius map is one array expression over them.
 
 Everything interesting happens on element indices against a
 multiplication table (numpy), so degrees stay tiny and orders stay below
@@ -238,35 +239,43 @@ class PermGroup:
         return idx
 
     def element_orders(self) -> np.ndarray:
-        """Order of each element: the lcm of its cycle lengths, found by
-        following every point until it returns, one gather per step; cached
-        with the distinct orders `_kinds` and each element's index `_kind`
-        among them (np.unique's return_inverse form: the plain one imports
-        numpy.ma on its first call)."""
+        """Order of each element, `_element_orders()` cached with the distinct
+        orders `_kinds` and each element's index `_kind` among them (np.unique's
+        return_inverse form: the plain one imports numpy.ma on its first call)."""
         if self._orders is None:
-            p = self.perms.astype(np.intp)
-            points = np.arange(self.degree)
-            cycle = np.zeros(p.shape, dtype=np.intp)  # 0 until the point returns
-            y = p
-            for k in range(1, self.degree + 1):
-                cycle[(y == points) & (cycle == 0)] = k
-                if cycle.all():
-                    break
-                y = np.take_along_axis(p, y, axis=1)
-            self._orders = np.lcm.reduce(cycle, axis=1)
+            self._orders = self._element_orders()
             self._kinds, self._kind = np.unique(self._orders, return_inverse=True)
         return self._orders
 
+    def _element_orders(self) -> np.ndarray:
+        """Order of each element, uncached: the lcm of its cycle lengths, found
+        by following every point until it returns, one gather per step."""
+        p = self.perms.astype(np.intp)
+        points = np.arange(self.degree)
+        cycle = np.zeros(p.shape, dtype=np.intp)  # 0 until the point returns
+        y = p
+        for k in range(1, self.degree + 1):
+            cycle[(y == points) & (cycle == 0)] = k
+            if cycle.all():
+                break
+            y = np.take_along_axis(p, y, axis=1)
+        return np.lcm.reduce(cycle, axis=1)
+
     def require_table(self, bound: int | None = None) -> np.ndarray:
-        """The multiplication table, built on first use.  The order is checked
-        against `bound` on every call that passes one."""
+        """The multiplication table, `_cayley_table()`, built on first use and
+        cached with the inverses `_inverses()`.  The order is checked against
+        `bound` on every call that passes one."""
         if bound is not None and self.order > bound:
             raise BruteForceBoundError(f"order {self.order} exceeds the lattice bound {bound}")
         if self._table is None:
             self._table = self._cayley_table()
-            # the inverse of a permutation p is argsort(p)
-            self._inv = self.lookup(np.argsort(self.perms, axis=1)).astype(np.int16)
+            self._inv = self._inverses()
         return self._table
+
+    def _inverses(self) -> np.ndarray:
+        """inv[i] = index of the inverse of element i, as int16, uncached: the
+        inverse of a permutation p is argsort(p)."""
+        return self.lookup(np.argsort(self.perms, axis=1)).astype(np.int16)
 
     def _cayley_table(self) -> np.ndarray:
         """table[i, j] = index of (element i followed by element j), filled
@@ -711,7 +720,9 @@ def _cyclic(p: int) -> PermGroup:
 class _Product(PermGroup):
     """K x L on the disjoint union of their points, element (a, b) being row
     a*|L| + b: K's row a followed by L's row b shifted by deg K.  Pairs in
-    that order are already in lexicographic order."""
+    that order are already in lexicographic order.  Its table, inverses and
+    element orders are computed from the factors', through their uncached
+    methods, so a factor that `realize` caches is left as it was."""
 
     def __init__(self, k: PermGroup, l: PermGroup):
         self._factors = (k, l)
@@ -729,7 +740,9 @@ class _Product(PermGroup):
         """The table from the factors' tables, which are built and not kept:
         (a, b) followed by (a', b') is t_K[a, a']*|L| + t_L[b, b'].  The outer
         sum is written for _FRONTIER // (n |L|) elements a at a time, at least
-        one: t_K's rows repeated |L| times each, plus t_L's rows tiled across
+        one: t_K's rows spread across a buffer allocated once, entry a' to the
+        |L| columns (a', b'), by one strided copy per offset b' (np.repeat took
+        longer than the add for |L| = 2), plus t_L's rows tiled across
         as many column blocks a' as _FRONTIER entries hold, at least one, so
         that the innermost loop runs along at least |L| entries and no copy of
         t_L grows with |K|.  When one block a' is as wide as that (|L|^2 >=
@@ -748,8 +761,11 @@ class _Product(PermGroup):
         table = np.empty((n, n), dtype=np.int16)
         rows_of_a = table.reshape(k.order, m, n)  # rows (a, b) for each a
         step = max(1, _FRONTIER // n // m)
+        spread = np.empty((step, 1, n), dtype=np.int16)
         for lo in range(0, k.order, step):
-            left = np.repeat(tk[lo:lo + step], m, axis=1)[:, None]
+            left = spread[:min(step, k.order - lo)]
+            for b in range(m):
+                left[:, 0, b::m] = tk[lo:lo + step]
             for col in range(0, n, width):
                 np.add(left[..., col:col + width], tiled[:, :n - col],
                        out=rows_of_a[lo:lo + step, :, col:col + width])
@@ -757,10 +773,22 @@ class _Product(PermGroup):
                 tiled = table[:m, :m]
         return table
 
+    def _inverses(self) -> np.ndarray:
+        """(a, b)^-1 = (a^-1, b^-1), row a^-1 |L| + b^-1, from the factors'
+        inverses, which are not kept."""
+        k, l = self._factors
+        return ((k._inverses() * l.order)[:, None] + l._inverses()).ravel()
+
+    def _element_orders(self) -> np.ndarray:
+        """|(a, b)| = lcm(|a|, |b|), from the factors' orders, which are not kept."""
+        k, l = self._factors
+        return np.lcm.outer(k._element_orders(), l._element_orders()).ravel()
+
 
 def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
     """g1 x g2, its order checked before any row is built.  It records its
-    factors, and its table is built from theirs, which it does not keep."""
+    factors, and its table, inverses and element orders are built from
+    theirs, which it does not keep."""
     if g1.order * g2.order > ORDER_BOUND:
         raise BruteForceBoundError(
             f"product order {g1.order * g2.order} exceeds the bound {ORDER_BOUND}")
@@ -776,7 +804,9 @@ def realize(spec: str) -> PermGroup:
     cached by spec, and every call returns a new group that belongs to its
     caller: a factor comes as a shallow copy of the cached one, sharing its
     read-only rows and generators, and a product is assembled from the
-    cached factors, so a table or lattice is freed with the caller's group."""
+    cached factors, so a table or lattice is freed with the caller's group:
+    the product's table, inverses and element orders are computed from the
+    factors', and none is stored on them."""
     parts = [s.strip() for s in spec.split(",") if s.strip()] or [spec]
     for part in parts:
         if part not in _REALIZE_CACHE:

@@ -209,12 +209,15 @@ def test_product_sweeps_cache_only_factors(monkeypatch):
 
 
 def test_cached_factors_hold_no_table_lattice_or_orders(monkeypatch):
+    # a product's table, inverses and element orders come from its factors,
+    # which keep none of them
+    assert cli.run(["crosscheck", "--group", "Alt:5,Cyclic:7"]) == cli.EXIT_TRUE
     assert cli.run(["brute", "--group", "Alt:5", "--pi", "2,3"]) == cli.EXIT_FALSE
     assert cli.run(["crosscheck", "--group", "Lie:A:2:7"]) == cli.EXIT_TRUE
     monkeypatch.setattr(cli, "decide_dpi_composite", _raise)
     with pytest.raises(RuntimeError):
         sweep("Lie:A:2:7")
-    assert {"Alt:5", "Lie:A:2:7"} <= set(permbrute._REALIZE_CACHE)
+    assert {"Alt:5", "Cyclic:7", "Lie:A:2:7"} <= set(permbrute._REALIZE_CACHE)
     for spec, g in permbrute._REALIZE_CACHE.items():
         assert g._table is None and g._classes is None and g._orders is None, spec
 
@@ -993,16 +996,20 @@ def _table_digest(g):
 
 @pytest.mark.parametrize("spec", PRODUCTS)
 def test_product_table_is_the_breadth_first_one(spec):
-    # a product's table comes from its factors' tables; the same group built
-    # from its generators alone fills it along its Cayley graph
+    # a product's table, inverses and element orders come from its factors';
+    # the same group built from its generators alone fills its table along its
+    # Cayley graph, looks its inverses up and walks its elements' cycles
     g = _product(spec)
     assert g._factors is not None
     product = _table_digest(g)
     g._table = None
+    orders = g.element_orders(), g._kinds, g._kind
     h = PermGroup(g.degree, g.generators)
     assert h._factors is None and np.array_equal(h.perms, g.perms)
     assert _table_digest(h) == product
-    assert all(f._table is None for f in g._factors)
+    for a, b in zip(orders, (h.element_orders(), h._kinds, h._kind)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert all(f._table is None and f._orders is None for f in g._factors)
 
 
 @pytest.mark.parametrize("spec", ("Alt:5,Cyclic:7", "Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2,Cyclic:2",

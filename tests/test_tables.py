@@ -66,27 +66,29 @@ def test_table3_unique_row_without_3():
     assert rows == [("J1", frozenset({2, 7}))]
 
 
-def test_condition_ii_pairs_appear_in_table2():
-    """Sporadic D_pi implies E_pi: every Condition II pair must be a
-    Hall-existence row."""
+def _no_factoring(*_args):
+    raise AssertionError("sporadic_epi factored an order")
+
+
+def test_table2_rows_have_hall_subgroups_and_d_pi_but_on_at_3_5(monkeypatch):
+    """Table 2 is Condition II's pairs plus ON at {3, 5}.  Sporadic D_pi
+    implies E_pi, so every Condition II pair is a row; every row but ON at
+    {3, 5} has D_pi through Condition II; and every row is a Hall row, which
+    sporadic_epi finds with factoring patched to raise."""
     table2 = set(SPORADIC_ODD_ROWS)
-    pairs = 0
-    for name, sets in CONDITION_II_ITEMS:
-        for pi in sets:
-            pairs += 1
-            assert (name, pi) in table2, (name, pi)
-    assert pairs == 29
-
-
-def test_table2_rows_have_hall_subgroups_and_d_pi_but_on_at_3_5():
-    """Table 2 is Condition II's pairs plus ON at {3, 5}: every row is a
-    Hall row, and every row but that one has D_pi through Condition II."""
+    pairs = [(name, pi) for name, sets in CONDITION_II_ITEMS for pi in sets]
+    assert len(pairs) == 29
+    for pair in pairs:
+        assert pair in table2, pair
     for name, pi in SPORADIC_ODD_ROWS:
-        assert sporadic_epi(name, pi) == ("",), (name, pi)
         verdict = decide_dpi_simple(sporadic(name), pi)
         through_ii = verdict.dpi and verdict.witness.condition == "II"
         assert through_ii == ((name, pi) != ("ON", frozenset({3, 5}))), (name, pi)
     assert not decide_dpi_simple(sporadic("ON"), frozenset({3, 5})).dpi
+    monkeypatch.setattr(catalog, "facts", _no_factoring)
+    monkeypatch.setattr(catalog, "prime_divisors", _no_factoring)
+    for name, pi in SPORADIC_ODD_ROWS:
+        assert sporadic_epi(name, pi) == ("",), (name, pi)
 
 
 def test_sym_epi_prime_degree_row():
@@ -140,23 +142,15 @@ def test_sporadic_epi_lookup():
 
 
 def test_sporadic_epi_answers_every_row_without_factoring(monkeypatch):
-    """Every Table 2/3 row and Condition II pair is found through the lookup,
-    so D_pi => E_pi is checked by sporadic_epi itself, and the lookup tests
+    """Every Table 2/3 row is found through the lookup, and the lookup tests
     the order by divisibility: factoring is patched to raise."""
     spectra = {name: facts(sporadic(name)).spectrum for name in SPORADIC_ORDERS}
-
-    def no_factoring(*_args):
-        raise AssertionError("sporadic_epi factored an order")
-
-    monkeypatch.setattr(catalog, "facts", no_factoring)
-    monkeypatch.setattr(catalog, "prime_divisors", no_factoring)
+    monkeypatch.setattr(catalog, "facts", _no_factoring)
+    monkeypatch.setattr(catalog, "prime_divisors", _no_factoring)
     for name, pi in SPORADIC_ODD_ROWS:
         assert sporadic_epi(name, pi | {4099}) == ("",), (name, pi)
     for name, pi, structure in SPORADIC_EVEN_ROWS:
         assert structure in sporadic_epi(name, pi), (name, pi)
-    for name, sets in CONDITION_II_ITEMS:
-        for pi in sets:
-            assert sporadic_epi(name, pi), (name, pi)
     for name, spectrum in spectra.items():
         assert sporadic_epi(name, frozenset()) == ("Sylow",), name
         assert sporadic_epi(name, spectrum) == ("G",), name
