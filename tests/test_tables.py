@@ -70,16 +70,20 @@ def _no_factoring(*_args):
     raise AssertionError("sporadic_epi factored an order")
 
 
-def test_table2_rows_have_hall_subgroups_and_d_pi_but_on_at_3_5(monkeypatch):
-    """Table 2 is Condition II's pairs plus ON at {3, 5}.  Sporadic D_pi
-    implies E_pi, so every Condition II pair is a row; every row but ON at
-    {3, 5} has D_pi through Condition II; and every row is a Hall row, which
-    sporadic_epi finds with factoring patched to raise."""
+def test_condition_ii_pairs_appear_in_table2():
+    """Sporadic D_pi implies E_pi: every Condition II pair must be a
+    Hall-existence row."""
     table2 = set(SPORADIC_ODD_ROWS)
     pairs = [(name, pi) for name, sets in CONDITION_II_ITEMS for pi in sets]
     assert len(pairs) == 29
     for pair in pairs:
         assert pair in table2, pair
+
+
+def test_table2_rows_have_hall_subgroups_and_d_pi_but_on_at_3_5(monkeypatch):
+    """Table 2 is Condition II's pairs plus ON at {3, 5}: every row but ON
+    at {3, 5} has D_pi through Condition II, and every row is a Hall row,
+    which sporadic_epi finds with factoring patched to raise."""
     for name, pi in SPORADIC_ODD_ROWS:
         verdict = decide_dpi_simple(sporadic(name), pi)
         through_ii = verdict.dpi and verdict.witness.condition == "II"
