@@ -28,8 +28,14 @@ LIE_TYPES = (
     "A", "2A", "B", "C", "D", "2D",
     "3D4", "E6", "2E6", "E7", "E8", "F4", "2F4", "G2", "2G2", "2B2",
 )
-# families whose rank is part of the identifier
-RANKED_TYPES = ("A", "2A", "B", "C", "D", "2D")
+# families whose rank is part of the identifier: the least rank of each, and
+# the name that a lower rank's refusal gives
+_LEAST_RANK = {"A": (2, "A(n-1,q)"), "2A": (3, "2A(n-1,q)"), "B": (2, "B(n,q)"),
+               "C": (2, "C(n,q)"), "D": (4, "D(n,q)"), "2D": (4, "2D(n,q)")}
+RANKED_TYPES = tuple(_LEAST_RANK)
+# (type, rank, q) that pass every other check but name a non-simple group
+_NOT_SIMPLE = {("A", 2, 2): "A(1,2)", ("A", 2, 3): "A(1,3)", ("2A", 3, 2): "2A(2,2)",
+               ("B", 2, 2): "B2(2)", ("C", 2, 2): "C2(2)", ("G2", None, 2): "G2(2)"}
 # Suzuki/Ree families: odd power of the defining characteristic
 SUZUKI_REE = {"2B2": 2, "2G2": 3, "2F4": 2}
 # a Lie order is refused above this many bits, estimated from the degrees
@@ -216,50 +222,19 @@ def ensure_valid(gid: SimpleGroupId) -> int | None:
     pf = prime_power(gid.q)
     if pf is None:
         raise ValueError(f"q = {gid.q} is not a prime power")
-    reason = _lie_constraint(gid.lie_type, gid.n, gid.q, *pf)
-    if reason is not None:
-        raise ValueError(reason)
-    return pf[0]
-
-
-def _lie_constraint(t: str, n: int | None, q: int, p: int, f: int) -> str | None:
-    """The constraint that type t with rank n over GF(q), q = p^f, violates."""
-    if t in RANKED_TYPES:
-        if n is None:
-            return f"type {t} needs a rank parameter"
-    elif n is not None:
-        return f"type {t} takes no rank parameter"
-
-    if t in SUZUKI_REE:
-        char = SUZUKI_REE[t]
-        if p != char or f % 2 == 0 or f < 3:
-            return f"{t} requires q = {char}^(2m+1) with m >= 1"
-        return None
-    if t == "A":
-        if n < 2:
-            return "A(n-1,q) requires n >= 2"
-        if (n, q) in ((2, 2), (2, 3)):
-            return f"A(1,{q}) is not simple"
-        return None
-    if t == "2A":
-        if n < 3:
-            return "2A(n-1,q) requires n >= 3"
-        if (n, q) == (3, 2):
-            return "2A(2,2) is not simple"
-        return None
-    if t in ("B", "C"):
-        if n < 2:
-            return f"{t}(n,q) requires n >= 2"
-        if n == 2 and q == 2:
-            return f"{t}2(2) is not simple"
-        return None
-    if t in ("D", "2D"):
-        if n < 4:
-            return f"{t}(n,q) requires n >= 4"
-        return None
-    if t == "G2" and q < 3:
-        return "G2(2) is not simple"
-    return None
+    t, n = gid.lie_type, gid.n
+    if t in _LEAST_RANK and n is None:
+        raise ValueError(f"type {t} needs a rank parameter")
+    if t not in _LEAST_RANK and n is not None:
+        raise ValueError(f"type {t} takes no rank parameter")
+    p, f = pf
+    if t in SUZUKI_REE and (p != SUZUKI_REE[t] or f % 2 == 0 or f < 3):
+        raise ValueError(f"{t} requires q = {SUZUKI_REE[t]}^(2m+1) with m >= 1")
+    if t in _LEAST_RANK and n < _LEAST_RANK[t][0]:
+        raise ValueError(f"{_LEAST_RANK[t][1]} requires n >= {_LEAST_RANK[t][0]}")
+    if (t, n, gid.q) in _NOT_SIMPLE:
+        raise ValueError(f"{_NOT_SIMPLE[t, n, gid.q]} is not simple")
+    return p
 
 
 def _degrees(t: str, n: int | None) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sylowpi import arith
 from sylowpi.arith import (
     eps_mod4,
     is_fermat_prime,
@@ -124,9 +125,15 @@ def test_fermat_primes():
             assert is_fermat_prime(t) == (t in fermat), t
 
 
+def test_pollard_rho_gives_up_after_its_step_budget(monkeypatch):
+    n = 10007 * 10009  # both factors above the trial-division bound: 40 steps
+    assert prime_divisors(n) == {10007, 10009}
+    monkeypatch.setattr(arith, "_RHO_STEPS", 3)
+    with pytest.raises(ArithmeticError, match=f"^failed to factor {n}$"):
+        prime_divisors(n)
+
+
 def test_refusals_and_non_fermat_values():
-    # _pollard_rho's ArithmeticError stays untested: no odd composite is known
-    # on which x^2 + c fails for every c = 1..49
     for call in (lambda: prime_divisors(0), lambda: r_part(0, 2)):
         with pytest.raises(ValueError, match="expected a positive integer, got 0"):
             call()

@@ -108,6 +108,33 @@ def test_validate_lie_exclusions():
     rejected("D(n,q) requires n >= 4", lambda: lie("D", 7, n=3))     # rank too small
 
 
+# each ranked type at its least rank n and at n - 1, and each non-simple
+# exception, with the refusal it gets (None: the id is built)
+TABLE_EDGES = [
+    ("A", 2, 5, None), ("A", 1, 5, "A(n-1,q) requires n >= 2"),
+    ("2A", 3, 5, None), ("2A", 2, 5, "2A(n-1,q) requires n >= 3"),
+    ("B", 2, 5, None), ("B", 1, 5, "B(n,q) requires n >= 2"),
+    ("C", 2, 5, None), ("C", 1, 5, "C(n,q) requires n >= 2"),
+    ("D", 4, 5, None), ("D", 3, 5, "D(n,q) requires n >= 4"),
+    ("2D", 4, 5, None), ("2D", 3, 5, "2D(n,q) requires n >= 4"),
+    ("A", 2, 2, "A(1,2) is not simple"), ("A", 2, 3, "A(1,3) is not simple"),
+    ("2A", 3, 2, "2A(2,2) is not simple"), ("B", 2, 2, "B2(2) is not simple"),
+    ("C", 2, 2, "C2(2) is not simple"), ("G2", None, 2, "G2(2) is not simple"),
+]
+
+
+@pytest.mark.parametrize("t, n, q, reason", TABLE_EDGES)
+def test_validation_tables_at_their_edges(t, n, q, reason):
+    # the cases cover every entry of both tables
+    built = {edge[:2] for edge in TABLE_EDGES if edge[3] is None}
+    assert built == {(s, least) for s, (least, _) in catalog._LEAST_RANK.items()}
+    assert set(catalog._NOT_SIMPLE) == {edge[:3] for edge in TABLE_EDGES[12:]}
+    if reason is None:
+        assert lie(t, q, n=n).n == n
+    else:
+        rejected(reason, lambda: lie(t, q, n=n))
+
+
 def test_validate_parameters():
     rejected("type A needs a rank parameter", lambda: lie("A", 7))
     rejected("type E8 takes no rank parameter", lambda: lie("E8", 2, n=3))
