@@ -340,9 +340,13 @@ def pi_effective(gid: SimpleGroupId, pi) -> frozenset[int]:
 
 
 def spectrum_within(gid: SimpleGroupId, pi) -> bool:
-    """Whether pi(G) is contained in pi, again without factoring.  pi(Alt(n))
-    is the primes up to n: within pi iff n is below the least prime outside
-    pi."""
+    """Whether pi(G) is contained in pi, again without factoring.  False
+    before the order is touched when pi lacks 2, which divides every order
+    here, 3, which divides all but those of 2B2, or a Lie id's p, since q^N
+    divides its order.  pi(Alt(n)) is the primes up to n: within pi iff n is
+    below the least prime outside pi."""
+    if any(s not in pi for s in (2, 2 if gid.lie_type == "2B2" else 3, gid.p or 2)):
+        return False
     if gid.family == "Alt":
         s = 2
         while s in pi or not is_prime(s):
@@ -353,8 +357,7 @@ def spectrum_within(gid: SimpleGroupId, pi) -> bool:
     # then step k divides out up to p^(2^k) of each other prime p of pi left
     # in m, so about log2 of the largest exponent steps in all
     m = order_of(gid)
-    if 2 in pi:
-        m >>= (m & -m).bit_length() - 1
+    m >>= (m & -m).bit_length() - 1
     h = math.gcd(m, math.prod(s for s in pi if m % s == 0))
     while h > 1:
         m //= h

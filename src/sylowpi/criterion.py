@@ -11,6 +11,13 @@ Membership questions are answered by divisibility: "tau lies in pi(q - 1)"
 is "every prime of tau divides q - 1".  The only number a verdict factors
 is the one torus order behind Condition VI's "set" binding; q - 1, q - eps
 and the group order are never factored, however large q is.
+
+A decision tests the order against the primes of pi once, for pi ^ pi(G),
+and evaluates all seven conditions on that set; the public condition_I ...
+condition_VII take any pi and intersect it first.  Condition I looks at the
+order again only when pi ^ pi(G) has two primes or more, and then only when
+pi holds every prime that divides each order in the catalog (see
+catalog.spectrum_within).
 """
 
 from __future__ import annotations
@@ -80,16 +87,14 @@ CONDITION_II_ITEMS: tuple[tuple[str, tuple[frozenset[int], ...]], ...] = (
 )
 
 
-def condition_I(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
-    eff = pi_effective(gid, pi)
-    holds = spectrum_within(gid, pi) or len(eff) <= 1
+def _condition_I(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
+    holds = len(eff) <= 1 or spectrum_within(gid, eff)
     return ConditionReport("I", holds, bindings={"pi_effective": sorted(eff)})
 
 
-def condition_II(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
+def _condition_II(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
     if gid.family != "Spor":
         return ConditionReport("II", False)
-    eff = pi_effective(gid, pi)
     for idx, (name, sets) in enumerate(CONDITION_II_ITEMS, start=1):
         if gid.name == name and eff in sets:
             return ConditionReport("II", True, subcase=idx,
@@ -97,20 +102,19 @@ def condition_II(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     return ConditionReport("II", False)
 
 
-def condition_III(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
+def _condition_III(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
     """Defining characteristic case: p in pi, the rest of pi inside
     pi(q - 1), and no prime of pi dividing the Weyl group order."""
     if gid.family != "Lie":
         return ConditionReport("III", False)
     q, p, n = gid.q, gid.p, gid.n
-    if p not in pi:
+    if p not in eff:
         return ConditionReport("III", False)
     # For the Suzuki/Ree families the Weyl group of the ambient root system
     # has order divisible by the characteristic (2 or 3), so the coprimality
     # clause can never hold; short-circuit instead of querying weyl_order.
     if gid.lie_type in SUZUKI_REE:
         return ConditionReport("III", False, bindings={"p": p})
-    eff = pi_effective(gid, pi)
     tau = eff - {p}
     bindings = {"p": p, "tau": sorted(tau)}
     if not all((q - 1) % s == 0 for s in tau):
@@ -121,26 +125,23 @@ def condition_III(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     return ConditionReport("III", holds, bindings=bindings)
 
 
-def _odd_gate(gid: SimpleGroupId, pi: frozenset[int]):
+def _odd_gate(gid: SimpleGroupId, eff: frozenset[int]):
     """Shared gate of Conditions IV and V: Lie type other than the
     Suzuki/Ree families, 2 and p outside pi, pi ^ pi(G) nonempty.
     Returns (q, r, tau) or None."""
     if gid.family != "Lie" or gid.lie_type in SUZUKI_REE:
         return None
     q, p = gid.q, gid.p
-    if 2 in pi or p in pi:
-        return None
-    eff = pi_effective(gid, pi)
-    if not eff:
+    if not eff or 2 in eff or p in eff:
         return None
     r = min(eff)
     return q, r, eff - {r}
 
 
-def condition_IV(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
+def _condition_IV(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
     """Cross-characteristic case with two distinct multiplicative orders
     a = e(q, r) and b = e(q, t) among the primes of pi."""
-    gate = _odd_gate(gid, pi)
+    gate = _odd_gate(gid, eff)
     if gate is None:
         return ConditionReport("IV", False)
     q, r, tau = gate
@@ -182,10 +183,10 @@ def condition_IV(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     return ConditionReport("IV", False)
 
 
-def condition_V(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
+def _condition_V(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
     """Cross-characteristic case with a single multiplicative order
     c = e(q, t) shared by every prime t of pi."""
-    gate = _odd_gate(gid, pi)
+    gate = _odd_gate(gid, eff)
     if gate is None:
         return ConditionReport("V", False)
     q, r, tau = gate
@@ -250,14 +251,13 @@ def _suzuki_ree_tori(gid: SimpleGroupId) -> list[int]:
             q * q - g + h - 1, q * q + g + q + h - 1, q * q - g + q - h - 1]
 
 
-def condition_VI(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
+def _condition_VI(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
     """Suzuki and Ree groups: pi ^ pi(G) inside the prime set of a single
     torus order (less 2 for 2G2).  Only the first torus order that every
     prime of pi ^ pi(G) divides is factored, for the "set" binding, which is
     None where that order is beyond the factoring bounds."""
     if gid.family != "Lie" or gid.lie_type not in SUZUKI_REE:
         return ConditionReport("VI", False)
-    eff = pi_effective(gid, pi)
     subcase = {"2B2": 1, "2G2": 2, "2F4": 3}[gid.lie_type]
     dropped = frozenset({2}) if gid.lie_type == "2G2" else frozenset()
     if not eff & dropped:
@@ -273,16 +273,16 @@ def condition_VI(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
     return ConditionReport("VI", False, bindings={"pi_effective": sorted(eff)})
 
 
-def condition_VII(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
+def _condition_VII(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
     """Even case: 2 in pi, 3 and p outside pi, the odd part of pi inside
     pi(q - eps), plus per-family thresholds (Fermat primes are held to the
     stricter bound)."""
     if gid.family != "Lie":
         return ConditionReport("VII", False)
     q, p, n = gid.q, gid.p, gid.n
-    if 2 not in pi or 3 in pi or p in pi:
+    if 2 not in eff or 3 in eff or p in eff:
         return ConditionReport("VII", False)
-    tau = pi_effective(gid, pi) - {2}
+    tau = eff - {2}
     eps = eps_mod4(q)  # q is odd here since p != 2
     bindings = {"eps": eps, "tau": sorted(tau)}
     if not all((q - eps) % s == 0 for s in tau):
@@ -319,14 +319,28 @@ def condition_VII(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
 
 
 _CONDITIONS = (
-    condition_I,
-    condition_II,
-    condition_III,
-    condition_IV,
-    condition_V,
-    condition_VI,
-    condition_VII,
+    _condition_I,
+    _condition_II,
+    _condition_III,
+    _condition_IV,
+    _condition_V,
+    _condition_VI,
+    _condition_VII,
 )
+
+
+def _on_pi(evaluate):
+    """The public form of one condition: it takes any pi and intersects it
+    with pi(G) once before evaluating."""
+    def condition(gid: SimpleGroupId, pi: frozenset[int]) -> ConditionReport:
+        return evaluate(gid, pi_effective(gid, pi))
+    condition.__name__ = condition.__qualname__ = evaluate.__name__[1:]
+    condition.__doc__ = evaluate.__doc__
+    return condition
+
+
+(condition_I, condition_II, condition_III, condition_IV, condition_V, condition_VI,
+ condition_VII) = map(_on_pi, _CONDITIONS)
 
 
 def decide_dpi_simple(gid: SimpleGroupId, pi: frozenset[int]) -> Verdict:
@@ -338,7 +352,7 @@ def decide_dpi_simple(gid: SimpleGroupId, pi: frozenset[int]) -> Verdict:
     """
     eff = prime_set(pi_effective(gid, pi))
     for cond in _CONDITIONS:
-        report = cond(gid, pi)
+        report = cond(gid, eff)
         if report.holds:
             return Verdict(True, report, gid, eff)
     return Verdict(False, None, gid, eff)

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from sylowpi import catalog
-from sylowpi.arith import prime_divisors
+from sylowpi.arith import is_prime, prime_divisors
 from sylowpi.catalog import (
     LIE_TYPES,
     RANKED_TYPES,
@@ -207,6 +207,48 @@ def test_spectrum_within_on_orders_with_a_huge_power_of_2():
         spectrum = prime_divisors(m) if m.bit_length() < 1000 else set()
         for pi in [spectrum, {2, 3}, {3, 5}, *(spectrum - {p} for p in spectrum)]:
             assert spectrum_within(gid, pi) == (_pi_stripped(m, pi) == 1), (spec, pi)
+
+
+def spectrum_ids():
+    """Every sporadic group, Alt(5)-Alt(12), and every Lie type at two or
+    three prime powers, a ranked type at its least rank and one above."""
+    yield from map(sporadic, SPORADIC_ORDERS)
+    yield from map(alt, range(5, 13))
+    for t in LIE_TYPES:
+        if t in SUZUKI_REE:
+            yield from (lie(t, q) for q in {"2B2": (8, 32, 128), "2G2": (27, 243),
+                                            "2F4": (8, 32)}[t])
+            continue
+        least = catalog._LEAST_RANK.get(t, (None,))[0]
+        for n in (None,) if least is None else (least, least + 1):
+            qs = [q for q in (2, 3, 4, 5) if (t, n, q) not in catalog._NOT_SIMPLE]
+            yield from (lie(t, q, n=n) for q in qs[:3])
+
+
+def test_spectrum_within_matches_stripping_the_order():
+    # 98 groups and 1,418 (G, pi) rows in about 0.03 s: pi(G), pi(G) less
+    # each prime, pi(G) and one prime outside it, and six seeded subsets of
+    # the latter
+    rng = random.Random(39)
+    rows = 0
+    for gid in spectrum_ids():
+        order = order_of(gid)
+        spectrum = prime_divisors(order)
+        absent = next(r for r in range(3, 1000) if is_prime(r) and order % r)
+        pool = sorted(spectrum | {absent})
+        pis = [spectrum, spectrum | {absent}, *(spectrum - {s} for s in spectrum)]
+        pis += [{s for s in pool if rng.random() < 0.8} for _ in range(6)]
+        for pi in pis:
+            assert spectrum_within(gid, pi) == (_pi_stripped(order, pi) == 1), (gid, pi)
+            rows += 1
+        # without 2, 3 (all but 2B2) or p, no order is built: the id is fresh
+        for s in {2, gid.p or 2} | (set() if gid.lie_type == "2B2" else {3}):
+            fresh = catalog.SimpleGroupId(*gid)
+            assert not spectrum_within(fresh, spectrum - {s}), (gid, s)
+            assert "order" not in fresh.__dict__, (gid, s)
+    assert rows == 1418
+    # pi(Sz(8)) holds no 3
+    assert spectrum_within(lie("2B2", 8), {2, 5, 7, 13})
 
 
 def test_sporadic_spectra_spot_checks():

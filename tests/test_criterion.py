@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from sylowpi import catalog
+from sylowpi import catalog, criterion
 from sylowpi.arith import eps_mod4, is_fermat_prime, is_prime, prime_divisors
 from sylowpi.catalog import (
     LIE_TYPES,
@@ -38,6 +38,7 @@ from sylowpi.criterion import (
     condition_VII,
     decide_dpi_simple,
 )
+from sylowpi.tables import alt_epi, sporadic_epi
 
 
 def test_condition_I():
@@ -305,6 +306,78 @@ def test_low_rank_d_types_differ_only_where_condition_v_has_no_case(monkeypatch)
                     gaps[t_a, a.witness.condition, a.witness.subcase] += 1
     assert rows == 12366
     assert gaps == {("A", "V", 1): 43, ("2A", "V", 2): 37, ("2A", "V", 3): 37}
+
+
+def one_pass_groups():
+    """Alternating and sporadic groups, every Lie type at three q (a ranked
+    type at its least rank), Suzuki-Ree groups, and four ids where IV fires."""
+    yield from (alt(n) for n in (5, 7, 13))
+    yield from (sporadic(name) for name in ("M11", "J1", "ON", "Co1"))
+    for t in LIE_TYPES:
+        if t in SUZUKI_REE:
+            yield from (lie(t, q) for q in {"2B2": (8, 32), "2G2": (27,), "2F4": (8,)}[t])
+        else:
+            n = catalog._LEAST_RANK.get(t, (None,))[0]
+            yield from (lie(t, q, n=n) for q in (16, 29, 211))
+    yield from map(parse_group, ("Lie:A:3:2", "Lie:2A:5:2", "Lie:2A:3:4", "Lie:2D:6:3"))
+
+
+def test_one_pass_decision_equals_the_first_public_condition(monkeypatch):
+    # 54 groups and 10,240 (G, pi) rows, pi any subset of {2, 3, 5, 7, 11, 13,
+    # p} and one prime outside pi(G), in about 0.4 s.  A decision intersects
+    # pi with pi(G) once; the public conditions take the raw pi.
+    calls = []
+    intersect = criterion.pi_effective
+    monkeypatch.setattr(criterion, "pi_effective",
+                        lambda gid, pi: calls.append(gid) or intersect(gid, pi))
+    public = (condition_I, condition_II, condition_III, condition_IV, condition_V,
+              condition_VI, condition_VII)
+    rows, reached = 0, set()
+    for gid in one_pass_groups():
+        order = catalog.order_of(gid)
+        absent = next(r for r in range(17, 1000) if is_prime(r) and order % r)
+        pool = sorted({2, 3, 5, 7, 11, 13, absent} | ({gid.p} if gid.p else set()))
+        for k in range(len(pool) + 1):
+            for pi in map(frozenset, itertools.combinations(pool, k)):
+                calls.clear()
+                got = decide_dpi_simple(gid, pi)
+                assert len(calls) == 1, (gid, sorted(pi))
+                want = next((r for r in (cond(gid, pi) for cond in public) if r.holds), None)
+                assert got.dpi == (want is not None), (gid, sorted(pi))
+                if want is not None:
+                    assert (got.witness.condition, got.witness.subcase, got.witness.bindings) \
+                        == (want.condition, want.subcase, want.bindings), (gid, sorted(pi))
+                    reached.add(want.condition)
+                assert got.pi_effective == intersect(gid, pi), (gid, sorted(pi))
+                rows += 1
+    assert rows == 10240
+    assert reached == {"I", "II", "III", "IV", "V", "VI", "VII"}
+
+
+def test_d_pi_implies_e_pi_on_the_hall_tables():
+    # ROADMAP 13(b): Alt(n) for 5 <= n < 30 and every sporadic group, on every
+    # pi within pi(G) with 1 <= |pi| <= 4: 7,590 rows in about 0.2 s.  No row
+    # has D_pi without E_pi; these 18 have E_pi without D_pi.
+    e_without_d = {
+        (5, (2, 3)), (7, (2, 3)), (7, (2, 3, 5)), (8, (2, 3)), (11, (2, 3, 5, 7)),
+        ("M11", (2, 3)), ("M11", (2, 3, 5)), ("M22", (2, 3, 5)), ("M23", (2, 3)),
+        ("M23", (2, 3, 5)), ("M23", (2, 3, 5, 7)), ("M24", (2, 3, 5)), ("J1", (2, 3)),
+        ("J1", (2, 7)), ("J1", (2, 3, 5)), ("J1", (2, 3, 7)), ("J4", (2, 3, 5)),
+        ("ON", (3, 5)),
+    }
+    groups = [(n, alt(n), lambda pi, n=n: alt_epi(n, pi)) for n in range(5, 30)]
+    groups += [(name, sporadic(name), lambda pi, name=name: sporadic_epi(name, pi))
+               for name in catalog.SPORADIC_ORDERS]
+    rows, found = 0, set()
+    for key, gid, epi in groups:
+        for pi in small_pis(gid):
+            dpi, hall = decide_dpi_simple(gid, pi).dpi, bool(epi(pi))
+            assert hall or not dpi, (key, sorted(pi))
+            if hall and not dpi:
+                found.add((key, tuple(sorted(pi))))
+            rows += 1
+    assert rows == 7590
+    assert found == e_without_d
 
 
 def test_a_pi_that_holds_1_is_refused():
