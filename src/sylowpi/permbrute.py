@@ -23,8 +23,8 @@ labels, and a join is the union of the double cosets that H reaches by
 right multiplication with x, one product per right coset (coset methods as
 in Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 The cyclic subgroups come from one walk over the elements in increasing
-order, one table lookup per power of each least generator.  Whether a
-class has a conjugate inside a subgroup is one gather of that subgroup's
+order, one product per power of each least generator.  Whether a class
+has a conjugate inside a subgroup is one gather of that subgroup's
 membership mask over the class's rows.
 
 A group keeps its elements as one array, `perms`: its permutations as
@@ -36,15 +36,17 @@ whose rows it lays out in order.  A product's multiplication table is the
 outer sum of its factors' tables, written a block of rows at a time, and
 its inverses and element orders are its factors' paired up; any other
 group's table is filled layer by layer along the Cayley graph with one
-intp-indexed gather per generator and block of rows, its inverses are
-looked up from the argsorts of its rows, and its element orders are the
-lcms of cycle lengths, so none of these runs Python per element; the
-pi-element and nilpotency tests read each element's index among the
-distinct orders, found once with them.  The field tables behind PSL(2, q)
-are arrays too, and a Moebius map is one array expression over them.
+gather per generator and block of rows, its inverses are looked up from
+the argsorts of its rows, and its element orders are the lcms of cycle
+lengths, so none of these runs Python per element; the pi-element and
+nilpotency tests read each element's index among the distinct orders,
+found once with them.  The field tables behind PSL(2, q) are arrays too,
+and a Moebius map is one array expression over them.
 
 Everything interesting happens on element indices against a
-multiplication table (numpy), so degrees stay tiny and orders stay below
+multiplication table (numpy), read through one method, `_products`:
+outside the table's own construction no other code indexes it, so its
+format is known in one place.  Degrees stay tiny and orders stay below
 explicit bounds: ORDER_BOUND for materializing a group at all, and
 _LATTICE_CAP for one lattice, which is refused once its subgroup classes
 times the group order reach it.  `require_table(bound=...)` also checks
@@ -55,15 +57,15 @@ factors' element rows by spec and returns a new group of the caller's own
 on every call.
 
 Outside the lattice, every subgroup built from generators comes from one
-breadth-first closure over the table, `_close`: the closure of the
+breadth-first closure over the products, `_close`: the closure of the
 identity under right multiplication by gens is <gens>, that of a subgroup
 H is <H, gens>, and adding conjugation by K's generators gives a normal
 closure in K.  Closures (`closure_indices`), generating sets (`gens_of`),
 Sylow subgroups and derived subgroups are all built with it.  The
 structure tests (Sylow subgroups, derived series, nilpotency) gather
-conjugates from the table when they need them and keep no per-element
-arrays beyond it and the element orders.  The normal subgroups are the
-lattice classes of size 1.
+conjugates when they need them and keep no per-element arrays beyond the
+table and the element orders.  The normal subgroups are the lattice
+classes of size 1.
 """
 
 from __future__ import annotations
@@ -200,8 +202,6 @@ class PermGroup:
     generators.  Element i is row i of `perms`, the group's permutations as
     uint8 rows in lexicographic order."""
 
-    _factors: tuple[PermGroup, PermGroup] | None = None  # (K, L) of a product K x L
-
     def __init__(self, degree: int, generators, name: str = ""):
         if degree > 256:
             raise ValueError(f"degree {degree} exceeds 256, the most that uint8 rows hold")
@@ -282,8 +282,8 @@ class PermGroup:
         layer by layer along the left Cayley graph from the identity's row:
         row s*i is left_s[row i], because (s*i)*x = s*(i*x).  The elements
         are the closure of the generators, so the search reaches every row.
-        New rows are filled _FRONTIER // n at a time from source rows copied
-        to one intp buffer: an int16 index takes numpy's slower casting path."""
+        New rows are filled _FRONTIER // n at a time, one gather of the source
+        rows through left_s per block."""
         n = self.order
         # s followed by element e is the row e[s]
         lefts = [self.lookup(self.perms[:, s]).astype(np.int16) for s in self.generators]
@@ -293,7 +293,6 @@ class PermGroup:
         reached[self.identity] = True
         layer = np.array([self.identity])
         step = max(1, _FRONTIER // n)
-        idx = np.empty((step, n), dtype=np.intp)
         while layer.size:  # breadth-first
             nxt = []
             for left in lefts:
@@ -303,9 +302,7 @@ class PermGroup:
                 src = layer[fresh][first]
                 reached[new] = True
                 for lo in range(0, len(new), step):
-                    block = idx[:min(step, len(new) - lo)]
-                    block[...] = table[src[lo:lo + step]]
-                    table[new[lo:lo + step]] = left.take(block)
+                    table[new[lo:lo + step]] = left.take(table[src[lo:lo + step]])
                 nxt.append(new)
             layer = np.concatenate(nxt) if lefts else layer[:0]
         return table
@@ -315,11 +312,16 @@ class PermGroup:
         self.require_table()
         return self._inv
 
+    def _products(self, a, b) -> np.ndarray:
+        """int16 indices of (element a followed by element b) for index arrays
+        a and b broadcast together, b = slice(None) giving a row per entry of
+        a: the one read of products outside the table's own construction."""
+        return self.require_table()[a, b]
+
     def _conjugates(self, arr, gs) -> np.ndarray:
         """Index array c with c[i, j...] = index of gs[i]^-1 arr[j...] gs[i]."""
-        t = self.require_table()
         gs = np.asarray(gs, dtype=np.intp).reshape((-1,) + (1,) * np.ndim(arr))
-        return t[t[self._inv[gs], arr], gs]
+        return self._products(self._products(self.inv[gs], arr), gs)
 
     def closure_indices(self, gen_idx) -> frozenset[int]:
         """Subgroup generated by element indices."""
@@ -351,7 +353,6 @@ class PermGroup:
         closure of <gens> in K: the set holds the identity, and x s^k =
         (x^(k^-1) s)^k, so it is closed under right multiplication by every
         conjugate of s."""
-        t = self.require_table()
         gens = np.asarray(gens, dtype=np.intp)
         conj = np.asarray(conj, dtype=np.intp)
         member = np.zeros(self.order, dtype=bool)
@@ -359,7 +360,7 @@ class PermGroup:
         layer = np.flatnonzero(member)
         while layer.size:
             fresh = np.zeros(self.order, dtype=bool)
-            fresh[t[layer[:, None], gens]] = True
+            fresh[self._products(layer[:, None], gens)] = True
             fresh[self._conjugates(layer, conj)] = True
             fresh &= ~member
             member |= fresh
@@ -368,12 +369,12 @@ class PermGroup:
 
     def _coset_least(self, h: np.ndarray) -> np.ndarray:
         """least[g] = least element of the right coset Hg, where H has the
-        elements h: the minimum of H's table rows, _FRONTIER // n per gather."""
-        t = self._table
+        elements h: the minimum of the rows of products h g, _FRONTIER // n
+        per gather."""
         step = max(1, _FRONTIER // self.order)
-        least = t[h[:step]].min(axis=0)
+        least = self._products(h[:step], slice(None)).min(axis=0)
         for lo in range(step, len(h), step):
-            np.minimum(least, t[h[lo:lo + step]].min(axis=0), out=least)
+            np.minimum(least, self._products(h[lo:lo + step], slice(None)).min(axis=0), out=least)
         return least
 
     # -- subgroup lattice ---------------------------------------------------
@@ -399,7 +400,6 @@ class PermGroup:
         is refused once its classes registered times n reach _LATTICE_CAP."""
         if self._classes is not None:
             return self._classes
-        t, inv = self.require_table(), self._inv
         n = self.order
         elements = np.arange(n)
         cyclic = self._cyclic_subgroups()
@@ -419,8 +419,7 @@ class PermGroup:
                                                "conjugacy classes of subgroups")
                 h = np.frombuffer(key, dtype=np.int16)
                 rc = self._coset_least(h)
-                gs = np.flatnonzero(rc == elements)[:, None]
-                rows = np.sort(t[t[inv[gs], h], gs], axis=1)
+                rows = np.sort(self._conjugates(h, np.flatnonzero(rc == elements)), axis=1)
                 keys, first = np.unique(_bytes_keys(rows), return_index=True)
                 seen.update(keys.tolist())
                 classes.append(SubgroupClass(rows[first]))
@@ -443,18 +442,19 @@ class PermGroup:
         in Holt, Eick and O'Brien, Handbook of Computational Group Theory,
         2005): the first x with no number yet is the least generator of <x>,
         because all generators of a cyclic subgroup are numbered together.
-        Its powers x^j, j < |x|, one table lookup each, are the elements of
-        <x>, and those with j prime to |x| its generators."""
-        t = self.require_table()
+        Its powers x^j, j < |x|, each read from x's row of products as x
+        followed by the last, are the elements of <x>, and those with j prime
+        to |x| its generators."""
         number = [-1] * self.order
         gens, gens_from, members, members_from = [], [], [], [0]
         for x in range(self.order):
             if number[x] >= 0:
                 continue
             powers, p = [self.identity], x
+            row = self._products(x, slice(None))  # x followed by each element
             while p != self.identity:
                 powers.append(p)
-                p = t.item(p, x)
+                p = row.item(p)
             k = len(powers)
             gen = sorted(powers[j] for j in range(k) if math.gcd(j, k) == 1)
             for y in gen:
@@ -485,7 +485,6 @@ class PermGroup:
         from all the powers, the elements of the cyclic subgroup <x>, rather
         than from H alone takes fewer layers.  A join's element rows are
         expanded from masks of at most _FRONTIER elements at a time."""
-        t = self._table
         n = self.order
         number, elements, elements_from = cyclic[2:]
         dc, coset_reps, count, cr, cx = self._double_cosets(block, least, cyclic)
@@ -525,7 +524,7 @@ class PermGroup:
                 fd = pairs + shift[fc]
                 c, idx = _spans(start[fd], count[fd])
                 c = fc[c]
-                pairs = base[c] + dc[rs[c], t[coset_reps[idx], xs[c]]]
+                pairs = base[c] + dc[rs[c], self._products(coset_reps[idx], xs[c])]
             masks = reached.tobytes()
             new = []
             for j, (i, u, v) in enumerate(zip(rs.tolist(), base.tolist(), (base + mc).tolist())):
@@ -563,7 +562,6 @@ class PermGroup:
         only when d is the least double coset holding a generator of <x>: any
         other x has the join of an x' in an earlier double coset, which is
         taken or has the join of one earlier still."""
-        t = self._table
         n = self.order
         k = len(block)
         # (i, g) for one g per right coset H_i g, the least, by i
@@ -574,7 +572,7 @@ class PermGroup:
         hcat = np.concatenate(block)
         s = sizes[ri]
         j, h = _spans((np.cumsum(sizes) - sizes)[ri], s)
-        dl = np.minimum.reduceat(rc[ri[j], t[gi[j], hcat[h]]], np.cumsum(s) - s)
+        dl = np.minimum.reduceat(rc[ri[j], self._products(gi[j], hcat[h])], np.cumsum(s) - s)
         # number the double cosets by marking their least elements and counting
         is_least = np.zeros((k, n), dtype=bool)
         is_least[ri, dl] = True
@@ -594,10 +592,9 @@ class PermGroup:
     def derived_subgroup(self, subset) -> frozenset[int]:
         """The normal closure in K = <k> of the commutators [a, b] =
         a^-1 b^-1 a b of K's generators."""
-        t = self.require_table()
         k = np.array(self.gens_of(subset), dtype=np.intp)
-        ki = self._inv[k]
-        comms = t[t[t[ki[:, None], ki], k[:, None]], k].ravel()
+        ki, mul = self.inv[k], self._products
+        comms = mul(mul(mul(ki[:, None], ki), k[:, None]), k).ravel()
         return frozenset(self._close([self.identity], comms, k).tolist())
 
     def is_solvable_set(self, subset) -> bool:
@@ -614,7 +611,6 @@ class PermGroup:
         the trivial P by joining a p-element of K outside P that normalizes
         P: P<y> is then a larger p-group, and one exists while |P| < |K|_p,
         because P lies in a Sylow S > P and N_S(P) > P."""
-        self.require_table()
         target = r_part(len(subset), p)
         karr = np.fromiter(subset, dtype=np.intp, count=len(subset))
         pelems = self._pi_elements(karr, (p,))
@@ -972,11 +968,10 @@ def split_hall(g: PermGroup, hall_subset, sigma, tau) -> tuple[frozenset[int], f
     parts = [g._pi_elements(harr, primes) for primes in (sigma, tau)]
     if [len(arr) for arr in parts] != [s_order, t_order]:
         return None
-    t = g.require_table()
     for arr in parts:  # a finite set closed under products is a subgroup
         member = np.zeros(g.order, dtype=bool)
         member[arr] = True
-        if not member[t[np.ix_(arr, arr)]].all():
+        if not member[g._products(arr[:, None], arr)].all():
             return None
     return frozenset(parts[0].tolist()), frozenset(parts[1].tolist())
 

@@ -475,6 +475,9 @@ GOLDEN = [
     ("brute --group Lie:A:2:7 --pi 3,7 --json", 0, "5cc284e1c73c3fa8"),
     ("brute --group Alt:5 --pi 2,3 --json", 1, "ecc4e271170ca32e"),
     ("brute --group Alt:5,Cyclic:7 --pi 2,3,7 --json", 1, "98167540865a3e4e"),
+    # neither simple nor a direct product: its structure flags run the
+    # derived series and closures
+    ("brute --group Sym:5 --pi 2,3 --json", 1, "9d201c50a97f2204"),
     ("check --group Spor:M11 --pi 5,11 --json", 0, "8e84d095f0cbb6bd"),
     ("check --factors Alt:5,Cyclic:7 --pi 2,3,5 --json", 0, "738a7276687a541f"),
     ("split --factors Alt:5,Cyclic:7 --sigma 5 --tau 7 --json", 0, "37f258a69722db49"),

@@ -941,6 +941,66 @@ def test_table_reaches_sym7():
         assert t[i, g.inv[i]] == g.identity
 
 
+class _UnreadableTable:
+    """Stands in for a built table: any direct read fails."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"direct table read {key!r}")
+
+    def item(self, *args):
+        raise AssertionError(f"direct table read {args!r}")
+
+
+def _products_from_rows(g, a, b):
+    """The reference for PermGroup._products, with no table: a followed by b
+    is the permutation perms[b][perms[a]], looked up among the elements."""
+    if isinstance(b, slice):  # every element, one row per entry of a
+        a, b = np.asarray(a)[..., None], np.arange(g.order)[b]
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
+    rows = np.take_along_axis(g.perms[b.ravel()], g.perms[a.ravel()].astype(np.intp), axis=1)
+    return g.lookup(rows).astype(np.int16).reshape(a.shape)
+
+
+def _engine_results(g):
+    """What the engine reports on g: the lattice's conjugate rows, every
+    maximal_pi_subgroups report with its structural flags, and the Hall
+    inheritance, splits, Sylow subgroups and solvability behind them."""
+    classes = g.subgroup_classes()
+    out = [[(c.conjugates.dtype, c.conjugates.shape, c.conjugates.tobytes()) for c in classes]]
+    whole = frozenset(range(g.order))
+    primes = sorted(prime_divisors(g.order))
+    out.append([g.sylow_in(whole, p) for p in primes])
+    out.append([g.is_solvable_set(c.rep) for c in classes])
+    for k in range(1, len(primes) + 1):
+        for pi in map(frozenset, itertools.combinations(primes, k)):
+            r = maximal_pi_subgroups(g, pi)
+            out.append((r.epi, r.dpi, [c.conjugates.tobytes() for c in r.maximal_classes],
+                        r.structural))
+            if not r.epi:
+                continue
+            out.append(verify_hall_inheritance(g, pi))
+            for c in r.hall_classes:
+                out.append([g.sylow_in(c.rep, p) for p in sorted(pi)])
+                out.append([split_hall(g, c.rep, sigma, pi - sigma)
+                            for j in range(1, k)
+                            for sigma in map(frozenset, itertools.combinations(sorted(pi), j))])
+    return out
+
+
+@pytest.mark.parametrize("spec", ("Alt:5", "Sym:5", "Lie:A:2:7", "Alt:5,Cyclic:2",
+                                  "Cyclic:3,Cyclic:5"))
+def test_engine_reads_products_only_through_one_method(monkeypatch, spec):
+    # the engine's results with the table against those with the table
+    # unreadable and every product composed from the permutation rows: a read
+    # of the table outside PermGroup._products raises
+    expected = _engine_results(realize(spec))
+    g = realize(spec)
+    g.require_table()
+    g._table = _UnreadableTable()
+    monkeypatch.setattr(PermGroup, "_products", _products_from_rows)
+    assert _engine_results(g) == expected
+
+
 def _regular_quotient():
     """Alt(5) x C2 acting on the cosets of its trivial subgroup, that is on
     itself by right multiplication: degree 120, three generators."""
@@ -1005,7 +1065,7 @@ def test_product_table_is_the_breadth_first_one(spec):
     g._table = None
     orders = g.element_orders(), g._kinds, g._kind
     h = PermGroup(g.degree, g.generators)
-    assert h._factors is None and np.array_equal(h.perms, g.perms)
+    assert type(h) is PermGroup and np.array_equal(h.perms, g.perms)
     assert _table_digest(h) == product
     for a, b in zip(orders, (h.element_orders(), h._kinds, h._kind)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
