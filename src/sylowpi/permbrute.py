@@ -1,11 +1,12 @@
 """Brute-force ground truth for D_pi on small groups.
 
 Small groups are realized as permutation groups from their spec strings
-(`realize`): Alt(n), Sym(n) and PSL(2, q) exactly when their order is at
-most ORDER_BOUND, cyclic groups of prime order p <= 31, and direct
-products of those.  The full subgroup lattice is enumerated up to
-conjugacy, and E_pi / D_pi are decided by definition: D_pi holds exactly
-when all maximal pi-subgroups form a single conjugacy class.
+(`realize`): Alt(n), Sym(n), and PSL(n, q) as Lie:A:n:q on PG(n - 1, q),
+when their order is at most ORDER_BOUND, cyclic groups of prime order
+p <= 31, and direct products of those.  The full subgroup lattice is
+enumerated up to conjugacy, and E_pi / D_pi are decided by definition:
+D_pi holds exactly when all maximal pi-subgroups form a single conjugacy
+class.
 
 The lattice starts from the cyclic subgroups.  For each subgroup H found
 it takes the joins <H, x>, one x per double coset HxH.  A subgroup in the
@@ -40,8 +41,8 @@ gather per generator and block of rows, its inverses are looked up from
 the argsorts of its rows, and its element orders are the lcms of cycle
 lengths, so none of these runs Python per element; the pi-element and
 nilpotency tests read each element's index among the distinct orders,
-found once with them.  The field tables behind PSL(2, q) are arrays too,
-and a Moebius map is one array expression over them.
+found once with them.  The field tables behind PSL(n, q) are arrays too,
+and a matrix moves every point in one array expression over them.
 
 Everything interesting happens on element indices against a
 multiplication table (numpy), read through one method, `_products`:
@@ -675,22 +676,29 @@ class _GF:
         self.inv = (self.mul == 1).argmax(axis=1)  # 0 for a = 0, whose row has no 1
 
 
-def _psl2(q: int) -> PermGroup:
-    """PSL(2, q) acting on the projective line (q + 1 points, infinity last),
-    generated by the translations x -> x + p^i (an F_p-basis of F_q) and
-    x -> -1/x: they give the upper and lower unitriangular matrices, which
-    generate SL(2, q)."""
+def _psl(n: int, q: int) -> PermGroup:
+    """PSL(n, q) acting on the points of PG(n - 1, q), generated by the
+    transvections v0 -> v0 + p^i v1 (an F_p-basis of F_q) and the
+    determinant-one cycle e_k -> e_(k+1), e_(n-1) -> -+e_0: the cycle's
+    powers carry the first root group to those at (k, k + 1 mod n), which
+    generate SL(n, q) (Taylor, The Geometry of the Classical Groups, 1992).
+    A point is its vector whose last nonzero coordinate is 1; points whose 1
+    comes later are numbered first, each block in base-q order, coordinate 0
+    lowest.  For n = 2 that is x -> x + p^i and x -> -1/x, infinity last."""
     F = _GF(q)
-    # point x is u/v: (x, 1) for x in F_q, then infinity (1, 0)
-    u, v = np.append(np.arange(q), 1), np.append(np.ones(q, dtype=int), 0)
+    weights = q ** np.arange(n)
+    pts = np.concatenate([np.arange(q ** k)[:, None] // weights % q + (np.arange(n) == k)
+                          for k in range(n - 1, -1, -1)])
+    point = np.empty(q ** n, dtype=np.intp)  # the point of every nonzero vector
+    point[F.mul[np.arange(1, q)[:, None, None], pts] @ weights] = np.arange(len(pts))
 
-    def mobius(a, b, c, d):  # x -> (a x + b) / (c x + d)
-        num = F.add[F.mul[a, u], F.mul[b, v]]
-        den = F.add[F.mul[c, u], F.mul[d, v]]
-        return tuple(np.where(den != 0, F.mul[num, F.inv[den]], q).tolist())
+    def image(cols):  # point i goes to the point of (cols[0][i], ..., cols[n-1][i])
+        return point[np.stack(cols, axis=1) @ weights].tolist()
 
-    gens = [mobius(1, F.p ** i, 0, 1) for i in range(F.f)] + [mobius(0, F.neg[1], 1, 0)]
-    return PermGroup(q + 1, gens, name=f"PSL(2,{q})")
+    v = list(pts.T)
+    gens = [image([F.add[v[0], F.mul[F.p ** i, v[1]]]] + v[1:]) for i in range(F.f)]
+    gens.append(image([v[-1] if n % 2 else F.neg[v[-1]]] + v[:-1]))
+    return PermGroup(len(pts), gens, name=f"PSL({n},{q})")
 
 
 def _alt(n: int) -> PermGroup:
@@ -794,15 +802,15 @@ def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
 def realize(spec: str) -> PermGroup:
     """Realize a built-in group from its spec string: a direct product of
     comma-separated factors ("Alt:5,Cyclic:7"), each one of Alt:n, Sym:n
-    (n >= 5), PSL(2, q) as Lie:A:2:q, and Cyclic:p for a prime p <= 31.  An
-    Alt, Sym or PSL factor is realized exactly when its order is at most
-    ORDER_BOUND, which is checked before any element is built.  Factors are
-    cached by spec, and every call returns a new group that belongs to its
-    caller: a factor comes as a shallow copy of the cached one, sharing its
-    read-only rows and generators, and a product is assembled from the
-    cached factors, so a table or lattice is freed with the caller's group:
-    the product's table, inverses and element orders are computed from the
-    factors', and none is stored on them."""
+    (n >= 5), PSL(n, q) as Lie:A:n:q on PG(n - 1, q), and Cyclic:p for a
+    prime p <= 31.  An Alt, Sym or PSL factor is realized when its order is
+    at most ORDER_BOUND, which is checked before any element is built.
+    Factors are cached by spec, and every call returns a new group that
+    belongs to its caller: a factor comes as a shallow copy of the cached
+    one, sharing its read-only rows and generators, and a product is
+    assembled from the cached factors, so a table or lattice is freed with
+    the caller's group: the product's table, inverses and element orders
+    are computed from the factors', and none is stored on them."""
     parts = [s.strip() for s in spec.split(",") if s.strip()] or [spec]
     for part in parts:
         if part not in _REALIZE_CACHE:
@@ -828,8 +836,8 @@ def _realize_factor(spec: str) -> PermGroup:
         gid = parse_group(spec)
         if gid.family == "Alt":
             degree, build = gid.n, lambda: _alt(gid.n)
-        elif gid.family == "Lie" and gid.lie_type == "A" and gid.n == 2:
-            degree, build = gid.q + 1, lambda: _psl2(gid.q)
+        elif gid.family == "Lie" and gid.lie_type == "A":
+            degree, build = (gid.q ** gid.n - 1) // (gid.q - 1), lambda: _psl(gid.n, gid.q)
         else:
             raise BruteForceBoundError(f"{gid} is not a built-in realization")
         name, order = str(gid), lambda: order_of(gid)

@@ -25,7 +25,7 @@ from sylowpi.permbrute import (
     ElementListError,
     PermGroup,
     _GF,
-    _psl2,
+    _psl,
     _sym,
     check_final_corollary,
     direct_product,
@@ -113,15 +113,16 @@ def test_permutation_primitives():
 
 
 def test_realize_orders_match_catalog():
-    # PSL(2, q) for every q whose order is at most ORDER_BOUND
-    psl2 = tuple(f"Lie:A:2:{q}" for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27))
-    for spec in ("Alt:5", "Alt:6", "Alt:7") + psl2:
+    # PSL(n, q) for every n, q whose order is at most ORDER_BOUND
+    psl = tuple(f"Lie:A:2:{q}" for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27))
+    for spec in ("Alt:5", "Alt:6", "Alt:7", "Lie:A:3:2", "Lie:A:3:3") + psl:
         g = realize(spec)
         assert g.order == facts(parse_group(spec)).order, spec
 
 
 @pytest.mark.parametrize("spec, order", [("Alt:8", 20160), ("Sym:8", 40320),
-                                         ("Lie:A:2:29", 12180)])
+                                         ("Lie:A:2:29", 12180), ("Lie:A:3:4", 20160),
+                                         ("Lie:A:4:2", 20160), ("Lie:A:3:5", 372000)])
 def test_realize_refuses_by_order_before_building(spec, order, monkeypatch):
     def no_elements(*args, **kwargs):
         raise AssertionError(f"{spec}: elements built before the order check")
@@ -272,7 +273,50 @@ def test_psl2_is_every_determinant_one_mobius_map(q):
     maps = {mobius(a, b, c, d)
             for a in range(q) for b in range(q) for c in range(q) for d in range(q)
             if F.add[F.mul[a][d]][F.neg[F.mul[b][c]]] == 1}
-    assert _tuples(_psl2(q))[0] == sorted(maps)
+    assert _tuples(_psl(2, q))[0] == sorted(maps)
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_psl3_is_every_determinant_one_matrix(q):
+    # the points of PG(2, q), numbered as _psl's docstring says: a point is
+    # its vector whose last nonzero coordinate is 1, those whose 1 comes later
+    # first, each block in base-q order with coordinate 0 lowest
+    points = [tuple(x // q ** j % q for j in range(k)) + (1,) + (0,) * (2 - k)
+              for k in (2, 1, 0) for x in range(q ** k)]
+    index = {v: i for i, v in enumerate(points)}
+
+    def point(v):  # v scaled so that its last nonzero coordinate is 1
+        c = pow([x for x in v if x][-1], -1, q)
+        return index[tuple(x * c % q for x in v)]
+
+    maps = set()
+    for m in itertools.product(range(q), repeat=9):
+        rows = (m[0:3], m[3:6], m[6:9])
+        det = (m[0] * (m[4] * m[8] - m[5] * m[7]) - m[1] * (m[3] * m[8] - m[5] * m[6])
+               + m[2] * (m[3] * m[7] - m[4] * m[6]))
+        if det % q == 1:
+            maps.add(tuple(point([sum(a * x for a, x in zip(r, v)) % q for r in rows])
+                           for v in points))
+    assert len(maps) == facts(parse_group(f"Lie:A:3:{q}")).order
+    assert _tuples(_psl(3, q))[0] == sorted(maps)
+
+
+def test_psl32_and_psl27_have_the_same_lattice_and_hall_reports():
+    # PSL(3, 2) on 7 points and PSL(2, 7) on 8 are one group
+    a, b = realize("Lie:A:3:2"), realize("Lie:A:2:7")
+    assert (a.degree, b.degree) == (7, 8)
+
+    def shapes(classes):
+        return sorted((c.order, c.class_size) for c in classes)
+
+    assert shapes(a.subgroup_classes()) == shapes(b.subgroup_classes())
+    assert len(a.subgroup_classes()) == 15
+    assert sum(c.class_size for c in a.subgroup_classes()) == 179
+    for r in range(4):
+        for pi in itertools.combinations((2, 3, 7), r):
+            ra, rb = (maximal_pi_subgroups(g, pi, with_structure=False) for g in (a, b))
+            assert ((ra.epi, ra.dpi, shapes(ra.maximal_classes))
+                    == (rb.epi, rb.dpi, shapes(rb.maximal_classes))), pi
 
 
 def test_gf_takes_the_first_irreducible_polynomial():
@@ -432,7 +476,7 @@ def test_lattice_is_the_same_in_small_blocks(monkeypatch):
     # subgroup one row (two for C2^5) at a time
     def lattices():
         c2 = permbrute._cyclic(2)
-        groups = (_sym(5), _sym(6), _psl2(11),
+        groups = (_sym(5), _sym(6), _psl(2, 11),
                   direct_product(permbrute._alt(5), permbrute._cyclic(7)),
                   direct_product(direct_product(c2, c2), direct_product(c2, direct_product(c2, c2))))
         out = []
