@@ -2,11 +2,11 @@
 
 Small groups are realized as permutation groups from their spec strings
 (`realize`): Alt(n), Sym(n), and PSL(n, q) as Lie:A:n:q on PG(n - 1, q),
-when their order is at most ORDER_BOUND, cyclic groups of prime order
-p <= 31, and direct products of those.  The full subgroup lattice is
-enumerated up to conjugacy, and E_pi / D_pi are decided by definition:
-D_pi holds exactly when all maximal pi-subgroups form a single conjugacy
-class.
+when their order is at most ORDER_BOUND, M11 on 11 points, cyclic groups
+of prime order p <= 31, and direct products of those.  The full subgroup
+lattice is enumerated up to conjugacy, and E_pi / D_pi are decided by
+definition: D_pi holds exactly when all maximal pi-subgroups form a single
+conjugacy class.
 
 The lattice starts from the cyclic subgroups.  For each subgroup H found
 it takes the joins <H, x>, one x per double coset HxH.  A subgroup in the
@@ -26,7 +26,7 @@ in Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 The cyclic subgroups come from one walk over the elements in increasing
 order, one product per power of each least generator.  Whether a class
 has a conjugate inside a subgroup is one gather of that subgroup's
-membership mask over the class's rows.
+membership mask, `_mask`, over the class's rows.
 
 A group keeps its elements as one array, `perms`: its permutations as
 uint8 rows in lexicographic order, element i being row i, so the degree is
@@ -290,8 +290,7 @@ class PermGroup:
         lefts = [self.lookup(self.perms[:, s]).astype(np.int16) for s in self.generators]
         table = np.empty((n, n), dtype=np.int16)
         table[self.identity] = np.arange(n)
-        reached = np.zeros(n, dtype=bool)
-        reached[self.identity] = True
+        reached = self._mask(self.identity)
         layer = np.array([self.identity])
         step = max(1, _FRONTIER // n)
         while layer.size:  # breadth-first
@@ -319,6 +318,12 @@ class PermGroup:
         a: the one read of products outside the table's own construction."""
         return self.require_table()[a, b]
 
+    def _mask(self, idx) -> np.ndarray:
+        """The boolean membership mask of the element indices `idx`."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[idx] = True
+        return mask
+
     def _conjugates(self, arr, gs) -> np.ndarray:
         """Index array c with c[i, j...] = index of gs[i]^-1 arr[j...] gs[i]."""
         gs = np.asarray(gs, dtype=np.intp).reshape((-1,) + (1,) * np.ndim(arr))
@@ -336,8 +341,7 @@ class PermGroup:
         orders = self.element_orders()
         arr = np.fromiter(subset, dtype=np.intp)
         arr = arr[np.argsort(-orders[arr], kind="stable")]
-        member = np.zeros(self.order, dtype=bool)
-        member[self.identity] = True
+        member = self._mask(self.identity)
         harr, gens = np.array([self.identity]), []
         while (arr := arr[~member[arr]]).size:
             gens.append(int(arr[0]))
@@ -356,12 +360,10 @@ class PermGroup:
         conjugate of s."""
         gens = np.asarray(gens, dtype=np.intp)
         conj = np.asarray(conj, dtype=np.intp)
-        member = np.zeros(self.order, dtype=bool)
-        member[np.asarray(start, dtype=np.intp)] = True
+        member = self._mask(start)
         layer = np.flatnonzero(member)
         while layer.size:
-            fresh = np.zeros(self.order, dtype=bool)
-            fresh[self._products(layer[:, None], gens)] = True
+            fresh = self._mask(self._products(layer[:, None], gens))
             fresh[self._conjugates(layer, conj)] = True
             fresh &= ~member
             member |= fresh
@@ -617,8 +619,7 @@ class PermGroup:
         pelems = self._pi_elements(karr, (p,))
         parr, pgens = np.array([self.identity]), []
         while len(parr) < target:
-            member = np.zeros(self.order, dtype=bool)
-            member[parr] = True
+            member = self._mask(parr)
             outside = pelems[~member[pelems]]
             # conjugation is injective, so y normalizes P when it maps every
             # element of P into P
@@ -716,6 +717,15 @@ def _sym(n: int) -> PermGroup:
     return PermGroup(n, [a, b], name=f"Sym({n})")
 
 
+def _m11() -> PermGroup:
+    """M11 on 11 points, from the ATLAS generators (1,2,...,11) and
+    (3,7,11,8)(4,10,5,6), numbered from 0 here (Conway et al., ATLAS of
+    Finite Groups, 1985)."""
+    a = tuple(list(range(1, 11)) + [0])
+    b = (0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7)  # (2,6,10,7)(3,9,4,5)
+    return PermGroup(11, [a, b], name="M11")
+
+
 def _cyclic(p: int) -> PermGroup:
     g = tuple(list(range(1, p)) + [0])
     return PermGroup(p, [g], name=f"Cyclic({p})")
@@ -802,9 +812,10 @@ def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
 def realize(spec: str) -> PermGroup:
     """Realize a built-in group from its spec string: a direct product of
     comma-separated factors ("Alt:5,Cyclic:7"), each one of Alt:n, Sym:n
-    (n >= 5), PSL(n, q) as Lie:A:n:q on PG(n - 1, q), and Cyclic:p for a
-    prime p <= 31.  An Alt, Sym or PSL factor is realized when its order is
-    at most ORDER_BOUND, which is checked before any element is built.
+    (n >= 5), PSL(n, q) as Lie:A:n:q on PG(n - 1, q), Spor:M11 on 11
+    points, and Cyclic:p for a prime p <= 31.  An Alt, Sym, PSL or M11
+    factor is realized when its order is at most ORDER_BOUND, which is
+    checked before any element is built.
     Factors are cached by spec, and every call returns a new group that
     belongs to its caller: a factor comes as a shallow copy of the cached
     one, sharing its read-only rows and generators, and a product is
@@ -838,6 +849,8 @@ def _realize_factor(spec: str) -> PermGroup:
             degree, build = gid.n, lambda: _alt(gid.n)
         elif gid.family == "Lie" and gid.lie_type == "A":
             degree, build = (gid.q ** gid.n - 1) // (gid.q - 1), lambda: _psl(gid.n, gid.q)
+        elif gid.family == "Spor" and gid.name == "M11":
+            degree, build = 11, _m11
         else:
             raise BruteForceBoundError(f"{gid} is not a built-in realization")
         name, order = str(gid), lambda: order_of(gid)
@@ -859,13 +872,6 @@ def _realize_factor(spec: str) -> PermGroup:
 
 # ---------------------------------------------------------------------------
 # pi-subgroup analysis
-
-def _member_mask(g: PermGroup, c: SubgroupClass) -> np.ndarray:
-    """Boolean membership mask of the representative of c."""
-    mask = np.zeros(g.order, dtype=bool)
-    mask[c.conjugates[0]] = True
-    return mask
-
 
 def _conjugate_inside(c: SubgroupClass, host: np.ndarray) -> np.ndarray | None:
     """A subgroup of the class c inside the subgroup whose membership mask
@@ -889,7 +895,7 @@ def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallR
                    and _conjugate_inside(c, mask) is not None
                    for d, mask in zip(maximal, masks)):
             maximal.append(c)
-            masks.append(_member_mask(g, c))
+            masks.append(g._mask(c.conjugates[0]))
     maximal.reverse()
     report = HallReport(pi, pi & prime_divisors(g.order), hall_order,
                         epi=any(c.order == hall_order for c in maximal),
@@ -926,7 +932,7 @@ def _structural_flags(g: PermGroup, report: HallReport, pi_classes) -> dict:
     when every pi-Hall subgroup has a nilpotent sigma- or tau-Hall subgroup."""
     solvable = all(g.is_solvable_set(c.rep) for c in report.hall_classes)
     partitions = []
-    hosts = [_member_mask(g, c) for c in report.hall_classes]
+    hosts = [g._mask(c.conjugates[0]) for c in report.hall_classes]
     for sigma, tau in _two_part_partitions(report.pi_effective):
         ok = True
         for host in hosts:
@@ -956,7 +962,7 @@ def verify_hall_inheritance(g: PermGroup, pi) -> bool:
     for a in g.subgroup_classes():
         if a.class_size != 1:
             continue
-        member, coset = _member_mask(g, a), g._coset_least(a.conjugates[0])
+        member, coset = g._mask(a.conjugates[0]), g._coset_least(a.conjugates[0])
         for h in hs:
             if (np.count_nonzero(member[h]) != pi_part(a.order, pi)
                     or np.unique(coset[h]).size != pi_part(g.order // a.order, pi)):
@@ -977,9 +983,7 @@ def split_hall(g: PermGroup, hall_subset, sigma, tau) -> tuple[frozenset[int], f
     if [len(arr) for arr in parts] != [s_order, t_order]:
         return None
     for arr in parts:  # a finite set closed under products is a subgroup
-        member = np.zeros(g.order, dtype=bool)
-        member[arr] = True
-        if not member[g._products(arr[:, None], arr)].all():
+        if not g._mask(arr)[g._products(arr[:, None], arr)].all():
             return None
     return frozenset(parts[0].tolist()), frozenset(parts[1].tolist())
 

@@ -27,11 +27,11 @@ def _report(number: int, title: str) -> None:
 def test_criterion_1_oracle_agreement():
     """Criterion-oracle agreement on every realized simple group and every
     pi within its prime spectrum: Alt(5)-Alt(7), the 13 PSL(2,q) of order
-    <= 10080, PSL(3,2) and PSL(3,3).  PSL(3,2), PSL(2,16) and PSL(2,19) are
-    where brute force checks Conditions IV, V and VII."""
+    <= 10080, PSL(3,2), PSL(3,3) and M11.  M11, PSL(3,2), PSL(2,16) and
+    PSL(2,19) are where brute force checks Conditions II, IV, V and VII."""
     specs = [f"Alt:{n}" for n in (5, 6, 7)] + [
         f"Lie:A:2:{q}" for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)] + [
-        "Lie:A:3:2", "Lie:A:3:3"]
+        "Lie:A:3:2", "Lie:A:3:3", "Spor:M11"]
     disagreements = []
     witnesses = {}
     cells = Counter()
@@ -45,14 +45,15 @@ def test_criterion_1_oracle_agreement():
                            for v in verdicts]
         cells.update(witnesses[spec])
     assert disagreements == [], disagreements
+    assert ("II", 1) in witnesses["Spor:M11"], witnesses["Spor:M11"]
     assert ("IV", 1) in witnesses["Lie:A:3:2"], witnesses["Lie:A:3:2"]
     assert ("V", 1) in witnesses["Lie:A:2:16"], witnesses["Lie:A:2:16"]
     assert ("VII", 1) in witnesses["Lie:A:2:19"], witnesses["Lie:A:2:19"]
     # every witness cell the oracle checks, with its rows; None: no condition
-    assert cells == {None: 99, ("I", None): 98, ("III", None): 7, ("IV", 1): 1,
-                     ("V", 1): 1, ("VII", 1): 2}, cells
+    assert cells == {None: 108, ("I", None): 104, ("II", 1): 1, ("III", None): 7,
+                     ("IV", 1): 1, ("V", 1): 1, ("VII", 1): 2}, cells
     _report(1, f"criterion-oracle agreement on {len(specs)} simple groups, "
-               f"{sum(cells.values())} rows (0 disagreements; IV(1), V(1) and VII(1) checked)")
+               f"{sum(cells.values())} rows (0 disagreements; II(1), IV(1), V(1) and VII(1) checked)")
 
 
 def test_criterion_2_epi_without_dpi_witness():

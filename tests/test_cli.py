@@ -300,7 +300,7 @@ def test_brute_json(capsys):
 
 
 def test_brute_bound_error(capsys):
-    code, _, err = run_cli(capsys, "brute", "--group", "Spor:M11", "--pi", "2,3")
+    code, _, err = run_cli(capsys, "brute", "--group", "Spor:M12", "--pi", "5,11")
     assert code == EXIT_ERROR
     code, _, err = run_cli(capsys, "brute", "--group", "Lie:A:2:29", "--pi", "2")
     assert code == EXIT_ERROR

@@ -229,6 +229,20 @@ def test_each_subcase_of_IV_and_V_is_a_witness(spec, pi, condition, subcase, bin
     assert v.witness.bindings == bindings
 
 
+# Rows at the thresholds of criterion.py that no other test pins: moving one
+# threshold by one (> to >=) changes the row's verdict or witness.  Each id
+# names the line and the subcase.  VII(4)'s `s > 2 * n` (line 305) has no
+# such row: s is an odd prime and 2n is even, so s >= 2n holds just when
+# s > 2n does.
+@pytest.mark.parametrize("spec, pi, witness", [
+    pytest.param("Lie:C:7:29", {2, 7}, None, id="line303-VII(3)-s=n"),
+])
+def test_threshold_boundaries(spec, pi, witness):
+    v = decide_dpi_simple(parse_group(spec), frozenset(pi))
+    assert v.dpi == (witness is not None)
+    assert (v.witness and (v.witness.condition, v.witness.subcase)) == witness
+
+
 def isomorphic_classes():
     """Groups that the catalog names more than once, one tuple per group."""
     yield alt(5), lie("A", 4, n=2), lie("A", 5, n=2)

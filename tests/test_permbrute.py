@@ -181,7 +181,7 @@ def test_realize_products_and_cyclic():
     with pytest.raises(BruteForceBoundError):
         realize("Alt:9")
     with pytest.raises(BruteForceBoundError, match="not a built-in realization"):
-        realize("Spor:M11")
+        realize("Spor:M12")
 
 
 def test_realize_is_cached():
@@ -566,7 +566,7 @@ def test_conjugate_inside_alt5():
               for a in elements]
     alt5 = next(c for c in classes if c.order == 60)
     assert not any(is_odd[x] for x in alt5.rep)
-    host = permbrute._member_mask(g, alt5)
+    host = g._mask(alt5.conjugates[0])
     fours = [c for c in classes if c.order == 4
              and all(perm_order(elements[x]) <= 2 for x in c.rep)]
     even = [c for c in fours if not any(is_odd[x] for x in c.rep)]
@@ -576,7 +576,7 @@ def test_conjugate_inside_alt5():
     assert permbrute._conjugate_inside(odd[0], host) is None
     # every pair of classes against a scan of the conjugates as sets
     for d in classes:
-        host = permbrute._member_mask(g, d)
+        host = g._mask(d.conjugates[0])
         for c in classes:
             sets = set(map(frozenset, c.conjugates.tolist()))
             inside = permbrute._conjugate_inside(c, host)

@@ -1,5 +1,6 @@
 """Embedded classification tables: checksum pin, gates, and cross-audits."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -7,9 +8,15 @@ import json
 import pytest
 
 from sylowpi import catalog
-from sylowpi.catalog import SPORADIC_ORDERS, facts, sporadic
+from sylowpi.catalog import SPORADIC_ORDERS, alt, facts, order_of, sporadic
 from sylowpi.criterion import CONDITION_II_ITEMS, decide_dpi_simple
-from sylowpi.permbrute import maximal_pi_subgroups, realize
+from sylowpi.permbrute import (
+    _two_part_partitions,
+    maximal_pi_subgroups,
+    pi_part,
+    realize,
+    split_hall,
+)
 from sylowpi.tables import (
     SPORADIC_EVEN_ROWS,
     SPORADIC_ODD_ROWS,
@@ -176,3 +183,74 @@ def test_epi_tables_match_brute_force(family, n):
         for pi in map(frozenset, itertools.combinations(spectrum, k)):
             table = alt_epi(n, pi) if family == "Alt" else bool(sym_epi(n, pi))
             assert table == maximal_pi_subgroups(g, pi, with_structure=False).epi, (n, pi)
+
+
+# The paper's theorem: if a pi-Hall subgroup is H_sigma x H_tau and D_sigma
+# and D_tau hold, then D_pi holds.  So where the tables give E_pi and the
+# criterion gives D_sigma and D_tau but not D_pi, no pi-Hall subgroup splits
+# as sigma-part x tau-part.  When sigma and tau are single primes such a
+# split is nilpotent, and the theorem is Wielandt's ("Zum Satz von Sylow",
+# 1954).  Each row: (group, pi, sigma, tau), sigma holding pi's least prime,
+# to (the structure the table records, the Hall order, why it does not
+# split); an Alt row's structure is the Sym_n row H, its Hall subgroup
+# H ^ Alt_n.
+FORCED_NON_SPLIT = {
+    ("Alt(5)", (2, 3), (2,), (3,)): (
+        "Sym_4", 12, "Sym_4 ^ Alt_5 = Alt_4 = 2^2:3, whose 3-cycles fix no involution"),
+    ("Alt(7)", (2, 3), (2,), (3,)): (
+        "Sym_3 x Sym_4", 72, "it holds Alt_4 on the last four points, not nilpotent"),
+    ("Alt(8)", (2, 3), (2,), (3,)): (
+        "Sym_4 wr Sym_2", 576, "it holds Alt_4 on one block, not nilpotent"),
+    ("M11", (2, 3), (2,), (3,)): (
+        "3^2:Q8.2", 144, "Q8 acts faithfully on the normal 3^2, so H is not nilpotent"),
+    ("M23", (2, 3), (2,), (3,)): (
+        "2^4:(3 x A4):2", 1152, "it holds A4, not nilpotent"),
+    ("J1", (2, 3), (2,), (3,)): (
+        "2 x A4", 24, "A4 is not nilpotent"),
+    ("J1", (2, 7), (2,), (7,)): (
+        "2^3:7", 56, "7 acts on 2^3 without fixed points, so H is not nilpotent"),
+    ("J1", (2, 3, 5), (2,), (3, 5)): (
+        "2 x A5", 120, "the split needs a normal Sylow 2-subgroup, and A5 is simple"),
+    ("J1", (2, 3, 7), (2,), (3, 7)): (
+        "2^3:7:3", 168, "the 7 of 7:3 moves every involution of 2^3, so 7:3 does "
+                        "not centralize it"),
+    ("ON", (3, 5), (3,), (5,)): (
+        "", 405, "Table 2 records no structure; predicted: H, of order 3^4 * 5, "
+                 "is not nilpotent"),
+}
+
+
+def test_hall_tables_force_non_split_rows():
+    """Every pi with 2 <= |pi| <= 5 and pi(G) not inside pi, on Alt(5)-Alt(39)
+    and the sporadic groups: exactly the FORCED_NON_SPLIT rows have E_pi,
+    D_sigma and D_tau without D_pi, and each records its structure."""
+    groups = [(alt(n), lambda pi, n=n: sym_epi(n, pi) if alt_epi(n, pi) else ())
+              for n in range(5, 40)]
+    groups += [(sporadic(name), lambda pi, name=name: sporadic_epi(name, pi))
+               for name in SPORADIC_ORDERS]
+    rows, forced = 0, {}
+    for gid, epi in groups:
+        spectrum = facts(gid).spectrum
+        dpi = functools.cache(lambda pi, gid=gid: decide_dpi_simple(gid, pi).dpi)
+        for k in range(2, 6):
+            for pi in map(frozenset, itertools.combinations(sorted(spectrum), k)):
+                if pi >= spectrum:
+                    continue
+                rows += 1
+                if not (structures := epi(pi)) or dpi(pi):
+                    continue
+                for sigma, tau in _two_part_partitions(pi):
+                    if dpi(sigma) and dpi(tau):
+                        key = (str(gid), *(tuple(sorted(x)) for x in (pi, sigma, tau)))
+                        forced[key] = (structures, pi_part(order_of(gid), pi))
+    assert rows == 24025
+    assert forced == {key: ((structure,), order)
+                      for key, (structure, order, _) in FORCED_NON_SPLIT.items()}, forced
+
+
+@pytest.mark.parametrize("spec", ["Alt:5", "Alt:7", "Spor:M11"])
+def test_forced_non_split_rows_by_brute_force(spec):
+    g = realize(spec)
+    report = maximal_pi_subgroups(g, {2, 3}, with_structure=False)
+    assert report.epi and not report.dpi
+    assert all(split_hall(g, c.rep, {2}, {3}) is None for c in report.hall_classes)
