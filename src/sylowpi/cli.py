@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING
 
 from .arith import prime_divisors, prime_set
 from .catalog import parse_group
-from .composition import SplitHypothesis, decide_dpi_composite, parse_factors, wielandt_split
+from .composition import (CompositeVerdict, SplitHypothesis, decide_dpi_composite,
+                          parse_factors, wielandt_split)
 from .criterion import Verdict, decide_dpi_simple
 
 if TYPE_CHECKING:
@@ -68,6 +69,15 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
+def _emit_composite(args, cv: CompositeVerdict, report: dict, lines: list[str]) -> int:
+    """Emit a factor-list verdict with its per-factor trace; return its exit code."""
+    report["dpi"] = cv.dpi
+    report["trace"] = [{"factor": f, "dpi": d, "witness": w} for f, d, w in cv.trace]
+    lines += [f"  {f}: {'true' if d else 'false'} ({w})" for f, d, w in cv.trace]
+    _emit(report, args.json, lines)
+    return EXIT_TRUE if cv.dpi else EXIT_FALSE
+
+
 def _verdict_report(v: Verdict) -> dict:
     witness = None
     if v.witness is not None:
@@ -88,17 +98,9 @@ def _cmd_check(args) -> int:
     pi = args.pi
     if args.factors is not None:
         cv = decide_dpi_composite(parse_factors(args.factors), pi)
-        report = {
-            "command": "check",
-            "factors": args.factors,
-            "pi": sorted(pi),
-            "dpi": cv.dpi,
-            "trace": [{"factor": f, "dpi": d, "witness": w} for f, d, w in cv.trace],
-        }
+        report = {"command": "check", "factors": args.factors, "pi": sorted(pi)}
         lines = [f"D_pi = {cv.dpi} for factors [{args.factors}], pi = {sorted(pi)}"]
-        lines += [f"  {f}: {'true' if d else 'false'} ({w})" for f, d, w in cv.trace]
-        _emit(report, args.json, lines)
-        return EXIT_TRUE if cv.dpi else EXIT_FALSE
+        return _emit_composite(args, cv, report, lines)
     gid = parse_group(args.group)
     v = decide_dpi_simple(gid, pi)
     report = {"command": "check", "pi": sorted(pi), **_verdict_report(v)}
@@ -229,22 +231,11 @@ def _cmd_split(args) -> int:
     spec = parse_factors(args.group if args.factors is None else args.factors)
     hyp = SplitHypothesis(sigma=sigma, tau=tau, hall_split_assumed=True)
     cv = wielandt_split(spec, sigma, tau, hyp)
-    report = {
-        "command": "split",
-        "sigma": sorted(sigma),
-        "tau": sorted(tau),
-        "dpi": cv.dpi,
-        "conditional": cv.conditional,
-        "condition_note": cv.condition_note,
-        "trace": [{"factor": f, "dpi": d, "witness": w} for f, d, w in cv.trace],
-    }
+    report = {"command": "split", "sigma": sorted(sigma), "tau": sorted(tau),
+              "conditional": cv.conditional, "condition_note": cv.condition_note}
     lines = [f"D_(sigma u tau) = {cv.dpi} for sigma = {sorted(sigma)}, "
-             f"tau = {sorted(tau)}"]
-    if cv.conditional:
-        lines.append(f"  {cv.condition_note}")
-    lines += [f"  {f}: {'true' if d else 'false'} ({w})" for f, d, w in cv.trace]
-    _emit(report, args.json, lines)
-    return EXIT_TRUE if cv.dpi else EXIT_FALSE
+             f"tau = {sorted(tau)}", f"  {cv.condition_note}"]
+    return _emit_composite(args, cv, report, lines)
 
 
 def _cmd_tables(args) -> int:

@@ -2,11 +2,11 @@
 
 D_pi passes through normal subgroups and quotients, so for a group given
 by its composition-factor multiset the verdict is the conjunction over the
-factors (cyclic factors pass trivially).  The partition corollary, and
-the sigma/tau split as its two-part case, additionally need the split-Hall
-hypothesis H = H_1 x ... x H_n, which is not decidable from a factor
-multiset: it is asserted, never verified here, so those verdicts are always
-labeled conditional.
+factors (cyclic factors pass trivially).  The sigma/tau split, D_(sigma u
+tau) as D_sigma and D_tau, additionally needs the split-Hall hypothesis
+H = H_sigma x H_tau, which is not decidable from a factor multiset: it is
+asserted, never verified here, so a split verdict is always labeled
+conditional.
 """
 
 from __future__ import annotations
@@ -84,28 +84,11 @@ def decide_dpi_composite(spec: CompositionSpec, pi: frozenset[int]) -> Composite
 def wielandt_split(spec: CompositionSpec, sigma: frozenset[int],
                    tau: frozenset[int], hyp: SplitHypothesis) -> CompositeVerdict:
     """D_(sigma u tau) as the conjunction of D_sigma and D_tau, valid under
-    the split-Hall hypothesis H = H_sigma x H_tau: the two-part case of
-    corollary_partition."""
+    the split-Hall hypothesis H = H_sigma x H_tau."""
     if hyp.sigma != sigma or hyp.tau != tau:
         raise ValueError("hypothesis does not match the requested split")
-    return corollary_partition(spec, [sigma, tau])
-
-
-def corollary_partition(spec: CompositionSpec,
-                        parts: list[frozenset[int]]) -> CompositeVerdict:
-    """D_pi as the conjunction of D_(pi_i) over a pairwise disjoint
-    partition, under the hypothesis H = H_1 x ... x H_n."""
-    for i, a in enumerate(parts):
-        for b in parts[i + 1:]:
-            if a & b:
-                raise ValueError(f"parts overlap: {sorted(a & b)}")
-    pi = frozenset().union(*parts) if parts else frozenset()
-    trace = []
-    dpi = True
-    for part in parts:
-        sub = decide_dpi_composite(spec, part)
-        trace.extend(sub.trace)
-        dpi = dpi and sub.dpi
-    return CompositeVerdict(dpi, pi, trace, conditional=True,
+    left, right = decide_dpi_composite(spec, sigma), decide_dpi_composite(spec, tau)
+    return CompositeVerdict(left.dpi and right.dpi, sigma | tau, left.trace + right.trace,
+                            conditional=True,
                             condition_note=("conditional on hypothesis (1): "
                                             "H = H_1 x ... x H_n (asserted, not verified)"))

@@ -7,7 +7,6 @@ from sylowpi.composition import (
     CompositionSpec,
     CyclicFactor,
     SplitHypothesis,
-    corollary_partition,
     decide_dpi_composite,
     parse_factors,
     wielandt_split,
@@ -69,6 +68,8 @@ def test_wielandt_split_is_conjunction():
     right = decide_dpi_composite(spec, tau)
     assert v.dpi == (left.dpi and right.dpi)
     assert v.pi == frozenset({5, 7})
+    assert v.trace == left.trace + right.trace
+    assert v.conditional
 
 
 def test_split_rejects_overlap():
@@ -80,35 +81,3 @@ def test_split_rejects_overlap():
                           hall_split_assumed=True)
     with pytest.raises(ValueError):
         wielandt_split(spec, frozenset({2}), frozenset({5}), hyp)  # mismatch
-
-
-def test_corollary_partition_matches_split():
-    spec = parse_factors("Alt:5,Cyclic:7")
-    sigma, tau = frozenset({2, 3}), frozenset({5})
-    hyp = SplitHypothesis(sigma=sigma, tau=tau, hall_split_assumed=True)
-    split = wielandt_split(spec, sigma, tau, hyp)
-    part = corollary_partition(spec, [sigma, tau])
-    assert part.dpi == split.dpi
-    assert part.pi == split.pi
-    assert part.trace == split.trace
-    assert part.conditional == split.conditional
-
-
-def test_corollary_partition_singletons_always_true():
-    spec = parse_factors("Alt:6,Cyclic:5")
-    parts = [frozenset({2}), frozenset({3}), frozenset({5})]
-    v = corollary_partition(spec, parts)
-    assert v.dpi  # per-prime parts reduce to Sylow's theorem on each factor
-
-
-def test_corollary_partition_single_part_is_plain_decision():
-    spec = CompositionSpec((alt(5),))
-    pi = frozenset({2, 3})
-    v = corollary_partition(spec, [pi])
-    assert v.dpi == decide_dpi_composite(spec, pi).dpi
-
-
-def test_corollary_partition_rejects_overlap():
-    spec = CompositionSpec((alt(5),))
-    with pytest.raises(ValueError):
-        corollary_partition(spec, [frozenset({2, 3}), frozenset({3, 5})])

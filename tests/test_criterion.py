@@ -230,12 +230,44 @@ def test_each_subcase_of_IV_and_V_is_a_witness(spec, pi, condition, subcase, bin
 
 
 # Rows at the thresholds of criterion.py that no other test pins: moving one
-# threshold by one (> to >=) changes the row's verdict or witness.  Each id
-# names the line and the subcase.  VII(4)'s `s > 2 * n` (line 305) has no
-# such row: s is an odd prime and 2n is even, so s >= 2n holds just when
-# s > 2n does.
+# threshold by one (< to <=, == to !=, and to or) changes the row's verdict
+# or witness.  Each id names the line, the subcase and the boundary; each row
+# is the (G, pi) of least order with that effect, and pins what the code
+# decides today.  Three such mutants change no verdict, so no row can pin
+# them:
+# - line 212, V(5)'s `2 * n < c * s`: c and s are odd, so c * s is odd and
+#   2n <= cs holds just when 2n < cs does;
+# - line 216, V(7)'s `2 * n <= c * s`: V(7) never runs, since V(6) is tried
+#   first and accepts every input that V(7) accepts;
+# - line 305, VII(4)'s `s > 2 * n`: s is an odd prime and 2n is even, so
+#   s >= 2n holds just when s > 2n does.
 @pytest.mark.parametrize("spec, pi, witness", [
     pytest.param("Lie:C:7:29", {2, 7}, None, id="line303-VII(3)-s=n"),
+    # r = 3 with a = e(q, 3) = r - 1 = 2: neither IV(3) (r % 4 == 1) nor
+    # IV(4) (a == (r - 1) // 2) applies
+    pytest.param("Lie:2A:3:5", {3, 7}, None, id="line168+173-IV(3)+IV(4)-r%4=3,a=r-1"),
+    pytest.param("Lie:2A:8:2", {5, 11}, None, id="line171-IV(5)-floors+1,n%r<r-1"),
+    pytest.param("Lie:A:5:16", {3, 5}, None, id="line204-V(1)-n=cs"),
+    pytest.param("Lie:2A:52:8", {5, 13}, None, id="line207-V(2)-n=cs"),
+    pytest.param("Lie:2A:5:29", {3, 5}, None, id="line209-V(3)-2n=cs"),
+    pytest.param("Lie:2A:10:16", {3, 5}, None, id="line210-V(4)-n=2cs"),
+    pytest.param("Lie:D:10:29", {3, 5}, None, id="line214-V(6)-n=cs"),
+    pytest.param("Lie:2D:5:16", {3, 5}, ("V", 8), id="line218-V(8)-n=cs"),
+    # the exceptional exclusions: the excluded (r, c, prime) itself, and one
+    # row that meets only part of it
+    pytest.param("Lie:E6:16", {3, 5}, None, id="line224-V(10)-r=3,c=1,5"),
+    pytest.param("Lie:E6:8", {5, 13}, ("V", 10), id="line224-V(10)-r=5,c=4,13"),
+    pytest.param("Lie:2E6:29", {3, 5}, None, id="line226-V(11)-r=3,c=2,5"),
+    pytest.param("Lie:2E6:16", {3, 5}, ("V", 11), id="line226-V(11)-r=3,c=1,5"),
+    pytest.param("Lie:2E6:8", {5, 13}, ("V", 11), id="line226-V(11)-r=5,c=4,13"),
+    pytest.param("Lie:E7:16", {3, 5}, None, id="line228+229-V(12)-r=3,c=1,5"),
+    pytest.param("Lie:E7:8", {5, 13}, ("V", 12), id="line228+229-V(12)-r=5,c=4,13"),
+    pytest.param("Lie:E7:71", {5, 7}, None, id="line229-V(12)-r=5,c=1,7"),
+    pytest.param("Lie:E8:16", {3, 5}, None, id="line233-V(13)-r=3,c=1,5"),
+    pytest.param("Lie:E8:8", {5, 13}, ("V", 13), id="line232-V(13)-r=5,c=4,13"),
+    pytest.param("Lie:E8:4", {11, 31}, ("V", 13), id="line233-V(13)-r=11,c=5,31"),
+    pytest.param("Lie:E8:71", {5, 7}, None, id="line233-V(13)-r=5,c=1,7"),
+    pytest.param("Lie:F4:79", {3, 13}, None, id="line238-V(15)-r=3,c=1,13"),
 ])
 def test_threshold_boundaries(spec, pi, witness):
     v = decide_dpi_simple(parse_group(spec), frozenset(pi))
