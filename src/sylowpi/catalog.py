@@ -28,14 +28,11 @@ LIE_TYPES = (
     "A", "2A", "B", "C", "D", "2D",
     "3D4", "E6", "2E6", "E7", "E8", "F4", "2F4", "G2", "2G2", "2B2",
 )
-# families whose rank is part of the identifier: the least rank of each, and
-# the name that a lower rank's refusal gives
-_LEAST_RANK = {"A": (2, "A(n-1,q)"), "2A": (3, "2A(n-1,q)"), "B": (2, "B(n,q)"),
-               "C": (2, "C(n,q)"), "D": (4, "D(n,q)"), "2D": (4, "2D(n,q)")}
+# families whose rank is part of the identifier, with the least rank of each
+_LEAST_RANK = {"A": 2, "2A": 3, "B": 2, "C": 2, "D": 4, "2D": 4}
 RANKED_TYPES = tuple(_LEAST_RANK)
 # (type, rank, q) that pass every other check but name a non-simple group
-_NOT_SIMPLE = {("A", 2, 2): "A(1,2)", ("A", 2, 3): "A(1,3)", ("2A", 3, 2): "2A(2,2)",
-               ("B", 2, 2): "B2(2)", ("C", 2, 2): "C2(2)", ("G2", None, 2): "G2(2)"}
+_NOT_SIMPLE = {("A", 2, 2), ("A", 2, 3), ("2A", 3, 2), ("B", 2, 2), ("C", 2, 2), ("G2", None, 2)}
 # Suzuki/Ree families: odd power of the defining characteristic
 SUZUKI_REE = {"2B2": 2, "2G2": 3, "2F4": 2}
 # a Lie order is refused above this many bits, estimated from the degrees
@@ -209,7 +206,7 @@ def ensure_valid(gid: SimpleGroupId) -> int | None:
     simple group; return the characteristic of a Lie id, else None."""
     if gid.family == "Alt":
         if gid.n is None or gid.n < 5:
-            raise ValueError(f"Alt({gid.n}): alternating groups are simple only for n >= 5")
+            raise ValueError(f"{gid}: alternating groups are simple only for n >= 5")
         return None
     if gid.family == "Spor":
         if gid.name not in SPORADIC_ORDERS:
@@ -230,10 +227,10 @@ def ensure_valid(gid: SimpleGroupId) -> int | None:
     p, f = pf
     if t in SUZUKI_REE and (p != SUZUKI_REE[t] or f % 2 == 0 or f < 3):
         raise ValueError(f"{t} requires q = {SUZUKI_REE[t]}^(2m+1) with m >= 1")
-    if t in _LEAST_RANK and n < _LEAST_RANK[t][0]:
-        raise ValueError(f"{_LEAST_RANK[t][1]} requires n >= {_LEAST_RANK[t][0]}")
+    if t in _LEAST_RANK and n < _LEAST_RANK[t]:
+        raise ValueError(f"{t}(n,q) requires n >= {_LEAST_RANK[t]}")
     if (t, n, gid.q) in _NOT_SIMPLE:
-        raise ValueError(f"{_NOT_SIMPLE[t, n, gid.q]} is not simple")
+        raise ValueError(f"{gid} is not simple")
     return p
 
 

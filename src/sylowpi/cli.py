@@ -69,11 +69,14 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
+def _trace_lines(trace, indent: str = "  ") -> list[str]:
+    return [f"{indent}{f}: {'true' if d else 'false'} ({w})" for f, d, w in trace]
+
+
 def _emit_composite(args, cv: CompositeVerdict, report: dict, lines: list[str]) -> int:
-    """Emit a factor-list verdict with its per-factor trace; return its exit code."""
+    """Emit a factor-list verdict and its JSON trace; return its exit code."""
     report["dpi"] = cv.dpi
     report["trace"] = [{"factor": f, "dpi": d, "witness": w} for f, d, w in cv.trace]
-    lines += [f"  {f}: {'true' if d else 'false'} ({w})" for f, d, w in cv.trace]
     _emit(report, args.json, lines)
     return EXIT_TRUE if cv.dpi else EXIT_FALSE
 
@@ -99,7 +102,8 @@ def _cmd_check(args) -> int:
     if args.factors is not None:
         cv = decide_dpi_composite(parse_factors(args.factors), pi)
         report = {"command": "check", "factors": args.factors, "pi": sorted(pi)}
-        lines = [f"D_pi = {cv.dpi} for factors [{args.factors}], pi = {sorted(pi)}"]
+        lines = [f"D_pi = {cv.dpi} for factors [{args.factors}], pi = {sorted(pi)}",
+                 *_trace_lines(cv.trace)]
         return _emit_composite(args, cv, report, lines)
     gid = parse_group(args.group)
     v = decide_dpi_simple(gid, pi)
@@ -159,7 +163,7 @@ def sweep(spec: str) -> SweepResult:
     """Criterion vs brute force on every pi within pi(G), plus the
     structural lemmas.
 
-    `spec` is a simple group or a direct product such as "Alt:5,Cyclic:7";
+    `spec` is a simple group, Sym:n or a direct product such as "Sym:6,Cyclic:2";
     the criterion side decides it from its composition factors.  The lemma
     flags are built only where the lemmas' hypothesis holds: a pi-Hall
     subgroup exists, |pi| >= 2, pi(G) is not inside pi and {2, 3} is not
@@ -233,8 +237,10 @@ def _cmd_split(args) -> int:
     cv = wielandt_split(spec, sigma, tau, hyp)
     report = {"command": "split", "sigma": sorted(sigma), "tau": sorted(tau),
               "conditional": cv.conditional, "condition_note": cv.condition_note}
-    lines = [f"D_(sigma u tau) = {cv.dpi} for sigma = {sorted(sigma)}, "
-             f"tau = {sorted(tau)}", f"  {cv.condition_note}"]
+    lines = [f"D_(sigma u tau) = {cv.dpi} for sigma = {sorted(sigma)}, tau = {sorted(tau)}",
+             f"  {cv.condition_note}", f"  sigma = {sorted(sigma)}:",
+             *_trace_lines(cv.trace[:len(spec.factors)], "    "), f"  tau = {sorted(tau)}:",
+             *_trace_lines(cv.trace[len(spec.factors):], "    ")]  # sigma's trace, then tau's
     return _emit_composite(args, cv, report, lines)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import is_prime
-from .catalog import SimpleGroupId, parse_group, spec_number
+from .catalog import SimpleGroupId, alt, parse_group, spec_number
 from .criterion import Verdict, decide_dpi_simple
 
 
@@ -54,7 +54,7 @@ class CompositeVerdict(NamedTuple):
 
 
 def parse_factors(text: str) -> CompositionSpec:
-    """Parse a factor list like "Alt:5,Cyclic:7,Lie:A:2:7"."""
+    """Parse a factor list like "Alt:5,Cyclic:7,Sym:6"; Sym:n gives Alt(n) and C2."""
     factors: list[Factor] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -62,6 +62,8 @@ def parse_factors(text: str) -> CompositionSpec:
             continue
         if chunk.startswith("Cyclic:"):
             factors.append(CyclicFactor(spec_number(chunk)))
+        elif chunk.startswith("Sym:"):
+            factors += [alt(spec_number(chunk)), CyclicFactor(2)]
         else:
             factors.append(parse_group(chunk))
     return CompositionSpec(tuple(factors))
@@ -90,5 +92,5 @@ def wielandt_split(spec: CompositionSpec, sigma: frozenset[int],
     left, right = decide_dpi_composite(spec, sigma), decide_dpi_composite(spec, tau)
     return CompositeVerdict(left.dpi and right.dpi, sigma | tau, left.trace + right.trace,
                             conditional=True,
-                            condition_note=("conditional on hypothesis (1): "
-                                            "H = H_1 x ... x H_n (asserted, not verified)"))
+                            condition_note=("conditional on the split-Hall hypothesis: "
+                                            "H = H_sigma x H_tau (asserted, not verified)"))

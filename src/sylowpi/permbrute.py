@@ -87,9 +87,9 @@ _FRONTIER = 1 << 16  # pairs per block of joins, table entries per block written
 # n coset labels and n conjugates at least, so classes x n is a lower bound
 # on the lattice's gathers; C2^7 has 29,212 classes x 128 = 3.7 M
 _LATTICE_CAP = 1 << 22
-# no command applies this order bound; only acceptance criterion 4 and
-# perfbench's products workload pass it to `require_table`, which selects
-# their products (the workload expects 56 refusals)
+# no command applies this order bound: acceptance criterion 4 selects its
+# products by comparing their orders with it, and perfbench's products
+# workload passes it to `require_table` (the workload expects 56 refusals)
 DEFAULT_LATTICE_BOUND = 1000
 # multiplication tables and inverses hold element indices as int16
 assert ORDER_BOUND <= np.iinfo(np.int16).max + 1

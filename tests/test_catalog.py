@@ -90,11 +90,11 @@ def test_validate_alternating():
 
 def test_validate_lie_exclusions():
     # non-simple small parameter pairs are rejected
-    rejected("A(1,2) is not simple", lambda: lie("A", 2, n=2))       # PSL(2,2)
-    rejected("A(1,3) is not simple", lambda: lie("A", 3, n=2))       # PSL(2,3)
-    rejected("2A(2,2) is not simple", lambda: lie("2A", 2, n=3))     # PSU(3,2)
-    rejected("B2(2) is not simple", lambda: lie("B", 2, n=2))
-    rejected("C2(2) is not simple", lambda: lie("C", 2, n=2))
+    rejected("A(2,2) is not simple", lambda: lie("A", 2, n=2))       # PSL(2,2)
+    rejected("A(2,3) is not simple", lambda: lie("A", 3, n=2))       # PSL(2,3)
+    rejected("2A(3,2) is not simple", lambda: lie("2A", 2, n=3))     # PSU(3,2)
+    rejected("B(2,2) is not simple", lambda: lie("B", 2, n=2))
+    rejected("C(2,2) is not simple", lambda: lie("C", 2, n=2))
     rejected("G2(2) is not simple", lambda: lie("G2", 2))
     lie("A", 4, n=2)
     lie("G2", 3)
@@ -111,15 +111,15 @@ def test_validate_lie_exclusions():
 # each ranked type at its least rank n and at n - 1, and each non-simple
 # exception, with the refusal it gets (None: the id is built)
 TABLE_EDGES = [
-    ("A", 2, 5, None), ("A", 1, 5, "A(n-1,q) requires n >= 2"),
-    ("2A", 3, 5, None), ("2A", 2, 5, "2A(n-1,q) requires n >= 3"),
+    ("A", 2, 5, None), ("A", 1, 5, "A(n,q) requires n >= 2"),
+    ("2A", 3, 5, None), ("2A", 2, 5, "2A(n,q) requires n >= 3"),
     ("B", 2, 5, None), ("B", 1, 5, "B(n,q) requires n >= 2"),
     ("C", 2, 5, None), ("C", 1, 5, "C(n,q) requires n >= 2"),
     ("D", 4, 5, None), ("D", 3, 5, "D(n,q) requires n >= 4"),
     ("2D", 4, 5, None), ("2D", 3, 5, "2D(n,q) requires n >= 4"),
-    ("A", 2, 2, "A(1,2) is not simple"), ("A", 2, 3, "A(1,3) is not simple"),
-    ("2A", 3, 2, "2A(2,2) is not simple"), ("B", 2, 2, "B2(2) is not simple"),
-    ("C", 2, 2, "C2(2) is not simple"), ("G2", None, 2, "G2(2) is not simple"),
+    ("A", 2, 2, "A(2,2) is not simple"), ("A", 2, 3, "A(2,3) is not simple"),
+    ("2A", 3, 2, "2A(3,2) is not simple"), ("B", 2, 2, "B(2,2) is not simple"),
+    ("C", 2, 2, "C(2,2) is not simple"), ("G2", None, 2, "G2(2) is not simple"),
 ]
 
 
@@ -127,8 +127,8 @@ TABLE_EDGES = [
 def test_validation_tables_at_their_edges(t, n, q, reason):
     # the cases cover every entry of both tables
     built = {edge[:2] for edge in TABLE_EDGES if edge[3] is None}
-    assert built == {(s, least) for s, (least, _) in catalog._LEAST_RANK.items()}
-    assert set(catalog._NOT_SIMPLE) == {edge[:3] for edge in TABLE_EDGES[12:]}
+    assert built == set(catalog._LEAST_RANK.items())
+    assert catalog._NOT_SIMPLE == {edge[:3] for edge in TABLE_EDGES[12:]}
     if reason is None:
         assert lie(t, q, n=n).n == n
     else:
@@ -219,7 +219,7 @@ def spectrum_ids():
             yield from (lie(t, q) for q in {"2B2": (8, 32, 128), "2G2": (27, 243),
                                             "2F4": (8, 32)}[t])
             continue
-        least = catalog._LEAST_RANK.get(t, (None,))[0]
+        least = catalog._LEAST_RANK.get(t)
         for n in (None,) if least is None else (least, least + 1):
             qs = [q for q in (2, 3, 4, 5) if (t, n, q) not in catalog._NOT_SIMPLE]
             yield from (lie(t, q, n=n) for q in qs[:3])

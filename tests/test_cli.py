@@ -53,6 +53,10 @@ def test_check_factors(capsys):
     code, out, _ = run_cli(capsys, "check", "--factors", "Alt:5,Cyclic:7",
                            "--pi", "2,3,5")
     assert code == EXIT_TRUE
+    code, out, _ = run_cli(capsys, "check", "--factors", "Sym:7", "--pi", "2,3")
+    assert code == EXIT_FALSE and out.splitlines()[1:] == [
+        "  Alt(7): false (no condition holds)",
+        "  Cyclic(2): true (cyclic factor (trivially D_pi))"]
 
 
 def test_check_json_round_trip(capsys):
@@ -105,7 +109,8 @@ def test_brute_and_crosscheck_require_a_group(capsys, argv):
 @pytest.mark.parametrize("argv", [("check", "--factors", "Cyclic:x", "--pi", "2"),
                                   ("check", "--factors", "Alt:5,Cyclic:", "--pi", "2"),
                                   ("brute", "--group", "Sym:x", "--pi", "2"),
-                                  ("brute", "--group", "Alt:5,Cyclic:x", "--pi", "2")])
+                                  ("brute", "--group", "Alt:5,Cyclic:x", "--pi", "2"),
+                                  ("check", "--factors", "Sym:x", "--pi", "2")])
 def test_unparsable_number_names_the_spec(capsys, argv):
     # parse_factors (check) and the brute-force realization (brute) read the
     # number of a Cyclic: or Sym: spec; the error names the spec it came from
@@ -119,10 +124,12 @@ def test_unparsable_number_names_the_spec(capsys, argv):
     (["brute", "--group", "Sym:4"], "Sym(4) is not a built-in realization"),
     (["check", "--group", "Lie:Z:5"], "unknown Lie type 'Z'"),
     (["check", "--group", "Lie:A:2:6"], "q = 6 is not a prime power"),
-    (["check", "--group", "Lie:A:1:7"], "A(n-1,q) requires n >= 2"),
+    (["check", "--group", "Lie:A:1:7"], "A(n,q) requires n >= 2"),
     (["check", "--group", "Lie:B:1:3"], "B(n,q) requires n >= 2"),
     # an empty --factors is still the one given, not a missing --group
     (["check", "--factors", ""], "composition spec needs at least one factor"),
+    # Sym(5) is a factor list, not one simple group
+    (["check", "--group", "Sym:5"], "cannot parse group spec 'Sym:5'"),
 ])
 def test_domain_refusals_exit_2(capsys, argv, reason):
     code, out, err = run_cli(capsys, *argv, "--pi", "2")
@@ -342,11 +349,36 @@ def test_crosscheck_beyond_the_corpus(capsys):
     assert report["subsets_checked"] == 16 and report["disagreements"] == 0
 
 
+@pytest.mark.parametrize("spec, rows", [("Sym:5", 8), ("Sym:6", 8), ("Sym:7", 16),
+                                        ("Sym:6,Cyclic:2", 8)])
+def test_crosscheck_symmetric_groups(capsys, monkeypatch, spec, rows):
+    # the first crosschecked groups that are not direct products of simple
+    # groups: the criterion side reads Sym:n as Alt(n) and C2
+    results = []
+
+    def recorded_sweep(s):
+        results.append(sweep(s))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "sweep", recorded_sweep)
+    code, out, _ = run_cli(capsys, "crosscheck", "--group", spec, "--json")
+    report = json.loads(out)
+    assert (code, report["subsets_checked"], report["disagreements"]) == (EXIT_TRUE, rows, 0)
+    assert results[0].violations == []  # crosscheck's exit code leaves them out
+
+
 def test_split(capsys):
     code, out, _ = run_cli(capsys, "split", "--factors", "Alt:5,Cyclic:7",
                            "--sigma", "5", "--tau", "7")
     assert code == EXIT_TRUE
-    assert "hypothesis (1)" in out
+    assert "conditional on the split-Hall hypothesis: H = H_sigma x H_tau" in out
+    # sigma's trace and tau's, each under its own heading
+    cyclic = "Cyclic(7): true (cyclic factor (trivially D_pi))"
+    assert out.splitlines()[2:] == ["  sigma = [5]:", "    Alt(5): true (Condition I)",
+                                    f"    {cyclic}", "  tau = [7]:",
+                                    "    Alt(5): true (Condition I)", f"    {cyclic}"]
+    code, _, _ = run_cli(capsys, "split", "--factors", "Sym:5", "--sigma", "5", "--tau", "2")
+    assert code == EXIT_TRUE
     code, _, _ = run_cli(capsys, "split", "--factors", "Alt:5",
                          "--sigma", "2,3", "--tau", "5")
     assert code == EXIT_FALSE
@@ -472,6 +504,8 @@ GOLDEN = [
     ("crosscheck --group Alt:5,Cyclic:7 --json", 0, "c58a4a239c3c4361"),
     ("crosscheck --group Lie:A:2:7 --json", 0, "99b323b410d79309"),
     ("crosscheck --group Cyclic:3,Cyclic:5 --json", 0, "59779387e27768e7"),
+    # the criterion side reads Sym:5 as its composition factors, Alt(5) and C2
+    ("crosscheck --group Sym:5 --json", 0, "fa55f67d4e9ea6e3"),
     ("brute --group Lie:A:2:7 --pi 3,7 --json", 0, "5cc284e1c73c3fa8"),
     ("brute --group Alt:5 --pi 2,3 --json", 1, "ecc4e271170ca32e"),
     ("brute --group Alt:5,Cyclic:7 --pi 2,3,7 --json", 1, "98167540865a3e4e"),
@@ -480,7 +514,7 @@ GOLDEN = [
     ("brute --group Sym:5 --pi 2,3 --json", 1, "9d201c50a97f2204"),
     ("check --group Spor:M11 --pi 5,11 --json", 0, "8e84d095f0cbb6bd"),
     ("check --factors Alt:5,Cyclic:7 --pi 2,3,5 --json", 0, "738a7276687a541f"),
-    ("split --factors Alt:5,Cyclic:7 --sigma 5 --tau 7 --json", 0, "37f258a69722db49"),
+    ("split --factors Alt:5,Cyclic:7 --sigma 5 --tau 7 --json", 0, "7e1d8e7601e96d1a"),
     ("tables --json", 0, "4e74879d30283d40"),
     ("tables", 0, "18d9e6dee7ad3d1e"),
     # Condition VI(1), VI(2) and VI(3) witnesses, one per Suzuki-Ree family.

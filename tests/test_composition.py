@@ -22,6 +22,11 @@ def test_parse_factors():
         parse_factors("")
     with pytest.raises(ValueError):
         parse_factors("Alt:4")  # invalid simple factor
+    # Sym(n) stands for its composition factors, Alt(n) and C2
+    spec = parse_factors("Sym:5,Cyclic:3")
+    assert spec.factors == (alt(5), CyclicFactor(2), CyclicFactor(3))
+    with pytest.raises(ValueError, match=r"^Alt\(4\): alternating groups"):
+        parse_factors("Sym:4")
 
 
 def test_all_cyclic_factors_pass():
@@ -56,7 +61,7 @@ def test_wielandt_split_conditional_label():
     sigma, tau = frozenset({2, 3}), frozenset({5})
     hyp = SplitHypothesis(sigma=sigma, tau=tau, hall_split_assumed=True)
     v = wielandt_split(spec, sigma, tau, hyp)
-    assert v.conditional and "hypothesis (1)" in v.condition_note
+    assert v.conditional and "H = H_sigma x H_tau" in v.condition_note
 
 
 def test_wielandt_split_is_conjunction():

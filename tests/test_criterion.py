@@ -319,8 +319,8 @@ def small_pis(gid):
 def test_psl2_gets_one_verdict_under_its_low_rank_names(monkeypatch):
     # A1(q) = C1(q), and B1(q) for odd q, below the catalog's least ranks of B
     # and C: 1,391 (q, pi) rows and 2,693 pairs
-    monkeypatch.setitem(catalog._LEAST_RANK, "B", (1, "B(n,q)"))
-    monkeypatch.setitem(catalog._LEAST_RANK, "C", (1, "C(n,q)"))
+    monkeypatch.setitem(catalog._LEAST_RANK, "B", 1)
+    monkeypatch.setitem(catalog._LEAST_RANK, "C", 1)
     rows = pairs = 0
     for q in filter(catalog.prime_power, range(4, 200)):
         group = [lie("A", q, n=2), lie("C", q, n=1)] + ([lie("B", q, n=1)] if q % 2 else [])
@@ -337,8 +337,8 @@ def test_low_rank_d_types_differ_only_where_condition_v_has_no_case(monkeypatch)
     # rows that V(1), V(2) or V(3) decides for the A side get no witness on
     # the D side.  Revin's D_n and 2D_n start at n = 4, so these rows are
     # reported and criterion.py is left as it is.
-    monkeypatch.setitem(catalog._LEAST_RANK, "D", (3, "D(n,q)"))
-    monkeypatch.setitem(catalog._LEAST_RANK, "2D", (3, "2D(n,q)"))
+    monkeypatch.setitem(catalog._LEAST_RANK, "D", 3)
+    monkeypatch.setitem(catalog._LEAST_RANK, "2D", 3)
     rows, gaps = 0, collections.Counter()
     for q in filter(catalog.prime_power, range(2, 130)):
         for t_a, t_d in (("A", "D"), ("2A", "2D")):
@@ -363,7 +363,7 @@ def one_pass_groups():
         if t in SUZUKI_REE:
             yield from (lie(t, q) for q in {"2B2": (8, 32), "2G2": (27,), "2F4": (8,)}[t])
         else:
-            n = catalog._LEAST_RANK.get(t, (None,))[0]
+            n = catalog._LEAST_RANK.get(t)
             yield from (lie(t, q, n=n) for q in (16, 29, 211))
     yield from map(parse_group, ("Lie:A:3:2", "Lie:2A:5:2", "Lie:2A:3:4", "Lie:2D:6:3"))
 
