@@ -381,11 +381,3 @@ def parse_group(spec: str) -> SimpleGroupId:
     if build is None:
         raise ValueError(f"cannot parse group spec {spec!r}")
     return build()  # outside the try: a validation error reaches the caller as is
-
-
-def spec_number(spec: str) -> int:
-    """The number n in a one-parameter spec such as Cyclic:n or Sym:n."""
-    try:
-        return int(spec.split(":", 1)[1])
-    except ValueError as exc:
-        raise ValueError(f"cannot parse group spec {spec!r}: {exc}") from None

@@ -15,7 +15,9 @@ and --factors, a prime list that is not a set of primes) is argparse's:
 its usage line and the reason on stderr, exit 2.  A domain error (a group
 spec that does not parse or names no group, a bound, a group that the
 engine will not realize or whose subgroup lattice passes the engine's cap)
-is "error: ..." on stderr, exit 2.
+is "error: ..." on stderr, exit 2.  Every --group and --factors is read by
+composition's one spec reader, so a term is refused alike on every command;
+check --group gives one simple group's witness, any other spec its trace.
 
 Only brute, crosscheck and corpus import the brute-force engine, and numpy
 with it, and they do so when they run; check and split load the arithmetic
@@ -33,7 +35,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .arith import prime_divisors, prime_set
-from .catalog import parse_group
+from .catalog import SimpleGroupId
 from .composition import (CompositeVerdict, SplitHypothesis, decide_dpi_composite,
                           parse_factors, wielandt_split)
 from .criterion import Verdict, decide_dpi_simple
@@ -62,11 +64,9 @@ def _parse_pi(text: str) -> frozenset[int]:
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        report = {"schema": 1, **report}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps({"schema": 1, **report}, indent=2, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
 
 
 def _trace_lines(trace, indent: str = "  ") -> list[str]:
@@ -98,20 +98,19 @@ def _verdict_report(v: Verdict) -> dict:
 
 
 def _cmd_check(args) -> int:
-    pi = args.pi
-    if args.factors is not None:
-        cv = decide_dpi_composite(parse_factors(args.factors), pi)
-        report = {"command": "check", "factors": args.factors, "pi": sorted(pi)}
-        lines = [f"D_pi = {cv.dpi} for factors [{args.factors}], pi = {sorted(pi)}",
-                 *_trace_lines(cv.trace)]
-        return _emit_composite(args, cv, report, lines)
-    gid = parse_group(args.group)
-    v = decide_dpi_simple(gid, pi)
-    report = {"command": "check", "pi": sorted(pi), **_verdict_report(v)}
-    lines = [f"D_pi = {v.dpi} for {gid}, pi = {sorted(pi)}",
-             f"  witness: {v.witness_text()}"]
-    _emit(report, args.json, lines)
-    return EXIT_TRUE if v.dpi else EXIT_FALSE
+    pi, key = args.pi, "group" if args.factors is None else "factors"
+    spec = parse_factors(getattr(args, key))
+    if key == "group" and len(spec.factors) == 1 and isinstance(spec.factors[0], SimpleGroupId):
+        v = decide_dpi_simple(spec.factors[0], pi)
+        report = {"command": "check", "pi": sorted(pi), **_verdict_report(v)}
+        _emit(report, args.json, [f"D_pi = {v.dpi} for {v.group}, pi = {sorted(pi)}",
+                                  f"  witness: {v.witness_text()}"])
+        return EXIT_TRUE if v.dpi else EXIT_FALSE
+    cv = decide_dpi_composite(spec, pi)
+    report = {"command": "check", key: getattr(args, key), "pi": sorted(pi)}
+    lines = [f"D_pi = {cv.dpi} for factors [{report[key]}], pi = {sorted(pi)}",
+             *_trace_lines(cv.trace)]
+    return _emit_composite(args, cv, report, lines)
 
 
 def _hall_report_dict(r: HallReport) -> dict:
@@ -233,8 +232,7 @@ def _cmd_crosscheck(args) -> int:
 def _cmd_split(args) -> int:
     sigma, tau = args.sigma, args.tau
     spec = parse_factors(args.group if args.factors is None else args.factors)
-    hyp = SplitHypothesis(sigma=sigma, tau=tau, hall_split_assumed=True)
-    cv = wielandt_split(spec, sigma, tau, hyp)
+    cv = wielandt_split(spec, sigma, tau, SplitHypothesis(sigma, tau, hall_split_assumed=True))
     report = {"command": "split", "sigma": sorted(sigma), "tau": sorted(tau),
               "conditional": cv.conditional, "condition_note": cv.condition_note}
     lines = [f"D_(sigma u tau) = {cv.dpi} for sigma = {sorted(sigma)}, tau = {sorted(tau)}",

@@ -7,6 +7,10 @@ tau) as D_sigma and D_tau, additionally needs the split-Hall hypothesis
 H = H_sigma x H_tau, which is not decidable from a factor multiset: it is
 asserted, never verified here, so a split verdict is always labeled
 conditional.
+
+The group-spec grammar is read here alone: `spec_terms` splits a spec into
+terms and `read_term` reads one as a simple group (`parse_group`), Cyclic:p
+(p prime) or Sym:n (n >= 5), the same way for every command.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import is_prime
-from .catalog import SimpleGroupId, alt, parse_group, spec_number
+from .catalog import SimpleGroupId, alt, parse_group
 from .criterion import Verdict, decide_dpi_simple
 
 
@@ -25,17 +29,20 @@ class CyclicFactor(NamedTuple):
         return f"Cyclic({self.p})"
 
 
+class Sym(NamedTuple):
+    """A Sym:n term; a factor list reads it as Alt(n) and C2."""
+    n: int
+
+    def __str__(self) -> str:
+        return f"Sym({self.n})"
+
+
 Factor = SimpleGroupId | CyclicFactor
+Term = Factor | Sym
 
 
-class CompositionSpec:
-    def __init__(self, factors: tuple[Factor, ...]):
-        if not factors:
-            raise ValueError("composition spec needs at least one factor")
-        for f in factors:
-            if isinstance(f, CyclicFactor) and not is_prime(f.p):
-                raise ValueError(f"cyclic factor order {f.p} is not prime")
-        self.factors = factors
+class CompositionSpec(NamedTuple):
+    factors: tuple[Factor, ...]
 
 
 class SplitHypothesis:
@@ -53,19 +60,35 @@ class CompositeVerdict(NamedTuple):
     condition_note: str = ""
 
 
+def spec_terms(spec: str) -> list[str]:
+    """The stripped comma-separated terms of a group spec, at least one."""
+    if terms := [t.strip() for t in spec.split(",") if t.strip()]:
+        return terms
+    raise ValueError("composition spec needs at least one factor")
+
+
+def read_term(term: str) -> Term:
+    """One term: Cyclic:p (p prime), Sym:n (n >= 5) or a simple group."""
+    kind, _, number = term.partition(":")
+    if kind not in ("Cyclic", "Sym"):
+        return parse_group(term)
+    try:
+        n = int(number)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse group spec {term!r}: {exc}") from None
+    if kind == "Cyclic" and not is_prime(n):
+        raise ValueError(f"Cyclic({n}): a Cyclic:p term needs a prime p")
+    if kind == "Sym" and n < 5:
+        raise ValueError(f"Sym({n}): a Sym:n term needs n >= 5")
+    return CyclicFactor(n) if kind == "Cyclic" else Sym(n)
+
+
 def parse_factors(text: str) -> CompositionSpec:
-    """Parse a factor list like "Alt:5,Cyclic:7,Sym:6"; Sym:n gives Alt(n) and C2."""
+    """The composition factors of a spec like "Alt:5,Cyclic:7,Sym:6"; Sym:n
+    gives Alt(n) and C2."""
     factors: list[Factor] = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if chunk.startswith("Cyclic:"):
-            factors.append(CyclicFactor(spec_number(chunk)))
-        elif chunk.startswith("Sym:"):
-            factors += [alt(spec_number(chunk)), CyclicFactor(2)]
-        else:
-            factors.append(parse_group(chunk))
+    for term in map(read_term, spec_terms(text)):
+        factors += [alt(term.n), CyclicFactor(2)] if isinstance(term, Sym) else [term]
     return CompositionSpec(tuple(factors))
 
 

@@ -78,8 +78,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import is_prime, prime_divisors, r_part
-from .catalog import order_of, parse_group, prime_power, spec_number
+from .arith import prime_divisors, r_part
+from .catalog import order_of, prime_power
+from .composition import CyclicFactor, Sym, Term, read_term, spec_terms
 
 ORDER_BOUND = 10080
 _FRONTIER = 1 << 16  # pairs per block of joins, table entries per block written or gathered
@@ -703,17 +704,14 @@ def _psl(n: int, q: int) -> PermGroup:
 
 
 def _alt(n: int) -> PermGroup:
-    a = tuple([1, 2, 0] + list(range(3, n)))
-    if n % 2 == 1:
-        b = tuple(list(range(1, n)) + [0])
-    else:
-        b = tuple([0] + list(range(2, n)) + [1])
+    a = (1, 2, 0, *range(3, n))
+    b = (*range(1, n), 0) if n % 2 == 1 else (0, *range(2, n), 1)
     return PermGroup(n, [a, b], name=f"Alt({n})")
 
 
 def _sym(n: int) -> PermGroup:
-    a = tuple([1, 0] + list(range(2, n)))
-    b = tuple(list(range(1, n)) + [0])
+    a = (1, 0, *range(2, n))
+    b = (*range(1, n), 0)
     return PermGroup(n, [a, b], name=f"Sym({n})")
 
 
@@ -727,7 +725,7 @@ def _m11() -> PermGroup:
 
 
 def _cyclic(p: int) -> PermGroup:
-    g = tuple(list(range(1, p)) + [0])
+    g = (*range(1, p), 0)
     return PermGroup(p, [g], name=f"Cyclic({p})")
 
 
@@ -810,50 +808,39 @@ def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
 
 
 def realize(spec: str) -> PermGroup:
-    """Realize a built-in group from its spec string: a direct product of
-    comma-separated factors ("Alt:5,Cyclic:7"), each one of Alt:n, Sym:n
-    (n >= 5), PSL(n, q) as Lie:A:n:q on PG(n - 1, q), Spor:M11 on 11
-    points, and Cyclic:p for a prime p <= 31.  An Alt, Sym, PSL or M11
-    factor is realized when its order is at most ORDER_BOUND, which is
-    checked before any element is built.
-    Factors are cached by spec, and every call returns a new group that
-    belongs to its caller: a factor comes as a shallow copy of the cached
-    one, sharing its read-only rows and generators, and a product is
-    assembled from the cached factors, so a table or lattice is freed with
-    the caller's group: the product's table, inverses and element orders
-    are computed from the factors', and none is stored on them."""
-    parts = [s.strip() for s in spec.split(",") if s.strip()] or [spec]
-    for part in parts:
-        if part not in _REALIZE_CACHE:
-            _REALIZE_CACHE[part] = _realize_factor(part)
-    if len(parts) > 1:
-        return functools.reduce(direct_product, [_REALIZE_CACHE[s] for s in parts])
-    return copy.copy(_REALIZE_CACHE[parts[0]])  # the cached factor never builds a table
+    """Realize a spec as the direct product of its terms (`spec_terms`), each
+    read by `read_term` and realized within the bounds the module docstring
+    gives, its order checked before any element is built.  Factors are
+    cached by their term as written, read only on a cache miss; every call
+    returns a new group that belongs to its caller: a factor comes as a
+    shallow copy of the cached one, sharing its read-only rows and
+    generators, and a product is assembled from the cached factors, which
+    keep no table, so a table or lattice is freed with the caller's group."""
+    terms = spec_terms(spec)
+    for term in terms:
+        if term not in _REALIZE_CACHE:
+            _REALIZE_CACHE[term] = _realize_factor(read_term(term))
+    if len(terms) > 1:
+        return functools.reduce(direct_product, [_REALIZE_CACHE[t] for t in terms])
+    return copy.copy(_REALIZE_CACHE[terms[0]])  # the cached factor never builds a table
 
 
-def _realize_factor(spec: str) -> PermGroup:
-    if spec.startswith("Cyclic:"):
-        p = spec_number(spec)
-        if not (2 <= p <= 31 and is_prime(p)):  # the degree is p
-            raise BruteForceBoundError(f"Cyclic({p}) needs a prime p <= 31")
-        return _cyclic(p)
-    if spec.startswith("Sym:"):
-        n = spec_number(spec)
-        if n < 5:
-            raise BruteForceBoundError(f"Sym({n}) is not a built-in realization")
-        name, degree = f"Sym({n})", n
-        order, build = lambda: math.factorial(n), lambda: _sym(n)
+def _realize_factor(term: Term) -> PermGroup:
+    if isinstance(term, CyclicFactor):
+        if term.p > 31:  # the degree is p
+            raise BruteForceBoundError(f"{term} needs a prime p <= 31")
+        return _cyclic(term.p)
+    order = functools.partial(order_of, term)
+    if isinstance(term, Sym):
+        degree, order, build = term.n, lambda: math.factorial(term.n), lambda: _sym(term.n)
+    elif term.family == "Alt":
+        degree, build = term.n, lambda: _alt(term.n)
+    elif term.family == "Lie" and term.lie_type == "A":
+        degree, build = (term.q ** term.n - 1) // (term.q - 1), lambda: _psl(term.n, term.q)
+    elif term.family == "Spor" and term.name == "M11":
+        degree, build = 11, _m11
     else:
-        gid = parse_group(spec)
-        if gid.family == "Alt":
-            degree, build = gid.n, lambda: _alt(gid.n)
-        elif gid.family == "Lie" and gid.lie_type == "A":
-            degree, build = (gid.q ** gid.n - 1) // (gid.q - 1), lambda: _psl(gid.n, gid.q)
-        elif gid.family == "Spor" and gid.name == "M11":
-            degree, build = 11, _m11
-        else:
-            raise BruteForceBoundError(f"{gid} is not a built-in realization")
-        name, order = str(gid), lambda: order_of(gid)
+        raise BruteForceBoundError(f"{term} is not a built-in realization")
     # each of these groups is 2-transitive on its degree points, so it has at
     # least degree * (degree - 1) elements: a larger degree is refused without
     # computing an order such as (10^6)!, which takes seconds
@@ -861,11 +848,11 @@ def _realize_factor(spec: str) -> PermGroup:
     expected = order() if least <= ORDER_BOUND else None
     if expected is None or expected > ORDER_BOUND:
         raise BruteForceBoundError(
-            f"{name} is not a built-in realization: order "
+            f"{term} is not a built-in realization: order "
             f"{expected or f'at least {least}'} exceeds the bound {ORDER_BOUND}")
     g = build()
     if g.order != expected:
-        raise RuntimeError(f"realization of {name} has order {g.order}, "
+        raise RuntimeError(f"realization of {term} has order {g.order}, "
                            f"expected {expected}")
     return g
 

@@ -59,6 +59,18 @@ def test_check_factors(capsys):
         "  Cyclic(2): true (cyclic factor (trivially D_pi))"]
 
 
+def test_check_group_takes_any_spec(capsys):
+    # one simple group keeps its witness report; any other spec, Sym:5 or a
+    # product, prints the factor trace that --factors prints, under "group"
+    for spec, pi, code in [("Sym:5", "2", EXIT_TRUE), ("Alt:5,Cyclic:7", "2,3", EXIT_FALSE)]:
+        assert run_cli(capsys, "check", "--group", spec, "--pi", pi) == \
+            run_cli(capsys, "check", "--factors", spec, "--pi", pi)
+        got, out, _ = run_cli(capsys, "check", "--group", spec, "--pi", pi, "--json")
+        report = json.loads(out)
+        assert got == code and report["group"] == spec and "factors" not in report
+        assert report["trace"][0]["factor"] == "Alt(5)"
+
+
 def test_check_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "check", "--group", "Spor:M11",
                            "--pi", "5,11", "--json")
@@ -121,19 +133,39 @@ def test_unparsable_number_names_the_spec(capsys, argv):
 
 @pytest.mark.parametrize("argv, reason", [
     (["brute", "--group", "Alt:7,Alt:5"], "product order 151200 exceeds the bound 10080"),
-    (["brute", "--group", "Sym:4"], "Sym(4) is not a built-in realization"),
+    (["brute", "--group", "Sym:4"], "Sym(4): a Sym:n term needs n >= 5"),
     (["check", "--group", "Lie:Z:5"], "unknown Lie type 'Z'"),
     (["check", "--group", "Lie:A:2:6"], "q = 6 is not a prime power"),
     (["check", "--group", "Lie:A:1:7"], "A(n,q) requires n >= 2"),
     (["check", "--group", "Lie:B:1:3"], "B(n,q) requires n >= 2"),
     # an empty --factors is still the one given, not a missing --group
     (["check", "--factors", ""], "composition spec needs at least one factor"),
-    # Sym(5) is a factor list, not one simple group
-    (["check", "--group", "Sym:5"], "cannot parse group spec 'Sym:5'"),
 ])
 def test_domain_refusals_exit_2(capsys, argv, reason):
     code, out, err = run_cli(capsys, *argv, "--pi", "2")
     assert code == EXIT_ERROR and out == "" and f"error: {reason}" in err
+
+
+# each bad term is refused by one reader, so every command that takes a spec
+# prints the same error line for it
+SPEC_COMMANDS = [("check", "--factors", "{}", "--pi", "2"), ("check", "--group", "{}", "--pi", "2"),
+                 ("split", "--group", "{}", "--sigma", "2", "--tau", "3"),
+                 ("brute", "--group", "{}", "--pi", "2"), ("crosscheck", "--group", "{}")]
+
+
+@pytest.mark.parametrize("term, reason", [
+    ("Sym:4", "Sym(4): a Sym:n term needs n >= 5"),
+    ("Sym:x", "cannot parse group spec 'Sym:x': invalid literal for int() with base 10: 'x'"),
+    ("Cyclic:6", "Cyclic(6): a Cyclic:p term needs a prime p"),
+    ("Cyclic:x", "cannot parse group spec 'Cyclic:x': invalid literal for int() with base 10: 'x'"),
+    (",", "composition spec needs at least one factor"),
+    ("Alt:4", "Alt(4): alternating groups are simple only for n >= 5"),
+    ("Lie:A:2:6", "q = 6 is not a prime power"),
+])
+def test_one_refusal_per_term_across_commands(capsys, term, reason):
+    for argv in SPEC_COMMANDS:
+        code, out, err = run_cli(capsys, *(a.format(term) for a in argv))
+        assert (code, out, err) == (EXIT_ERROR, "", f"error: {reason}\n"), argv
 
 
 def test_check_alternating_without_its_order(capsys, monkeypatch):

@@ -25,7 +25,8 @@ def test_parse_factors():
     # Sym(n) stands for its composition factors, Alt(n) and C2
     spec = parse_factors("Sym:5,Cyclic:3")
     assert spec.factors == (alt(5), CyclicFactor(2), CyclicFactor(3))
-    with pytest.raises(ValueError, match=r"^Alt\(4\): alternating groups"):
+    # a Sym:n term below n = 5 is refused under its own name, not as Alt(n)
+    with pytest.raises(ValueError, match=r"^Sym\(4\): a Sym:n term needs n >= 5"):
         parse_factors("Sym:4")
 
 

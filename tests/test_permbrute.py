@@ -176,8 +176,12 @@ def test_realize_products_and_cyclic():
     assert g.order == 420 and g.degree == 12
     c = realize("Cyclic:31")
     assert c.order == 31
-    with pytest.raises(BruteForceBoundError):
+    # a composite order is the grammar's refusal; a prime above 31 is a bound
+    with pytest.raises(ValueError, match=r"^Cyclic\(33\): a Cyclic:p term needs a prime p") as exc:
         realize("Cyclic:33")
+    assert not isinstance(exc.value, BruteForceBoundError)
+    with pytest.raises(BruteForceBoundError, match=r"^Cyclic\(37\) needs a prime p <= 31"):
+        realize("Cyclic:37")
     with pytest.raises(BruteForceBoundError):
         realize("Alt:9")
     with pytest.raises(BruteForceBoundError, match="not a built-in realization"):
@@ -188,6 +192,23 @@ def test_realize_is_cached():
     # each call returns the caller's own group over the cached factor's rows
     a, b = realize("Alt:5"), realize("Alt:5")
     assert a is not b and a.perms is b.perms
+
+
+def test_cache_hit_reads_no_term(monkeypatch):
+    # a term is read only on a cache miss: reading two terms costs more than
+    # refusing a product of cached factors that passes ORDER_BOUND
+    monkeypatch.setattr(permbrute, "_REALIZE_CACHE", {})
+    for term in ("Alt:5", "Cyclic:7"):
+        realize(term)
+
+    def refuse(term):
+        raise AssertionError(f"term {term!r} read")
+
+    monkeypatch.setattr(permbrute, "read_term", refuse)
+    assert realize("Alt:5,Cyclic:7").order == 420
+    assert realize(" Cyclic:7 ").order == 7
+    with pytest.raises(AssertionError, match="'Cyclic:3' read"):
+        realize("Alt:5,Cyclic:3")
 
 
 def test_products_are_assembled_afresh_from_cached_factors():
