@@ -12,8 +12,13 @@ invariants of the Weyl group W: |W| is the product of the d (Humphreys,
 Reflection Groups and Coxeter Groups, 1990, ch. 3), and the simple group has
 order q^N * prod(q^d - e_d) / |Z| with N = sum(d - 1), where e_d is -1 on
 the invariants a twist negates and 1 elsewhere, and Z is the centre of the
-universal group (Carter, Simple Groups of Lie Type, 1972).  Only 3D4 and the
-Suzuki-Ree families keep explicit formulas.
+universal group (Carter, Simple Groups of Lie Type, 1972).  3D4 and the
+Suzuki-Ree families list their factors, such as q^8 + q^4 + 1, by hand.
+
+The factors are read three ways: multiplied out for the exact order
+(order_of, facts), reduced modulo |Z| times the members of pi for
+pi ^ pi(G) (pi_effective), and stripped of pi one at a time for
+pi(G) <= pi (spectrum_within).  So a decision never builds |G|.
 """
 
 from __future__ import annotations
@@ -35,9 +40,11 @@ RANKED_TYPES = tuple(_LEAST_RANK)
 _NOT_SIMPLE = {("A", 2, 2), ("A", 2, 3), ("2A", 3, 2), ("B", 2, 2), ("C", 2, 2), ("G2", None, 2)}
 # Suzuki/Ree families: odd power of the defining characteristic
 SUZUKI_REE = {"2B2": 2, "2G2": 3, "2F4": 2}
-# a Lie order is refused above this many bits, estimated from the degrees
-# before any product: its cost, and that of dividing it by each prime of pi,
-# grow about as the cube of the rank (Lie:A:1000:2 has 999,999 bits)
+# a Lie id is refused when its order would have more than this many bits,
+# estimated from the rank before any degree is listed: listing the degrees
+# grows with the rank, and building the exact order, which only order_of,
+# facts and permbrute do, about as the cube of the rank (Lie:A:1000:2 has
+# 999,999 bits)
 ORDER_BITS_BOUND = 1 << 20
 
 SPORADIC_ORDERS: dict[str, int] = {
@@ -118,8 +125,9 @@ class SimpleGroupId(_GroupFields):
 
     @cached_property
     def order(self) -> int:
-        """Group order, computed on first use and then kept with the id
-        (not at construction: most ids never need it)."""
+        """Group order, computed on first use and then kept with the id.
+        A decision never asks for it: pi_effective and spectrum_within read
+        a Lie order's factors instead."""
         if self.family == "Alt":
             return math.factorial(self.n) // 2
         if self.family == "Spor":
@@ -260,57 +268,93 @@ def weyl_order(lie_type: str, n: int | None = None) -> int:
     return math.prod(_degrees(lie_type, n))
 
 
+# (N, factors) of 3D4, whose triality twist gives the factor q^8 + q^4 + 1,
+# and of the Suzuki-Ree families; their centres are trivial
+_TWISTED_FACTORS = {
+    "3D4": (12, ((8, -1, (4,)), (6, 1, ()), (2, 1, ()))),
+    "2B2": (2, ((2, -1, ()), (1, 1, ()))),
+    "2G2": (3, ((3, -1, ()), (1, 1, ()))),
+    "2F4": (12, ((6, -1, ()), (4, 1, ()), (3, -1, ()), (1, 1, ()))),
+}
+
+
 @cache
 def _order_parameters(t: str, n: int | None):
-    """(N, ((d, e_d), ...), z, k, e0) with |G| = q^N * prod(q^d - e_d) / |Z|
-    and |Z| = gcd(z, q^k - e0), for type t of rank n other than 3D4 and the
-    Suzuki-Ree families.  N = sum(d - 1) counts the positive roots.  e0 is
-    the twist's sign, and e_d is e0 on the invariants the twist negates:
-    those of odd degree for 2A and 2E6, the Pfaffian for 2D.  |Z| is
+    """(N, factors, z, k, e0) with |G| = q^N * prod(factors) / |Z| and
+    |Z| = gcd(z, q^k - e0), for type t of rank n.  A factor (d, e, extra)
+    is q^d - e plus q^l for each l in extra (see _at); for all but 3D4 and
+    the Suzuki-Ree families it is q^d - e_d over the degrees d, with no
+    extra terms.  N = sum(d - 1) counts the positive roots.  e0 is the
+    twist's sign, and e_d is e0 on the invariants the twist negates: those
+    of odd degree for 2A and 2E6, the Pfaffian for 2D.  |Z| is
     gcd(n, q - e0) for A_{n-1}, gcd(4, q^n - e0) for D_n, gcd(2, q - 1) for
-    B_n, C_n and E7, gcd(3, q - e0) for E6, and 1 for G2, F4 and E8.  Kept
-    per (type, rank), so an order is one loop."""
+    B_n, C_n and E7, gcd(3, q - e0) for E6, and 1 for G2, F4, E8, 3D4 and
+    the Suzuki-Ree families.  Kept per (type, rank)."""
+    if t in _TWISTED_FACTORS:
+        return (*_TWISTED_FACTORS[t], 1, 1, 1)
     ds = _degrees(t, n)
     e0 = -1 if t in ("2A", "2D", "2E6") else 1
     if t in ("D", "2D"):
-        pairs = tuple((d, 1) for d in ds[:-1]) + ((n, e0),)
-        return sum(ds) - len(ds), pairs, 4, n, e0
-    pairs = tuple((d, e0 if d % 2 else 1) for d in ds)
+        factors = tuple((d, 1, ()) for d in ds[:-1]) + ((n, e0, ()),)
+        return sum(ds) - len(ds), factors, 4, n, e0
+    factors = tuple((d, e0 if d % 2 else 1, ()) for d in ds)
     z = {"A": n, "2A": n, "B": 2, "C": 2, "E6": 3, "2E6": 3, "E7": 2}.get(t, 1)
-    return sum(ds) - len(ds), pairs, z, 1, e0
+    return sum(ds) - len(ds), factors, z, 1, e0
 
 
-def _lie_order(t: str, n: int | None, q: int) -> int:
-    if t == "3D4":  # the triality twist gives the factor q^8 + q^4 + 1
-        return q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1)
-    if t == "2B2":
-        return q**2 * (q**2 + 1) * (q - 1)
-    if t == "2G2":
-        return q**3 * (q**3 + 1) * (q - 1)
-    if t == "2F4":
-        return q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1)
-    # N + sum(d) = 2 sum(d) - (number of d), from the rank alone, so that no
-    # degree is listed for a rank whose order is refused
+def _lie_factors(t: str, n: int | None, q: int):
+    """(N, factors, |Z|) of the Lie id (t, n, q), with |G| = q^N *
+    prod(factors at q) / |Z|.  Refused above ORDER_BITS_BOUND bits, with the
+    bit length (N + sum of the leading degrees) * log2 q estimated from the
+    rank alone: n^2 - 1 for A and 2A with n the linear rank, 2n^2 + n for B
+    and C, 2n^2 - n for D and 2D, so that no degree is listed for a rank
+    whose order is refused."""
     if t in ("A", "2A"):
         span = n * n - 1
     elif t in ("B", "C"):
         span = 2 * n * n + n
     elif t in ("D", "2D"):
         span = 2 * n * n - n
-    else:  # an exceptional type's degrees are fixed
-        ds = _degrees(t, n)
-        span = 2 * sum(ds) - len(ds)
+    else:  # the other types' factors are fixed
+        roots, factors, *_ = _order_parameters(t, n)
+        span = roots + sum(f[0] for f in factors)
     bits = span * math.log2(q)
     if bits > ORDER_BITS_BOUND:
         raise ValueError(f"the order of this {t}-type group has about {bits:.0f} bits, "
                          f"above the bound of {ORDER_BITS_BOUND} bits")
-    roots, pairs, z, k, e0 = _order_parameters(t, n)
+    roots, factors, z, k, e0 = _order_parameters(t, n)
+    return roots, factors, math.gcd(z, pow(q, k, z) - e0)
+
+
+def _at(factor, q: int, m: int | None = None) -> int:
+    """The factor's value at q, or with m a number congruent to it modulo
+    m (the powers are reduced, the sum is not)."""
+    d, e, extra = factor
+    x = pow(q, d, m) - e
+    for l in extra:
+        x += pow(q, l, m)
+    return x
+
+
+def _lie_order(t: str, n: int | None, q: int) -> int:
+    roots, factors, centre = _lie_factors(t, n, q)
     # multiplied pairwise, as a balanced tree: one factor at a time would
     # multiply the whole growing product once per factor
-    factors = [q**roots] + [q**d - e for d, e in pairs]
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return factors[0] // math.gcd(z, q**k - e0)
+    values = [q**roots] + [_at(f, q) for f in factors]
+    while len(values) > 1:
+        values = [math.prod(values[i:i + 2]) for i in range(0, len(values), 2)]
+    return values[0] // centre
+
+
+def _pi_free(m: int, pi) -> int:
+    """m with every prime of pi divided out: step k divides out up to
+    s^(2^k) of each prime s of pi left in m, one gcd per step, so about
+    log2 of the largest exponent steps in all."""
+    h = math.gcd(m, math.prod(s for s in pi if m % s == 0))
+    while h > 1:
+        m //= h
+        h = math.gcd(m, h * h)
+    return m
 
 
 def facts(gid: SimpleGroupId) -> GroupFacts:
@@ -327,18 +371,28 @@ def order_of(gid: SimpleGroupId) -> int:
 
 
 def pi_effective(gid: SimpleGroupId, pi) -> frozenset[int]:
-    """pi ^ pi(G) by direct divisibility (avoids factoring the order).
-    For Alt(n), n >= 5, a prime divides n!/2 iff it is at most n, so n! is
-    never computed."""
+    """The members of pi that divide |G|, without building |G|.  For
+    Alt(n), n >= 5, a prime divides n!/2 iff it is at most n.  For a Lie
+    id, A = |Z| * |G| is the product of q^N and the factors: its residue a
+    modulo |Z| times the members of pi takes one pow per factor, and s
+    divides |G| exactly when s * |Z| divides a.  That holds for any
+    positive integer s, prime or not."""
     if gid.family == "Alt":
         return frozenset(s for s in pi if s <= gid.n)
-    order = order_of(gid)
-    return frozenset(s for s in pi if order % s == 0)
+    if gid.family == "Spor":
+        return frozenset(s for s in pi if SPORADIC_ORDERS[gid.name] % s == 0)
+    q = gid.q
+    roots, factors, centre = _lie_factors(gid.lie_type, gid.n, q)
+    m = centre * math.prod(pi)
+    a = pow(q, roots, m)
+    for f in factors:
+        a = a * _at(f, q, m) % m
+    return frozenset(s for s in pi if a % (s * centre) == 0)
 
 
 def spectrum_within(gid: SimpleGroupId, pi) -> bool:
-    """Whether pi(G) is contained in pi, again without factoring.  False
-    before the order is touched when pi lacks 2, which divides every order
+    """Whether pi(G) is contained in pi, without building |G|.  False
+    before anything is computed when pi lacks 2, which divides every order
     here, 3, which divides all but those of 2B2, or a Lie id's p, since q^N
     divides its order.  pi(Alt(n)) is the primes up to n: within pi iff n is
     below the least prime outside pi."""
@@ -349,17 +403,19 @@ def spectrum_within(gid: SimpleGroupId, pi) -> bool:
         while s in pi or not is_prime(s):
             s += 1
         return gid.n < s
-    # strip the pi-part from the order m: the power of 2 with one shift (2
-    # divides |PSL(1000, 2)| 499,500 times, and gcd is quadratic in the bits),
-    # then step k divides out up to p^(2^k) of each other prime p of pi left
-    # in m, so about log2 of the largest exponent steps in all
-    m = order_of(gid)
-    m >>= (m & -m).bit_length() - 1
-    h = math.gcd(m, math.prod(s for s in pi if m % s == 0))
-    while h > 1:
-        m //= h
-        h = math.gcd(m, h * h)
-    return m == 1
+    if gid.family == "Spor":
+        return _pi_free(SPORADIC_ORDERS[gid.name], pi) == 1
+    # p is in pi, so q^N has no pi'-part, and the product of the factors'
+    # pi'-parts is that of |Z| * |G|: it equals the pi'-part of |Z| exactly
+    # when |G| is a pi-number, and once it passes that part it stays above
+    q = gid.q
+    _, factors, centre = _lie_factors(gid.lie_type, gid.n, q)
+    bound, rest = _pi_free(centre, pi), 1
+    for f in factors:
+        rest *= _pi_free(_at(f, q), pi)
+        if rest > bound:
+            return False
+    return rest == bound
 
 
 def parse_group(spec: str) -> SimpleGroupId:

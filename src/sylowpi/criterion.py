@@ -12,12 +12,12 @@ is "every prime of tau divides q - 1".  The only number a verdict factors
 is the one torus order behind Condition VI's "set" binding; q - 1, q - eps
 and the group order are never factored, however large q is.
 
-A decision tests the order against the primes of pi once, for pi ^ pi(G),
-and evaluates all seven conditions on that set; the public condition_I ...
-condition_VII take any pi and intersect it first.  Condition I looks at the
-order again only when pi ^ pi(G) has two primes or more, and then only when
-pi holds every prime that divides each order in the catalog (see
-catalog.spectrum_within).
+A decision finds pi ^ pi(G) once, from the order's factors and never from
+|G| itself (catalog.pi_effective), and evaluates all seven conditions on
+that set; the public condition_I ... condition_VII take any pi and
+intersect it first.  Condition I reads the factors again only when
+pi ^ pi(G) has two primes or more, and then only when pi holds every prime
+that divides each order in the catalog (see catalog.spectrum_within).
 """
 
 from __future__ import annotations

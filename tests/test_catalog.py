@@ -251,6 +251,55 @@ def test_spectrum_within_matches_stripping_the_order():
     assert spectrum_within(lie("2B2", 8), {2, 5, 7, 13})
 
 
+def factor_ids():
+    """Every Lie type: a ranked type from its least rank to two above it,
+    q < 32, and the Suzuki-Ree families at q < 256."""
+    qs = [q for q in range(2, 32) if prime_power(q)]
+    for t in LIE_TYPES:
+        if t in SUZUKI_REE:
+            yield from (lie(t, q) for q in {"2B2": (8, 32, 128), "2G2": (27,),
+                                            "2F4": (8, 32, 128)}[t])
+            continue
+        least = catalog._LEAST_RANK.get(t)
+        for n in (None,) if least is None else range(least, least + 3):
+            yield from (lie(t, q, n=n) for q in qs if (t, n, q) not in catalog._NOT_SIMPLE)
+
+
+def test_order_factors_decide_like_the_exact_order():
+    # 426 groups, 8,520 pi_effective rows and 8,456 spectrum_within rows
+    # (816 true), in about 0.3 s.  pi_effective takes 1-4 primes below 44
+    # and, in every other row, one of the composite members 1, 4, 9 and 15;
+    # spectrum_within takes pi(G), pi(G) with one prime added or removed, and
+    # ten seeded pi of 1-4 primes.  The spectrum reference factors |G|, so the
+    # 18 groups E7(q) and E8(q) whose order it cannot factor (a cofactor past
+    # the primality bound) are left out of the second half.
+    rng = random.Random(46)
+    primes = [s for s in range(2, 44) if is_prime(s)]
+    groups = rows = within = true = 0
+    for gid in factor_ids():
+        order = order_of(gid)
+        fresh = catalog.SimpleGroupId(*gid)
+        for i in range(20):
+            pi = set(rng.sample(primes, rng.randint(1, 4)))
+            pi |= {rng.choice((1, 4, 9, 15))} if i % 2 else set()
+            assert pi_effective(fresh, pi) == {s for s in pi if order % s == 0}, (gid, pi)
+            rows += 1
+        groups += 1
+        try:
+            spectrum = prime_divisors(order)
+        except ValueError:
+            continue
+        absent = next(s for s in primes if order % s)
+        pis = [spectrum, spectrum | {absent}, *(spectrum - {s} for s in spectrum)]
+        pis += [set(rng.sample(primes, rng.randint(1, 4))) for _ in range(10)]
+        for pi in pis:
+            got = spectrum_within(fresh, pi)
+            assert got == (spectrum <= pi), (gid, sorted(pi))
+            within, true = within + 1, true + got
+        assert "order" not in fresh.__dict__, gid
+    assert (groups, rows, within, true) == (426, 8520, 8456, 816)
+
+
 def test_sporadic_spectra_spot_checks():
     assert facts(sporadic("J1")).spectrum == {2, 3, 5, 7, 11, 19}
     assert facts(sporadic("Ly")).spectrum == {2, 3, 5, 7, 11, 31, 37, 67}

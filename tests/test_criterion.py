@@ -526,20 +526,19 @@ def test_invalid_group_rejected():
     ("2F4", 8, None, {3, 5}),
     ("2G2", 27, None, {2, 13}),
     ("E8", 4, None, {7, 11}),
+    ("A", 2, 1000, {3, 5}),  # |PSL(1000, 2)| has 999,999 bits
+    ("A", 2, 1000, {2, 3}),
 ])
-def test_group_order_is_computed_once_per_id(monkeypatch, lie_type, q, n, pi):
-    calls = []
-    orig = catalog._lie_order
+def test_a_decision_builds_no_group_order(monkeypatch, lie_type, q, n, pi):
+    def built(*args):
+        raise AssertionError(f"the order of {args} was built")
 
-    def counting(*args):
-        calls.append(args)
-        return orig(*args)
-
-    monkeypatch.setattr(catalog, "_lie_order", counting)
+    monkeypatch.setattr(catalog, "_lie_order", built)
     gid = lie(lie_type, q, n=n)
-    assert calls == []
+    start = time.perf_counter()
     decide_dpi_simple(gid, frozenset(pi))
-    assert len(calls) == 1
+    assert time.perf_counter() - start < 1
+    assert "order" not in gid.__dict__
 
 
 # Reference definitions of Conditions III, VI and VII, which decide prime-set
