@@ -12,7 +12,7 @@ import time
 import pytest
 
 from sylowpi import catalog, criterion
-from sylowpi.arith import eps_mod4, is_fermat_prime, is_prime, prime_divisors
+from sylowpi.arith import eps_mod4, is_fermat_prime, is_prime, mult_order, prime_divisors, r_part
 from sylowpi.catalog import (
     LIE_TYPES,
     RANKED_TYPES,
@@ -542,9 +542,10 @@ def test_a_decision_builds_no_group_order(monkeypatch, lie_type, q, n, pi):
 
 
 # Reference definitions of Conditions III, VI and VII, which decide prime-set
-# membership by factoring q - 1, q - eps and every torus order.  The
-# criterion answers the same questions by divisibility and must agree on
-# holds, subcase and bindings.
+# membership by factoring q - 1, q - eps and every torus order, and of
+# Conditions IV and V, with one branch per subcase.  The criterion answers
+# the same questions by divisibility and from tables of subcases, and must
+# agree on holds, subcase and bindings.
 
 def reference_condition_III(gid, pi):
     if gid.family != "Lie":
@@ -563,6 +564,113 @@ def reference_condition_III(gid, pi):
     bindings["weyl_order"] = w
     holds = all(w % s != 0 for s in eff)
     return ConditionReport("III", holds, bindings=bindings)
+
+
+def reference_odd_gate(gid, eff):
+    if gid.family != "Lie" or gid.lie_type in SUZUKI_REE:
+        return None
+    q, p = gid.q, gid.p
+    if not eff or 2 in eff or p in eff:
+        return None
+    r = min(eff)
+    return q, r, eff - {r}
+
+
+def reference_condition_IV(gid, pi):
+    gate = reference_odd_gate(gid, pi_effective(gid, pi))
+    if gate is None:
+        return ConditionReport("IV", False)
+    q, r, tau = gate
+    a = mult_order(q, r)
+    n, t_lie = gid.n, gid.lie_type
+
+    def floors_eq(delta):
+        return n // (r - 1) == n // r + delta
+
+    orders = {s: mult_order(q, s) for s in tau}
+    for t in sorted(tau):
+        b = orders[t]
+        if b == a:
+            continue
+        bindings = {"r": r, "a": a, "t": t, "b": b, "tau": sorted(tau)}
+        all_b = all(orders[s] == b for s in tau)
+        a_or_b = all(orders[s] in (a, b) for s in tau)
+        if t_lie == "A" and a == r - 1 and b == r and r_part(q ** (r - 1) - 1, r) == r and all_b:
+            if floors_eq(0):
+                return ConditionReport("IV", True, subcase=1, bindings=bindings)
+            if floors_eq(1) and n % r == r - 1:
+                return ConditionReport("IV", True, subcase=2, bindings=bindings)
+        if t_lie == "2A" and b == 2 * r and r_part(q ** (r - 1) - 1, r) == r and all_b:
+            if r % 4 == 1 and a == r - 1:
+                if floors_eq(0):
+                    return ConditionReport("IV", True, subcase=3, bindings=bindings)
+                if floors_eq(1) and n % r == r - 1:
+                    return ConditionReport("IV", True, subcase=5, bindings=bindings)
+            if r % 4 == 3 and a == (r - 1) // 2:
+                if floors_eq(0):
+                    return ConditionReport("IV", True, subcase=4, bindings=bindings)
+                if floors_eq(1) and n % r == r - 1:
+                    return ConditionReport("IV", True, subcase=6, bindings=bindings)
+        if t_lie == "2D" and a_or_b:
+            if a % 2 == 1 and n == b == 2 * a:
+                return ConditionReport("IV", True, subcase=7, bindings=bindings)
+            if b % 2 == 1 and n == a == 2 * b:
+                return ConditionReport("IV", True, subcase=8, bindings=bindings)
+    return ConditionReport("IV", False)
+
+
+def reference_condition_V(gid, pi):
+    gate = reference_odd_gate(gid, pi_effective(gid, pi))
+    if gate is None:
+        return ConditionReport("V", False)
+    q, r, tau = gate
+    c = mult_order(q, r)
+    if any(mult_order(q, s) != c for s in tau):
+        return ConditionReport("V", False)
+    n, t_lie = gid.n, gid.lie_type
+    bindings = {"r": r, "c": c, "tau": sorted(tau)}
+
+    def report(subcase, holds=True):
+        return ConditionReport("V", holds, subcase=subcase if holds else None,
+                               bindings=bindings)
+
+    if t_lie == "A":
+        return report(1, all(n < c * s for s in tau))
+    if t_lie == "2A":
+        if c % 4 == 0:
+            return report(2, all(n < c * s for s in tau))
+        if c % 4 == 2:
+            return report(3, all(2 * n < c * s for s in tau))
+        return report(4, all(n < 2 * c * s for s in tau))
+    if t_lie in ("B", "C", "D", "2D"):
+        if c % 2 == 1 and t_lie in ("B", "C", "2D") and all(2 * n < c * s for s in tau):
+            return report(5)
+        if c % 2 == 0 and t_lie in ("B", "C", "D") and all(n < c * s for s in tau):
+            return report(6)
+        if c % 2 == 0 and t_lie == "D" and all(2 * n <= c * s for s in tau):
+            return report(7)
+        if c % 2 == 1 and t_lie == "2D" and all(n <= c * s for s in tau):
+            return report(8)
+        return ConditionReport("V", False, bindings=bindings)
+    if t_lie == "3D4":
+        return report(9)
+    if t_lie == "E6":
+        return report(10, not (r == 3 and c == 1 and ({5, 13} & tau)))
+    if t_lie == "2E6":
+        return report(11, not (r == 3 and c == 2 and ({5, 13} & tau)))
+    if t_lie == "E7":
+        ok = not (r == 3 and c in (1, 2) and ({5, 7, 13} & tau))
+        ok = ok and not (r == 5 and c in (1, 2) and 7 in tau)
+        return report(12, ok)
+    if t_lie == "E8":
+        ok = not (r == 3 and c in (1, 2) and ({5, 7, 13} & tau))
+        ok = ok and not (r == 5 and c in (1, 2) and ({7, 31} & tau))
+        return report(13, ok)
+    if t_lie == "G2":
+        return report(14)
+    if t_lie == "F4":
+        return report(15, not (r == 3 and c == 1 and 13 in tau))
+    return ConditionReport("V", False, bindings=bindings)
 
 
 def reference_suzuki_ree_sets(t_lie, q):
@@ -653,22 +761,31 @@ def reference_condition_VII(gid, pi):
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 REFERENCE_PAIRS = ((condition_III, reference_condition_III),
+                   (condition_IV, reference_condition_IV),
+                   (condition_V, reference_condition_V),
                    (condition_VI, reference_condition_VI),
                    (condition_VII, reference_condition_VII))
 
 
 def assert_matches_reference(gid, pi):
+    """Compare every pair and return the conditions that hold."""
+    held = set()
     for cond, ref in REFERENCE_PAIRS:
         got, want = cond(gid, pi), ref(gid, pi)
         assert (got.condition, got.holds, got.subcase, got.bindings) == \
             (want.condition, want.holds, want.subcase, want.bindings), (gid, sorted(pi))
+        if got.holds:
+            held.add(got.condition)
+    return held
 
 
 def random_pis(rng, gid, pools):
     """pi drawn from small primes, the characteristic, and the primes of
-    q - 1, q - eps and the given prime sets, so that III, VI and VII fire."""
+    q^k - 1 for k <= 6 (while q^k < 10^12), q - eps and the given prime
+    sets, so that III-VII fire."""
     q = gid.q
-    pools = [prime_divisors(q - 1), *pools]
+    powers = [q ** k for k in range(1, 7) if k == 1 or q ** k < 10 ** 12]
+    pools = [*(prime_divisors(x - 1) for x in powers), *pools]
     if q % 2:
         pools.append(prime_divisors(q - eps_mod4(q)))
     for pool in pools:
@@ -691,7 +808,7 @@ def random_prime_power(rng, bound):
 def test_divisibility_conditions_match_the_factoring_reference_on_lie_ids():
     rng = random.Random(10)
     types = [t for t in LIE_TYPES if t not in SUZUKI_REE]
-    checked = 0
+    checked, fired = 0, set()
     while checked < 1000:
         t = rng.choice(types)
         n = rng.randint(2, 8) if t in RANKED_TYPES else None
@@ -700,8 +817,9 @@ def test_divisibility_conditions_match_the_factoring_reference_on_lie_ids():
         except ValueError:
             continue
         for pi in random_pis(rng, gid, ()):
-            assert_matches_reference(gid, pi)
+            fired |= assert_matches_reference(gid, pi)
         checked += 1
+    assert fired == {"III", "IV", "V", "VII"}
 
 
 def test_condition_VI_matches_the_factoring_reference_on_every_small_suzuki_ree():
