@@ -7,6 +7,10 @@ parameters q, p, the rank, multiplicative orders e(q, r) and the Weyl
 group order.  Each evaluator returns a report with the symbol bindings it
 used, so a verdict is auditable.
 
+Subcases IV(1)-IV(6), V(1)-V(15) and VII(1)-VII(10) are table rows of
+plain ints, strings and sets; each condition reads its table in one loop,
+and the first row that matches and holds is the witness.
+
 Membership questions are answered by divisibility: "tau lies in pi(q - 1)"
 is "every prime of tau divides q - 1".  The only number a verdict factors
 is the one torus order behind Condition VI's "set" binding; q - 1, q - eps
@@ -138,6 +142,20 @@ def _odd_gate(gid: SimpleGroupId, eff: frozenset[int]):
     return q, r, eff - {r}
 
 
+# IV(1)-IV(6), (subcase, type, residues of r mod 4, k, m, delta): a = e(q, r)
+# is (r - 1) / k, b = e(q, t) is m * r for every t of tau, [n / (r - 1)] =
+# [n / r] + delta (and n = -1 mod r when delta is 1), and the r-part of
+# q^(r - 1) - 1 is r.  IV(7) and IV(8) are the two symmetric 2D lines below.
+_IV_ROWS = (
+    (1, "A", {1, 3}, 1, 1, 0),
+    (2, "A", {1, 3}, 1, 1, 1),
+    (3, "2A", {1}, 1, 2, 0),
+    (4, "2A", {3}, 2, 2, 0),
+    (5, "2A", {1}, 1, 2, 1),
+    (6, "2A", {3}, 2, 2, 1),
+)
+
+
 def _condition_IV(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
     """Cross-characteristic case with two distinct multiplicative orders
     a = e(q, r) and b = e(q, t) among the primes of pi."""
@@ -147,40 +165,49 @@ def _condition_IV(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
     q, r, tau = gate
     a = mult_order(q, r)
     n, t_lie = gid.n, gid.lie_type
-
-    def floors_eq(delta: int) -> bool:
-        return n // (r - 1) == n // r + delta
-
     orders = {s: mult_order(q, s) for s in tau}
     for t in sorted(tau):
         b = orders[t]
         if b == a:
             continue
         bindings = {"r": r, "a": a, "t": t, "b": b, "tau": sorted(tau)}
-        all_b = all(orders[s] == b for s in tau)
-        a_or_b = all(orders[s] in (a, b) for s in tau)
-        if t_lie == "A" and a == r - 1 and b == r and r_part(q ** (r - 1) - 1, r) == r and all_b:
-            if floors_eq(0):
-                return ConditionReport("IV", True, subcase=1, bindings=bindings)
-            if floors_eq(1) and n % r == r - 1:
-                return ConditionReport("IV", True, subcase=2, bindings=bindings)
-        if t_lie == "2A" and b == 2 * r and r_part(q ** (r - 1) - 1, r) == r and all_b:
-            if r % 4 == 1 and a == r - 1:
-                if floors_eq(0):
-                    return ConditionReport("IV", True, subcase=3, bindings=bindings)
-                if floors_eq(1) and n % r == r - 1:
-                    return ConditionReport("IV", True, subcase=5, bindings=bindings)
-            if r % 4 == 3 and a == (r - 1) // 2:
-                if floors_eq(0):
-                    return ConditionReport("IV", True, subcase=4, bindings=bindings)
-                if floors_eq(1) and n % r == r - 1:
-                    return ConditionReport("IV", True, subcase=6, bindings=bindings)
-        if t_lie == "2D" and a_or_b:
+        for subcase, lie_type, residues, k, m, delta in _IV_ROWS:
+            if (t_lie == lie_type and r % 4 in residues and k * a == r - 1 and b == m * r
+                    and all(orders[s] == b for s in tau)
+                    and n // (r - 1) == n // r + delta and (delta == 0 or n % r == r - 1)
+                    and r_part(q ** (r - 1) - 1, r) == r):
+                return ConditionReport("IV", True, subcase=subcase, bindings=bindings)
+        if t_lie == "2D" and all(orders[s] in (a, b) for s in tau):
             if a % 2 == 1 and n == b == 2 * a:
                 return ConditionReport("IV", True, subcase=7, bindings=bindings)
             if b % 2 == 1 and n == a == 2 * b:
                 return ConditionReport("IV", True, subcase=8, bindings=bindings)
     return ConditionReport("IV", False)
+
+
+# V(1)-V(15), (subcase, types, residues of c mod 4, k, m, strict,
+# exclusions): k * n < m * c * s (<= unless strict) for every s of tau, with
+# k, m and strict None for the types of no rank, and for each exclusion
+# (r', values of c, primes) not r = r', c among the values and a prime of
+# tau among the primes.
+_ANY = {0, 1, 2, 3}
+_V_ROWS = (
+    (1, {"A"}, _ANY, 1, 1, True, ()),
+    (2, {"2A"}, {0}, 1, 1, True, ()),
+    (3, {"2A"}, {2}, 2, 1, True, ()),
+    (4, {"2A"}, {1, 3}, 1, 2, True, ()),
+    (5, {"B", "C", "2D"}, {1, 3}, 2, 1, True, ()),
+    (6, {"B", "C", "D"}, {0, 2}, 1, 1, True, ()),
+    (7, {"D"}, {0, 2}, 2, 1, False, ()),  # never fires: V(6) admits its inputs
+    (8, {"2D"}, {1, 3}, 1, 1, False, ()),
+    (9, {"3D4"}, _ANY, None, None, None, ()),
+    (10, {"E6"}, _ANY, None, None, None, ((3, {1}, {5, 13}),)),
+    (11, {"2E6"}, _ANY, None, None, None, ((3, {2}, {5, 13}),)),
+    (12, {"E7"}, _ANY, None, None, None, ((3, {1, 2}, {5, 7, 13}), (5, {1, 2}, {7}))),
+    (13, {"E8"}, _ANY, None, None, None, ((3, {1, 2}, {5, 7, 13}), (5, {1, 2}, {7, 31}))),
+    (14, {"G2"}, _ANY, None, None, None, ()),
+    (15, {"F4"}, _ANY, None, None, None, ((3, {1}, {13}),)),
+)
 
 
 def _condition_V(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
@@ -195,47 +222,13 @@ def _condition_V(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
         return ConditionReport("V", False)
     n, t_lie = gid.n, gid.lie_type
     bindings = {"r": r, "c": c, "tau": sorted(tau)}
-
-    def report(subcase: int, holds: bool = True) -> ConditionReport:
-        return ConditionReport("V", holds, subcase=subcase if holds else None,
-                               bindings=bindings)
-
-    if t_lie == "A":
-        return report(1, all(n < c * s for s in tau))
-    if t_lie == "2A":
-        if c % 4 == 0:
-            return report(2, all(n < c * s for s in tau))
-        if c % 4 == 2:
-            return report(3, all(2 * n < c * s for s in tau))
-        return report(4, all(n < 2 * c * s for s in tau))
-    if t_lie in ("B", "C", "D", "2D"):
-        if c % 2 == 1 and t_lie in ("B", "C", "2D") and all(2 * n < c * s for s in tau):
-            return report(5)
-        if c % 2 == 0 and t_lie in ("B", "C", "D") and all(n < c * s for s in tau):
-            return report(6)
-        if c % 2 == 0 and t_lie == "D" and all(2 * n <= c * s for s in tau):
-            return report(7)
-        if c % 2 == 1 and t_lie == "2D" and all(n <= c * s for s in tau):
-            return report(8)
-        return ConditionReport("V", False, bindings=bindings)
-    if t_lie == "3D4":
-        return report(9)
-    if t_lie == "E6":
-        return report(10, not (r == 3 and c == 1 and ({5, 13} & tau)))
-    if t_lie == "2E6":
-        return report(11, not (r == 3 and c == 2 and ({5, 13} & tau)))
-    if t_lie == "E7":
-        ok = not (r == 3 and c in (1, 2) and ({5, 7, 13} & tau))
-        ok = ok and not (r == 5 and c in (1, 2) and 7 in tau)
-        return report(12, ok)
-    if t_lie == "E8":
-        ok = not (r == 3 and c in (1, 2) and ({5, 7, 13} & tau))
-        ok = ok and not (r == 5 and c in (1, 2) and ({7, 31} & tau))
-        return report(13, ok)
-    if t_lie == "G2":
-        return report(14)
-    if t_lie == "F4":
-        return report(15, not (r == 3 and c == 1 and 13 in tau))
+    for subcase, types, residues, k, m, strict, exclusions in _V_ROWS:
+        if (t_lie in types and c % 4 in residues
+                and (k is None or all(k * n < m * c * s or not strict and k * n == m * c * s
+                                      for s in tau))
+                and not any(r == r_ex and c in c_ex and not tau.isdisjoint(primes)
+                            for r_ex, c_ex, primes in exclusions)):
+            return ConditionReport("V", True, subcase=subcase, bindings=bindings)
     return ConditionReport("V", False, bindings=bindings)
 
 
@@ -273,13 +266,31 @@ def _condition_VI(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
     return ConditionReport("VI", False, bindings={"pi_effective": sorted(eff)})
 
 
+# VII(1)-VII(10), (subcase, types, k, m, Fermat k, Fermat m, excluded
+# primes): every s of tau exceeds k * n + m and every Fermat prime of tau
+# exceeds (Fermat k) * n + (Fermat m), with the four None for the types of
+# no rank, and no prime of tau is excluded.
+_VII_ROWS = (
+    (1, {"A", "2A"}, 1, 0, 1, 1, ()),
+    (2, {"B"}, 2, 1, 2, 1, ()),
+    (3, {"C"}, 1, 0, 2, 1, ()),
+    (4, {"D", "2D"}, 2, 0, 2, 0, ()),
+    (5, {"G2", "2G2"}, None, None, None, None, {7}),
+    (6, {"F4"}, None, None, None, None, {5, 7}),
+    (7, {"E6", "2E6"}, None, None, None, None, {5, 7}),
+    (8, {"E7"}, None, None, None, None, {5, 7, 11}),
+    (9, {"E8"}, None, None, None, None, {5, 7, 11, 13}),
+    (10, {"3D4"}, None, None, None, None, {7}),
+)
+
+
 def _condition_VII(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
     """Even case: 2 in pi, 3 and p outside pi, the odd part of pi inside
     pi(q - eps), plus per-family thresholds (Fermat primes are held to the
     stricter bound)."""
     if gid.family != "Lie":
         return ConditionReport("VII", False)
-    q, p, n = gid.q, gid.p, gid.n
+    q, p, n, t_lie = gid.q, gid.p, gid.n, gid.lie_type
     if 2 not in eff or 3 in eff or p in eff:
         return ConditionReport("VII", False)
     tau = eff - {2}
@@ -289,32 +300,11 @@ def _condition_VII(gid: SimpleGroupId, eff: frozenset[int]) -> ConditionReport:
         return ConditionReport("VII", False, bindings=bindings)
     phi = frozenset(t for t in tau if is_fermat_prime(t))
     bindings["phi"] = sorted(phi)
-    t_lie = gid.lie_type
-
-    def report(subcase: int, holds: bool) -> ConditionReport:
-        return ConditionReport("VII", holds, subcase=subcase if holds else None,
-                               bindings=bindings)
-
-    if t_lie in ("A", "2A"):
-        return report(1, all(s > n for s in tau) and all(t > n + 1 for t in phi))
-    if t_lie == "B":
-        return report(2, all(s > 2 * n + 1 for s in tau))
-    if t_lie == "C":
-        return report(3, all(s > n for s in tau) and all(t > 2 * n + 1 for t in phi))
-    if t_lie in ("D", "2D"):
-        return report(4, all(s > 2 * n for s in tau))
-    if t_lie in ("G2", "2G2"):
-        return report(5, 7 not in tau)
-    if t_lie == "F4":
-        return report(6, not ({5, 7} & tau))
-    if t_lie in ("E6", "2E6"):
-        return report(7, not ({5, 7} & tau))
-    if t_lie == "E7":
-        return report(8, not ({5, 7, 11} & tau))
-    if t_lie == "E8":
-        return report(9, not ({5, 7, 11, 13} & tau))
-    if t_lie == "3D4":
-        return report(10, 7 not in tau)
+    for subcase, types, k, m, fermat_k, fermat_m, excluded in _VII_ROWS:
+        if (t_lie in types and tau.isdisjoint(excluded)
+                and (k is None or all(s > k * n + m for s in tau)
+                     and all(t > fermat_k * n + fermat_m for t in phi))):
+            return ConditionReport("VII", True, subcase=subcase, bindings=bindings)
     return ConditionReport("VII", False, bindings=bindings)
 
 

@@ -108,9 +108,10 @@ def test_condition_IV_gates():
 
 
 def test_conditions_IV_and_V_refuse_a_pi_outside_the_order():
-    # 7 does not divide |PSL(3,5)|, so pi_effective is empty.  The fall-through
-    # returns at the end of condition_V and condition_VII stay untested: every
-    # Lie type that their gates let through has its own branch
+    # 7 does not divide |PSL(3,5)|, so pi_effective is empty.  Every Lie type
+    # that the gates of condition_V and condition_VII let through has a row in
+    # their tables, so each false report after a table's loop comes from a
+    # row whose guard, bound or exclusion fails
     for condition in (condition_IV, condition_V):
         assert not condition(lie("A", 5, n=3), frozenset({7})).holds
 
@@ -194,11 +195,11 @@ def test_decide_dpi_simple_witnesses():
     assert v.dpi and v.witness.condition == "I"  # lowest-numbered witness wins
 
 
-# One (G, pi) per subcase of Conditions IV and V, found by a scan over the
-# code's own conditions.  These pin what the code decides today; no
+# One (G, pi) per subcase of Conditions IV, V and VII, found by a scan over
+# the code's own conditions.  These pin what the code decides today; no
 # independent oracle has checked them.  V(7) has no case: V(6) is tried
 # first and accepts every input that V(7) accepts.
-@pytest.mark.parametrize("spec, pi, condition, subcase, bindings", [
+SUBCASE_WITNESSES = [
     ("Lie:A:3:2", {3, 7}, "IV", 1, {"a": 2, "b": 3, "r": 3, "t": 7, "tau": [7]}),
     ("Lie:A:5:2", {3, 7}, "IV", 2, {"a": 2, "b": 3, "r": 3, "t": 7, "tau": [7]}),
     ("Lie:2A:5:2", {5, 11}, "IV", 3, {"a": 4, "b": 10, "r": 5, "t": 11, "tau": [11]}),
@@ -221,7 +222,20 @@ def test_decide_dpi_simple_witnesses():
     ("Lie:E8:3", {19, 37}, "V", 13, {"c": 18, "r": 19, "tau": [37]}),
     ("Lie:G2:9", {7, 13}, "V", 14, {"c": 3, "r": 7, "tau": [13]}),
     ("Lie:F4:8", {5, 13}, "V", 15, {"c": 4, "r": 5, "tau": [13]}),
-])
+    ("Lie:A:2:19", {2, 5}, "VII", 1, {"eps": -1, "phi": [5], "tau": [5]}),
+    ("Lie:B:2:27", {2, 7}, "VII", 2, {"eps": -1, "phi": [], "tau": [7]}),
+    ("Lie:C:2:27", {2, 7}, "VII", 3, {"eps": -1, "phi": [], "tau": [7]}),
+    ("Lie:D:4:43", {2, 11}, "VII", 4, {"eps": -1, "phi": [], "tau": [11]}),
+    ("Lie:G2:19", {2, 5}, "VII", 5, {"eps": -1, "phi": [5], "tau": [5]}),
+    ("Lie:F4:43", {2, 11}, "VII", 6, {"eps": -1, "phi": [], "tau": [11]}),
+    ("Lie:E6:43", {2, 11}, "VII", 7, {"eps": -1, "phi": [], "tau": [11]}),
+    ("Lie:E7:53", {2, 13}, "VII", 8, {"eps": 1, "phi": [], "tau": [13]}),
+    ("Lie:E8:67", {2, 17}, "VII", 9, {"eps": -1, "phi": [17], "tau": [17]}),
+    ("Lie:3D4:19", {2, 5}, "VII", 10, {"eps": -1, "phi": [5], "tau": [5]}),
+]
+
+
+@pytest.mark.parametrize("spec, pi, condition, subcase, bindings", SUBCASE_WITNESSES)
 def test_each_subcase_of_IV_and_V_is_a_witness(spec, pi, condition, subcase, bindings):
     v = decide_dpi_simple(parse_group(spec), frozenset(pi))
     assert v.dpi
@@ -229,22 +243,55 @@ def test_each_subcase_of_IV_and_V_is_a_witness(spec, pi, condition, subcase, bin
     assert v.witness.bindings == bindings
 
 
+def test_table_cells_are_the_pinned_cells_and_V7():
+    # IV(7) and IV(8) are the two 2D lines of _condition_IV, not rows
+    cells = {("IV", 7), ("IV", 8)}
+    for condition, rows in (("IV", criterion._IV_ROWS), ("V", criterion._V_ROWS),
+                            ("VII", criterion._VII_ROWS)):
+        cells |= {(condition, row[0]) for row in rows}
+    assert cells == {(c, sub) for _, _, c, sub, _ in SUBCASE_WITNESSES} | {("V", 7)}
+    # V(7) is unreachable: V(6) comes first, on a superset of its types, with
+    # the same guard, and every (n, c * s) that V(7)'s bound admits V(6)'s
+    # admits too
+    subcases = [row[0] for row in criterion._V_ROWS]
+    six, seven = (criterion._V_ROWS[subcases.index(sub)] for sub in (6, 7))
+    assert subcases.index(6) < subcases.index(7)
+    assert seven[1] <= six[1] and seven[2] == six[2]
+
+    def admits(row, n, cs):
+        k, m, strict = row[3:6]
+        return k * n < m * cs or not strict and k * n == m * cs
+
+    assert all(admits(six, n, cs) for n in range(1, 100) for cs in range(1, 400)
+               if admits(seven, n, cs))
+
+
 # Rows at the thresholds of criterion.py that no other test pins: moving one
-# threshold by one (< to <=, == to !=, and to or) changes the row's verdict
-# or witness.  Each id names the line, the subcase and the boundary; each row
-# is the (G, pi) of least order with that effect, and pins what the code
-# decides today.  Three such mutants change no verdict, so no row can pin
-# them:
-# - line 212, V(5)'s `2 * n < c * s`: c and s are odd, so c * s is odd and
+# threshold by one (< to <=, == to !=, and to or, or one entry of a table
+# row) changes the row's verdict or witness.  Each id names the subcase and
+# the boundary; each row is the (G, pi) of least order with that effect, and
+# pins what the code decides today.  The first 22 ids also carry the line
+# number that the subcase's branch had before the subcases became rows of
+# _IV_ROWS, _V_ROWS and _VII_ROWS; they keep it so that their names stay.
+# These mutants change no verdict, so no row can pin them:
+# - V(5)'s strict `2 * n < c * s`: c and s are odd, so c * s is odd and
 #   2n <= cs holds just when 2n < cs does;
-# - line 216, V(7)'s `2 * n <= c * s`: V(7) never runs, since V(6) is tried
-#   first and accepts every input that V(7) accepts;
-# - line 305, VII(4)'s `s > 2 * n`: s is an odd prime and 2n is even, so
-#   s >= 2n holds just when s > 2n does.
+# - V(7)'s bound, and its k, m or strict moved so that the bound still
+#   implies n < c * s: V(7) never fires, since V(6) is tried first and
+#   accepts every input that V(7) accepts;
+# - V(14) without residue 0: every prime r of |G2(q)| divides q^6 - 1 or
+#   q^2 - 1, so c = e(q, r) divides 6 and is never 0 mod 4;
+# - a bound on s moved by one where no odd number lies between: s is an odd
+#   prime, so s > 2n + 1 holds just when s > 2n + 2 does (VII(2)'s m and
+#   Fermat m, VII(3)'s Fermat m) and s > 2n just when s > 2n - 1 does
+#   (VII(4)'s m and Fermat m);
+# - a Fermat bound of VII(2) or VII(4) moved below the bound on every s of
+#   tau (Fermat k down by one, or Fermat m down by one), which then implies
+#   it.
 @pytest.mark.parametrize("spec, pi, witness", [
     pytest.param("Lie:C:7:29", {2, 7}, None, id="line303-VII(3)-s=n"),
     # r = 3 with a = e(q, 3) = r - 1 = 2: neither IV(3) (r % 4 == 1) nor
-    # IV(4) (a == (r - 1) // 2) applies
+    # IV(4) (a = (r - 1) / 2) applies
     pytest.param("Lie:2A:3:5", {3, 7}, None, id="line168+173-IV(3)+IV(4)-r%4=3,a=r-1"),
     pytest.param("Lie:2A:8:2", {5, 11}, None, id="line171-IV(5)-floors+1,n%r<r-1"),
     pytest.param("Lie:A:5:16", {3, 5}, None, id="line204-V(1)-n=cs"),
@@ -268,6 +315,20 @@ def test_each_subcase_of_IV_and_V_is_a_witness(spec, pi, condition, subcase, bin
     pytest.param("Lie:E8:4", {11, 31}, ("V", 13), id="line233-V(13)-r=11,c=5,31"),
     pytest.param("Lie:E8:71", {5, 7}, None, id="line233-V(13)-r=5,c=1,7"),
     pytest.param("Lie:F4:79", {3, 13}, None, id="line238-V(15)-r=3,c=1,13"),
+    # the table entries: each row holds just past one entry's boundary
+    pytest.param("Lie:A:9:2", {5, 31}, ("IV", 2), id="IV(2)-r%4=1"),
+    pytest.param("Lie:2A:26:8", {5, 13}, ("V", 2), id="V(2)-2n=cs"),
+    pytest.param("Lie:2D:20:9", {7, 13}, ("V", 8), id="V(8)-c%4=3,2n>cs"),
+    pytest.param("Lie:E6:79", {3, 13}, None, id="V(10)-r=3,c=1,13"),
+    pytest.param("Lie:2E6:233", {3, 13}, None, id="V(11)-r=3,c=2,13"),
+    pytest.param("Lie:E7:139", {5, 7}, None, id="V(12)-r=5,c=2,7"),
+    pytest.param("Lie:E8:29", {3, 5}, None, id="V(13)-r=3,c=2,5"),
+    pytest.param("Lie:E8:139", {5, 7}, None, id="V(13)-r=5,c=2,7"),
+    pytest.param("Lie:B:6:67", {2, 17}, ("VII", 2), id="VII(2)-Fermat-t=17<=3n+1"),
+    pytest.param("Lie:C:6:27", {2, 7}, ("VII", 3), id="VII(3)-s=n+1"),
+    pytest.param("Lie:C:6:67", {2, 17}, ("VII", 3), id="VII(3)-Fermat-t=17<=3n+1"),
+    pytest.param("Lie:D:6:67", {2, 17}, ("VII", 4), id="VII(4)-Fermat-t=17<=3n"),
+    pytest.param("Lie:D:8:67", {2, 17}, ("VII", 4), id="VII(4)-Fermat-t=2n+1"),
 ])
 def test_threshold_boundaries(spec, pi, witness):
     v = decide_dpi_simple(parse_group(spec), frozenset(pi))
