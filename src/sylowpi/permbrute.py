@@ -32,8 +32,11 @@ A group keeps its elements as one array, `perms`: its permutations as
 uint8 rows in lexicographic order, element i being row i, so the degree is
 at most 256.  `lookup` maps rows back to indices by binary search over the
 rows' bytes.  A group is built from its generators, closed breadth-first
-with one gather per layer, or by `direct_product` from its two factors,
-whose rows it lays out in order.  A product's multiplication table is the
+with one gather per layer, or by `direct_product` from its two factors.
+A product's order is theirs multiplied, and its rows, the pairs of its
+factors' rows in order, are laid out on the first read of `perms` or
+`lookup`.  No engine path reads them, so a product that a caller's bound
+refuses costs only its order check.  A product's multiplication table is the
 outer sum of its factors' tables, written a block of rows at a time, and
 its inverses and element orders are its factors' paired up; any other
 group's table is filled layer by layer along the Cayley graph with one
@@ -202,7 +205,9 @@ class HallReport(NamedTuple):
 class PermGroup:
     """Immutable permutation group of degree at most 256, the closure of its
     generators.  Element i is row i of `perms`, the group's permutations as
-    uint8 rows in lexicographic order."""
+    uint8 rows in lexicographic order, laid out on first read: `_order`
+    reads them at construction, except a product's.  No engine path reads a
+    product's rows, so one refused at a bound costs only its order check."""
 
     def __init__(self, degree: int, generators, name: str = ""):
         if degree > 256:
@@ -212,10 +217,7 @@ class PermGroup:
         for g in self.generators:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of degree {degree}: {g}")
-        self.perms = self._element_rows()
-        self.perms.flags.writeable = False
-        self._keys = _bytes_keys(self.perms)
-        self.order = len(self.perms)
+        self.order = self._order()
         self.name = name or f"group of order {self.order} on {degree} points"
         self.identity = 0  # the least permutation: row 0 of the sorted rows, a product's too
         self._table: np.ndarray | None = None
@@ -224,6 +226,20 @@ class PermGroup:
         self._classes: list[SubgroupClass] | None = None
 
     # -- basic machinery ----------------------------------------------------
+
+    def _order(self) -> int:
+        """|<generators>|, closed here and refused past ORDER_BOUND."""
+        return len(self.perms)
+
+    @functools.cached_property
+    def perms(self) -> np.ndarray:
+        rows = self._element_rows()
+        rows.flags.writeable = False
+        return rows
+
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        return _bytes_keys(self.perms)
 
     def _element_rows(self) -> np.ndarray:
         """The sorted uint8 rows of <generators>."""
@@ -732,9 +748,12 @@ def _cyclic(p: int) -> PermGroup:
 class _Product(PermGroup):
     """K x L on the disjoint union of their points, element (a, b) being row
     a*|L| + b: K's row a followed by L's row b shifted by deg K.  Pairs in
-    that order are already in lexicographic order.  Its table, inverses and
-    element orders are computed from the factors', through their uncached
-    methods, so a factor that `realize` caches is left as it was."""
+    that order are already in lexicographic order; no engine path reads
+    them, so they are laid out only on a read of `perms` or `lookup`.  Its
+    order is |K| |L|, and its table, inverses and element orders are
+    computed from the factors', through their uncached methods, so a factor
+    that `realize` caches is left as it was.  One refused at a bound costs
+    only its order check."""
 
     def __init__(self, k: PermGroup, l: PermGroup):
         self._factors = (k, l)
@@ -742,6 +761,10 @@ class _Product(PermGroup):
         gens = [tuple(g) + tuple(range(d1, d1 + d2)) for g in k.generators]
         gens += [tuple(range(d1)) + tuple(x + d1 for x in g) for g in l.generators]
         super().__init__(d1 + d2, gens, name=f"{k.name} x {l.name}")
+
+    def _order(self) -> int:
+        k, l = self._factors
+        return k.order * l.order
 
     def _element_rows(self) -> np.ndarray:
         k, l = self._factors
@@ -800,7 +823,9 @@ class _Product(PermGroup):
 def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
     """g1 x g2, its order checked before any row is built.  It records its
     factors, and its table, inverses and element orders are built from
-    theirs, which it does not keep."""
+    theirs, which it does not keep.  Its own rows are laid out on first
+    read, which no engine path makes, so a refusal at a caller's bound costs
+    only the order check."""
     if g1.order * g2.order > ORDER_BOUND:
         raise BruteForceBoundError(
             f"product order {g1.order * g2.order} exceeds the bound {ORDER_BOUND}")
@@ -815,7 +840,9 @@ def realize(spec: str) -> PermGroup:
     returns a new group that belongs to its caller: a factor comes as a
     shallow copy of the cached one, sharing its read-only rows and
     generators, and a product is assembled from the cached factors, which
-    keep no table, so a table or lattice is freed with the caller's group."""
+    keep no table, so a table or lattice is freed with the caller's group.
+    A product lays out no rows until they are read, which no engine path
+    does, so one that a caller's bound refuses costs only its order check."""
     terms = spec_terms(spec)
     for term in terms:
         if term not in _REALIZE_CACHE:

@@ -1202,6 +1202,31 @@ def test_product_rows_are_the_pairs_in_order(spec):
         g.lookup(np.array([swap]))
 
 
+def test_a_product_builds_no_rows_until_read():
+    # a product's order, table, inverses, element orders and lattice come
+    # from its factors, so neither the engine nor a refusal at a caller's
+    # bound lays out its element rows; they are laid out on first read
+    g = realize("Alt:5,Cyclic:7")
+    g.require_table()
+    g.subgroup_classes()
+    primes = sorted(prime_divisors(g.order))
+    for r in range(1, len(primes) + 1):
+        for pi in itertools.combinations(primes, r):
+            report = maximal_pi_subgroups(g, pi)
+            for sigma, tau in permbrute._two_part_partitions(report.pi_effective):
+                for c in report.hall_classes:
+                    split_hall(g, c.rep, sigma, tau)
+    refused = realize("Lie:A:2:7,Cyclic:7")
+    with pytest.raises(BruteForceBoundError):
+        refused.require_table(bound=DEFAULT_LATTICE_BOUND)
+    inner = realize("Cyclic:2,Cyclic:3,Cyclic:5")._factors[0]
+    assert inner.order == 6
+    for h in (g, refused, inner):
+        assert "perms" not in vars(h)
+        assert not h.perms.flags.writeable
+        assert h.lookup(h.perms).tolist() == list(range(h.order))
+
+
 def test_degree_above_256_is_refused():
     # rows hold one byte per point
     with pytest.raises(ValueError, match="degree 257"):
