@@ -9,7 +9,8 @@ Subcommands:
   corpus     run the full cross-validation + structural sweep
 
 Exit codes: 0 = success / true verdict, 1 = false verdict, 2 = error,
-3 = crosscheck disagreement.  --json emits a versioned report (schema 1).
+3 = a criterion-vs-brute disagreement (crosscheck, corpus) or a structural
+violation (corpus).  --json emits a versioned report (schema 1).
 An argument error (a missing or unknown flag, both or neither of --group
 and --factors, a prime list that is not a set of primes) is argparse's:
 its usage line and the reason on stderr, exit 2.  A domain error (a group
@@ -32,13 +33,12 @@ import argparse
 import itertools
 import json
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import prime_divisors, prime_set
-from .catalog import SimpleGroupId
 from .composition import (CompositeVerdict, SplitHypothesis, decide_dpi_composite,
                           parse_factors, wielandt_split)
-from .criterion import Verdict, decide_dpi_simple
+from .criterion import Verdict
 
 if TYPE_CHECKING:
     from .permbrute import HallReport
@@ -100,13 +100,13 @@ def _verdict_report(v: Verdict) -> dict:
 def _cmd_check(args) -> int:
     pi, key = args.pi, "group" if args.factors is None else "factors"
     spec = parse_factors(getattr(args, key))
-    if key == "group" and len(spec.factors) == 1 and isinstance(spec.factors[0], SimpleGroupId):
-        v = decide_dpi_simple(spec.factors[0], pi)
+    cv = decide_dpi_composite(spec, pi)
+    if key == "group" and len(spec.factors) == len(cv.verdicts) == 1:  # one simple group
+        v = cv.verdicts[0]
         report = {"command": "check", "pi": sorted(pi), **_verdict_report(v)}
         _emit(report, args.json, [f"D_pi = {v.dpi} for {v.group}, pi = {sorted(pi)}",
                                   f"  witness: {v.witness_text()}"])
         return EXIT_TRUE if v.dpi else EXIT_FALSE
-    cv = decide_dpi_composite(spec, pi)
     report = {"command": "check", key: getattr(args, key), "pi": sorted(pi)}
     lines = [f"D_pi = {cv.dpi} for factors [{report[key]}], pi = {sorted(pi)}",
              *_trace_lines(cv.trace)]
@@ -145,22 +145,25 @@ def _cmd_brute(args) -> int:
     return EXIT_TRUE if r.dpi else EXIT_FALSE
 
 
-class SweepResult:
-    """One row per pi; one violation tuple (spec, pi, lemma, ...) per failed
-    structural lemma; hit counts of the cases where the lemmas applied."""
+class SweepRow(NamedTuple):
+    """One pi of a sweep.  `splits` has one (sigma, tau, corollary) per
+    two-part partition of pi where a pi-Hall subgroup splits, sigma and tau
+    sorted tuples, corollary None unless D_sigma and D_tau hold; each
+    violation is (spec, pi, lemma, ...), one per failed structural lemma."""
 
-    def __init__(self):
-        self.rows: list[dict] = []
-        self.disagreements = 0
-        self.violations: list[tuple] = []
-        self.hypothesis_hits = 0
-        self.corollary_hits = 0
-        self.split_hits = 0
+    report: HallReport
+    criterion: CompositeVerdict
+    splits: list[tuple]
+    violations: list[tuple]
+
+    @property
+    def agree(self) -> bool:
+        return self.report.dpi == self.criterion.dpi
 
 
-def sweep(spec: str) -> SweepResult:
+def sweep(spec: str) -> list[SweepRow]:
     """Criterion vs brute force on every pi within pi(G), plus the
-    structural lemmas.
+    structural lemmas: one row per pi, every subset of pi before pi.
 
     `spec` is a simple group, Sym:n or a direct product such as "Sym:6,Cyclic:2";
     the criterion side decides it from its composition factors.  The lemma
@@ -178,53 +181,44 @@ def sweep(spec: str) -> SweepResult:
     factors = parse_factors(spec)
     g = realize(spec)
     spectrum = prime_divisors(g.order)
-    out = SweepResult()
-    reports = {}  # every subset of pi comes before pi
+    rows = {}  # every subset of pi comes before pi
     for k in range(len(spectrum) + 1):
         for combo in itertools.combinations(sorted(spectrum), k):
             pi = frozenset(combo)
             hypothesis = k >= 2 and not spectrum <= pi and not {2, 3} <= pi
-            r = reports[pi] = maximal_pi_subgroups(g, pi, with_structure=hypothesis)
-            crit = decide_dpi_composite(factors, pi).dpi
-            out.rows.append({"pi": sorted(pi), "brute": r.dpi, "criterion": crit,
-                             "agree": r.dpi == crit})
-            out.disagreements += r.dpi != crit
+            r = maximal_pi_subgroups(g, pi, with_structure=hypothesis)
+            row = rows[pi] = SweepRow(r, decide_dpi_composite(factors, pi), [], [])
             if r.structural is not None:
-                out.hypothesis_hits += 1
                 partitions = r.structural["nilpotent_factor_per_partition"]
                 if not r.structural["hall_solvable"]:
-                    out.violations.append((spec, sorted(pi), "Hall subgroup not solvable"))
+                    row.violations.append((spec, sorted(pi), "Hall subgroup not solvable"))
                 if not all(p["holds"] for p in partitions):
-                    out.violations.append((spec, sorted(pi), "no nilpotent factor", partitions))
+                    row.violations.append((spec, sorted(pi), "no nilpotent factor", partitions))
             for sigma, tau in _two_part_partitions(pi):
                 splits = [s for c in r.hall_classes if (s := split_hall(g, c.rep, sigma, tau))]
                 if not splits:
                     continue  # neither the theorem nor the corollary applies
-                out.split_hits += 1
                 parts = tuple(sorted(sigma)), tuple(sorted(tau))
-                merged = reports[sigma].dpi and reports[tau].dpi
+                merged = rows[sigma].report.dpi and rows[tau].report.dpi
                 if r.dpi != merged:
-                    out.violations.append((spec, sorted(pi), "split/merge", *parts))
-                if merged:
-                    holds = check_final_corollary(g, splits)
-                    out.corollary_hits += holds
-                    if not holds:
-                        out.violations.append((spec, sorted(pi), "final corollary", *parts))
-    return out
+                    row.violations.append((spec, sorted(pi), "split/merge", *parts))
+                corollary = check_final_corollary(g, splits) if merged else None
+                if corollary is False:
+                    row.violations.append((spec, sorted(pi), "final corollary", *parts))
+                row.splits.append((*parts, corollary))
+    return list(rows.values())
 
 
 def _cmd_crosscheck(args) -> int:
-    result = sweep(args.group)
-    rows, disagreements = result.rows, result.disagreements
+    rows = sweep(args.group)
+    disagreements = sum(not row.agree for row in rows)
     report = {"command": "crosscheck", "group": args.group,
               "subsets_checked": len(rows), "disagreements": disagreements,
-              "rows": rows}
-    lines = [f"{args.group}: {len(rows)} subsets checked, "
-             f"{disagreements} disagreements"]
-    for row in rows:
-        if not row["agree"]:
-            lines.append(f"  DISAGREE pi={row['pi']}: brute={row['brute']}, "
-                         f"criterion={row['criterion']}")
+              "rows": [{"pi": sorted(row.report.pi), "brute": row.report.dpi,
+                        "criterion": row.criterion.dpi, "agree": row.agree} for row in rows]}
+    lines = [f"{args.group}: {len(rows)} subsets checked, {disagreements} disagreements"]
+    lines += [f"  DISAGREE pi={r['pi']}: brute={r['brute']}, criterion={r['criterion']}"
+              for r in report["rows"] if not r["agree"]]
     _emit(report, args.json, lines)
     return EXIT_TRUE if disagreements == 0 else EXIT_DISAGREE
 
@@ -258,11 +252,12 @@ def _cmd_tables(args) -> int:
 def _cmd_corpus(args) -> int:
     """Criterion-vs-brute sweep plus the structural lemma sweep."""
     results = [sweep(spec) for spec in CORPUS_SIMPLE]
-    per_group = [{"group": spec, "subsets": len(r.rows), "disagreements": r.disagreements}
-                 for spec, r in zip(CORPUS_SIMPLE, results)]
-    total_rows = sum(len(r.rows) for r in results)
-    total_disagreements = sum(r.disagreements for r in results)
-    structural_violations = sum(len(r.violations) for r in results)
+    per_group = [{"group": spec, "subsets": len(rows),
+                  "disagreements": sum(not row.agree for row in rows)}
+                 for spec, rows in zip(CORPUS_SIMPLE, results)]
+    total_rows = sum(pg["subsets"] for pg in per_group)
+    total_disagreements = sum(pg["disagreements"] for pg in per_group)
+    structural_violations = sum(len(row.violations) for rows in results for row in rows)
     report = {
         "command": "corpus",
         "groups": per_group,

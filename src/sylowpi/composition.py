@@ -55,9 +55,10 @@ class SplitHypothesis:
 class CompositeVerdict(NamedTuple):
     dpi: bool
     pi: frozenset[int]
-    trace: list[tuple[str, bool, str]]  # (factor, dpi, witness text)
+    trace: list[tuple[str, bool, str]]  # (factor, dpi, witness text), one per factor
     conditional: bool = False
     condition_note: str = ""
+    verdicts: tuple[Verdict, ...] = ()  # the simple factors' Verdicts, in factor order
 
 
 def spec_terms(spec: str) -> list[str]:
@@ -94,7 +95,7 @@ def parse_factors(text: str) -> CompositionSpec:
 
 def decide_dpi_composite(spec: CompositionSpec, pi: frozenset[int]) -> CompositeVerdict:
     """D_pi for a group with the given composition factors."""
-    trace = []
+    trace, verdicts = [], ()
     dpi = True
     for f in spec.factors:
         if isinstance(f, CyclicFactor):
@@ -102,8 +103,9 @@ def decide_dpi_composite(spec: CompositionSpec, pi: frozenset[int]) -> Composite
             continue
         v: Verdict = decide_dpi_simple(f, pi)
         trace.append((str(f), v.dpi, v.witness_text()))
+        verdicts += (v,)
         dpi = dpi and v.dpi
-    return CompositeVerdict(dpi, pi, trace)
+    return CompositeVerdict(dpi, pi, trace, verdicts=verdicts)
 
 
 def wielandt_split(spec: CompositionSpec, sigma: frozenset[int],
@@ -116,4 +118,5 @@ def wielandt_split(spec: CompositionSpec, sigma: frozenset[int],
     return CompositeVerdict(left.dpi and right.dpi, sigma | tau, left.trace + right.trace,
                             conditional=True,
                             condition_note=("conditional on the split-Hall hypothesis: "
-                                            "H = H_sigma x H_tau (asserted, not verified)"))
+                                            "H = H_sigma x H_tau (asserted, not verified)"),
+                            verdicts=left.verdicts + right.verdicts)

@@ -36,13 +36,11 @@ def test_criterion_1_oracle_agreement():
     witnesses = {}
     cells = Counter()
     for spec in specs:
-        gid = parse_group(spec)
-        result = sweep(spec)
-        assert len(result.rows) == 2 ** len(facts(gid).spectrum), spec
-        disagreements += [(spec, row) for row in result.rows if not row["agree"]]
-        verdicts = (decide_dpi_simple(gid, frozenset(row["pi"])) for row in result.rows)
-        witnesses[spec] = [v.witness and (v.witness.condition, v.witness.subcase)
-                           for v in verdicts]
+        rows = sweep(spec)
+        assert len(rows) == 2 ** len(facts(parse_group(spec)).spectrum), spec
+        disagreements += [(spec, sorted(row.report.pi)) for row in rows if not row.agree]
+        witnesses[spec] = [w and (w.condition, w.subcase)
+                           for w in (row.criterion.verdicts[0].witness for row in rows)]
         cells.update(witnesses[spec])
     assert disagreements == [], disagreements
     assert ("II", 1) in witnesses["Spor:M11"], witnesses["Spor:M11"]
@@ -86,10 +84,10 @@ def test_criterion_4_split_merge_on_products():
     parts = list(CORPUS_SIMPLE) + [f"Cyclic:{p}" for p in (2, 3, 5, 7, 11)]
     results = {(a, b): sweep(f"{a},{b}") for i, a in enumerate(parts) for b in parts[i:]
                if realize(a).order * realize(b).order <= DEFAULT_LATTICE_BOUND}
-    bad = {k: (r.disagreements, r.violations) for k, r in results.items()
-           if r.disagreements or r.violations}
-    instances = sum(r.split_hits for r in results.values())
-    assert bad == {} and instances > 0, bad
+    bad = [(k, sorted(row.report.pi), row.agree, row.violations)
+           for k, rows in results.items() for row in rows if not row.agree or row.violations]
+    instances = sum(len(row.splits) for rows in results.values() for row in rows)
+    assert bad == [] and instances > 0, bad
     _report(4, f"split/merge identity on {len(results)} products, "
                f"{instances} verified-split instances (0 violations)")
 
@@ -127,11 +125,12 @@ def test_criterion_6_structural_lemma_sweep():
     # vacuous there; products make it bite
     for spec in CORPUS_SIMPLE + ("Alt:5,Cyclic:7", "Lie:A:2:7,Cyclic:5",
                                  "Cyclic:3,Cyclic:5"):
-        result = sweep(spec)
-        assert result.violations == [], result.violations
-        assert result.disagreements == 0, (spec, result.rows)
-        hypothesis_hits += result.hypothesis_hits
-        corollary_hits += result.corollary_hits
+        rows = sweep(spec)
+        violations = [v for row in rows for v in row.violations]
+        assert violations == [], violations
+        assert all(row.agree for row in rows), spec
+        hypothesis_hits += sum(row.report.structural is not None for row in rows)
+        corollary_hits += sum(c is True for row in rows for *_, c in row.splits)
     assert hypothesis_hits > 0 and corollary_hits > 0
     _report(6, f"structural lemmas hold on {hypothesis_hits} hypothesis cases, "
                f"{corollary_hits} applicable corollary cases (0 violations)")

@@ -30,6 +30,23 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def split_partitions(rows):
+    return [split for row in rows for split in row.splits]
+
+
+def violations(rows):
+    return [v for row in rows for v in row.violations]
+
+
+def patch_everywhere(monkeypatch, orig, replacement):
+    """Replace `orig` in every sylowpi module that imported it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sylowpi"):
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_check_true_verdict(capsys):
     code, out, _ = run_cli(capsys, "check", "--group", "Spor:M11", "--pi", "5,11")
     assert code == EXIT_TRUE
@@ -69,6 +86,21 @@ def test_check_group_takes_any_spec(capsys):
         report = json.loads(out)
         assert got == code and report["group"] == spec and "factors" not in report
         assert report["trace"][0]["factor"] == "Alt(5)"
+
+
+def test_check_group_decides_once(capsys, monkeypatch):
+    # one simple group's witness report reads the verdict that
+    # decide_dpi_composite made: the group is decided once
+    orig, calls = sylowpi.decide_dpi_simple, []
+
+    def counting(gid, pi):
+        calls.append((gid, pi))
+        return orig(gid, pi)
+
+    patch_everywhere(monkeypatch, orig, counting)
+    code, out, _ = run_cli(capsys, "check", "--group", "Alt:5", "--pi", "2,3")
+    assert code == EXIT_FALSE and "witness: no condition holds" in out
+    assert calls == [(catalog.alt(5), frozenset({2, 3}))]
 
 
 def test_check_json_round_trip(capsys):
@@ -396,7 +428,7 @@ def test_crosscheck_symmetric_groups(capsys, monkeypatch, spec, rows):
     code, out, _ = run_cli(capsys, "crosscheck", "--group", spec, "--json")
     report = json.loads(out)
     assert (code, report["subsets_checked"], report["disagreements"]) == (EXIT_TRUE, rows, 0)
-    assert results[0].violations == []  # crosscheck's exit code leaves them out
+    assert violations(results[0]) == []  # crosscheck's exit code leaves them out
 
 
 def test_split(capsys):
@@ -441,17 +473,13 @@ def test_sweep_builds_one_hall_report_per_pi(monkeypatch):
         calls.append(frozenset(pi))
         return orig(g, pi, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sylowpi"):
-            for attr, value in list(vars(module).items()):
-                if value is orig:
-                    monkeypatch.setattr(module, attr, counting)
-    result = sweep("Alt:5")
-    assert len(calls) == len(set(calls)) == len(result.rows) == 8
+    patch_everywhere(monkeypatch, orig, counting)
+    rows = sweep("Alt:5")
+    assert len(calls) == len(set(calls)) == len(rows) == 8
 
 
 def test_sweep_checks_split_merge(monkeypatch):
-    assert sweep("Alt:5,Cyclic:7").split_hits > 0
+    assert len(split_partitions(sweep("Alt:5,Cyclic:7"))) > 0
     orig = permbrute.maximal_pi_subgroups
 
     def no_dpi_for_3(g, pi, *args, **kwargs):
@@ -460,30 +488,31 @@ def test_sweep_checks_split_merge(monkeypatch):
 
     # C3 x C5 splits as C3 x C5: a false D_3 must contradict D_{3,5}
     monkeypatch.setattr(permbrute, "maximal_pi_subgroups", no_dpi_for_3)
-    result = sweep("Cyclic:3,Cyclic:5")
-    assert result.split_hits == 1
-    assert result.violations == [("Cyclic:3,Cyclic:5", [3, 5], "split/merge", (3,), (5,))]
+    rows = sweep("Cyclic:3,Cyclic:5")
+    assert len(split_partitions(rows)) == 1
+    assert violations(rows) == [("Cyclic:3,Cyclic:5", [3, 5], "split/merge", (3,), (5,))]
 
 
 def test_sweep_reports_a_final_corollary_violation(monkeypatch):
     # with no nilpotent subgroup, the split C3 x C5 contradicts the corollary
     monkeypatch.setattr(permbrute.PermGroup, "is_nilpotent_set", lambda self, subset: False)
-    result = sweep("Cyclic:3,Cyclic:5")
-    assert result.violations == [("Cyclic:3,Cyclic:5", [3, 5], "final corollary", (3,), (5,))]
+    rows = sweep("Cyclic:3,Cyclic:5")
+    assert split_partitions(rows) == [((3,), (5,), False)]
+    assert violations(rows) == [("Cyclic:3,Cyclic:5", [3, 5], "final corollary", (3,), (5,))]
 
 
 def test_sweep_reports_an_unsolvable_hall_subgroup(monkeypatch):
     # PSL(2,7) meets the lemmas' hypothesis at pi = {3, 7} alone
     monkeypatch.setattr(permbrute.PermGroup, "is_solvable_set", lambda self, subset: False)
-    result = sweep("Lie:A:2:7")
-    assert result.violations == [("Lie:A:2:7", [3, 7], "Hall subgroup not solvable")]
+    rows = sweep("Lie:A:2:7")
+    assert violations(rows) == [("Lie:A:2:7", [3, 7], "Hall subgroup not solvable")]
 
 
 def test_sweep_reports_no_nilpotent_factor(capsys, monkeypatch):
     monkeypatch.setattr(permbrute.PermGroup, "is_nilpotent_set", lambda self, subset: False)
-    result = sweep("Lie:A:2:7")
+    rows = sweep("Lie:A:2:7")
     partitions = [{"sigma": [3], "tau": [7], "holds": False}]
-    assert result.violations == [("Lie:A:2:7", [3, 7], "no nilpotent factor", partitions)]
+    assert violations(rows) == [("Lie:A:2:7", [3, 7], "no nilpotent factor", partitions)]
     code, out, _ = run_cli(capsys, "corpus")
     assert code == EXIT_DISAGREE and "3 structural violations" in out
 
@@ -513,8 +542,8 @@ def test_sweep_builds_lemma_flags_once_per_hypothesis_hit(monkeypatch, spec, hit
         return orig(g, report, *args)
 
     monkeypatch.setattr(permbrute, "_structural_flags", counting)
-    result = sweep(spec)
-    assert len(calls) == result.hypothesis_hits == hits
+    rows = sweep(spec)
+    assert len(calls) == sum(row.report.structural is not None for row in rows) == hits
 
 
 def test_brute_refuses_a_lattice_past_the_class_cap(capsys, monkeypatch):
@@ -533,8 +562,10 @@ def test_brute_refuses_a_lattice_past_the_class_cap(capsys, monkeypatch):
 # that a refactor of the sweep or the brute-force engine keeps every byte
 GOLDEN = [
     ("corpus --json", 0, "10dedcd0bf439e0e"),
+    ("corpus", 0, "763cdbcaf1db5257"),
     ("crosscheck --group Alt:5,Cyclic:7 --json", 0, "c58a4a239c3c4361"),
     ("crosscheck --group Lie:A:2:7 --json", 0, "99b323b410d79309"),
+    ("crosscheck --group Lie:A:2:7", 0, "9ecab75a9cbb3593"),
     ("crosscheck --group Cyclic:3,Cyclic:5 --json", 0, "59779387e27768e7"),
     # the criterion side reads Sym:5 as its composition factors, Alt(5) and C2
     ("crosscheck --group Sym:5 --json", 0, "fa55f67d4e9ea6e3"),
@@ -545,6 +576,9 @@ GOLDEN = [
     # derived series and closures
     ("brute --group Sym:5 --pi 2,3 --json", 1, "9d201c50a97f2204"),
     ("check --group Spor:M11 --pi 5,11 --json", 0, "8e84d095f0cbb6bd"),
+    ("check --group Spor:M11 --pi 5,11", 0, "5a960f2a6ed09fb3"),
+    # a false single-group verdict: V(1)'s boundary n = c*s, no witness
+    ("check --group Lie:A:5:16 --pi 3,5 --json", 1, "c203530f8beb53f8"),
     ("check --factors Alt:5,Cyclic:7 --pi 2,3,5 --json", 0, "738a7276687a541f"),
     ("split --factors Alt:5,Cyclic:7 --sigma 5 --tau 7 --json", 0, "7e1d8e7601e96d1a"),
     ("tables --json", 0, "4e74879d30283d40"),

@@ -78,6 +78,27 @@ def test_wielandt_split_is_conjunction():
     assert v.conditional
 
 
+def _cells(cv):
+    return [(v.group, v.dpi, v.witness and v.witness.condition) for v in cv.verdicts]
+
+
+def test_composite_verdict_keeps_its_factors_verdicts():
+    # the simple factors' Verdicts, witnesses included, in factor order; the
+    # cyclic factor between them has none
+    spec = parse_factors("Alt:5,Cyclic:7,Lie:A:2:7")
+    psl27 = lie("A", 7, n=2)
+    v = decide_dpi_composite(spec, frozenset({3, 7}))
+    assert _cells(v) == [(alt(5), True, "I"), (psl27, True, "III")]
+    assert [(str(w.group), w.dpi, w.witness_text()) for w in v.verdicts] == \
+        [v.trace[0], v.trace[2]]
+    # a split holds sigma's verdicts, then tau's
+    sigma, tau = frozenset({2, 7}), frozenset({3})
+    split = wielandt_split(spec, sigma, tau, SplitHypothesis(sigma, tau, hall_split_assumed=True))
+    assert _cells(split) == [(alt(5), True, "I"), (psl27, False, None),
+                             (alt(5), True, "I"), (psl27, True, "I")]
+    assert [w.pi_effective for w in split.verdicts] == [frozenset({2}), sigma, tau, tau]
+
+
 def test_split_rejects_overlap():
     spec = CompositionSpec((alt(5),))
     with pytest.raises(ValueError):

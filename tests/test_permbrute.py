@@ -947,11 +947,12 @@ def test_split_hall_refuses_unclosed_parts():
 def test_check_final_corollary():
     # a simple corpus group has no split Hall subgroup, so the corollary is
     # vacuous; the unsplit Frobenius 7:3 is covered by test_split_hall
-    assert sweep("Alt:5").split_hits == 0
+    assert not any(row.splits for row in sweep("Alt:5"))
     # abelian direct product: applicable and true
     g = realize("Cyclic:3,Cyclic:5")
     assert check_final_corollary(g, [split_hall(g, range(g.order), {3}, {5})]) is True
-    assert sweep("Cyclic:3,Cyclic:5").corollary_hits == 1
+    splits = [split for row in sweep("Cyclic:3,Cyclic:5") for split in row.splits]
+    assert splits == [((3,), (5,), True)]  # one split, where the corollary holds
 
 
 def test_split_hall_needs_sigma_and_tau_to_cover_the_hall_order():
