@@ -53,12 +53,31 @@ class SplitHypothesis:
 
 
 class CompositeVerdict(NamedTuple):
-    dpi: bool
+    """D_pi for a factor list, kept as what decided it: `factors` in order
+    (for a split, sigma's pass over the factors, then tau's) and `verdicts`,
+    the simple factors' Verdicts in that order.  The verdict, the trace and
+    the note are read from these."""
+
     pi: frozenset[int]
-    trace: list[tuple[str, bool, str]]  # (factor, dpi, witness text), one per factor
+    factors: tuple[Factor, ...]
+    verdicts: tuple[Verdict, ...]
     conditional: bool = False
-    condition_note: str = ""
-    verdicts: tuple[Verdict, ...] = ()  # the simple factors' Verdicts, in factor order
+
+    @property
+    def dpi(self) -> bool:
+        return all(v.dpi for v in self.verdicts)  # a cyclic factor has D_pi
+
+    @property
+    def trace(self) -> list[tuple[str, bool, str]]:
+        """(factor, dpi, witness text), one per factor."""
+        verdicts = iter(self.verdicts)
+        return [(str(f), True, "cyclic factor (trivially D_pi)") if isinstance(f, CyclicFactor)
+                else (str(f), (v := next(verdicts)).dpi, v.witness_text()) for f in self.factors]
+
+    @property
+    def condition_note(self) -> str:
+        return ("conditional on the split-Hall hypothesis: H = H_sigma x H_tau "
+                "(asserted, not verified)") if self.conditional else ""
 
 
 def spec_terms(spec: str) -> list[str]:
@@ -95,17 +114,11 @@ def parse_factors(text: str) -> CompositionSpec:
 
 def decide_dpi_composite(spec: CompositionSpec, pi: frozenset[int]) -> CompositeVerdict:
     """D_pi for a group with the given composition factors."""
-    trace, verdicts = [], ()
-    dpi = True
+    verdicts = ()
     for f in spec.factors:
-        if isinstance(f, CyclicFactor):
-            trace.append((str(f), True, "cyclic factor (trivially D_pi)"))
-            continue
-        v: Verdict = decide_dpi_simple(f, pi)
-        trace.append((str(f), v.dpi, v.witness_text()))
-        verdicts += (v,)
-        dpi = dpi and v.dpi
-    return CompositeVerdict(dpi, pi, trace, verdicts=verdicts)
+        if not isinstance(f, CyclicFactor):
+            verdicts += (decide_dpi_simple(f, pi),)
+    return CompositeVerdict(pi, spec.factors, verdicts)
 
 
 def wielandt_split(spec: CompositionSpec, sigma: frozenset[int],
@@ -115,8 +128,5 @@ def wielandt_split(spec: CompositionSpec, sigma: frozenset[int],
     if hyp.sigma != sigma or hyp.tau != tau:
         raise ValueError("hypothesis does not match the requested split")
     left, right = decide_dpi_composite(spec, sigma), decide_dpi_composite(spec, tau)
-    return CompositeVerdict(left.dpi and right.dpi, sigma | tau, left.trace + right.trace,
-                            conditional=True,
-                            condition_note=("conditional on the split-Hall hypothesis: "
-                                            "H = H_sigma x H_tau (asserted, not verified)"),
-                            verdicts=left.verdicts + right.verdicts)
+    return CompositeVerdict(sigma | tau, spec.factors * 2, left.verdicts + right.verdicts,
+                            conditional=True)

@@ -381,7 +381,8 @@ class PermGroup:
         layer = np.flatnonzero(member)
         while layer.size:
             fresh = self._mask(self._products(layer[:, None], gens))
-            fresh[self._conjugates(layer, conj)] = True
+            if conj.size:
+                fresh[self._conjugates(layer, conj)] = True
             fresh &= ~member
             member |= fresh
             layer = np.flatnonzero(fresh)

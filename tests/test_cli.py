@@ -521,8 +521,11 @@ def test_crosscheck_prints_a_disagreement(capsys, monkeypatch):
     decide = cli.decide_dpi_composite
 
     def flipped(factors, pi):
+        # the composite's verdict is read from its factor's, so flip that
         v = decide(factors, pi)
-        return v._replace(dpi=v.dpi != (pi == {3, 7}))
+        if pi != {3, 7}:
+            return v
+        return v._replace(verdicts=tuple(w._replace(dpi=not w.dpi) for w in v.verdicts))
 
     monkeypatch.setattr(cli, "decide_dpi_composite", flipped)
     code, out, _ = run_cli(capsys, "crosscheck", "--group", "Lie:A:2:7")
@@ -594,3 +597,77 @@ GOLDEN = [
 def test_golden_output(capsys, command, code, digest):
     got, out, _ = run_cli(capsys, *command.split())
     assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
+
+
+# The CLI contract, one row per check: (command, exit code, text that stdout
+# or stderr must contain, time limit in seconds or None).  A check that a
+# test above already runs with the same arguments is not repeated here:
+# GOLDEN holds `check --group Spor:M11 --pi 5,11`, `corpus --json`, `brute
+# --group Lie:A:2:7 --pi 3,7 --json`, `brute --group Sym:5 --pi 2,3 --json`,
+# `crosscheck --group Cyclic:3,Cyclic:5 --json`, `tables --json` and
+# `tables`; test_check_on_at_3_5_is_false, test_brute_bound_error (M12),
+# test_split, test_domain_refusals_exit_2 (Sym:4),
+# test_brute_and_crosscheck_require_a_group and test_parse_errors_exit_2
+# (`--pi 2,4`) hold the rest.  The C2^7, C2^8 and C2^13 brute-force runs at
+# the real class cap stay with CI: 1.5-4.8 s each, a 312 MB peak in process.
+CONTRACT = [
+    # {5, 31} is one of ON's Condition II rows
+    ("check --group Spor:ON --pi 5,31", 0, "", None),
+    ("crosscheck --group Alt:5,Cyclic:7", 0, "", None),
+    # a product whose second factor is the larger: its table, inverses and
+    # element orders come from the factors'
+    ("crosscheck --group Cyclic:2,Lie:A:2:7", 0, "", None),
+    # no order bound on the lattice: PSL(2,16), order 4080, where V(1) fires
+    ("crosscheck --group Lie:A:2:16", 0, "", None),
+    # PSL(3,2) on the 7 points of PG(2,2), where IV(1) fires at {3, 7};
+    # PSL(3,4), order 20160, is refused by its order
+    ("crosscheck --group Lie:A:3:2", 0, "", None),
+    ("brute --group Lie:A:3:4 --pi 3,7", 2, "", None),
+    # M11 on 11 points, where II(1) fires at {5, 11}; at {2, 3} it has Hall
+    # subgroups but not D_pi
+    ("crosscheck --group Spor:M11", 0, "", None),
+    ("brute --group Spor:M11 --pi 2,3", 1, "", None),
+    # Sym(7) is crosschecked from its composition factors, Alt(7) and C2
+    ("crosscheck --group Sym:7", 0, "", None),
+    # --group reads one grammar on every command: Sym(7) is Alt(7), false at
+    # {2, 3}, and C2
+    ("check --group Sym:7 --pi 2,3", 1, "", None),
+    # a refusal names the id as it prints: A(2,2) = PSL(2,2)
+    ("check --group Lie:A:2:2 --pi 2,3", 2, "error: A(2,2) is not simple", None),
+    # sigma and tau must be disjoint: SplitHypothesis refuses an overlap
+    ("split --factors Alt:5,Cyclic:7 --sigma 5 --tau 5,7", 2, "", None),
+    # Conditions V and VII read tables of subcases: 2D(4,16) at {3, 5} is V(8)
+    # and A(2,19) at {2, 5} is VII(1); A(5,16) at {3, 5} sits on V(1)'s
+    # boundary n = c*s, where no condition holds
+    ("check --group Lie:2D:4:16 --pi 3,5", 0, "witness: Condition V(8)", None),
+    ("check --group Lie:A:2:19 --pi 2,5", 0, "witness: Condition VII(1)", None),
+    ("check --group Lie:A:5:16 --pi 3,5", 1, "", None),
+    # decisions read the order's factors and never build |G| (999,999 bits
+    # for PSL(1000, 2)); both answer no well within 10 s
+    ("check --group Lie:A:1000:2 --pi 2,3", 1, "", 10),
+    ("check --group Lie:A:700:3 --pi 2,3,7", 1, "", 10),
+    # pi(Sz(8)) = {2, 5, 7, 13} holds no 3; with 2, 3 and p in pi the order
+    # of E8(11466271) is stripped
+    ("check --group Lie:2B2:8 --pi 2,5,7,13", 0, "", None),
+    ("check --group Lie:E8:11466271 --pi 2,3,11466271", 1, "", None),
+    # an argument error is argparse's: usage and exit 2
+    ("check --group Alt:5 --factors Alt:6 --pi 2", 2, "", None),
+    # ids below a type's least rank or naming a non-simple group
+    ("check --group Lie:2D:3:7 --pi 2,3", 2, "", None),
+    ("check --group Lie:G2:2 --pi 2,3", 2, "", None),
+]
+
+
+@pytest.mark.parametrize("command, code, text, limit", CONTRACT,
+                         ids=[row[0] for row in CONTRACT])
+def test_cli_contract(capsys, command, code, text, limit):
+    start = time.perf_counter()
+    try:
+        got = run(command.split())
+    except SystemExit as exc:  # argparse's refusals
+        got = exc.code
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert got == code, err
+    assert text in out + err
+    assert limit is None or elapsed < limit

@@ -1271,6 +1271,23 @@ def test_order_bound_enforced():
         PermGroup(11, [tuple(range(1, 11)) + (0,), (1, 0) + tuple(range(2, 11))])
 
 
+def sym7_x_c2_on_9_points():
+    """Sym(7) x C2 closed from generators: (0 1), (0 1 ... 6) and (7 8)."""
+    return PermGroup(9, [(1, 0, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 5, 6, 0, 7, 8),
+                         (0, 1, 2, 3, 4, 5, 6, 8, 7)])
+
+
+def test_a_closure_of_exactly_order_bound_elements_is_accepted():
+    # the bound refuses more than ORDER_BOUND elements, not ORDER_BOUND itself;
+    # realize builds Sym(7) x C2 as a product, which never closes its rows
+    g = sym7_x_c2_on_9_points()
+    assert g.order == len(g.perms) == ORDER_BOUND
+
+
+def test_a_group_without_a_name_is_named_by_its_order():
+    assert sym7_x_c2_on_9_points().name == "group of order 10080 on 9 points"
+
+
 def test_lattice_bound_explicit():
     g = realize("Lie:A:2:9")  # order 360, fine at the default bound
     fresh = PermGroup(g.degree, g.generators)

@@ -185,6 +185,19 @@ def test_epi_tables_match_brute_force(family, n):
             assert table == maximal_pi_subgroups(g, pi, with_structure=False).epi, (n, pi)
 
 
+def test_m11_table_matches_brute_force():
+    # every pi within pi(M11): the table's E_pi is brute force's, and where the
+    # table records one structure M11 has one class of pi-Hall subgroups
+    g = realize("Spor:M11")
+    for k in range(5):
+        for pi in map(frozenset, itertools.combinations((2, 3, 5, 11), k)):
+            structures = sporadic_epi("M11", pi)
+            report = maximal_pi_subgroups(g, pi, with_structure=False)
+            assert bool(structures) == report.epi, pi
+            if len(structures) == 1:
+                assert len(report.hall_classes) == 1, pi
+
+
 # The paper's theorem: if a pi-Hall subgroup is H_sigma x H_tau and D_sigma
 # and D_tau hold, then D_pi holds.  So where the tables give E_pi and the
 # criterion gives D_sigma and D_tau but not D_pi, no pi-Hall subgroup splits
