@@ -33,10 +33,10 @@ uint8 rows in lexicographic order, element i being row i, so the degree is
 at most 256.  `lookup` maps rows back to indices by binary search over the
 rows' bytes.  A group is built from its generators, closed breadth-first
 with one gather per layer, or by `direct_product` from its two factors.
-A product's order is theirs multiplied, and its rows, the pairs of its
-factors' rows in order, are laid out on the first read of `perms` or
-`lookup`.  No engine path reads them, so a product that a caller's bound
-refuses costs only its order check.  A product's multiplication table is the
+A product's order is theirs multiplied, and its generators and its rows,
+the pairs of its factors' rows in order, are built on their first read.
+No engine path reads either, so a product that a caller's bound refuses
+builds no permutation.  A product's multiplication table is the
 outer sum of its factors' tables, written a block of rows at a time, and
 its inverses and element orders are its factors' paired up; any other
 group's table is filled layer by layer along the Cayley graph with one
@@ -202,21 +202,32 @@ class HallReport(NamedTuple):
         return [c for c in self.maximal_classes if c.order == self.hall_order]
 
 
+def _permutations(degree: int, gens) -> tuple[tuple[int, ...], ...]:
+    """`gens` as tuples, each checked to be a permutation of range(degree)."""
+    gens = tuple(tuple(g) for g in gens)
+    for g in gens:
+        if sorted(g) != list(range(degree)):
+            raise ValueError(f"not a permutation of degree {degree}: {g}")
+    return gens
+
+
 class PermGroup:
     """Immutable permutation group of degree at most 256, the closure of its
-    generators.  Element i is row i of `perms`, the group's permutations as
-    uint8 rows in lexicographic order, laid out on first read: `_order`
-    reads them at construction, except a product's.  No engine path reads a
-    product's rows, so one refused at a bound costs only its order check."""
+    generators, checked at construction.  Element i is row i of `perms`, the
+    group's permutations as uint8 rows in lexicographic order, laid out on
+    first read: `_order` reads them at construction, except a product's,
+    which builds its generators and rows only when they are read."""
 
     def __init__(self, degree: int, generators, name: str = ""):
+        self.generators = _permutations(degree, generators)
+        self._init(degree, name)
+
+    def _init(self, degree: int, name: str) -> None:
+        """The fields of every group, a product's too: the degree, checked
+        against 256, the order from `_order`, the name and empty caches."""
         if degree > 256:
             raise ValueError(f"degree {degree} exceeds 256, the most that uint8 rows hold")
         self.degree = degree
-        self.generators = tuple(tuple(g) for g in generators)
-        for g in self.generators:
-            if sorted(g) != list(range(degree)):
-                raise ValueError(f"not a permutation of degree {degree}: {g}")
         self.order = self._order()
         self.name = name or f"group of order {self.order} on {degree} points"
         self.identity = 0  # the least permutation: row 0 of the sorted rows, a product's too
@@ -749,19 +760,26 @@ def _cyclic(p: int) -> PermGroup:
 class _Product(PermGroup):
     """K x L on the disjoint union of their points, element (a, b) being row
     a*|L| + b: K's row a followed by L's row b shifted by deg K.  Pairs in
-    that order are already in lexicographic order; no engine path reads
-    them, so they are laid out only on a read of `perms` or `lookup`.  Its
-    order is |K| |L|, and its table, inverses and element orders are
-    computed from the factors', through their uncached methods, so a factor
-    that `realize` caches is left as it was.  One refused at a bound costs
-    only its order check."""
+    that order are already in lexicographic order.  Construction checks the
+    degree, multiplies the factors' orders and names the product; the
+    generators, K's beside L's identity, then K's identity beside L's, are
+    built and checked on the first read of `generators`, and the rows on
+    the first read of `perms` or `lookup`.  No engine path reads either.
+    The table, inverses and element orders are computed from the factors',
+    through their uncached methods, so a factor that `realize` caches is
+    left as it was."""
 
     def __init__(self, k: PermGroup, l: PermGroup):
         self._factors = (k, l)
+        self._init(k.degree + l.degree, f"{k.name} x {l.name}")
+
+    @functools.cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        k, l = self._factors
         d1, d2 = k.degree, l.degree
-        gens = [tuple(g) + tuple(range(d1, d1 + d2)) for g in k.generators]
+        gens = [g + tuple(range(d1, d1 + d2)) for g in k.generators]
         gens += [tuple(range(d1)) + tuple(x + d1 for x in g) for g in l.generators]
-        super().__init__(d1 + d2, gens, name=f"{k.name} x {l.name}")
+        return _permutations(self.degree, gens)
 
     def _order(self) -> int:
         k, l = self._factors
@@ -822,11 +840,11 @@ class _Product(PermGroup):
 
 
 def direct_product(g1: PermGroup, g2: PermGroup) -> PermGroup:
-    """g1 x g2, its order checked before any row is built.  It records its
+    """g1 x g2, its order checked against ORDER_BOUND first.  It records its
     factors, and its table, inverses and element orders are built from
-    theirs, which it does not keep.  Its own rows are laid out on first
-    read, which no engine path makes, so a refusal at a caller's bound costs
-    only the order check."""
+    theirs, which it does not keep.  Its own generators and rows are built
+    on first read, which no engine path makes, so a refusal at a caller's
+    bound costs the order checks, the degree check and the name."""
     if g1.order * g2.order > ORDER_BOUND:
         raise BruteForceBoundError(
             f"product order {g1.order * g2.order} exceeds the bound {ORDER_BOUND}")
@@ -842,8 +860,9 @@ def realize(spec: str) -> PermGroup:
     shallow copy of the cached one, sharing its read-only rows and
     generators, and a product is assembled from the cached factors, which
     keep no table, so a table or lattice is freed with the caller's group.
-    A product lays out no rows until they are read, which no engine path
-    does, so one that a caller's bound refuses costs only its order check."""
+    A product builds no generators or rows until they are read, which no
+    engine path does, so one that a caller's bound refuses costs the
+    reading of its spec, the cache lookups and `direct_product`'s checks."""
     terms = spec_terms(spec)
     for term in terms:
         if term not in _REALIZE_CACHE:
@@ -1008,20 +1027,3 @@ def check_final_corollary(g: PermGroup, splits) -> bool:
     and D_tau, pi = sigma u tau, given their splits (sigma-part, tau-part)
     from split_hall: one factor of every split is nilpotent."""
     return all(g.is_nilpotent_set(s) or g.is_nilpotent_set(t) for s, t in splits)
-
-
-# ---------------------------------------------------------------------------
-# constructive reproduction of the symmetric-group table rows
-
-def reproduce_table1(n: int) -> bool:
-    """Rebuild the {2,3}-Hall subgroup of Sym_n for n = 7 (Sym_3 x Sym_4)
-    or n = 8 (Sym_4 wr Sym_2) and verify order and Hall property."""
-    if n == 7:
-        gens, expected = direct_product(_sym(3), _sym(4)).generators, 144
-    elif n == 8:
-        block_swap = (4, 5, 6, 7, 0, 1, 2, 3)
-        gens, expected = direct_product(_sym(4), _sym(4)).generators + (block_swap,), 1152
-    else:
-        raise ValueError("only degrees 7 and 8 have special table rows")
-    # a {2,3}-part of n! is a {2,3}-number whose index is prime to 6
-    return PermGroup(n, gens).order == expected == pi_part(math.factorial(n), {2, 3})

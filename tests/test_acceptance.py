@@ -1,20 +1,26 @@
 """Acceptance suite: the seven primary criteria, exact (zero tolerance).
 
-Each test prints a single PASS line on success (run with -s or read the
-captured output); a failure is an ordinary pytest failure.
+Each criterion's test prints a single PASS line on success (run with -s or
+read the captured output); a failure is an ordinary pytest failure.
+`reproduce_table1`, the construction behind criterion 3, lives here too.
 """
 
+import math
 from collections import Counter
+
+import pytest
 
 from sylowpi.catalog import facts, parse_group
 from sylowpi.cli import CORPUS_SIMPLE, sweep
 from sylowpi.criterion import decide_dpi_simple
 from sylowpi.permbrute import (
     DEFAULT_LATTICE_BOUND,
+    PermGroup,
     _sym,
+    direct_product,
     maximal_pi_subgroups,
+    pi_part,
     realize,
-    reproduce_table1,
 )
 from sylowpi.tables import SPORADIC_EVEN_ROWS, SPORADIC_ODD_ROWS
 from sylowpi.criterion import CONDITION_II_ITEMS
@@ -63,6 +69,27 @@ def test_criterion_2_epi_without_dpi_witness():
     v = decide_dpi_simple(parse_group("Alt:5"), frozenset({2, 3}))
     assert v.dpi is False and v.witness is None
     _report(2, "Alt(5)/{2,3} is E_pi but not D_pi; no condition fires")
+
+
+def reproduce_table1(n: int) -> bool:
+    """Rebuild the {2,3}-Hall subgroup of Sym_n for n = 7 (Sym_3 x Sym_4)
+    or n = 8 (Sym_4 wr Sym_2) and verify order and Hall property."""
+    if n == 7:
+        gens, expected = direct_product(_sym(3), _sym(4)).generators, 144
+    elif n == 8:
+        block_swap = (4, 5, 6, 7, 0, 1, 2, 3)
+        gens, expected = direct_product(_sym(4), _sym(4)).generators + (block_swap,), 1152
+    else:
+        raise ValueError("only degrees 7 and 8 have special table rows")
+    # a {2,3}-part of n! is a {2,3}-number whose index is prime to 6
+    return PermGroup(n, gens).order == expected == pi_part(math.factorial(n), {2, 3})
+
+
+def test_reproduce_table1():
+    assert reproduce_table1(7)
+    assert reproduce_table1(8)
+    with pytest.raises(ValueError):
+        reproduce_table1(6)
 
 
 def test_criterion_3_table1_reproduction():

@@ -1,5 +1,5 @@
-"""Brute-force oracle: realizations, subgroup lattice, Hall reports,
-structure tests and the constructive table rows."""
+"""Brute-force oracle: realizations, subgroup lattice, Hall reports and
+structure tests."""
 
 import hashlib
 import itertools
@@ -33,7 +33,6 @@ from sylowpi.permbrute import (
     maximal_pi_subgroups,
     pi_part,
     realize,
-    reproduce_table1,
     split_hall,
     verify_hall_inheritance,
 )
@@ -955,19 +954,36 @@ def test_check_final_corollary():
     assert splits == [((3,), (5,), True)]  # one split, where the corollary holds
 
 
+# the theorem's named instances, a split pi-Hall subgroup H = H_sigma x H_tau
+# with D_pi: PSL(2,16)'s is the only split one among the simple and symmetric
+# groups that brute force reaches, and H is nilpotent (Wielandt's case); the
+# three products are the only ones among the products of two corpus or cyclic
+# parts up to order 10,080 whose H has D_pi and is not nilpotent, each split
+# along the factors
+NAMED_INSTANCES = [
+    ("Lie:A:2:16", (3, 5), ((3,), (5,)), 15, True),
+    ("Lie:A:2:7,Cyclic:5", (3, 5, 7), ((3, 7), (5,)), 105, False),
+    ("Lie:A:2:7,Cyclic:11", (3, 7, 11), ((3, 7), (11,)), 231, False),
+    ("Lie:A:2:11,Cyclic:7", (5, 7, 11), ((5, 11), (7,)), 385, False),
+]
+
+
+@pytest.mark.parametrize("spec, pi, split, hall_order, nilpotent", NAMED_INSTANCES,
+                         ids=[row[0] for row in NAMED_INSTANCES])
+def test_the_theorems_named_instances(spec, pi, split, hall_order, nilpotent):
+    row = next(row for row in sweep(spec) if row.report.pi == frozenset(pi))
+    assert (*split, True) in row.splits and row.report.dpi
+    assert [c.order for c in row.report.hall_classes] == [hall_order]
+    # a fresh realization numbers its elements as the sweep's did
+    assert realize(spec).is_nilpotent_set(row.report.hall_classes[0].rep) is nilpotent
+
+
 def test_split_hall_needs_sigma_and_tau_to_cover_the_hall_order():
     # {2} u {3} misses the prime 5 of |H| = 30: the parts of orders 2 and 3
     # do not decompose H
     g = realize("Cyclic:2,Cyclic:3,Cyclic:5")
     assert split_hall(g, range(30), {2}, {3}) is None
     assert split_hall(g, range(30), {2}, {3, 5}) is not None
-
-
-def test_reproduce_table1():
-    assert reproduce_table1(7)
-    assert reproduce_table1(8)
-    with pytest.raises(ValueError):
-        reproduce_table1(6)
 
 
 def test_sym6_negative_control():
@@ -1257,7 +1273,57 @@ def test_product_element_lists(k, l):
     d1, d2 = gk.degree, gl.degree
     gens = [a + tuple(range(d1, d1 + d2)) for a in gk.generators]
     gens += [tuple(range(d1)) + tuple(x + d1 for x in b) for b in gl.generators]
-    assert _tuples(realize(f"{k},{l}"))[0] == sorted(tuple_closure(gens, d1 + d2))
+    g = realize(f"{k},{l}")
+    assert _tuples(g)[0] == sorted(tuple_closure(gens, d1 + d2))
+    # the generators, built on first read, are the factors' side by side
+    assert g.generators == tuple(gens)
+    assert (PermGroup(g.degree, g.generators).perms == g.perms).all()
+
+
+def test_nested_product_generators():
+    # C2 x (C3 x C5) on 2 + 3 + 5 points: each factor's generator beside
+    # the identity on the other points
+    c2, c3, c5 = (realize(f"Cyclic:{p}") for p in (2, 3, 5))
+    g = direct_product(c2, direct_product(c3, c5))
+    assert g.generators == ((1, 0, 2, 3, 4, 5, 6, 7, 8, 9),
+                            (0, 1, 3, 4, 2, 5, 6, 7, 8, 9),
+                            (0, 1, 2, 3, 4, 6, 7, 8, 9, 5))
+    assert (PermGroup(g.degree, g.generators).perms == g.perms).all()
+
+
+def _products_in(g):
+    """g, if it is a product, and every product among its factors, nested."""
+    if not hasattr(g, "_factors"):
+        return []
+    return [g] + [p for f in g._factors for p in _products_in(f)]
+
+
+def _laid_out(g):
+    """(name, cached generators or rows) for each product in g that has any."""
+    return [(p.name, built) for p in _products_in(g)
+            if (built := {"generators", "perms", "_keys"} & vars(p).keys())]
+
+
+def test_a_refused_product_builds_no_permutation():
+    g = realize("Alt:6,Cyclic:5")  # order 1,800
+    with pytest.raises(BruteForceBoundError, match="1800"):
+        g.require_table(bound=DEFAULT_LATTICE_BOUND)
+    assert _laid_out(g) == [] and g._table is None
+
+
+@pytest.mark.parametrize("spec", ("Alt:5,Cyclic:7", "Cyclic:2,Cyclic:3,Cyclic:5"))
+def test_the_engine_lays_out_no_product_generators_or_rows(spec):
+    # the table, lattice, Hall reports with their structural flags, Sylow
+    # subgroups and solvability of a product come from its factors' rows
+    g = realize(spec)
+    g.require_table(bound=DEFAULT_LATTICE_BOUND)
+    whole = frozenset(range(g.order))
+    for c in g.subgroup_classes():
+        g.is_solvable_set(c.rep)
+    for p in prime_divisors(g.order):
+        g.sylow_in(whole, p)
+        maximal_pi_subgroups(g, prime_divisors(g.order) - {p})
+    assert len(_products_in(g)) == spec.count(",") and _laid_out(g) == []
 
 
 def test_pi_part():
