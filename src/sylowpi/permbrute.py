@@ -6,7 +6,9 @@ when their order is at most ORDER_BOUND, M11 on 11 points, cyclic groups
 of prime order p <= 31, and direct products of those.  The full subgroup
 lattice is enumerated up to conjugacy, and E_pi / D_pi are decided by
 definition: D_pi holds exactly when all maximal pi-subgroups form a single
-conjugacy class.
+conjugacy class.  A pi-subgroup H is maximal exactly when no join <H, x>,
+x outside H, is a pi-group, so each class keeps the orders of its joins
+that no other join order divides, and the search reads nothing else.
 
 The lattice starts from the cyclic subgroups.  For each subgroup H found
 it takes the joins <H, x>, one x per double coset HxH.  A subgroup in the
@@ -25,7 +27,8 @@ right multiplication with x, one product per right coset (coset methods as
 in Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 The cyclic subgroups come from one walk over the elements in increasing
 order, one product per power of each least generator.  Whether a class
-has a conjugate inside a subgroup is one gather of that subgroup's
+has a conjugate inside a subgroup, which the structural lemmas ask of
+sigma- and tau-Hall subgroups, is one gather of that subgroup's
 membership mask, `_mask`, over the class's rows.
 
 A group keeps its elements as one array, `perms`: its permutations as
@@ -165,10 +168,14 @@ class SubgroupClass:
     indices in increasing order, the rows in the order of their bytes.  Row
     0, the conjugate with the least bytes, is the representative, which
     `rep` gives as a frozenset, built on first use; `class_size` and `order`
-    are the array's shape.  Classes compare by identity."""
+    are the array's shape.  `join_orders` are the orders of the joins <H, x>,
+    x outside H, that no other join's order divides, sorted: the primes of
+    |G| for {e}, () for G, and _joins' orders for every other class; they
+    are the same for every conjugate.  Classes compare by identity."""
 
-    def __init__(self, conjugates: np.ndarray):
+    def __init__(self, conjugates: np.ndarray, join_orders: tuple[int, ...] = ()):
         self.conjugates = conjugates
+        self.join_orders = join_orders
 
     @property
     def class_size(self) -> int:
@@ -427,9 +434,11 @@ class PermGroup:
         the representative, row 0, is the conjugate with the least key, and
         the classes do not depend on the order in which they are found.  The
         joins of the block are then grown in one call of _joins, which reads
-        the same labels, and pushed.  {e}, whose joins are the cyclic
-        subgroups, and G are registered first and never joined.  The lattice
-        is refused once its classes registered times n reach _LATTICE_CAP."""
+        the same labels, and pushed, and each class keeps its block
+        subgroup's join orders.  {e}, whose joins are the cyclic subgroups,
+        the least of them of prime order, and G are registered first and
+        never joined.  The lattice is refused once its classes registered
+        times n reach _LATTICE_CAP."""
         if self._classes is not None:
             return self._classes
         n = self.order
@@ -438,7 +447,11 @@ class PermGroup:
         members, members_from = cyclic[3].astype(np.int16), cyclic[4].tolist()
         seen = {members[:1].tobytes(), elements.astype(np.int16).tobytes()}  # {e} and G
         classes = [SubgroupClass(np.frombuffer(key, dtype=np.int16)[None]) for key in seen]
+        for c in classes:  # {e}'s joins are the cyclic subgroups, the least of prime order
+            if c.order < n:
+                c.join_orders = tuple(sorted(prime_divisors(n)))
         stack = [members[lo:hi].tobytes() for lo, hi in zip(members_from[1:], members_from[2:])]
+        shared = {}  # one tuple per distinct value: C2^7's 29,212 classes share 8
         step = max(1, _FRONTIER // n)
         cap = -(-_LATTICE_CAP // n)
         while stack:
@@ -458,7 +471,10 @@ class PermGroup:
                 block.append(h)
                 least.append(rc)
             if block:
-                stack += self._joins(block, np.array(least), cyclic, seen)
+                found, orders = self._joins(block, np.array(least), cyclic, seen)
+                for c, o in zip(classes[-len(block):], orders):
+                    c.join_orders = shared.setdefault(o, o)
+                stack += found
 
         classes.sort(key=lambda c: (c.order, c.conjugates[0].tolist()))
         self._classes = classes
@@ -497,12 +513,16 @@ class PermGroup:
             members_from.append(len(members))
         return tuple(map(np.array, (gens, gens_from, number, members, members_from)))
 
-    def _joins(self, block: list[np.ndarray], least: np.ndarray, cyclic, known) -> list[bytes]:
-        """The joins <H, x> of the proper subgroups H in `block` (sorted
-        element rows), one x per double coset HxH outside H, as the bytes of
-        their sorted int16 element rows, less those in `known`; one H's joins
-        are distinct, two H's may share one.  least[i] is
-        _coset_least(block[i]), and `cyclic` is _cyclic_subgroups().
+    def _joins(self, block: list[np.ndarray], least: np.ndarray, cyclic,
+               known) -> tuple[list[bytes], list[tuple[int, ...]]]:
+        """(found, orders): the joins <H, x> of the proper subgroups H in
+        `block` (sorted element rows), one x per double coset HxH outside H,
+        as the bytes of their sorted int16 element rows, less those in
+        `known`; one H's joins are distinct, two H's may share one.
+        orders[i] holds, sorted, the orders of block[i]'s distinct joins,
+        those in `known` too, that no other of its join orders divides.
+        least[i] is _coset_least(block[i]), and `cyclic` is
+        _cyclic_subgroups().
 
         The block's (H, element) pairs are labelled at once by
         _double_cosets, and its joins are grown together in one breadth-first
@@ -516,7 +536,8 @@ class PermGroup:
         O'Brien, Handbook of Computational Group Theory, 2005).  Starting
         from all the powers, the elements of the cyclic subgroup <x>, rather
         than from H alone takes fewer layers.  A join's element rows are
-        expanded from masks of at most _FRONTIER elements at a time."""
+        expanded from masks of at most _FRONTIER elements at a time, and
+        its order is its row's length."""
         n = self.order
         number, elements, elements_from = cyclic[2:]
         dc, coset_reps, count, cr, cx = self._double_cosets(block, least, cyclic)
@@ -529,6 +550,7 @@ class PermGroup:
         cost = np.concatenate([[0], np.cumsum(n // np.array([len(h) for h in block])[cr] + size)])
         step = max(1, _FRONTIER // n)
         found: list[bytes] = []
+        orders: list[set[int]] = [set() for _ in block]
         distinct: set[tuple[int, bytes]] = set()  # (i, reached mask) so far
         lo = 0
         while lo < len(cr):
@@ -575,10 +597,12 @@ class PermGroup:
                 members = np.flatnonzero(members)
                 members %= n
                 rows = members.astype(np.int16).tobytes()
-                for e0, e in zip([0] + ends[:-1], ends):
+                for i, e0, e in zip(rs[js].tolist(), [0] + ends[:-1], ends):
+                    orders[i].add(e - e0)
                     if (key := rows[2 * e0:2 * e]) not in known:
                         found.append(key)
-        return found
+        return found, [tuple(sorted(a for a in o if all(a % b for b in o if b < a)))
+                       for o in orders]
 
     def _double_cosets(self, block: list[np.ndarray], rc: np.ndarray, cyclic):
         """(dc, coset_reps, count, cr, cx) for the subgroups H_i in `block`,
@@ -917,20 +941,18 @@ def _conjugate_inside(c: SubgroupClass, host: np.ndarray) -> np.ndarray | None:
 
 def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallReport:
     """Conjugacy classes of maximal pi-subgroups, in lattice order, and the
-    E_pi/D_pi verdict.  Each pi-class, largest first, is tested against the
-    maximal ones found so far: a non-maximal one lies in a larger maximal one."""
+    E_pi/D_pi verdict.  A pi-class H is kept exactly when none of its
+    `join_orders` divides |G|_pi, which reads no subgroup's elements.  If a
+    pi-subgroup K > H exists, take y in K outside H: <H, y> <= K is a
+    pi-group, and it is a candidate join of H, since <H, y> = <H, h y h'> =
+    <H, y^k> (see _double_cosets), so its order, or a join order dividing
+    it, divides |G|_pi.  Conversely, a join of pi-order is a pi-subgroup
+    larger than H."""
     pi = frozenset(pi)
     hall_order = pi_part(g.order, pi)
     # a class order divides |G|, so it is a pi-number when it divides |G|_pi
     pi_classes = [c for c in g.subgroup_classes() if hall_order % c.order == 0]
-    maximal, masks = [], []
-    for c in reversed(pi_classes):
-        if not any(d.order > c.order and d.order % c.order == 0
-                   and _conjugate_inside(c, mask) is not None
-                   for d, mask in zip(maximal, masks)):
-            maximal.append(c)
-            masks.append(g._mask(c.conjugates[0]))
-    maximal.reverse()
+    maximal = [c for c in pi_classes if all(hall_order % o for o in c.join_orders)]
     report = HallReport(pi, pi & prime_divisors(g.order), hall_order,
                         epi=any(c.order == hall_order for c in maximal),
                         dpi=len(maximal) == 1, maximal_classes=maximal)

@@ -41,10 +41,12 @@ def test_criterion_1_oracle_agreement():
     disagreements = []
     witnesses = {}
     cells = Counter()
+    splits = []
     for spec in specs:
         rows = sweep(spec)
         assert len(rows) == 2 ** len(facts(parse_group(spec)).spectrum), spec
         disagreements += [(spec, sorted(row.report.pi)) for row in rows if not row.agree]
+        splits += [(spec, sorted(row.report.pi), *s) for row in rows for s in row.splits]
         witnesses[spec] = [w and (w.condition, w.subcase)
                            for w in (row.criterion.verdicts[0].witness for row in rows)]
         cells.update(witnesses[spec])
@@ -56,8 +58,14 @@ def test_criterion_1_oracle_agreement():
     # every witness cell the oracle checks, with its rows; None: no condition
     assert cells == {None: 108, ("I", None): 104, ("II", 1): 1, ("III", None): 7,
                      ("IV", 1): 1, ("V", 1): 1, ("VII", 1): 2}, cells
+    # the split census: one pi-Hall subgroup splits as sigma-part x tau-part,
+    # PSL(2,16)'s C15 = C3 x C5, where the theorem is Wielandt's nilpotent case
+    assert splits == [("Lie:A:2:16", [3, 5], (3,), (5,), True)], splits
+    hits = "; ".join(f"{spec} at pi = {pi}, {list(s)} | {list(t)}, corollary {c}"
+                     for spec, pi, s, t, c in splits)
     _report(1, f"criterion-oracle agreement on {len(specs)} simple groups, "
-               f"{sum(cells.values())} rows (0 disagreements; II(1), IV(1), V(1) and VII(1) checked)")
+               f"{sum(cells.values())} rows (0 disagreements; II(1), IV(1), V(1) and VII(1) checked); "
+               f"{len(splits)} split hit: {hits}")
 
 
 def test_criterion_2_epi_without_dpi_witness():

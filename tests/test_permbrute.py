@@ -464,26 +464,40 @@ def test_lattice_is_pinned():
 def test_batched_joins_match_closures(spec):
     # the joins of every class representative, grown as a block of one each
     # and together as one block, against <H, x> closed directly;
-    # <H, hx> = <H, x>, so one x per right coset Hx
+    # <H, hx> = <H, x>, so one x per right coset Hx;
+    # and each H's join orders against the divisibility-least lengths of
+    # those closures, also when `known` holds some of them, and against the
+    # lattice's join_orders
+    def divisibility_least(rows):
+        lengths = {len(row) // 2 for row in rows}
+        return tuple(sorted(a for a in lengths if not any(a % b == 0 for b in lengths - {a})))
+
     g = realize(spec)
     t = g.require_table()
     cyclic = g._cyclic_subgroups()
-    reps = [c.conjugates[0] for c in g.subgroup_classes() if c.order < g.order]
+    classes = g.subgroup_classes()
+    reps = [c.conjugates[0] for c in classes if c.order < g.order]
     least = np.array(list(map(g._coset_least, reps)))
-    union = set()
+    union, each = set(), []
     for i, rep in enumerate(reps):
         h = rep.astype(np.intp)
         gens = g.gens_of(h.tolist())
         xs = np.flatnonzero(t[h].min(axis=0) == np.arange(g.order))
         expected = {g._close(h, gens + (x,)).astype(np.int16).tobytes()
                     for x in np.setdiff1d(xs, h).tolist()}
-        joins = g._joins([rep], least[i:i + 1], cyclic, set())
+        joins, orders = g._joins([rep], least[i:i + 1], cyclic, set())
         assert set(joins) == expected and len(joins) == len(expected), (spec, len(h))
+        assert orders == [divisibility_least(expected)], (spec, len(h))
         union |= expected
-    joins = g._joins(reps, least, cyclic, set())
-    assert set(joins) == union
+        each.append(divisibility_least(expected))
+    joins, orders = g._joins(reps, least, cyclic, set())
+    assert set(joins) == union and orders == each
     known = set(sorted(union)[::2])
-    assert set(g._joins(reps, least, cyclic, known)) == union - known
+    joins, orders = g._joins(reps, least, cyclic, known)
+    assert set(joins) == union - known and orders == each
+    # {e}'s joins are the cyclic subgroups, the least of them of prime order
+    assert each[0] == tuple(sorted(prime_divisors(g.order)))
+    assert [c.join_orders for c in classes] == each + [()]
 
 
 def test_lattice_is_the_same_in_small_blocks(monkeypatch):
@@ -695,18 +709,55 @@ def test_maximal_walk_matches_pairwise_scan(groups):
                 assert _hall_report_dict(walk) == _hall_report_dict(ref), (spec, pi)
 
 
-def test_maximal_walk_tests_each_class_against_maximal_ones_only(monkeypatch):
+def gather_scan_maximal_classes(g, pi):
+    """Reference for maximal_pi_subgroups, the gather scan that join orders
+    replaced: each pi-class, largest first, is tested against the maximal
+    ones found so far by one gather of each one's membership mask over the
+    class's rows; a non-maximal class lies in a larger maximal one."""
+    hall_order = pi_part(g.order, pi)
+    pi_classes = [c for c in g.subgroup_classes() if hall_order % c.order == 0]
+    maximal, masks = [], []
+    for c in reversed(pi_classes):
+        if not any(d.order > c.order and d.order % c.order == 0
+                   and permbrute._conjugate_inside(c, mask) is not None
+                   for d, mask in zip(maximal, masks)):
+            maximal.append(c)
+            masks.append(g._mask(c.conjugates[0]))
+    return maximal[::-1]
+
+
+@pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Sym:5", "Alt:5,Cyclic:7", "Lie:A:2:7,Cyclic:3",
+                                                  _elementary_abelian(5)))
+def test_join_orders_match_the_gather_scan(spec):
+    # every pi within pi(G), the empty one included, and pi(G) with one
+    # prime outside it
+    g = realize(spec)
+    spectrum = sorted(prime_divisors(g.order))
+    pis = [frozenset(combo) for k in range(len(spectrum) + 1)
+           for combo in itertools.combinations(spectrum, k)]
+    pis.append(frozenset(spectrum) | {next(p for p in (2, 3, 5, 7, 11) if p not in spectrum)})
+    for pi in pis:
+        r = maximal_pi_subgroups(g, pi, with_structure=False)
+        ref = gather_scan_maximal_classes(g, pi)
+        assert ([(c.conjugates.shape, c.conjugates.tobytes()) for c in r.maximal_classes]
+                == [(c.conjugates.shape, c.conjugates.tobytes()) for c in ref]), (spec, pi)
+        hall_order = pi_part(g.order, pi)
+        assert (r.epi, r.dpi) == (any(c.order == hall_order for c in ref), len(ref) == 1), (spec, pi)
+
+
+def test_maximal_pi_subgroups_gathers_no_conjugates(monkeypatch):
     # C2^6 has 2825 subgroups, all 2-subgroups; the whole group is the one
-    # maximal class, so the walk makes at most one containment test per class
+    # maximal class, found from the classes' join orders alone: no
+    # containment gather, no membership mask and no product is read
     g = realize(_elementary_abelian(6))
+    assert len(g.subgroup_classes()) == 2825
     calls = []
-    inside = permbrute._conjugate_inside
-    monkeypatch.setattr(permbrute, "_conjugate_inside",
-                        lambda c, host: calls.append(c) or inside(c, host))
+    monkeypatch.setattr(permbrute, "_conjugate_inside", lambda *args: calls.append(args))
+    for name in ("_mask", "_products"):
+        monkeypatch.setattr(g, name, lambda *args: calls.append(args))
     r = maximal_pi_subgroups(g, {2}, with_structure=False)
-    pi_classes = len(g.subgroup_classes())
-    assert pi_classes == 2825 and [c.order for c in r.maximal_classes] == [64]
-    assert len(calls) <= pi_classes * len(r.maximal_classes)
+    assert [c.order for c in r.maximal_classes] == [64] and r.epi and r.dpi
+    assert calls == []
 
 
 def test_two_part_partitions():
