@@ -135,15 +135,27 @@ def mult_order(q: int, r: int) -> int:
     return e
 
 
-def r_part(m: int, r: int) -> int:
-    """Largest power of the prime r dividing m."""
+def pi_free(m: int, pi) -> int:
+    """m with every prime of pi divided out: step k divides out up to
+    s^(2^k) of each prime s of pi left in m, one gcd per step, so about
+    log2 of the largest exponent steps in all."""
     if m < 1:
         raise ValueError(f"expected a positive integer, got {m}")
-    part = 1
-    while m % r == 0:
-        m //= r
-        part *= r
-    return part
+    h = math.gcd(m, math.prod(s for s in pi if m % s == 0))
+    while h > 1:
+        m //= h
+        h = math.gcd(m, h * h)
+    return m
+
+
+def pi_part(m: int, pi) -> int:
+    """Largest divisor of m whose primes all lie in pi: |G|_pi for m = |G|."""
+    return m // pi_free(m, pi)
+
+
+def r_part(m: int, r: int) -> int:
+    """Largest power of the prime r dividing m."""
+    return pi_part(m, (r,))
 
 
 def is_fermat_prime(t: int) -> bool:

@@ -27,7 +27,7 @@ import math
 from functools import cache, cached_property, partial
 from typing import NamedTuple
 
-from .arith import is_prime, prime_divisors
+from .arith import is_prime, pi_free, prime_divisors
 
 LIE_TYPES = (
     "A", "2A", "B", "C", "D", "2D",
@@ -346,17 +346,6 @@ def _lie_order(t: str, n: int | None, q: int) -> int:
     return values[0] // centre
 
 
-def _pi_free(m: int, pi) -> int:
-    """m with every prime of pi divided out: step k divides out up to
-    s^(2^k) of each prime s of pi left in m, one gcd per step, so about
-    log2 of the largest exponent steps in all."""
-    h = math.gcd(m, math.prod(s for s in pi if m % s == 0))
-    while h > 1:
-        m //= h
-        h = math.gcd(m, h * h)
-    return m
-
-
 def facts(gid: SimpleGroupId) -> GroupFacts:
     """Exact order and prime spectrum.  Factors the order, so this can fail
     for huge Lie parameters; callers that only need divisibility should use
@@ -404,15 +393,15 @@ def spectrum_within(gid: SimpleGroupId, pi) -> bool:
             s += 1
         return gid.n < s
     if gid.family == "Spor":
-        return _pi_free(SPORADIC_ORDERS[gid.name], pi) == 1
+        return pi_free(SPORADIC_ORDERS[gid.name], pi) == 1
     # p is in pi, so q^N has no pi'-part, and the product of the factors'
     # pi'-parts is that of |Z| * |G|: it equals the pi'-part of |Z| exactly
     # when |G| is a pi-number, and once it passes that part it stays above
     q = gid.q
     _, factors, centre = _lie_factors(gid.lie_type, gid.n, q)
-    bound, rest = _pi_free(centre, pi), 1
+    bound, rest = pi_free(centre, pi), 1
     for f in factors:
-        rest *= _pi_free(_at(f, q), pi)
+        rest *= pi_free(_at(f, q), pi)
         if rest > bound:
             return False
     return rest == bound

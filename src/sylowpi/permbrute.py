@@ -84,7 +84,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import prime_divisors, r_part
+from .arith import pi_part, prime_divisors, r_part
 from .catalog import order_of, prime_power
 from .composition import CyclicFactor, Sym, Term, read_term, spec_terms
 
@@ -108,13 +108,6 @@ class BruteForceBoundError(ValueError):
 
 class ElementListError(ValueError):
     """A permutation passed to `lookup` is not an element of the group."""
-
-
-def pi_part(m: int, pi) -> int:
-    out = 1
-    for p in pi:
-        out *= r_part(m, p)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,9 @@ def table1_rows() -> list[dict]:
 
 def sym_epi(n: int, pi: frozenset[int]) -> tuple[str, ...]:
     """Structures of the pi-Hall subgroups of Sym_n that the table records;
-    () when Sym_n has none."""
+    () when Sym_n has none.  Alt_n's Hall subgroups are the H ^ Alt_n with H
+    one of Sym_n's, so Alt_n has E_pi exactly when this is non-empty.  Every
+    row but G and Sylow holds 2 and 3."""
     if n < 5:
         raise ValueError(f"degree must be >= 5, got {n}")
     spectrum = primes_upto(n)
@@ -79,13 +81,6 @@ def sym_epi(n: int, pi: frozenset[int]) -> tuple[str, ...]:
         return ("Sylow",)
     prime_row = (f"Sym_{n - 1}",) if is_prime(n) and eff == primes_upto(n - 1) else ()
     return prime_row + tuple(s for m, p, s in _SYM_SPECIAL if m == n and p == eff)
-
-
-def alt_epi(n: int, pi: frozenset[int]) -> bool:
-    """Does Alt_n have a pi-Hall subgroup?  Its Hall subgroups are the H ^ Alt_n
-    with H a pi-Hall subgroup of Sym_n; every nontrivial Sym_n row holds 2
-    and 3, so none exist once 2 or 3 is missing."""
-    return bool(sym_epi(n, pi))
 
 
 def sporadic_epi(name: str, pi: frozenset[int]) -> tuple[str, ...]:

@@ -1,6 +1,7 @@
 """Number-theory utilities, pinned against independent naive oracles."""
 
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,8 @@ from sylowpi.arith import (
     is_fermat_prime,
     is_prime,
     mult_order,
+    pi_free,
+    pi_part,
     prime_divisors,
     prime_set,
     r_part,
@@ -116,6 +119,47 @@ def test_r_part_against_repeated_division():
     for m in range(1, 3000):
         for r in (2, 3, 5, 7, 11):
             assert r_part(m, r) == naive_r_part(m, r), (m, r)
+
+
+def naive_pi_free(m: int, pi) -> int:
+    for s in pi:
+        while m % s == 0:
+            m //= s
+    return m
+
+
+def gcd_doubling_pi_free(m: int, pi) -> int:
+    """pi_free's gcd doubling written out: the reference for a pi holding a
+    non-prime such as 1, 4 or 49, where what is divided out depends on the
+    algorithm and not on the primes of pi alone."""
+    h = math.gcd(m, math.prod(s for s in pi if m % s == 0))
+    while h > 1:
+        m //= h
+        h = math.gcd(m, h * h)
+    return m
+
+
+def test_pi_parts_against_one_power_at_a_time():
+    # m is an odd cofactor below 2^100 times powers of the first 15 primes:
+    # the primes in `big` share about 3,900 bits, the others take at most 7
+    # powers, so m has up to about 4,100 bits over these 300 draws
+    rng = random.Random(0)
+    primes = arith._SMALL_PRIMES
+    for _ in range(300):
+        m = rng.getrandbits(rng.randrange(1, 100)) | 1
+        big = rng.sample(primes, rng.randrange(1, len(primes) + 1))
+        for p in primes:
+            top = int(3900 / len(big) / math.log2(p)) if p in big else 8
+            m *= p ** rng.randrange(top)
+        pi = rng.sample(primes, rng.randrange(len(primes) + 1))
+        rest = naive_pi_free(m, pi)
+        assert (pi_free(m, pi), pi_part(m, pi)) == (rest, m // rest), (m, pi)
+        for r in primes:
+            assert r_part(m, r) == m // naive_pi_free(m, (r,)), (m, r)
+        pi.append(rng.choice((1, 4, 49)))
+        assert pi_free(m, pi) == gcd_doubling_pi_free(m, pi), (m, pi)
+    with pytest.raises(ValueError, match="expected a positive integer, got 0"):
+        pi_free(0, {2})
 
 
 def test_fermat_primes():

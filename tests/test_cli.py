@@ -429,6 +429,7 @@ def test_crosscheck_symmetric_groups(capsys, monkeypatch, spec, rows):
     report = json.loads(out)
     assert (code, report["subsets_checked"], report["disagreements"]) == (EXIT_TRUE, rows, 0)
     assert violations(results[0]) == []  # crosscheck's exit code leaves them out
+    assert split_partitions(results[0]) == []  # no split hit on these four groups
 
 
 def test_split(capsys):

@@ -20,7 +20,6 @@ from sylowpi.permbrute import (
 from sylowpi.tables import (
     SPORADIC_EVEN_ROWS,
     SPORADIC_ODD_ROWS,
-    alt_epi,
     dump_tables,
     primes_upto,
     sporadic_epi,
@@ -123,18 +122,17 @@ def test_sym_epi_gate_violations():
     assert sym_epi(7, frozenset({2, 11})) == ("Sylow",)   # |pi ^ pi(n!)| <= 1
     assert sym_epi(7, primes_upto(7)) == ("G",)           # pi(n!) within pi
     assert sym_epi(5, frozenset({2, 3, 5, 7})) == ("G",)
-    assert alt_epi(7, frozenset({5})) and alt_epi(7, primes_upto(7))
+    assert sym_epi(7, frozenset({5})) and sym_epi(7, primes_upto(7))
     with pytest.raises(ValueError):
         sym_epi(4, frozenset({2, 3}))       # degree too small
-    with pytest.raises(ValueError):
-        alt_epi(4, frozenset({2, 3}))
 
 
 def test_alt_epi_needs_2_and_3():
-    assert not alt_epi(7, frozenset({3, 5}))
-    assert not alt_epi(7, frozenset({2, 5}))
-    assert alt_epi(7, frozenset({2, 3}))
-    assert not alt_epi(9, frozenset({2, 3}))
+    # Alt_n has E_pi exactly when sym_epi(n, pi) is non-empty
+    assert not sym_epi(7, frozenset({3, 5}))
+    assert not sym_epi(7, frozenset({2, 5}))
+    assert sym_epi(7, frozenset({2, 3}))
+    assert not sym_epi(9, frozenset({2, 3}))
 
 
 def test_sporadic_epi_lookup():
@@ -181,7 +179,7 @@ def test_epi_tables_match_brute_force(family, n):
     spectrum = sorted(primes_upto(n))
     for k in range(len(spectrum) + 1):
         for pi in map(frozenset, itertools.combinations(spectrum, k)):
-            table = alt_epi(n, pi) if family == "Alt" else bool(sym_epi(n, pi))
+            table = bool(sym_epi(n, pi))  # Alt_n's Hall subgroups are Sym_n's met with Alt_n
             assert table == maximal_pi_subgroups(g, pi, with_structure=False).epi, (n, pi)
 
 
@@ -237,7 +235,7 @@ def test_hall_tables_force_non_split_rows():
     """Every pi with 2 <= |pi| <= 5 and pi(G) not inside pi, on Alt(5)-Alt(39)
     and the sporadic groups: exactly the FORCED_NON_SPLIT rows have E_pi,
     D_sigma and D_tau without D_pi, and each records its structure."""
-    groups = [(alt(n), lambda pi, n=n: sym_epi(n, pi) if alt_epi(n, pi) else ())
+    groups = [(alt(n), lambda pi, n=n: sym_epi(n, pi))
               for n in range(5, 40)]
     groups += [(sporadic(name), lambda pi, name=name: sporadic_epi(name, pi))
                for name in SPORADIC_ORDERS]
