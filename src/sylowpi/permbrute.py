@@ -45,10 +45,12 @@ its inverses and element orders are its factors' paired up; any other
 group's table is filled layer by layer along the Cayley graph with one
 gather per generator and block of rows, its inverses are looked up from
 the argsorts of its rows, and its element orders are the lcms of cycle
-lengths, so none of these runs Python per element; the pi-element and
-nilpotency tests read each element's index among the distinct orders,
-found once with them.  The field tables behind PSL(n, q) are arrays too,
-and a matrix moves every point in one array expression over them.
+lengths, so none of these runs Python per element.  The inverses read no
+table, and each of the three is cached on its own.  An element's order
+divides |G|, so the pi-element and nilpotency tests keep the elements
+whose orders divide |G|_pi, one array modulo.  The field tables behind
+PSL(n, q) are arrays too, and a matrix moves every point in one array
+expression over them.
 
 Everything interesting happens on element indices against a
 multiplication table (numpy), read through one method, `_products`:
@@ -71,8 +73,8 @@ closure in K.  Closures (`closure_indices`), generating sets (`gens_of`),
 Sylow subgroups and derived subgroups are all built with it.  The
 structure tests (Sylow subgroups, derived series, nilpotency) gather
 conjugates when they need them and keep no per-element arrays beyond the
-table and the element orders.  The normal subgroups are the lattice
-classes of size 1.
+table, the inverses and the element orders.  The normal subgroups are the
+lattice classes of size 1.
 """
 
 from __future__ import annotations
@@ -166,9 +168,9 @@ class SubgroupClass:
     |G| for {e}, () for G, and _joins' orders for every other class; they
     are the same for every conjugate.  Classes compare by identity."""
 
-    def __init__(self, conjugates: np.ndarray, join_orders: tuple[int, ...] = ()):
+    def __init__(self, conjugates: np.ndarray):
         self.conjugates = conjugates
-        self.join_orders = join_orders
+        self.join_orders: tuple[int, ...] = ()
 
     @property
     def class_size(self) -> int:
@@ -232,8 +234,7 @@ class PermGroup:
         self.name = name or f"group of order {self.order} on {degree} points"
         self.identity = 0  # the least permutation: row 0 of the sorted rows, a product's too
         self._table: np.ndarray | None = None
-        self._inv: np.ndarray | None = None
-        self._orders = self._kinds = self._kind = None  # see element_orders
+        self._orders: np.ndarray | None = None
         self._classes: list[SubgroupClass] | None = None
 
     # -- basic machinery ----------------------------------------------------
@@ -268,12 +269,10 @@ class PermGroup:
         return idx
 
     def element_orders(self) -> np.ndarray:
-        """Order of each element, `_element_orders()` cached with the distinct
-        orders `_kinds` and each element's index `_kind` among them (np.unique's
-        return_inverse form: the plain one imports numpy.ma on its first call)."""
+        """Order of each element, `_element_orders()` built on first use and
+        cached."""
         if self._orders is None:
             self._orders = self._element_orders()
-            self._kinds, self._kind = np.unique(self._orders, return_inverse=True)
         return self._orders
 
     def _element_orders(self) -> np.ndarray:
@@ -292,13 +291,12 @@ class PermGroup:
 
     def require_table(self, bound: int | None = None) -> np.ndarray:
         """The multiplication table, `_cayley_table()`, built on first use and
-        cached with the inverses `_inverses()`.  The order is checked against
-        `bound` on every call that passes one."""
+        cached; the inverses are `inv`, built apart from it.  The order is
+        checked against `bound` on every call that passes one."""
         if bound is not None and self.order > bound:
             raise BruteForceBoundError(f"order {self.order} exceeds the lattice bound {bound}")
         if self._table is None:
             self._table = self._cayley_table()
-            self._inv = self._inverses()
         return self._table
 
     def _inverses(self) -> np.ndarray:
@@ -335,10 +333,11 @@ class PermGroup:
             layer = np.concatenate(nxt) if lefts else layer[:0]
         return table
 
-    @property
+    @functools.cached_property
     def inv(self) -> np.ndarray:
-        self.require_table()
-        return self._inv
+        """inv[i] = index of the inverse of element i, `_inverses()` built on
+        first read and cached; it reads no table."""
+        return self._inverses()
 
     def _products(self, a, b) -> np.ndarray:
         """int16 indices of (element a followed by element b) for index arrays
@@ -678,11 +677,10 @@ class PermGroup:
 
     def _pi_elements(self, arr: np.ndarray, primes) -> np.ndarray:
         """The elements of `arr` whose orders are products of primes in
-        `primes`: decided once per distinct order of the group, and gathered
-        through each element's index among those orders."""
-        self.element_orders()  # caches _kinds and _kind
-        is_pi = np.array([pi_part(o, primes) == o for o in self._kinds.tolist()], dtype=bool)
-        return arr[is_pi[self._kind[arr]]]
+        `primes`, which are primes, as every caller passes: an element's
+        order divides |G|, so it is such a product exactly when it divides
+        |G|_primes."""
+        return arr[pi_part(self.order, primes) % self.element_orders()[arr] == 0]
 
     def is_nilpotent_set(self, subset) -> bool:
         """Nilpotent iff every Sylow subgroup is normal, that is, iff for

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sylowpi import cli, permbrute
-from sylowpi.arith import prime_divisors
+from sylowpi.arith import is_prime, prime_divisors
 from sylowpi.catalog import facts, parse_group
 from sylowpi.cli import CORPUS_SIMPLE, _hall_report_dict, sweep
 from sylowpi.permbrute import (
@@ -231,7 +231,7 @@ def test_product_sweeps_cache_only_factors(monkeypatch):
 
 def test_cached_factors_hold_no_table_lattice_or_orders(monkeypatch):
     # a product's table, inverses and element orders come from its factors,
-    # which keep none of them
+    # which keep none of them; a group's inverses need no table
     assert cli.run(["crosscheck", "--group", "Alt:5,Cyclic:7"]) == cli.EXIT_TRUE
     assert cli.run(["brute", "--group", "Alt:5", "--pi", "2,3"]) == cli.EXIT_FALSE
     assert cli.run(["crosscheck", "--group", "Lie:A:2:7"]) == cli.EXIT_TRUE
@@ -241,6 +241,10 @@ def test_cached_factors_hold_no_table_lattice_or_orders(monkeypatch):
     assert {"Alt:5", "Cyclic:7", "Lie:A:2:7"} <= set(permbrute._REALIZE_CACHE)
     for spec, g in permbrute._REALIZE_CACHE.items():
         assert g._table is None and g._classes is None and g._orders is None, spec
+        assert "inv" not in vars(g), spec
+    g = realize("Alt:5")
+    assert g.inv.tolist() == g.lookup(np.argsort(g.perms, axis=1)).tolist()
+    assert g._table is None and "inv" not in vars(permbrute._REALIZE_CACHE["Alt:5"])
 
 
 def _raise(*args):
@@ -1196,12 +1200,12 @@ def test_product_table_is_the_breadth_first_one(spec):
     assert g._factors is not None
     product = _table_digest(g)
     g._table = None
-    orders = g.element_orders(), g._kinds, g._kind
+    orders = g.element_orders()
     h = PermGroup(g.degree, g.generators)
     assert type(h) is PermGroup and np.array_equal(h.perms, g.perms)
     assert _table_digest(h) == product
-    for a, b in zip(orders, (h.element_orders(), h._kinds, h._kind)):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert orders.dtype == h.element_orders().dtype
+    assert np.array_equal(orders, h.element_orders())
     assert all(f._table is None and f._orders is None for f in g._factors)
 
 
@@ -1306,8 +1310,16 @@ def test_element_orders_match_perm_order(spec):
     g = _regular_quotient() if spec == "quotient" else realize(spec)
     orders = g.element_orders()
     assert orders.tolist() == [perm_order(e) for e in _tuples(g)[0]]
-    # the order index that the pi-element and nilpotency tests read
-    assert (np.diff(g._kinds) > 0).all() and (g._kinds[g._kind] == orders).all()
+    # the pi-elements, which the Sylow, nilpotency and split tests read, are
+    # those whose order o has pi_part(o, pi) == o, for every pi within pi(G)
+    # and for pi(G) with a prime that does not divide |G|
+    primes = sorted(prime_divisors(g.order))
+    extra = next(p for p in itertools.count(primes[-1] + 1) if is_prime(p))
+    subsets = [pi for r in range(len(primes) + 1) for pi in itertools.combinations(primes, r)]
+    elements = np.arange(g.order)
+    for pi in subsets + [(*primes, extra)]:
+        want = [x for x, o in enumerate(orders.tolist()) if pi_part(o, pi) == o]
+        assert g._pi_elements(elements, pi).tolist() == want, pi
 
 
 def test_group_without_generators():
