@@ -27,6 +27,8 @@ that divides each order in the catalog (see catalog.spectrum_within).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .arith import eps_mod4, is_fermat_prime, mult_order, prime_divisors, prime_set, r_part
@@ -39,20 +41,14 @@ from .catalog import (
 )
 
 
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Whether one condition holds, the subcase that does, and the symbol
-    bindings the evaluator used (a fresh dict unless one is passed)."""
+    bindings the evaluator used (read-only and empty unless passed)."""
 
-    def __init__(self, condition: str, holds: bool, subcase: int | None = None,
-                 bindings: dict | None = None):
-        self.condition, self.holds, self.subcase = condition, holds, subcase
-        self.bindings = {} if bindings is None else bindings
-
-    def describe(self) -> str:
-        name = f"Condition {self.condition}"
-        if self.subcase is not None:
-            name += f"({self.subcase})"
-        return name
+    condition: str
+    holds: bool
+    subcase: int | None = None
+    bindings: Mapping[str, object] = MappingProxyType({})
 
 
 class Verdict(NamedTuple):
@@ -62,9 +58,10 @@ class Verdict(NamedTuple):
     pi_effective: frozenset[int]
 
     def witness_text(self) -> str:
-        if self.witness is None:
+        w = self.witness
+        if w is None:
             return "no condition holds"
-        return self.witness.describe()
+        return f"Condition {w.condition}" + ("" if w.subcase is None else f"({w.subcase})")
 
 
 # Condition II: sporadic groups G with D_pi for 2 not in pi, keyed by the

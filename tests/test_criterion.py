@@ -61,6 +61,9 @@ def test_condition_II_items():
     assert not condition_II(alt(11), frozenset({5, 11})).holds
     # membership is by pi ^ pi(G), so extra primes outside pi(G) are harmless
     assert condition_II(sporadic("M11"), frozenset({5, 11, 13})).holds
+    # a report built without bindings shares no mutable dict with another
+    with pytest.raises(TypeError):
+        condition_II(alt(11), frozenset({5, 11})).bindings["pi_effective"] = [5, 11]
 
 
 def test_condition_III():
@@ -452,8 +455,7 @@ def test_one_pass_decision_equals_the_first_public_condition(monkeypatch):
                 want = next((r for r in (cond(gid, pi) for cond in public) if r.holds), None)
                 assert got.dpi == (want is not None), (gid, sorted(pi))
                 if want is not None:
-                    assert (got.witness.condition, got.witness.subcase, got.witness.bindings) \
-                        == (want.condition, want.subcase, want.bindings), (gid, sorted(pi))
+                    assert got.witness == want, (gid, sorted(pi))
                     reached.add(want.condition)
                 assert got.pi_effective == intersect(gid, pi), (gid, sorted(pi))
                 rows += 1
@@ -833,8 +835,7 @@ def assert_matches_reference(gid, pi):
     held = set()
     for cond, ref in REFERENCE_PAIRS:
         got, want = cond(gid, pi), ref(gid, pi)
-        assert (got.condition, got.holds, got.subcase, got.bindings) == \
-            (want.condition, want.holds, want.subcase, want.bindings), (gid, sorted(pi))
+        assert got == want, (gid, sorted(pi))
         if got.holds:
             held.add(got.condition)
     return held

@@ -666,6 +666,9 @@ def test_hall_report_alt5():
     assert r.hall_order == 20 and not r.epi and not r.dpi
     r = maximal_pi_subgroups(g, {5})
     assert r.dpi and r.epi  # Sylow
+    r = maximal_pi_subgroups(g, {5, 7})  # 7 does not divide |G|
+    assert r.pi == {5, 7} and r.pi_effective == {5} and r.hall_order == 5
+    assert r.dpi and r.epi
 
 
 def pairwise_maximal_pi_subgroups(g, pi, with_structure=True):
