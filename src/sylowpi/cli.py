@@ -24,9 +24,9 @@ Only brute, crosscheck and corpus import the brute-force engine, and numpy
 with it, and they do so when they run; check and split load the arithmetic
 modules alone, and tables the embedded tables.  No module of the package
 imports dataclasses, which would load inspect, ast and dis into every
-process: every report is a NamedTuple.  brute --json and check --json take
-their keys from the HallReport and Verdict fields, so a field added to
-either record appears in the JSON, where the goldens catch it.
+process: every report is a NamedTuple.  brute --json takes its keys from
+the HallReport fields, so a field added to that record appears in the JSON,
+where the goldens catch it; check --json names its four keys.
 """
 
 from __future__ import annotations
@@ -84,11 +84,19 @@ def _emit_composite(args, cv: CompositeVerdict, report: dict, lines: list[str]) 
 
 
 def _verdict_report(v: Verdict) -> dict:
-    """check's keys: Verdict's fields, the group as its spec, the witness as a dict."""
-    w = v.witness
-    return {**v._asdict(), "group": v.group.spec(), "pi_effective": sorted(v.pi_effective),
-            "witness": None if w is None else {"condition": w.condition, "subcase": w.subcase,
-                                               "bindings": dict(sorted(w.bindings.items()))}}
+    witness = None
+    if v.witness is not None:
+        witness = {
+            "condition": v.witness.condition,
+            "subcase": v.witness.subcase,
+            "bindings": {k: val for k, val in sorted(v.witness.bindings.items())},
+        }
+    return {
+        "group": v.group.spec(),
+        "pi_effective": sorted(v.pi_effective),
+        "dpi": v.dpi,
+        "witness": witness,
+    }
 
 
 def _cmd_check(args) -> int:
@@ -108,10 +116,17 @@ def _cmd_check(args) -> int:
 
 
 def _hall_report_dict(r: HallReport) -> dict:
-    """brute's keys: HallReport's fields, each class as its order and size."""
-    return {**r._asdict(), "pi": sorted(r.pi), "pi_effective": sorted(r.pi_effective),
-            "maximal_classes": [{"order": c.order, "class_size": c.class_size}
-                                for c in r.maximal_classes]}
+    """brute's keys: HallReport's fields, with the prime sets as sorted lists
+    and each maximal class as its order and size."""
+    return {
+        **r._asdict(),
+        "pi": sorted(r.pi),
+        "pi_effective": sorted(r.pi_effective),
+        "maximal_classes": [
+            {"order": c.order, "class_size": c.class_size}
+            for c in r.maximal_classes
+        ],
+    }
 
 
 def _cmd_brute(args) -> int:

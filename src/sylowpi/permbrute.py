@@ -938,13 +938,13 @@ def maximal_pi_subgroups(g: PermGroup, pi, with_structure: bool = True) -> HallR
     pi-group, and it is a candidate join of H, since <H, y> = <H, h y h'> =
     <H, y^k> (see _double_cosets), so its order, or a join order dividing
     it, divides |G|_pi.  Conversely, a join of pi-order is a pi-subgroup
-    larger than H.  pi is a set of primes."""
+    larger than H."""
     pi = frozenset(pi)
     hall_order = pi_part(g.order, pi)
-    # a prime of pi, or a class order, is a pi-number dividing |G| when it divides |G|_pi
+    # a class order divides |G|, so it is a pi-number when it divides |G|_pi
     pi_classes = [c for c in g.subgroup_classes() if hall_order % c.order == 0]
     maximal = [c for c in pi_classes if all(hall_order % o for o in c.join_orders)]
-    report = HallReport(pi, frozenset(p for p in pi if hall_order % p == 0), hall_order,
+    report = HallReport(pi, pi & prime_divisors(g.order), hall_order,
                         epi=any(c.order == hall_order for c in maximal),
                         dpi=len(maximal) == 1, maximal_classes=maximal)
     if report.epi and with_structure:
