@@ -27,7 +27,7 @@ import math
 from functools import cache, cached_property, partial
 from typing import NamedTuple
 
-from .arith import is_prime, pi_free, prime_divisors
+from .arith import is_prime, pi_free, prime_divisors, r_part
 
 LIE_TYPES = (
     "A", "2A", "B", "C", "D", "2D",
@@ -361,13 +361,18 @@ def order_of(gid: SimpleGroupId) -> int:
 
 def pi_effective(gid: SimpleGroupId, pi) -> frozenset[int]:
     """The members of pi that divide |G|, without building |G|.  For
-    Alt(n), n >= 5, a prime divides n!/2 iff it is at most n.  For a Lie
+    Alt(n), n >= 5, every s <= n divides n!/2 = 3 * 4 * ... * n, no larger
+    prime does, and a larger composite does when each prime power p^k in it
+    divides p^e, e the exponent of p in n!/2 (Legendre's formula).  For a Lie
     id, A = |Z| * |G| is the product of q^N and the factors: its residue a
     modulo |Z| times the members of pi takes one pow per factor, and s
     divides |G| exactly when s * |Z| divides a.  That holds for any
     positive integer s, prime or not."""
     if gid.family == "Alt":
-        return frozenset(s for s in pi if s <= gid.n)
+        n = gid.n
+        return frozenset(s for s in pi if s <= n or not is_prime(s) and not any(
+            pow(p, sum(n // p ** k for k in range(1, n.bit_length())) - (p == 2), r_part(s, p))
+            for p in prime_divisors(s)))
     if gid.family == "Spor":
         return frozenset(s for s in pi if SPORADIC_ORDERS[gid.name] % s == 0)
     q = gid.q

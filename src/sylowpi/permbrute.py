@@ -36,10 +36,10 @@ uint8 rows in lexicographic order, element i being row i, so the degree is
 at most 256.  `lookup` maps rows back to indices by binary search over the
 rows' bytes.  A group is built from its generators, closed breadth-first
 with one gather per layer, or by `direct_product` from its two factors.
-A product's order is theirs multiplied, and its generators and its rows,
-the pairs of its factors' rows in order, are built on their first read.
-No engine path reads either, so a product that a caller's bound refuses
-builds no permutation.  A product's multiplication table is the
+A product's order is theirs multiplied, and its generators and their
+closure, its rows, the pairs of its factors' rows in order, are built on
+first read.  No engine path reads either, so a product that a caller's
+bound refuses builds no permutation.  Its multiplication table is the
 outer sum of its factors' tables, written a block of rows at a time, and
 its inverses and element orders are its factors' paired up; any other
 group's table is filled layer by layer along the Cayley graph with one
@@ -443,7 +443,7 @@ class PermGroup:
             if c.order < n:
                 c.join_orders = tuple(sorted(prime_divisors(n)))
         stack = [members[lo:hi].tobytes() for lo, hi in zip(members_from[1:], members_from[2:])]
-        shared = {}  # one tuple per distinct value: C2^7's 29,212 classes share 8
+        shared = {}  # one tuple per distinct value: C2^7's 29,212 classes share 8, 1.3 MB less
         step = max(1, _FRONTIER // n)
         cap = -(-_LATTICE_CAP // n)
         while stack:
@@ -778,11 +778,11 @@ class _Product(PermGroup):
     that order are already in lexicographic order.  Construction checks the
     degree, multiplies the factors' orders and names the product; the
     generators, K's beside L's identity, then K's identity beside L's, are
-    built and checked on the first read of `generators`, and the rows on
-    the first read of `perms` or `lookup`.  No engine path reads either.
-    The table, inverses and element orders are computed from the factors',
-    through their uncached methods, so a factor that `realize` caches is
-    left as it was."""
+    built and checked on the first read of `generators`, and the rows, their
+    closure, which comes out in pairs order, on the first read of `perms` or
+    `lookup`.  No engine path reads either.  The table, inverses and element
+    orders are computed from the factors', through their uncached methods,
+    so a factor that `realize` caches is left as it was."""
 
     def __init__(self, k: PermGroup, l: PermGroup):
         self._factors = (k, l)
@@ -799,11 +799,6 @@ class _Product(PermGroup):
     def _order(self) -> int:
         k, l = self._factors
         return k.order * l.order
-
-    def _element_rows(self) -> np.ndarray:
-        k, l = self._factors
-        return np.concatenate([np.repeat(k.perms, l.order, axis=0),
-                               np.tile(l.perms + np.uint8(k.degree), (k.order, 1))], axis=1)
 
     def _cayley_table(self) -> np.ndarray:
         """The table from the factors' tables, which are built and not kept:
@@ -978,43 +973,19 @@ def _structural_flags(g: PermGroup, report: HallReport, pi_classes) -> dict:
     per two-part partition of pi_effective, sorted by (sigma, tau), holding
     when every pi-Hall subgroup has a nilpotent sigma- or tau-Hall subgroup."""
     solvable = all(g.is_solvable_set(c.rep) for c in report.hall_classes)
-    partitions = []
     hosts = [g._mask(c.conjugates[0]) for c in report.hall_classes]
-    for sigma, tau in _two_part_partitions(report.pi_effective):
-        ok = True
-        for host in hosts:
-            s_hall = _find_hall_inside(pi_classes, host, sigma)
-            t_hall = _find_hall_inside(pi_classes, host, tau)
-            has_nilpotent = ((s_hall is not None and g.is_nilpotent_set(s_hall))
-                             or (t_hall is not None and g.is_nilpotent_set(t_hall)))
-            ok = ok and has_nilpotent
-        partitions.append({"sigma": sorted(sigma), "tau": sorted(tau), "holds": ok})
+    def nilpotent_hall(host, primes) -> bool:
+        s = _find_hall_inside(pi_classes, host, primes)
+        return s is not None and g.is_nilpotent_set(s)
+    partitions = [{"sigma": sorted(sigma), "tau": sorted(tau),
+                   "holds": all(nilpotent_hall(h, sigma) or nilpotent_hall(h, tau) for h in hosts)}
+                  for sigma, tau in _two_part_partitions(report.pi_effective)]
     partitions.sort(key=lambda p: (p["sigma"], p["tau"]))
     return {"hall_solvable": solvable, "nilpotent_factor_per_partition": partitions}
 
 
 def is_dpi_brute(g: PermGroup, pi) -> bool:
     return maximal_pi_subgroups(g, pi, with_structure=False).dpi
-
-
-def verify_hall_inheritance(g: PermGroup, pi) -> bool:
-    """Every pi-Hall subgroup H meets every normal subgroup A, a lattice
-    class of size 1, in a pi-Hall subgroup of A, and maps onto a pi-Hall
-    subgroup of G/A: H meets |G/A|_pi right cosets of A."""
-    pi = frozenset(pi)
-    report = maximal_pi_subgroups(g, pi, with_structure=False)
-    if not report.epi:
-        raise ValueError("group has no pi-Hall subgroup; precondition violated")
-    hs = [c.conjugates[0] for c in report.hall_classes]
-    for a in g.subgroup_classes():
-        if a.class_size != 1:
-            continue
-        member, coset = g._mask(a.conjugates[0]), g._coset_least(a.conjugates[0])
-        for h in hs:
-            if (np.count_nonzero(member[h]) != pi_part(a.order, pi)
-                    or np.unique(coset[h]).size != pi_part(g.order // a.order, pi)):
-                return False
-    return True
 
 
 def split_hall(g: PermGroup, hall_subset, sigma, tau) -> tuple[frozenset[int], frozenset[int]] | None:

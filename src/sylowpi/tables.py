@@ -14,7 +14,7 @@ structures of the rows that match pi ^ pi(G).
 from __future__ import annotations
 
 from .arith import is_prime, prime_set
-from .catalog import pi_effective, sporadic, spectrum_within
+from .catalog import SimpleGroupId, alt, pi_effective, sporadic, spectrum_within
 from .criterion import CONDITION_II_ITEMS
 
 
@@ -66,6 +66,16 @@ def table1_rows() -> list[dict]:
     return rows
 
 
+def _gated(gid: SimpleGroupId, pi, structures) -> tuple[str, ...]:
+    """Every table's lookup on G: ("G",) when pi(G) lies within pi, ("Sylow",)
+    when pi meets it in at most one prime, else structures(pi ^ pi(G)); a
+    member of pi that divides |G| and is not prime raises ValueError."""
+    eff = prime_set(pi_effective(gid, pi))
+    if spectrum_within(gid, pi):
+        return ("G",)
+    return ("Sylow",) if len(eff) <= 1 else structures(eff)
+
+
 def sym_epi(n: int, pi: frozenset[int]) -> tuple[str, ...]:
     """Structures of the pi-Hall subgroups of Sym_n that the table records;
     () when Sym_n has none.  Alt_n's Hall subgroups are the H ^ Alt_n with H
@@ -73,30 +83,18 @@ def sym_epi(n: int, pi: frozenset[int]) -> tuple[str, ...]:
     row but G and Sylow holds 2 and 3."""
     if n < 5:
         raise ValueError(f"degree must be >= 5, got {n}")
-    spectrum = primes_upto(n)
-    eff = pi & spectrum
-    if spectrum <= pi:
-        return ("G",)
-    if len(eff) <= 1:
-        return ("Sylow",)
-    prime_row = (f"Sym_{n - 1}",) if is_prime(n) and eff == primes_upto(n - 1) else ()
-    return prime_row + tuple(s for m, p, s in _SYM_SPECIAL if m == n and p == eff)
+    def structures(eff):
+        prime_row = (f"Sym_{n - 1}",) if is_prime(n) and eff == primes_upto(n - 1) else ()
+        return prime_row + tuple(s for m, p, s in _SYM_SPECIAL if m == n and p == eff)
+    return _gated(alt(n), pi, structures)  # pi(Sym_n) = pi(Alt_n) for n >= 5
 
 
 def sporadic_epi(name: str, pi: frozenset[int]) -> tuple[str, ...]:
     """Structures of the pi-Hall subgroups of the sporadic (or Tits) group
-    that Tables 2-3 record ("" for a Table 2 row); () when it has none.  pi
-    is a set of primes, tested against the order by divisibility alone; a
-    member that divides it and is not prime raises ValueError."""
+    that Tables 2-3 record ("" for a Table 2 row); () when it has none."""
     gid = sporadic(name)
-    eff = prime_set(pi_effective(gid, pi))
-    if spectrum_within(gid, pi):
-        return ("G",)
-    if len(eff) <= 1:
-        return ("Sylow",)
-    if 2 not in pi:
-        return tuple("" for g, p in SPORADIC_ODD_ROWS if g == gid.name and p == eff)
-    return tuple(s for g, p, s in SPORADIC_EVEN_ROWS if g == gid.name and p == eff)
+    rows = SPORADIC_EVEN_ROWS if 2 in pi else [(g, p, "") for g, p in SPORADIC_ODD_ROWS]
+    return _gated(gid, pi, lambda eff: tuple(s for g, p, s in rows if g == gid.name and p == eff))
 
 
 def dump_tables() -> dict:

@@ -5,6 +5,9 @@ import random
 import re
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylowpi import catalog
 from sylowpi.arith import is_prime, prime_divisors
@@ -54,7 +57,6 @@ def test_prime_power_matches_trial_division():
 
 
 def test_prime_power_matches_sympy_on_large_prime_powers():
-    sympy = pytest.importorskip("sympy")
     rng = random.Random(6)
     for _ in range(300):
         p = sympy.nextprime(rng.randrange(2, 10 ** rng.randrange(2, 13)))
@@ -174,12 +176,10 @@ def test_alternating_and_sporadic_facts():
 
 
 def test_alternating_spectrum_without_the_order():
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-    @hyp.settings(max_examples=400, derandomize=True, database=None, deadline=None)
-    @hyp.given(st.integers(5, 45), st.frozensets(st.sampled_from(primes)))
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.integers(5, 45), st.frozensets(st.sampled_from(primes)))
     def check(n, pi):
         gid, order = alt(n), math.factorial(n) // 2
         assert order_of(gid) == order
@@ -187,6 +187,19 @@ def test_alternating_spectrum_without_the_order():
         assert spectrum_within(gid, pi) == (_pi_stripped(order, pi) == 1)
 
     check()
+
+
+def test_alternating_pi_effective_reads_composite_members():
+    # every s <= n divides n!/2; a larger composite may, by Legendre's
+    # formula: 8 and 9 divide 7!/2 = 2520, while 16, 25 and 22 do not;
+    # Alt(10^9)'s order is never built
+    for n in range(5, 13):
+        order = math.factorial(n) // 2
+        for s in range(1, 400):
+            assert pi_effective(alt(n), {s}) == ({s} if order % s == 0 else set()), (n, s)
+    assert pi_effective(alt(7), {2, 8, 9, 16, 25, 22, 11}) == {2, 8, 9}
+    big = 10**9 + 7  # prime
+    assert pi_effective(alt(10**9), {2**40, 3**30 * 5, big, 2 * big}) == {2**40, 3**30 * 5}
 
 
 def _pi_stripped(m, pi):

@@ -34,7 +34,6 @@ from sylowpi.permbrute import (
     pi_part,
     realize,
     split_hall,
-    verify_hall_inheritance,
 )
 
 
@@ -776,6 +775,19 @@ def test_two_part_partitions():
         ({2}, {3, 5}), ({2, 3}, {5}), ({2, 5}, {3})]
 
 
+def test_lemma_flags_stop_at_their_answer(monkeypatch):
+    # Alt(5) x C7 has flags for pi = {2,7}, {3,7} and {5,7}, one Hall class
+    # each; every sigma-Hall subgroup, a Sylow subgroup, is nilpotent, so
+    # no tau-Hall subgroup is searched: 3 searches where both were 6
+    find, found = permbrute._find_hall_inside, []
+    monkeypatch.setattr(permbrute, "_find_hall_inside", lambda classes, host, sub_pi:
+                        found.append(sorted(sub_pi)) or find(classes, host, sub_pi))
+    rows = sweep("Alt:5,Cyclic:7")
+    assert found == [[2], [3], [5]]
+    assert [p["holds"] for row in rows if row.report.structural
+            for p in row.report.structural["nilpotent_factor_per_partition"]] == [True] * 3
+
+
 def test_dpi_implies_epi_on_sweeps():
     import itertools
     for spec in ("Alt:5", "Alt:6", "Lie:A:2:8"):
@@ -913,6 +925,27 @@ def test_structure_ops_do_not_import_numpy_ma():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
     assert out.stdout.split() == ["0", "False"]
+
+
+def verify_hall_inheritance(g, pi) -> bool:
+    """Reference for Hall inheritance: every pi-Hall subgroup H meets every
+    normal subgroup A, a lattice class of size 1, in a pi-Hall subgroup of
+    A, and maps onto a pi-Hall subgroup of G/A: H meets |G/A|_pi right
+    cosets of A."""
+    pi = frozenset(pi)
+    report = maximal_pi_subgroups(g, pi, with_structure=False)
+    if not report.epi:
+        raise ValueError("group has no pi-Hall subgroup; precondition violated")
+    hs = [c.conjugates[0] for c in report.hall_classes]
+    for a in g.subgroup_classes():
+        if a.class_size != 1:
+            continue
+        member, coset = g._mask(a.conjugates[0]), g._coset_least(a.conjugates[0])
+        for h in hs:
+            if (np.count_nonzero(member[h]) != pi_part(a.order, pi)
+                    or np.unique(coset[h]).size != pi_part(g.order // a.order, pi)):
+                return False
+    return True
 
 
 def test_verify_hall_inheritance(monkeypatch):

@@ -117,7 +117,8 @@ def test_sym_epi_special_rows():
 
 def test_sym_epi_gate_violations():
     """The trivial cases of the gate are answered, as sporadic_epi answers
-    them; only a degree below 5 is refused."""
+    them; a degree below 5 is refused, and so is a member of pi that divides
+    n! and is not prime, as sporadic_epi refuses one dividing its order."""
     assert sym_epi(7, frozenset()) == ("Sylow",)
     assert sym_epi(7, frozenset({2, 11})) == ("Sylow",)   # |pi ^ pi(n!)| <= 1
     assert sym_epi(7, primes_upto(7)) == ("G",)           # pi(n!) within pi
@@ -125,6 +126,9 @@ def test_sym_epi_gate_violations():
     assert sym_epi(7, frozenset({5})) and sym_epi(7, primes_upto(7))
     with pytest.raises(ValueError):
         sym_epi(4, frozenset({2, 3}))       # degree too small
+    for pi in ({2, 3, 9}, {2, 4}):
+        with pytest.raises(ValueError, match="is not prime"):
+            sym_epi(7, frozenset(pi))
 
 
 def test_alt_epi_needs_2_and_3():
