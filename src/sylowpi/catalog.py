@@ -27,7 +27,7 @@ import math
 from functools import cache, cached_property, partial
 from typing import NamedTuple
 
-from .arith import is_prime, pi_free, prime_divisors, r_part
+from .arith import is_prime, pi_free, prime_divisors
 
 LIE_TYPES = (
     "A", "2A", "B", "C", "D", "2D",
@@ -359,20 +359,31 @@ def order_of(gid: SimpleGroupId) -> int:
     return gid.order
 
 
+def _divides_half_factorial(s: int, n: int) -> bool:
+    """Whether s divides n!/2, n >= 5, read by trial division as pi_effective says."""
+    d = 2
+    while d <= n and d * d <= s:
+        k = 0
+        while s % d == 0:
+            s, k = s // d, k + 1
+        if k and k > sum(n // d ** i for i in range(1, n.bit_length())) - (d == 2):
+            return False
+        d += 1
+    return s <= n
+
+
 def pi_effective(gid: SimpleGroupId, pi) -> frozenset[int]:
     """The members of pi that divide |G|, without building |G|.  For
-    Alt(n), n >= 5, every s <= n divides n!/2 = 3 * 4 * ... * n, no larger
-    prime does, and a larger composite does when each prime power p^k in it
-    divides p^e, e the exponent of p in n!/2 (Legendre's formula).  For a Lie
+    Alt(n), n >= 5, every s <= n divides n!/2 = 3 * 4 * ... * n; a larger s
+    is divided by d = 2, 3, ... <= n in turn, each d that divides it prime,
+    its multiplicity at most its exponent in n!/2 (Legendre's formula), until
+    d^2 passes what is left, 1 or a prime that must be at most n.  For a Lie
     id, A = |Z| * |G| is the product of q^N and the factors: its residue a
     modulo |Z| times the members of pi takes one pow per factor, and s
     divides |G| exactly when s * |Z| divides a.  That holds for any
     positive integer s, prime or not."""
     if gid.family == "Alt":
-        n = gid.n
-        return frozenset(s for s in pi if s <= n or not is_prime(s) and not any(
-            pow(p, sum(n // p ** k for k in range(1, n.bit_length())) - (p == 2), r_part(s, p))
-            for p in prime_divisors(s)))
+        return frozenset(s for s in pi if s <= gid.n or _divides_half_factorial(s, gid.n))
     if gid.family == "Spor":
         return frozenset(s for s in pi if SPORADIC_ORDERS[gid.name] % s == 0)
     q = gid.q

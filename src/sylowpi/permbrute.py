@@ -35,22 +35,23 @@ A group keeps its elements as one array, `perms`: its permutations as
 uint8 rows in lexicographic order, element i being row i, so the degree is
 at most 256.  `lookup` maps rows back to indices by binary search over the
 rows' bytes.  A group is built from its generators, closed breadth-first
-with one gather per layer, or by `direct_product` from its two factors.
-A product's order is theirs multiplied, and its generators and their
-closure, its rows, the pairs of its factors' rows in order, are built on
-first read.  No engine path reads either, so a product that a caller's
-bound refuses builds no permutation.  Its multiplication table is the
-outer sum of its factors' tables, written a block of rows at a time, and
-its inverses and element orders are its factors' paired up; any other
-group's table is filled layer by layer along the Cayley graph with one
-gather per generator and block of rows, its inverses are looked up from
-the argsorts of its rows, and its element orders are the lcms of cycle
-lengths, so none of these runs Python per element.  The inverses read no
-table, and each of the three is cached on its own.  An element's order
-divides |G|, so the pi-element and nilpotency tests keep the elements
-whose orders divide |G|_pi, one array modulo.  The field tables behind
-PSL(n, q) are arrays too, and a matrix moves every point in one array
-expression over them.
+with one gather per layer and the rows seen kept by their bytes in one
+set, or by `direct_product` from its two factors.  A product's order is
+theirs multiplied, and its generators and their closure, its rows, the
+pairs of its factors' rows in order, are built on first read.  No engine
+path reads either, so a product that a caller's bound refuses builds no
+permutation.  Its multiplication table is the outer sum of its factors'
+tables, written a block of rows at a time, and its inverses and element
+orders are its factors' paired up; any other group's table is filled
+layer by layer along the right Cayley graph, one gather and one np.unique
+per layer and one take per generator and block of rows, its inverses are
+looked up from the argsorts of its rows, and its element orders are the
+lcms of cycle lengths, so none of these runs Python per element.  The
+inverses read no table, and each of the three is cached on its own.  An
+element's order divides |G|, so the pi-element and nilpotency tests keep
+the elements whose orders divide |G|_pi, one array modulo.  The field
+tables behind PSL(n, q) are arrays too, and a matrix moves every point in
+one array expression over them.
 
 Everything interesting happens on element indices against a
 multiplication table (numpy), read through one method, `_products`:
@@ -115,14 +116,9 @@ class ElementListError(ValueError):
 # ---------------------------------------------------------------------------
 # permutations as sorted array rows
 
-def _row_keys(rows) -> np.ndarray:
-    """One bytes key per permutation row of `rows`, shape (k, degree), stored
-    as uint8, so that bytewise key order is lexicographic row order."""
-    return _bytes_keys(np.asarray(rows, dtype=np.uint8))
-
-
 def _bytes_keys(rows: np.ndarray) -> np.ndarray:
-    """One bytes key per row of the 2-d array `rows`: key i is rows[i].tobytes()."""
+    """One bytes key per row of the 2-d array `rows`: key i is rows[i].tobytes().
+    For permutation rows stored as uint8, key order is lexicographic row order."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
 
@@ -135,23 +131,23 @@ def _spans(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return owner, np.arange(len(owner)) + (start - np.cumsum(count) + count)[owner]
 
 
-def _closure(gens: np.ndarray, degree: int) -> np.ndarray:
-    """Sorted uint8 rows of the group generated by the rows `gens`: a
+def _closure(gens, degree: int) -> np.ndarray:
+    """Sorted uint8 rows of the group generated by the permutations `gens`: a
     breadth-first search of the right Cayley graph, one gather for all
-    generators per layer (x followed by g is the row g[x])."""
-    frontier = np.arange(degree)[None]
-    keys = _row_keys(frontier)
+    generators per layer (x followed by g is the row g[x]), every row seen
+    kept by its bytes in one set, and the rows sorted once, at the end."""
+    gens = np.array(gens, dtype=np.uint8).reshape(-1, degree)
+    frontier = np.arange(degree, dtype=np.uint8)[None]
+    seen = set(_bytes_keys(frontier).tolist())
     while len(frontier):
-        cand = gens[:, frontier].reshape(-1, degree)
-        ckeys, first = np.unique(_row_keys(cand), return_index=True)
-        at = np.searchsorted(keys, ckeys)
-        new = keys[np.minimum(at, len(keys) - 1)] != ckeys
-        keys = np.insert(keys, at[new], ckeys[new])
-        if len(keys) > ORDER_BOUND:
+        new = set(_bytes_keys(gens[:, frontier].reshape(-1, degree)).tolist()) - seen
+        seen |= new
+        if len(seen) > ORDER_BOUND:
             raise BruteForceBoundError(
                 f"group order exceeds the bound {ORDER_BOUND}; refusing to materialize")
-        frontier = cand[first[new]]
-    return keys.view(np.uint8).reshape(-1, degree)
+        frontier = np.frombuffer(b"".join(new), dtype=np.uint8).reshape(-1, degree)
+    rows = np.frombuffer(b"".join(seen), dtype=np.uint8).reshape(-1, degree)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ class PermGroup:
 
     @functools.cached_property
     def perms(self) -> np.ndarray:
-        rows = self._element_rows()
+        rows = _closure(self.generators, self.degree)
         rows.flags.writeable = False
         return rows
 
@@ -253,14 +249,9 @@ class PermGroup:
     def _keys(self) -> np.ndarray:
         return _bytes_keys(self.perms)
 
-    def _element_rows(self) -> np.ndarray:
-        """The sorted uint8 rows of <generators>."""
-        return _closure(np.array(self.generators, dtype=np.intp).reshape(-1, self.degree),
-                        self.degree)
-
     def lookup(self, rows) -> np.ndarray:
         """Element indices of the permutations `rows`, shape (k, degree)."""
-        keys = _row_keys(rows)
+        keys = _bytes_keys(np.asarray(rows, dtype=np.uint8))
         idx = np.searchsorted(self._keys, keys)
         found = self._keys[np.minimum(idx, self.order - 1)] == keys
         if not found.all():
@@ -306,31 +297,34 @@ class PermGroup:
 
     def _cayley_table(self) -> np.ndarray:
         """table[i, j] = index of (element i followed by element j), filled
-        layer by layer along the left Cayley graph from the identity's row:
-        row s*i is left_s[row i], because (s*i)*x = s*(i*x).  The elements
-        are the closure of the generators, so the search reaches every row.
-        New rows are filled _FRONTIER // n at a time, one gather of the source
-        rows through left_s per block."""
+        layer by layer along the right Cayley graph from the identity's row:
+        row i*s is row i read at left_s, left_s[x] the index of s*x, because
+        (i*s)*x = i*(s*x).  Per layer, one gather reads the products of its
+        rows with every generator, and one np.unique marks the first product
+        reaching each element not reached before, with its source row and
+        generator.  The elements are the closure of the generators, so the
+        search reaches every row.  New rows are filled _FRONTIER // n at a
+        time, one take per block and generator."""
         n = self.order
-        # s followed by element e is the row e[s]
-        lefts = [self.lookup(self.perms[:, s]).astype(np.int16) for s in self.generators]
+        # s followed by element x is the row x[s]
+        lefts = [self.lookup(self.perms[:, s]) for s in self.generators]
+        gens = np.array([left[self.identity] for left in lefts], dtype=np.intp).reshape(-1, 1)
         table = np.empty((n, n), dtype=np.int16)
         table[self.identity] = np.arange(n)
-        reached = self._mask(self.identity)
+        unreached = ~self._mask(self.identity)
         layer = np.array([self.identity])
         step = max(1, _FRONTIER // n)
         while layer.size:  # breadth-first
-            nxt = []
-            for left in lefts:
-                rows = left[layer]
-                fresh = ~reached[rows]
-                new, first = np.unique(rows[fresh], return_index=True)
-                src = layer[fresh][first]
-                reached[new] = True
-                for lo in range(0, len(new), step):
-                    table[new[lo:lo + step]] = left.take(table[src[lo:lo + step]])
-                nxt.append(new)
-            layer = np.concatenate(nxt) if lefts else layer[:0]
+            prods = table[layer, gens]  # prods[s, j] = layer[j]*s
+            new, first = np.unique(prods, return_index=True)
+            fresh = np.zeros(prods.shape, dtype=bool)
+            fresh.put(first, unreached[new])
+            unreached[new] = False
+            for left, by_s, at in zip(lefts, prods, fresh):  # by_s[j] = layer[j]*s
+                rows, srcs = by_s[at], layer[at]
+                for lo in range(0, len(rows), step):
+                    table[rows[lo:lo + step]] = table[srcs[lo:lo + step]].take(left, axis=1)
+            layer = prods[fresh]
         return table
 
     @functools.cached_property

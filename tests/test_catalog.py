@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylowpi import catalog
-from sylowpi.arith import is_prime, prime_divisors
+from sylowpi.arith import _MR_BOUND, is_prime, prime_divisors
 from sylowpi.catalog import (
     LIE_TYPES,
     RANKED_TYPES,
@@ -27,6 +27,7 @@ from sylowpi.catalog import (
     sporadic,
     weyl_order,
 )
+from sylowpi.criterion import decide_dpi_simple
 
 
 def test_prime_power():
@@ -200,6 +201,28 @@ def test_alternating_pi_effective_reads_composite_members():
     assert pi_effective(alt(7), {2, 8, 9, 16, 25, 22, 11}) == {2, 8, 9}
     big = 10**9 + 7  # prime
     assert pi_effective(alt(10**9), {2**40, 3**30 * 5, big, 2 * big}) == {2**40, 3**30 * 5}
+
+
+def test_alternating_pi_effective_decides_members_past_the_primality_bound():
+    # a member of pi at or above is_prime's deterministic bound is decided
+    # by trial division by d <= n, with no primality test: 10^25 + 13 does
+    # not divide 7!/2, so the verdict is that of {2, 3}
+    huge = frozenset({2, 3, 10**25 + 13})
+    assert pi_effective(alt(7), huge) == {2, 3}
+    assert decide_dpi_simple(alt(7), huge) == decide_dpi_simple(alt(7), frozenset({2, 3}))
+    # seeded members from _MR_BOUND up: random ones, n!/2 times a power of 2
+    # (never a divisor) and, once n!/2 passes the bound (n >= 25), its
+    # quotients by small divisors (always one)
+    rng = random.Random(7)
+    for n in range(5, 31):
+        order = math.factorial(n) // 2
+        members = [rng.randrange(_MR_BOUND, 4 * _MR_BOUND) for _ in range(4)]
+        members.append(order << max(1, (_MR_BOUND // order).bit_length()))
+        members += [order // k for k in rng.sample(range(1, 200), 8)
+                    if order % k == 0 and order // k >= _MR_BOUND]
+        for s in members:
+            assert s >= _MR_BOUND
+            assert pi_effective(alt(n), {s}) == ({s} if order % s == 0 else set()), (n, s)
 
 
 def _pi_stripped(m, pi):

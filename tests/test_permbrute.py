@@ -100,6 +100,50 @@ def _tuples(g):
     return elements, {e: i for i, e in enumerate(elements)}
 
 
+def _random_young_groups(seed: int, count: int, cap: int) -> dict[str, tuple]:
+    """`count` permutation groups of degree 5 to 9, as (degree, generators),
+    drawn once from `seed`: the points shuffled and cut into blocks whose
+    factorials multiply to at most `cap`, and one to three random
+    permutations of every block at once as generators, so each group lies in
+    that Young subgroup and its order is at most cap.  A failure is a
+    finding: the seed is not changed to draw groups that pass."""
+    rng = random.Random(seed)
+    out = {}
+    for i in range(count):
+        degree = rng.randint(5, 9)
+        points, blocks, bound = rng.sample(range(degree), degree), [], 1
+        while points:
+            b = rng.choice([b for b in range(1, len(points) + 1)
+                            if bound * math.factorial(b) <= cap])
+            blocks.append(points[:b])
+            points, bound = points[b:], bound * math.factorial(b)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            g = list(range(degree))
+            for block in blocks:
+                for x, y in zip(block, rng.sample(block, len(block))):
+                    g[x] = y
+            gens.append(tuple(g))
+        out[f"random{i}-degree{degree}"] = (degree, gens)
+    return out
+
+
+# groups built from generators rather than realized: seeded random ones, at
+# most 720 elements each (within ORDER_BOUND; test_table_matches_definition
+# checks n^2 products in Python), a one-generator group of order 20 whose
+# table walk has 19 layers of one element, and the trivial group with no
+# generators, whose table is [[0]]
+BUILT = {**_random_young_groups(seed=0, count=8, cap=720),
+         "one-generator": (9, [(1, 2, 3, 4, 0, 6, 7, 8, 5)]),
+         "trivial": (3, [])}
+
+
+def _group(spec):
+    """The group that a test id names: a BUILT one, closed from its
+    generators, or realize(spec)."""
+    return PermGroup(*BUILT[spec]) if spec in BUILT else realize(spec)
+
+
 def test_permutation_primitives():
     a = (1, 2, 0, 3)   # 3-cycle
     b = (0, 1, 3, 2)   # transposition
@@ -366,10 +410,12 @@ def test_builtin_elements_are_pinned():
     assert h.hexdigest()[:16] == "66b6eee5794d02af"
 
 
-@pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Alt:5,Cyclic:7",))
+@pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Alt:5,Cyclic:7",) + tuple(BUILT))
 def test_closure_matches_tuple_closure(spec):
-    g = realize(spec)
+    g = _group(spec)
     rng = random.Random(spec)
+    # the rows are the closure of the generators, in lexicographic order
+    assert _tuples(g)[0] == sorted(tuple_closure(g.generators, g.degree))
     assert g.closure_indices(()) == g.closure_indices((g.identity,)) == {g.identity}
     for trial in range(12):
         gens = [rng.randrange(g.order) for _ in range(rng.randint(1, 3))]
@@ -1088,9 +1134,9 @@ def test_direct_product_structure():
     assert g.is_nilpotent_set(frozenset(range(6)))
 
 
-@pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Alt:5,Cyclic:7",))
+@pytest.mark.parametrize("spec", CORPUS_SIMPLE + ("Alt:5,Cyclic:7",) + tuple(BUILT))
 def test_table_matches_definition(spec):
-    g = realize(spec)
+    g = _group(spec)
     t = g.require_table()
     e, index = _tuples(g)
     assert t.dtype == np.int16 and g.inv.dtype == np.int16
@@ -1432,8 +1478,10 @@ def test_pi_part():
 
 
 def test_order_bound_enforced():
-    with pytest.raises(BruteForceBoundError):
+    with pytest.raises(BruteForceBoundError) as err:
         PermGroup(11, [tuple(range(1, 11)) + (0,), (1, 0) + tuple(range(2, 11))])
+    assert str(err.value) == (f"group order exceeds the bound {ORDER_BOUND}; "
+                              "refusing to materialize")
 
 
 def sym7_x_c2_on_9_points():
